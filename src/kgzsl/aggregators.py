@@ -8,6 +8,23 @@ the bit level, neighbor tensors are put into a canonical order (sorted
 by their raw bytes) before any float reduction, because float addition
 is not associative.  The sequence aggregator is order-sensitive by
 design and takes an explicit permutation instead.
+
+Besides the per-node ``forward``, every layer has one level interface,
+``forward_group(prev, rows, node_args)``, which embeds a group of B
+nodes with the same member count M at once:
+
+- ``prev`` is the (N, in_dim) tensor of the level below, one row per
+  node;
+- ``rows`` is a (B, M) integer array of rows of ``prev``: each node
+  itself first, then its sampled neighbors in rank order;
+- ``node_args`` holds one extra per node, for the kinds that need it:
+  the relations to each neighbor (``rgcn``) or the member permutation
+  (``lstm``).
+
+It returns a (B, out_dim) tensor.  The set aggregators stack the group
+into one (B, M, in_dim) tensor and make one call of each op, which
+rounds exactly like B separate calls; their ``forward`` is the B = 1
+case of the same code.  ``rgcn`` and ``lstm`` run ``forward`` per node.
 """
 
 import numpy as np
@@ -38,6 +55,19 @@ def canonical_order(tensors):
     return sorted(tensors, key=lambda t: t.data.tobytes())
 
 
+def canonical_rows(prev, rows):
+    """`rows` with each node's neighbors (every column but the first) in canonical order."""
+    data = prev.data
+    return np.array([[r[0]] + sorted(r[1:], key=lambda i: data[i].tobytes()) for r in rows])
+
+
+def _forward_one(layer, self_feat, neighbors):
+    """A set aggregator's per-node forward: its group forward with B = 1."""
+    members = [self_feat] + list(neighbors)
+    rows = np.arange(len(members))[None]
+    return ad.row(layer.forward_group(ad.stack(members), rows), 0)
+
+
 class MeanPoolLayer:
     """h_v = act(W * mean(N(v) union {v}))."""
 
@@ -56,9 +86,11 @@ class MeanPoolLayer:
         return {self.weight.name: self.weight}
 
     def forward(self, self_feat, neighbors):
-        members = [self_feat] + canonical_order(list(neighbors))
-        pooled = ad.mean(ad.stack(members), axis=0)
-        return self.act(ad.matmul(self.weight, pooled))
+        return _forward_one(self, self_feat, neighbors)
+
+    def forward_group(self, prev, rows, node_args=None):
+        members = ad.gather(prev, canonical_rows(prev, rows))
+        return self.act(ad.matvec(self.weight, ad.mean(members, axis=1)))
 
 
 class AttentionPoolLayer:
@@ -84,16 +116,18 @@ class AttentionPoolLayer:
         return {self.weight.name: self.weight, self.attn.name: self.attn}
 
     def forward(self, self_feat, neighbors):
-        members = [self_feat] + canonical_order(list(neighbors))
-        projected = [ad.matmul(self.weight, m) for m in members]
-        h_self = projected[0]
-        scores = []
-        for h in projected:
-            e = ad.matmul(self.attn, ad.concat([h, h_self]))
-            scores.append(ad.leaky_relu(e, 0.2))
-        alpha = ad.softmax(ad.stack(scores))
-        pooled = ad.matmul(alpha, ad.stack(projected))
-        return self.act(pooled)
+        return _forward_one(self, self_feat, neighbors)
+
+    def forward_group(self, prev, rows, node_args=None):
+        rows = canonical_rows(prev, rows)
+        count, size = rows.shape
+        projected = ad.matvec(self.weight, ad.gather(prev, rows))
+        # the self row next to every member, for the [h'_u ; h'_v] scorer
+        h_self = ad.matvec(self.weight, ad.gather(prev, np.repeat(rows[:, :1], size, axis=1)))
+        scores = ad.dot_rows(ad.concat([projected, h_self], axis=2), self.attn)
+        alpha = ad.softmax(ad.leaky_relu(scores, 0.2), axis=-1)
+        pooled = ad.matmul(ad.reshape(alpha, (count, 1, size)), projected)
+        return self.act(ad.reshape(pooled, (count, self.out_dim)))
 
 
 class RelationalMeanLayer:
@@ -156,6 +190,15 @@ class RelationalMeanLayer:
         if agg is not None:
             combined = ad.add(agg, combined)
         return self.act(combined)
+
+    def forward_group(self, prev, rows, node_args):
+        """node_args: per node, the relations from it to each neighbor."""
+        outs = []
+        for r, relations in zip(rows, node_args):
+            feats = [ad.row(prev, u) for u in r[1:]]
+            tagged = [(rel, feat) for feat, rels in zip(feats, relations) for rel in rels]
+            outs.append(self.forward(ad.row(prev, r[0]), tagged))
+        return ad.stack(outs)
 
 
 class _LstmCell:
@@ -254,6 +297,13 @@ class SequencePoolLayer:
             combined = a_v
         return self.act(ad.matmul(self.weight, combined))
 
+    def forward_group(self, prev, rows, node_args):
+        """node_args: per node, the permutation to pass to `forward`."""
+        return ad.stack([
+            self.forward(ad.row(prev, r[0]), [ad.row(prev, u) for u in r[1:]], permutation=perm)
+            for r, perm in zip(rows, node_args)
+        ])
+
 
 class TransformerPoolLayer:
     """One self-attention block over the member set, mean-pooled.
@@ -319,26 +369,29 @@ class TransformerPoolLayer:
         return {t.name: t for t in tensors}
 
     def forward(self, self_feat, neighbors):
-        members = [self_feat] + canonical_order(list(neighbors))
-        x = ad.matmul_t(ad.stack(members), self.p_in)
+        return _forward_one(self, self_feat, neighbors)
+
+    def forward_group(self, prev, rows, node_args=None):
+        rows = canonical_rows(prev, rows)
+        x = ad.matmul_t(ad.gather(prev, rows), self.p_in)
         n1 = ad.layer_norm(x, self.ln1_g, self.ln1_b)
         q = ad.matmul_t(n1, self.wq)
         k = ad.matmul_t(n1, self.wk)
         v = ad.matmul_t(n1, self.wv)
         scores = ad.scale(ad.matmul_t(q, k), 1.0 / np.sqrt(self.proj_dim))
-        attn = ad.matmul(ad.softmax(scores, axis=1), v)
+        attn = ad.matmul(ad.softmax(scores, axis=-1), v)
         x = ad.add(x, ad.matmul_t(attn, self.wo))
         n2 = ad.layer_norm(x, self.ln2_g, self.ln2_b)
         ff = ad.add(ad.matmul_t(n2, self.ff1), self.ff1_b)
         ff = ad.add(ad.matmul_t(ad.relu(ff), self.ff2), self.ff2_b)
         x = ad.add(x, ff)
         back = ad.matmul_t(x, self.p_out)
-        a_v = ad.mean(back, axis=0)
+        a_v = ad.mean(back, axis=1)
         if self.combine_self:
-            combined = ad.concat([self_feat, a_v])
+            combined = ad.concat([ad.gather(prev, rows[:, 0]), a_v], axis=1)
         else:
             combined = a_v
-        return self.act(ad.matmul(self.weight, combined))
+        return self.act(ad.matvec(self.weight, combined))
 
 
 LAYER_KINDS = {
@@ -411,7 +464,8 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
     The sampled neighborhood is fixed per node at the shallowest depth
     where it is reached: top hop_limits[d] neighbors by hit probability.
     Representation levels are then evaluated bottom-up over that DAG, so
-    the output depends only on the truncated k-hop neighborhood.
+    the output depends only on the truncated k-hop neighborhood.  Each
+    level is one `forward_group` call per distinct member count.
 
     Args:
         hits: callable node -> HitTable (see sampler.HitSource).
@@ -446,32 +500,35 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
                         nxt.append(u)
         frontier = nxt
 
-    reps = {}
-    for v in depth_of:
-        reps[(0, v)] = ad.constant(np.asarray(features[v]))
+    row_of = {v: i for i, v in enumerate(depth_of)}
+    prev = ad.constant(np.stack([np.asarray(features[v], dtype=np.float64) for v in depth_of]))
 
     # a node first reached at depth d is needed up to level k - d; its
     # sampled neighbors then always have the level below already built
     for level in range(1, k + 1):
         layer = stack.layers[level - 1]
-        for v, neigh_ids in sampled.items():
-            if level > k - depth_of[v]:
-                continue
-            prev_self = reps[(level - 1, v)]
-            prev_neighbors = [reps[(level - 1, u)] for u in neigh_ids]
-            if layer.kind == "rgcn":
-                tagged = []
-                for u, feat in zip(neigh_ids, prev_neighbors):
-                    for rel in graph.relations_between(v, u):
-                        tagged.append((rel, feat))
-                reps[(level, v)] = layer.forward(prev_self, tagged)
-            elif layer.kind == "lstm":
-                if mode == "train":
-                    perm = rng.permutation(len(neigh_ids) + 1)
-                else:
-                    perm = make_rng("lstm-perm", seed, v).permutation(len(neigh_ids) + 1)
-                reps[(level, v)] = layer.forward(prev_self, prev_neighbors, permutation=list(perm))
-            else:
-                reps[(level, v)] = layer.forward(prev_self, prev_neighbors)
+        todo = [v for v in sampled if level <= k - depth_of[v]]
+        # node_args in DAG order, so train-mode permutation draws
+        # come off `rng` in a fixed order
+        if layer.kind == "rgcn":
+            node_args = [[graph.relations_between(v, u) for u in sampled[v]] for v in todo]
+        elif layer.kind == "lstm":
+            node_args = []
+            for v in todo:
+                perm_rng = rng if mode == "train" else make_rng("lstm-perm", seed, v)
+                node_args.append(list(perm_rng.permutation(len(sampled[v]) + 1)))
+        else:
+            node_args = [None] * len(todo)
+        groups = {}
+        for v, arg in zip(todo, node_args):
+            groups.setdefault(len(sampled[v]) + 1, []).append((v, arg))
+        outs, order = [], []
+        for size in sorted(groups):
+            nodes = [v for v, _ in groups[size]]
+            rows = np.array([[row_of[v]] + [row_of[u] for u in sampled[v]] for v in nodes])
+            outs.append(layer.forward_group(prev, rows, [arg for _, arg in groups[size]]))
+            order += nodes
+        prev = outs[0] if len(outs) == 1 else ad.concat(outs)
+        row_of = {v: i for i, v in enumerate(order)}
 
-    return reps[(k, node)]
+    return ad.row(prev, row_of[node])

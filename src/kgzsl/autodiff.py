@@ -5,10 +5,16 @@ parents.  backward() builds a Tape (the topologically ordered record of
 the operations reachable from the loss) and traverses it exactly once,
 accumulating gradients with +=, so reuse of a tensor sums contributions.
 
-Shapes are checked strictly: the only implicit broadcast anywhere is
-adding a (n,) bias row-wise to a (m, n) matrix, and multiplying or
+Shapes are checked strictly: the only implicit broadcasts anywhere are
+adding a (n,) bias to every row of a (..., n) tensor, a 2-D right
+operand shared by every item of a (B, m, n) stack, and multiplying or
 dividing by a scalar () tensor.  Everything else must match exactly and
 raises ShapeError naming the op.
+
+The 3-D cases exist so a whole group of same-size neighborhoods runs
+as one op.  Each keeps numpy's per-item product (one BLAS call per
+stacked item, with the shapes a single item would use), so a stacked
+result is bitwise the result of running the items one at a time.
 """
 
 import json
@@ -117,13 +123,13 @@ def add(a, b):
             if b.requires_grad:
                 b._accumulate(g)
         return _make(a.data + b.data, (a, b), backward)
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        # matrix plus row-broadcast bias
+    if a.data.ndim >= 2 and b.data.ndim == 1 and a.shape[-1] == b.shape[0]:
+        # rows plus a broadcast bias
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:
-                b._accumulate(g.sum(axis=0))
+                b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
         return _make(a.data + b.data, (a, b), backward)
     raise _shape_err("add", a, b)
 
@@ -209,27 +215,78 @@ def matmul(a, b):
                 a._accumulate(g * b.data)
             if b.requires_grad:
                 b._accumulate(g * a.data)
+    elif an == 3 and bn == 3 and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]:
+        # one product per stacked item
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(g @ b.data.transpose(0, 2, 1))
+            if b.requires_grad:
+                b._accumulate(a.data.transpose(0, 2, 1) @ g)
     else:
         raise _shape_err("matmul", a, b)
     return _make(a.data @ b.data, (a, b), backward)
 
 
 def matmul_t(a, b):
-    """a @ b.T for two 2-D tensors, as one node.
+    """a @ b^T as one node, per stacked item when a is 3-D.
 
     Same product as matmul(a, transpose(b)) without the transpose node,
     for row-batch projections x W^T such as the transformer
-    aggregator's and the bilinear head's.
+    aggregator's and the bilinear head's.  A 3-D `a` of shape (B, m, n)
+    takes either a shared 2-D (p, n) `b` or a (B, p, n) stack, giving
+    (B, m, p) either way.
     """
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+    an, bn = a.data.ndim, b.data.ndim
+    if an not in (2, 3) or bn not in (2, an) or a.shape[-1] != b.shape[-1] or (
+            bn == 3 and a.shape[0] != b.shape[0]):
         raise _shape_err("matmul_t", a, b)
+    b_t = b.data.T if bn == 2 else b.data.transpose(0, 2, 1)
 
     def backward(g):
         if a.requires_grad:
             a._accumulate(g @ b.data)
         if b.requires_grad:
-            b._accumulate(g.T @ a.data)
-    return _make(a.data @ b.data.T, (a, b), backward)
+            if bn == 2:
+                b._accumulate(g.reshape(-1, b.shape[0]).T @ a.data.reshape(-1, b.shape[1]))
+            else:
+                b._accumulate(g.transpose(0, 2, 1) @ a.data)
+    return _make(a.data @ b_t, (a, b), backward)
+
+
+def matvec(w, x):
+    """w @ x for every trailing vector of x: (o, n) and (..., n) -> (..., o).
+
+    Computed as a stack of matrix-vector products rather than x @ w^T,
+    which rounds differently, so each row equals matmul(w, row).
+    """
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[1]:
+        raise _shape_err("matvec", w, x)
+    out_dim, in_dim = w.shape
+
+    def backward(g):
+        if w.requires_grad:
+            w._accumulate(g.reshape(-1, out_dim).T @ x.data.reshape(-1, in_dim))
+        if x.requires_grad:
+            x._accumulate(g @ w.data)
+    return _make((w.data @ x.data[..., None])[..., 0], (w, x), backward)
+
+
+def dot_rows(x, v):
+    """x_i . v for every trailing vector x_i of x: (..., n) and (n,) -> (...).
+
+    Each entry is one dot product, rounded like matmul(v, x_i) of two
+    1-D tensors; x @ v or an elementwise product and sum round
+    differently.
+    """
+    if v.data.ndim != 1 or x.data.ndim < 1 or x.shape[-1] != v.shape[0]:
+        raise _shape_err("dot_rows", x, v)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g[..., None] * v.data)
+        if v.requires_grad:
+            v._accumulate((g[..., None] * x.data).reshape(-1, v.shape[0]).sum(axis=0))
+    return _make((x.data[..., None, :] @ v.data[:, None])[..., 0, 0], (x, v), backward)
 
 
 # ------------------------------------------------------------ restructuring
@@ -270,6 +327,38 @@ def stack(tensors):
     return _make(np.stack([t.data for t in tensors]), tensors, backward)
 
 
+def reshape(a, shape):
+    """The same values in a new shape of the same size."""
+    shape = tuple(shape)
+    if int(np.prod(shape)) != a.data.size:
+        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(a.shape))
+    return _make(a.data.reshape(shape), (a,), backward)
+
+
+def gather(a, index):
+    """a[index] along the first axis, for an integer array `index`.
+
+    The result has shape index.shape + a.shape[1:]; rows taken more
+    than once receive the sum of their gradients.
+    """
+    index = np.asarray(index)
+    if a.data.ndim < 1 or index.dtype.kind not in "iu":
+        raise _shape_err("gather", a)
+    if index.size and (index.min() < 0 or index.max() >= a.shape[0]):
+        raise ContractError(f"gather: index out of range for {a.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            np.add.at(buf, index, g)
+            a._accumulate(buf)
+    return _make(a.data[index], (a,), backward)
+
+
 def transpose(a):
     if a.data.ndim != 2:
         raise _shape_err("transpose", a)
@@ -302,9 +391,11 @@ def row(a, index):
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[index] = g
-            a._accumulate(buf)
+            # straight into the row: a row per member of every node of a
+            # level would otherwise allocate a level-sized buffer each
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[index] += g
     return _make(a.data[index].copy(), (a,), backward)
 
 
@@ -328,17 +419,17 @@ def sum(a, axis=None):  # noqa: A001 - mirrors np.sum, always used qualified
 
 
 def mean(a, axis=None):
-    if axis is not None and a.data.ndim != 2:
+    """Mean of all entries, or over axis 0 or 1 of a 2-D or 3-D tensor."""
+    if axis is not None and (a.data.ndim not in (2, 3) or axis not in (0, 1)):
         raise _shape_err("mean(axis)", a)
     count = a.data.size if axis is None else a.shape[axis]
 
     def backward(g):
         if not a.requires_grad:
             return
-        if axis is None or axis == 0:
-            a._accumulate(np.broadcast_to(g, a.shape) / count)
-        else:
-            a._accumulate(np.broadcast_to(g[:, None], a.shape) / count)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape) / count)
     return _make(a.data.mean(axis=axis), (a,), backward)
 
 
@@ -398,7 +489,7 @@ def log(a):
 
 
 def softmax(a, axis=-1):
-    if a.data.ndim not in (1, 2):
+    if a.data.ndim not in (1, 2, 3):
         raise _shape_err("softmax", a)
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
@@ -414,12 +505,13 @@ def softmax(a, axis=-1):
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then scale and shift.
 
-    Accepts (d,) or (k, d) inputs; gain and bias are (d,).
+    Accepts (d,), (k, d) or (B, k, d) inputs; gain and bias are (d,).
     """
     if gain.shape != bias.shape or gain.data.ndim != 1:
         raise _shape_err("layer_norm", gain, bias)
-    if x.shape[-1] != gain.shape[0] or x.data.ndim not in (1, 2):
+    if x.shape[-1] != gain.shape[0] or x.data.ndim not in (1, 2, 3):
         raise _shape_err("layer_norm", x, gain)
+    d = gain.shape[0]
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -428,10 +520,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
     def backward(g):
         if gain.requires_grad:
-            gg = g * xhat
-            gain._accumulate(gg if x.data.ndim == 1 else gg.sum(axis=0))
+            gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
-            bias._accumulate(g if x.data.ndim == 1 else g.sum(axis=0))
+            bias._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
@@ -691,8 +782,15 @@ def load_checkpoint(path):
 
 
 def load_into(params, path):
-    """Load a checkpoint into live parameter tensors, checking shapes."""
+    """Load a checkpoint into live parameter tensors.
+
+    The checkpoint must hold exactly the model's parameter names, each
+    with the live tensor's shape.
+    """
     stored = load_checkpoint(path)
+    extra = sorted(set(stored) - set(params))
+    if extra:
+        raise ContractError(f"checkpoint has parameters the model lacks: {extra}")
     for name, p in params.items():
         if name not in stored:
             raise ContractError(f"checkpoint missing parameter {name!r}")

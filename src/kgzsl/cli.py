@@ -26,7 +26,7 @@ from . import config as cfgmod
 from .aggregators import GnnStack, LAYER_KINDS, make_layer
 from .autodiff import grad_check, load_into, save_checkpoint
 from .encoders import MentionEncoder, MentionInput, SentenceEncoder, VectorEncoder
-from .errors import ConfigError, ContractError, DataError, KgzslError, ParseError
+from .errors import ConfigError, ContractError, DataError, DivergenceError, KgzslError, ParseError
 from .evaluation import FoldSpec, fold_metrics
 from .kg import EmbeddingTable, ingest, init_features, serialize
 from .sampler import HitSource, WalkConfig
@@ -39,7 +39,7 @@ from .zeroshot import (
 
 log = logging.getLogger("kgzsl.cli")
 
-_USER_ERRORS = (ParseError, ConfigError, DataError)
+_USER_ERRORS = (ParseError, ConfigError, DataError, DivergenceError)
 
 
 def _setup_logging():

@@ -56,6 +56,10 @@ class EmptyNameError(KgzslError):
         self.node = node
 
 
+class DivergenceError(KgzslError):
+    """A training loss became NaN or infinite; the message names the epoch and split."""
+
+
 class ShapeError(KgzslError):
     """Operands of a tensor op have incompatible shapes.
 

@@ -127,18 +127,3 @@ def topk_hit(ranked, gold, k):
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     return gold in list(ranked)[:k]
-
-
-def per_class_topk_accuracy(pairs, k):
-    """Mean over classes of the within-class top-k hit rate.
-
-    Args:
-        pairs: (ranked candidates, gold class) tuples.
-    """
-    if not pairs:
-        raise ContractError("no predictions")
-    by_class = {}
-    for ranked, gold in pairs:
-        by_class.setdefault(gold, []).append(topk_hit(ranked, gold, k))
-    rates = [sum(hits) / len(hits) for _, hits in sorted(by_class.items())]
-    return sum(rates) / len(rates)

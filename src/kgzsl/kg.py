@@ -196,64 +196,6 @@ def serialize(g, path):
             fh.write(f"{rel}\t{head}\t{tail}\n")
 
 
-def union_prefix(g, separator="/"):
-    """Merge every node into the shortest existing prefix of its id.
-
-    Prefixes are taken at `separator` boundaries only, so "ab/cd" is not
-    a prefix of "ab/cde".  Because the prefixes of an id form a chain,
-    mapping each node straight to its shortest present prefix equals the
-    transitive closure of single-step merges, and the operation is
-    idempotent.
-    """
-    if not separator:
-        raise ParseError("separator must be non-empty")
-
-    def representative(v):
-        segs = v.split(separator)
-        for j in range(1, len(segs)):
-            cand = separator.join(segs[:j])
-            if cand and cand in g:
-                return cand
-        return v
-
-    rep = {v: representative(v) for v in g.nodes}
-    new_edges = []
-    for rel, head, tail in g.edges:
-        new_edges.append((rel, rep[head], rep[tail]))
-    kept_nodes = []
-    seen = set()
-    for v in g.nodes:
-        r = rep[v]
-        if r not in seen:
-            seen.add(r)
-            kept_nodes.append(r)
-    return Graph(new_edges, extra_nodes=kept_nodes)
-
-
-def khop(g, center, k):
-    """Induced subgraph on every node within k undirected hops of center."""
-    if center not in g:
-        raise UnknownNodeError(center)
-    if k < 0:
-        raise ParseError("k must be >= 0")
-    reached = [center]
-    reached_set = {center}
-    frontier = [center]
-    for _ in range(k):
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if u not in reached_set:
-                    reached_set.add(u)
-                    reached.append(u)
-                    nxt.append(u)
-        frontier = nxt
-    edges = [
-        (rel, h, t) for rel, h, t in g.edges if h in reached_set and t in reached_set
-    ]
-    return Graph(edges, extra_nodes=reached)
-
-
 _TOKEN_SPLIT = re.compile(r"[\s_/]+")
 
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .aggregators import gnn_forward
-from .errors import ConfigError, ContractError, DataError, EmptyNameError
-from .kg import name_tokens
+from .errors import ConfigError, ContractError, DataError, DivergenceError
 from .seeding import make_rng
 
 
@@ -109,14 +108,6 @@ class GnnClassEncoder:
         )
 
 
-def class_rep_avg_embedding(name, embeddings):
-    """Flat class representation: average embedding of the name's tokens."""
-    tokens = name_tokens(name)
-    if not tokens:
-        raise EmptyNameError(name)
-    return np.mean([embeddings.lookup(t) for t in tokens], axis=0)
-
-
 @dataclass
 class TrainResult:
     best_params: dict
@@ -129,6 +120,27 @@ class TrainResult:
 
 def _snapshot(params):
     return {k: p.data.copy() for k, p in params.items()}
+
+
+def _end_epoch(result, params, train_loss, dev_loss):
+    """Log one epoch and keep its snapshot if its selector is the lowest yet.
+
+    The selector is the dev loss, or the train loss when there is no dev
+    data; the first epoch wins ties.  A non-finite loss raises instead
+    of being logged, since no comparison can rank it.
+    """
+    epoch = len(result.log)
+    for split, loss in (("train", train_loss), ("dev", dev_loss)):
+        if loss is not None and not np.isfinite(loss):
+            raise DivergenceError(f"{split} loss is {loss!r} in epoch {epoch}")
+    result.log.append({"epoch": epoch, "train_loss": train_loss, "dev_loss": dev_loss})
+    if result.best_epoch < 0 or _selector(result.log[-1]) < _selector(result.log[result.best_epoch]):
+        result.best_params = _snapshot(params)
+        result.best_epoch = epoch
+
+
+def _selector(entry):
+    return entry["dev_loss"] if entry["dev_loss"] is not None else entry["train_loss"]
 
 
 def _merge_params(*groups):
@@ -210,19 +222,13 @@ def train_bilinear(train_examples, dev_examples, encoder, class_encoder, head, c
         opt.step()
         return float(batch_loss.data)
 
-    best = None
     result = TrainResult(best_params={}, best_epoch=-1)
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = shuffle_rng.permutation(len(train_examples))
         epoch_losses = [step(batch) for batch in _batches(len(train_examples), batch_size, order)]
         train_loss = float(np.mean(epoch_losses))
         dev_loss = _holdout_loss(dev_examples, encoder, class_encoder, head, dev, dev_index, loss_mode)
-        selector = dev_loss if dev_loss is not None else train_loss
-        result.log.append({"epoch": epoch, "train_loss": train_loss, "dev_loss": dev_loss})
-        if best is None or selector < best:
-            best = selector
-            result.best_params = _snapshot(params)
-            result.best_epoch = epoch
+        _end_epoch(result, params, train_loss, dev_loss)
     _restore(params, result.best_params)
     return result
 
@@ -299,9 +305,8 @@ def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=
     opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
     perm_rng = make_rng("train-perm", seed)
 
-    best = None
     result = TrainResult(best_params={}, best_epoch=-1)
-    for epoch in range(epochs):
+    for _ in range(epochs):
         opt.zero_grad()
         losses = []
         for c in classes.seen:
@@ -323,14 +328,46 @@ def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=
                     for c in classes.dev
                 ]
             dev_loss = float(np.sum(dev_losses))
-        selector = dev_loss if dev_loss is not None else train_loss
-        result.log.append({"epoch": epoch, "train_loss": train_loss, "dev_loss": dev_loss})
-        if best is None or selector < best:
-            best = selector
-            result.best_params = _snapshot(params)
-            result.best_epoch = epoch
+        _end_epoch(result, params, train_loss, dev_loss)
     _restore(params, result.best_params)
     return result
+
+
+def candidate_scores(theta, head, class_reps, mode="multiclass"):
+    """The sorted candidate ids and their scores, as `predict` ranks them.
+
+    Every candidate is scored against the one vector theta B A (theta
+    for "l2") in a single stacked product, which rounds exactly like
+    scoring each candidate on its own.  Arguments are as for `predict`.
+    """
+    if not class_reps:
+        raise ContractError("no candidate classes")
+    if mode not in ("multiclass", "multilabel", "l2"):
+        raise ConfigError(f"unknown predict mode {mode!r}")
+    theta = theta.data if isinstance(theta, ad.Tensor) else np.asarray(theta, dtype=np.float64)
+    ids = sorted(class_reps)
+    reps = [class_reps[c] for c in ids]
+    try:
+        phis = np.array([r.data if isinstance(r, ad.Tensor) else r for r in reps], dtype=np.float64)
+    except ValueError:
+        raise ContractError("class representations differ in width") from None
+    if phis.ndim != 2:
+        raise ContractError(f"class representations must be vectors, got shape {phis.shape[1:]}")
+    width = phis.shape[1]
+    if mode == "l2":
+        vec = theta
+        if width == theta.shape[0] + 1:
+            vec = np.concatenate([theta, [1.0]])
+        elif width != theta.shape[0]:
+            raise ContractError(f"phi dim {width} incompatible with theta dim {theta.shape[0]}")
+    else:
+        if theta.shape != (head.theta_dim,) or width != head.phi_dim:
+            raise ContractError(
+                f"theta {theta.shape} and phi width {width} do not fit a "
+                f"({head.theta_dim}, {head.phi_dim}) head"
+            )
+        vec = theta @ head.score_matrix()
+    return ids, ad.dot_rows(ad.constant(phis), ad.constant(vec)).data
 
 
 def predict(theta, head, class_reps, mode="multiclass"):
@@ -339,37 +376,18 @@ def predict(theta, head, class_reps, mode="multiclass"):
     Args:
         theta: example encoding as a plain array (or Tensor).
         head: BilinearHead for the bilinear modes; ignored for "l2".
-        class_reps: {class id: phi array} over the candidate set.
+        class_reps: {class id: phi array} over the candidate set; every
+            phi must have the same width.
         mode: "multiclass" ranks all candidates (ties by id), returning
             a list; "multilabel" returns the set with positive score;
             "l2" ranks by dot product, appending a bias 1 to theta when
             phi carries one extra dimension.
     """
-    if not class_reps:
-        raise ContractError("no candidate classes")
-    theta = theta.data if isinstance(theta, ad.Tensor) else np.asarray(theta, dtype=np.float64)
-    items = sorted(class_reps.items())
-    scored = []
-    for cls, phi in items:
-        phi = phi.data if isinstance(phi, ad.Tensor) else np.asarray(phi, dtype=np.float64)
-        if mode in ("multiclass", "multilabel"):
-            s = float(theta @ head.score_matrix() @ phi)
-        elif mode == "l2":
-            vec = theta
-            if phi.shape[0] == theta.shape[0] + 1:
-                vec = np.concatenate([theta, [1.0]])
-            elif phi.shape[0] != theta.shape[0]:
-                raise ContractError(
-                    f"phi dim {phi.shape[0]} incompatible with theta dim {theta.shape[0]}"
-                )
-            s = float(vec @ phi)
-        else:
-            raise ConfigError(f"unknown predict mode {mode!r}")
-        scored.append((cls, s))
+    ids, scores = candidate_scores(theta, head, class_reps, mode)
     if mode == "multilabel":
-        return {cls for cls, s in scored if s > 0.0}
-    ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
-    return [cls for cls, _ in ranked]
+        return {ids[i] for i in np.flatnonzero(scores > 0.0)}
+    # ids are sorted, so a stable sort breaks score ties by id
+    return [ids[i] for i in np.argsort(-scores, kind="stable")]
 
 
 def class_representations(class_encoder, class_ids, mode="eval"):

@@ -46,3 +46,54 @@ def total_variation(table, exact):
     empirical = {node: p for node, p in table.entries}
     keys = set(empirical) | set(exact)
     return 0.5 * sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
+
+
+def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
+    """Reference class encoder: one `layer.forward` call per DAG node.
+
+    The same truncated neighborhood DAG as `gnn_forward`, walked one
+    node at a time in DAG order with per-node tensors, so the batched
+    level forward can be compared with it byte for byte.  Train-mode
+    sequence permutations are drawn from `rng` in that same order.
+    """
+    from kgzsl import autodiff as ad
+    from kgzsl.sampler import top_n
+    from kgzsl.seeding import make_rng
+
+    k = stack.depth
+    sampled = {}
+    depth_of = {node: 0}
+    frontier = [node]
+    for depth in range(k):
+        nxt = []
+        for v in frontier:
+            sampled[v] = top_n(hits(v), stack.hop_limits[depth])
+            for u in sampled[v]:
+                if u not in depth_of:
+                    depth_of[u] = depth + 1
+                    if depth + 1 < k:
+                        nxt.append(u)
+        frontier = nxt
+
+    reps = {(0, v): ad.constant(np.asarray(features[v])) for v in depth_of}
+    for level in range(1, k + 1):
+        layer = stack.layers[level - 1]
+        for v, neigh_ids in sampled.items():
+            if level > k - depth_of[v]:
+                continue
+            prev_self = reps[(level - 1, v)]
+            prev_neighbors = [reps[(level - 1, u)] for u in neigh_ids]
+            if layer.kind == "rgcn":
+                tagged = [
+                    (rel, feat)
+                    for u, feat in zip(neigh_ids, prev_neighbors)
+                    for rel in graph.relations_between(v, u)
+                ]
+                reps[(level, v)] = layer.forward(prev_self, tagged)
+            elif layer.kind == "lstm":
+                perm_rng = rng if mode == "train" else make_rng("lstm-perm", seed, v)
+                perm = perm_rng.permutation(len(neigh_ids) + 1)
+                reps[(level, v)] = layer.forward(prev_self, prev_neighbors, permutation=list(perm))
+            else:
+                reps[(level, v)] = layer.forward(prev_self, prev_neighbors)
+    return reps[(k, node)]

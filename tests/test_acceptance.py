@@ -105,6 +105,21 @@ def _op_cases(rng):
         a = leaf((3, 4))
         return lambda: ad.sum(ad.multiply(ad.mean(a, axis=0), ad.mean(a, axis=0))), {"a": a}
 
+    # the stacked (B, M, D) forms the level-batched aggregators use
+    def stacked(op, *shapes):
+        ts = [leaf(shape) for shape in shapes]
+        return (
+            lambda: ad.sum(ad.multiply(op(*ts), op(*ts))),
+            {f"t{i}": t for i, t in enumerate(ts)},
+        )
+
+    def layer_norm_3d_case():
+        x, g, b = leaf((2, 3, 4)), leaf(4, low=0.5), leaf(4)
+        return (
+            lambda: ad.sum(ad.multiply(ad.layer_norm(x, g, b), ad.layer_norm(x, g, b))),
+            {"x": x, "g": g, "b": b},
+        )
+
     return [
         ("add", pair(ad.add)),
         ("subtract", pair(ad.subtract)),
@@ -136,6 +151,17 @@ def _op_cases(rng):
         ("cross_entropy", ce_case()),
         ("binary_cross_entropy", bce_case()),
         ("l2_loss", l2_case()),
+        ("matmul_stacked", stacked(ad.matmul, (2, 3, 4), (2, 4, 3))),
+        ("matmul_t_stacked_shared", stacked(ad.matmul_t, (2, 3, 4), (5, 4))),
+        ("matmul_t_stacked", stacked(ad.matmul_t, (2, 3, 4), (2, 5, 4))),
+        ("matvec", stacked(ad.matvec, (3, 4), (2, 5, 4))),
+        ("dot_rows", stacked(ad.dot_rows, (2, 3, 4), (4,))),
+        ("gather", stacked(lambda t: ad.gather(t, np.array([[3, 0, 3], [1, 1, 2]])), (4, 3))),
+        ("reshape", stacked(lambda t: ad.reshape(t, (3, 1, 4)), (2, 6))),
+        ("add_bias_3d", stacked(ad.add, (2, 3, 4), (4,))),
+        ("mean_axis1_3d", stacked(lambda t: ad.mean(t, axis=1), (2, 3, 4))),
+        ("softmax_3d", stacked(lambda t: ad.softmax(t, axis=-1), (2, 3, 4))),
+        ("layer_norm_3d", layer_norm_3d_case()),
     ]
 
 

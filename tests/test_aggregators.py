@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgzsl import aggregators as agg
 from kgzsl import autodiff as ad
 from kgzsl.errors import ConfigError, ContractError, UnknownNodeError, UnknownRelationError
 from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, HitTable, WalkConfig
+from kgzsl.seeding import make_rng
+
+from .helpers import per_node_forward
 
 
 def rng(seed=0):
@@ -368,6 +373,104 @@ class TestGnnForward:
         tagged = [("likes", ad.constant(feats["a"])), ("hates", ad.constant(feats["b"]))]
         direct = layer.forward(ad.constant(feats["c"]), tagged)
         assert out_bytes(out) == out_bytes(direct)
+
+
+KINDS = ["gcn", "gat", "rgcn", "lstm", "transformer"]
+RELATIONS = ["r0", "r1"]
+
+
+def random_world(seed, num_nodes, dim):
+    """A connected random multigraph over n0..n{num_nodes-1}, two relations."""
+    r = rng(seed)
+    edges = {("r0", f"n{i}", f"n{i + 1}") for i in range(num_nodes - 1)}
+    for _ in range(2 * num_nodes):
+        a, b = (int(i) for i in r.integers(0, num_nodes, 2))
+        if a != b:
+            edges.add((RELATIONS[int(r.integers(0, 2))], f"n{a}", f"n{b}"))
+    g = Graph(sorted(edges))
+    feats = FeatureTable(dim, {v: r.normal(size=dim) for v in g.nodes})
+    return g, feats, HitSource(g, WalkConfig(steps=8, restarts=4, seed=seed))
+
+
+def make_stack(kinds, limits, dim, seed, activation="tanh"):
+    layers = []
+    for i, kind in enumerate(kinds):
+        kwargs = {"relations": RELATIONS, "num_bases": 2} if kind == "rgcn" else {}
+        layers.append(agg.make_layer(kind, dim, dim, activation=activation,
+                                     rng=make_rng("stack-test", seed, i), name=f"{kind}{i}", **kwargs))
+    return agg.GnnStack(layers, limits)
+
+
+class TestLevelBatchedForward:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_nodes=st.integers(2, 10),
+        dim=st.integers(1, 6),
+        limits=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        others=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
+        mode=st.sampled_from(["eval", "train"]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_per_node_reference_bitwise(self, kind, seed, num_nodes, dim, limits, others, mode):
+        g, feats, hits = random_world(seed, num_nodes, dim)
+        stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
+        batched_rng, reference_rng = make_rng("perm", seed), make_rng("perm", seed)
+        for v in g.nodes:
+            got = agg.gnn_forward(stack, g, feats, hits, v, mode=mode, seed=seed, rng=batched_rng)
+            want = per_node_forward(stack, g, feats, hits, v, mode=mode, seed=seed, rng=reference_rng)
+            assert got.data.tobytes() == want.data.tobytes(), v
+        # train-mode permutations came off the stream in the same order
+        assert batched_rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grad_check_two_layer_stack(self, kind):
+        # width 4, so the transformer's projection is 2 wide: layer norm
+        # over a single feature is constant and parks ff relus on the kink
+        g, feats, hits = random_world(3, 6, 4)
+        stack = make_stack([kind, kind], [2, 3], 4, seed=4)
+        weights = ad.constant(rng(5).normal(size=4))
+
+        def loss():
+            outs = [agg.gnn_forward(stack, g, feats, hits, v, seed=1) for v in ("n0", "n3")]
+            return ad.sum(ad.multiply(ad.add(outs[0], outs[1]), weights))
+
+        report = ad.grad_check(loss, stack.parameters())
+        assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gradients_match_per_node_reference(self, kind):
+        # three levels, so a node's row feeds several nodes of the level above
+        g, feats, hits = random_world(7, 9, 4)
+        stack = make_stack([kind] * 3, [3, 3, 3], 4, seed=8)
+        params = stack.parameters()
+        weights = ad.constant(rng(9).normal(size=4))
+
+        def grads(forward):
+            for t in params.values():
+                t.zero_grad()
+            perm_rng = make_rng("grad-perm", 0)
+            outs = [forward(stack, g, feats, hits, v, mode="train", rng=perm_rng) for v in g.nodes]
+            ad.backward(ad.sum(ad.multiply(ad.sum(ad.stack(outs), axis=0), weights)))
+            return {name: t.grad.copy() for name, t in params.items()}
+
+        batched, reference = grads(agg.gnn_forward), grads(per_node_forward)
+        for name, want in reference.items():
+            err = np.linalg.norm(batched[name] - want) / max(np.linalg.norm(want), 1e-300)
+            assert err <= 1e-12, (name, err)
+
+    def test_tape_scales_with_depth_not_neighborhood_size(self):
+        # in a complete graph on n + 1 nodes every node has n neighbors,
+        # so with hop limits n every node of the DAG has n + 1 members
+        def tape_nodes(n):
+            nodes = [f"v{i}" for i in range(n + 1)]
+            g = Graph([("r", a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
+            feats = FeatureTable(4, {v: rng(n).normal(size=4) for v in g.nodes})
+            stack = make_stack(["transformer", "transformer"], [n, n], 4, seed=0, activation="relu")
+            out = agg.gnn_forward(stack, g, feats, HitSource(g, WalkConfig(seed=0)), "v0", mode="train")
+            return len(ad.Tape.from_output(out))
+
+        assert tape_nodes(2) == tape_nodes(8)
 
 
 class TestMakeLayer:

@@ -41,6 +41,50 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             ad.matmul_t(a, ad.Tensor(r.normal(size=(4, 2))))
 
+    def test_stacked_products_equal_per_item_products_bitwise(self):
+        # the level-batched aggregators rely on each stacked op rounding
+        # exactly like the same op on one item
+        r = rng()
+        x = ad.Tensor(r.normal(size=(4, 3, 5)))
+        w = ad.Tensor(r.normal(size=(2, 5)))
+        v = ad.Tensor(r.normal(size=5))
+        y = ad.Tensor(r.normal(size=(4, 6, 5)))
+        z = ad.Tensor(r.normal(size=(4, 5, 2)))
+        for i in range(4):
+            xi = ad.Tensor(x.data[i])
+            assert ad.matmul_t(x, w).data[i].tobytes() == ad.matmul_t(xi, w).data.tobytes()
+            assert (ad.matmul_t(x, y).data[i].tobytes()
+                    == ad.matmul_t(xi, ad.Tensor(y.data[i])).data.tobytes())
+            assert (ad.matmul(x, z).data[i].tobytes()
+                    == ad.matmul(xi, ad.Tensor(z.data[i])).data.tobytes())
+            for j in range(3):
+                row = ad.Tensor(x.data[i, j])
+                assert ad.matvec(w, x).data[i, j].tobytes() == ad.matmul(w, row).data.tobytes()
+                assert ad.dot_rows(x, v).data[i, j].tobytes() == ad.matmul(v, row).data.tobytes()
+
+    def test_stacked_shape_errors(self):
+        r = rng()
+        x = ad.Tensor(r.normal(size=(4, 3, 5)))
+        with pytest.raises(ShapeError):
+            ad.matmul_t(x, ad.Tensor(r.normal(size=(2, 3, 5))))
+        with pytest.raises(ShapeError):
+            ad.matvec(ad.Tensor(r.normal(size=(2, 4))), x)
+        with pytest.raises(ShapeError):
+            ad.dot_rows(x, ad.Tensor(r.normal(size=4)))
+        with pytest.raises(ShapeError):
+            ad.reshape(x, (5, 5))
+        with pytest.raises(ShapeError):
+            ad.mean(x, axis=2)
+
+    def test_gather_takes_rows_and_sums_repeated_gradients(self):
+        a = ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], requires_grad=True)
+        out = ad.gather(a, np.array([[2, 0], [2, 2]]))
+        np.testing.assert_array_equal(out.data[1, 1], [5.0, 6.0])
+        ad.backward(ad.sum(out))
+        np.testing.assert_array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
+        with pytest.raises(ContractError):
+            ad.gather(a, np.array([3]))
+
     def test_add_bias_broadcast(self):
         m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = ad.Tensor([10.0, 20.0])
@@ -320,6 +364,73 @@ def _(r):
     return lambda: weighted_sum(ad.layer_norm(x, g_, b), rng()), {"x": x, "g": g_, "b": b}
 
 
+@grad_case("matmul_stacked")
+def _(r):
+    a, b = p(r, 2, 3, 4), p(r, 2, 4, 3)
+    return lambda: weighted_sum(ad.matmul(a, b), rng()), {"a": a, "b": b}
+
+
+@grad_case("matmul_t_stacked_shared")
+def _(r):
+    a, b = p(r, 2, 3, 4), p(r, 5, 4)
+    return lambda: weighted_sum(ad.matmul_t(a, b), rng()), {"a": a, "b": b}
+
+
+@grad_case("matmul_t_stacked")
+def _(r):
+    a, b = p(r, 2, 3, 4), p(r, 2, 5, 4)
+    return lambda: weighted_sum(ad.matmul_t(a, b), rng()), {"a": a, "b": b}
+
+
+@grad_case("matvec")
+def _(r):
+    w, x = p(r, 3, 4), p(r, 2, 5, 4)
+    return lambda: weighted_sum(ad.matvec(w, x), rng()), {"w": w, "x": x}
+
+
+@grad_case("dot_rows")
+def _(r):
+    x, v = p(r, 2, 3, 4), p(r, 4)
+    return lambda: weighted_sum(ad.dot_rows(x, v), rng()), {"x": x, "v": v}
+
+
+@grad_case("gather")
+def _(r):
+    a = p(r, 4, 3)
+    index = np.array([[3, 0, 3], [1, 1, 2]])
+    return lambda: weighted_sum(ad.gather(a, index), rng()), {"a": a}
+
+
+@grad_case("reshape")
+def _(r):
+    a = p(r, 2, 6)
+    return lambda: weighted_sum(ad.reshape(a, (3, 1, 4)), rng()), {"a": a}
+
+
+@grad_case("add_bias_3d")
+def _(r):
+    a, b = p(r, 2, 3, 4), p(r, 4)
+    return lambda: weighted_sum(ad.add(a, b), rng()), {"a": a, "b": b}
+
+
+@grad_case("mean_axis1_3d")
+def _(r):
+    a = p(r, 2, 3, 4)
+    return lambda: weighted_sum(ad.mean(a, axis=1), rng()), {"a": a}
+
+
+@grad_case("softmax_3d")
+def _(r):
+    a = p(r, 2, 3, 4)
+    return lambda: weighted_sum(ad.softmax(a, axis=-1), rng()), {"a": a}
+
+
+@grad_case("layer_norm_3d")
+def _(r):
+    x, g_, b = p(r, 2, 3, 5), p(r, 5), p(r, 5)
+    return lambda: weighted_sum(ad.layer_norm(x, g_, b), rng()), {"x": x, "g": g_, "b": b}
+
+
 @grad_case("cross_entropy")
 def _(r):
     a = p(r, 5)
@@ -513,3 +624,12 @@ class TestCheckpoint:
         ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True)}, path)
         with pytest.raises(ContractError):
             ad.load_into({"other": ad.Tensor([1.0], requires_grad=True)}, path)
+
+    def test_load_into_extra_param(self, tmp_path):
+        path = tmp_path / "c.json"
+        ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True),
+                            "stale": ad.Tensor([2.0], requires_grad=True)}, path)
+        target = {"w": ad.Tensor([0.0], requires_grad=True)}
+        with pytest.raises(ContractError) as err:
+            ad.load_into(target, path)
+        assert "stale" in str(err.value)

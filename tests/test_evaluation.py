@@ -113,16 +113,3 @@ class TestTopK:
         assert not ev.topk_hit(["a", "b", "c"], "c", 2)
         with pytest.raises(ContractError):
             ev.topk_hit(["a"], "a", 0)
-
-    def test_per_class_average(self):
-        pairs = [
-            (["a", "b"], "a"),  # hit at 1
-            (["b", "a"], "a"),  # miss at 1
-            (["b", "a"], "b"),  # hit at 1
-        ]
-        # class a: 1/2, class b: 1/1 -> mean 0.75
-        assert abs(ev.per_class_topk_accuracy(pairs, 1) - 0.75) < 1e-12
-
-    def test_per_class_requires_data(self):
-        with pytest.raises(ContractError):
-            ev.per_class_topk_accuracy([], 1)

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kgzsl import kg
 from kgzsl.errors import EmptyNameError, ParseError, UnknownNodeError
@@ -107,83 +105,6 @@ class TestRoundTrip:
         assert g2.edges == g.edges
         assert g2.nodes == g.nodes
         assert g2.relations == g.relations
-
-
-class TestUnionPrefix:
-    def test_chain_collapses_to_root(self):
-        g = kg.Graph(
-            [
-                ("r", "/c/en/politician", "/c/en/leader"),
-                ("r", "/c/en/politician/n", "/c/en/country"),
-                ("r", "/c/en/politician/n/judge", "/c/en/court"),
-            ]
-        )
-        m = kg.union_prefix(g)
-        assert "/c/en/politician/n" not in m
-        assert "/c/en/politician/n/judge" not in m
-        assert ("r", "/c/en/politician", "/c/en/country") in m.edges
-        assert ("r", "/c/en/politician", "/c/en/court") in m.edges
-
-    def test_segment_boundaries_respected(self):
-        g = kg.Graph([("r", "ab/cd", "x"), ("r", "ab/cde", "y")])
-        m = kg.union_prefix(g)
-        # "ab/cd" is not a prefix of "ab/cde" at separator boundaries
-        assert "ab/cde" in m
-        assert "ab/cd" in m
-
-    def test_idempotent(self):
-        g = kg.Graph(
-            [
-                ("r", "/c/en/dog", "/c/en/animal"),
-                ("r", "/c/en/dog/n", "/c/en/pet"),
-                ("s", "/c/en/dog/n/x", "/c/en/dog"),
-            ]
-        )
-        once = kg.union_prefix(g)
-        twice = kg.union_prefix(once)
-        assert once == twice
-
-    def test_merged_edges_deduplicate(self):
-        g = kg.Graph([("r", "a", "b"), ("r", "a/x", "b")])
-        m = kg.union_prefix(g)
-        assert m.edges == (("r", "a", "b"),)
-
-    @given(st.lists(st.sampled_from(["a", "a/b", "a/b/c", "d", "d/e", "f"]), min_size=1, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_idempotent_property(self, heads):
-        edges = [("r", h, "sink") for h in heads]
-        g = kg.Graph(edges)
-        once = kg.union_prefix(g)
-        assert kg.union_prefix(once) == once
-
-
-class TestKhop:
-    def test_path_graph_two_hops(self):
-        g = kg.Graph([("r", "a", "b"), ("r", "b", "c"), ("r", "c", "d")])
-        sub = kg.khop(g, "a", 2)
-        assert set(sub.nodes) == {"a", "b", "c"}
-        assert set(sub.edges) == {("r", "a", "b"), ("r", "b", "c")}
-
-    def test_zero_hops_is_center_only(self):
-        g = kg.Graph([("r", "a", "b")])
-        sub = kg.khop(g, "a", 0)
-        assert sub.nodes == ("a",)
-        assert sub.num_edges == 0
-
-    def test_unknown_center(self):
-        g = kg.Graph([("r", "a", "b")])
-        with pytest.raises(UnknownNodeError):
-            kg.khop(g, "q", 1)
-
-    @given(st.integers(min_value=0, max_value=4))
-    @settings(max_examples=20, deadline=None)
-    def test_monotone_in_k(self, k):
-        g = kg.Graph(
-            [("r", "a", "b"), ("r", "b", "c"), ("r", "c", "d"), ("r", "d", "e"), ("s", "b", "e")]
-        )
-        inner = set(kg.khop(g, "a", k).nodes)
-        outer = set(kg.khop(g, "a", k + 1).nodes)
-        assert inner <= outer
 
 
 class TestTokenizers:

@@ -7,8 +7,8 @@ from kgzsl import autodiff as ad
 from kgzsl import zeroshot as zs
 from kgzsl.aggregators import GnnStack, MeanPoolLayer
 from kgzsl.encoders import VectorEncoder
-from kgzsl.errors import ConfigError, ContractError, DataError, EmptyNameError
-from kgzsl.kg import EmbeddingTable, FeatureTable, Graph
+from kgzsl.errors import ConfigError, ContractError, DataError, DivergenceError
+from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, WalkConfig
 
 
@@ -62,18 +62,6 @@ class TestClassSet:
     def test_requires_seen(self):
         with pytest.raises(ContractError):
             zs.ClassSet(seen=(), unseen=("a",))
-
-
-class TestClassRepAvgEmbedding:
-    def test_multiword_name_averages(self):
-        emb = EmbeddingTable({"living": [1.0, 0.0], "thing": [0.0, 1.0]})
-        rep = zs.class_rep_avg_embedding("living thing", emb)
-        np.testing.assert_allclose(rep, [0.5, 0.5])
-
-    def test_empty_name_raises(self):
-        emb = EmbeddingTable({"x": [1.0]})
-        with pytest.raises(EmptyNameError):
-            zs.class_rep_avg_embedding("///", emb)
 
 
 def toy_world(num_classes=2, dim=3, seed=0):
@@ -205,6 +193,14 @@ class TestTrainBilinear:
             hits += pred == set(labels)
         assert hits / len(multi) >= 0.8
 
+    def test_non_finite_dev_loss_raises(self):
+        encoder, class_encoder, head, classes, train, dev_ex = build_training(seed=2, dev=True)
+        bad_dev = dev_ex + [(np.full(3, np.nan), "class_2")]
+        with pytest.raises(DivergenceError) as err:
+            zs.train_bilinear(train, bad_dev, encoder, class_encoder, head, classes,
+                              epochs=3, seed=1, batch_size=4, lr=0.02)
+        assert "dev loss" in str(err.value) and "epoch 0" in str(err.value)
+
     def test_multilabel_empty_label_set_rejected(self):
         encoder, class_encoder, head, classes, train, _ = build_training()
         multi = [(train[0][0], ())]
@@ -328,6 +324,16 @@ class TestTrainL2:
         with pytest.raises(ConfigError):
             zs.train_l2(class_encoder, classes, epochs=1)
 
+    def test_diverging_train_loss_raises(self):
+        # Adam moves each weight by about lr on its first step, so a huge
+        # lr leaves epoch 0 finite and overflows the loss in epoch 1
+        g, features, hits, stack = toy_world(num_classes=1, dim=3)
+        class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
+        classes = zs.ClassSet(seen=("class_0",), unseen=(), targets={"class_0": np.ones(3)})
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+            zs.train_l2(class_encoder, classes, epochs=5, lr=1e300)
+        assert "train loss" in str(err.value) and "epoch 1" in str(err.value)
+
     def test_dev_class_drives_selection(self):
         g, features, hits, stack = toy_world(num_classes=2, dim=3)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
@@ -385,3 +391,35 @@ class TestPredict:
         head = self.make_head()
         with pytest.raises(ConfigError):
             zs.predict(np.array([1.0, 0.0]), head, {"a": np.array([1.0, 0.0])}, mode="wat")
+
+    def test_mixed_widths_raise_contract_error(self):
+        head = self.make_head()
+        reps = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0, 2.0])}
+        for mode in ("multiclass", "multilabel", "l2"):
+            with pytest.raises(ContractError):
+                zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode)
+
+    def test_head_width_mismatch_raises_contract_error(self):
+        head = self.make_head()
+        with pytest.raises(ContractError):
+            zs.predict(np.array([1.0, 0.0]), head, {"a": np.array([1.0, 0.0, 2.0])})
+
+    @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
+    def test_scores_and_ranking_equal_per_candidate_reference_bitwise(self, mode):
+        r = rng(51)
+        head = zs.BilinearHead(6, 5, rank=3, rng=rng(52))
+        theta = r.normal(size=6)
+        width = 7 if mode == "l2" else 5
+        reps = {f"c{i:03d}": r.normal(size=width) for i in range(40)}
+        reps["c999"] = reps["c007"].copy()  # a tie, broken by id
+        vec = np.concatenate([theta, [1.0]]) if mode == "l2" else theta @ head.score_matrix()
+        want = {c: vec @ phi for c, phi in reps.items()}
+
+        ids, scores = zs.candidate_scores(theta, head, reps, mode)
+        assert ids == sorted(reps)
+        assert scores.tobytes() == np.array([want[c] for c in ids]).tobytes()
+        got = zs.predict(theta, head, reps, mode)
+        if mode == "multilabel":
+            assert got == {c for c, s in want.items() if s > 0.0}
+        else:
+            assert got == sorted(want, key=lambda c: (-want[c], c))
