@@ -196,6 +196,30 @@ def serialize(g, path):
             fh.write(f"{rel}\t{head}\t{tail}\n")
 
 
+def khop(g, center, k):
+    """Induced subgraph on every node within k undirected hops of center."""
+    if center not in g:
+        raise UnknownNodeError(center)
+    if k < 0:
+        raise ParseError("k must be >= 0")
+    reached = [center]
+    reached_set = {center}
+    frontier = [center]
+    for _ in range(k):
+        nxt = []
+        for v in frontier:
+            for u in g.neighbors(v):
+                if u not in reached_set:
+                    reached_set.add(u)
+                    reached.append(u)
+                    nxt.append(u)
+        frontier = nxt
+    edges = [
+        (rel, h, t) for rel, h, t in g.edges if h in reached_set and t in reached_set
+    ]
+    return Graph(edges, extra_nodes=reached)
+
+
 _TOKEN_SPLIT = re.compile(r"[\s_/]+")
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgzsl import kg
 from kgzsl.errors import EmptyNameError, ParseError, UnknownNodeError
@@ -105,6 +107,35 @@ class TestRoundTrip:
         assert g2.edges == g.edges
         assert g2.nodes == g.nodes
         assert g2.relations == g.relations
+
+
+class TestKhop:
+    def test_path_graph_two_hops(self):
+        g = kg.Graph([("r", "a", "b"), ("r", "b", "c"), ("r", "c", "d")])
+        sub = kg.khop(g, "a", 2)
+        assert set(sub.nodes) == {"a", "b", "c"}
+        assert set(sub.edges) == {("r", "a", "b"), ("r", "b", "c")}
+
+    def test_zero_hops_is_center_only(self):
+        g = kg.Graph([("r", "a", "b")])
+        sub = kg.khop(g, "a", 0)
+        assert sub.nodes == ("a",)
+        assert sub.num_edges == 0
+
+    def test_unknown_center(self):
+        g = kg.Graph([("r", "a", "b")])
+        with pytest.raises(UnknownNodeError):
+            kg.khop(g, "q", 1)
+
+    @given(st.integers(min_value=0, max_value=4))
+    @settings(max_examples=20, deadline=None)
+    def test_monotone_in_k(self, k):
+        g = kg.Graph(
+            [("r", "a", "b"), ("r", "b", "c"), ("r", "c", "d"), ("r", "d", "e"), ("s", "b", "e")]
+        )
+        inner = set(kg.khop(g, "a", k).nodes)
+        outer = set(kg.khop(g, "a", k + 1).nodes)
+        assert inner <= outer
 
 
 class TestTokenizers:
