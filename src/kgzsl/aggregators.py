@@ -261,16 +261,14 @@ class SequencePoolLayer:
 
     kind = "lstm"
 
-    def __init__(self, in_dim, out_dim, activation="relu", rng=None, name="lstm", combine_self=True):
+    def __init__(self, in_dim, out_dim, activation="relu", rng=None, name="lstm"):
         if rng is None:
             rng = make_rng("init", name)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.act = _activation(activation)
-        self.combine_self = combine_self
         self.cell = _LstmCell(in_dim, in_dim, rng, name=f"{name}/cell")
-        width = 2 * in_dim if combine_self else in_dim
-        self.weight = ad.param((out_dim, width), rng, name=f"{name}/W")
+        self.weight = ad.param((out_dim, 2 * in_dim), rng, name=f"{name}/W")
         self._name = name
 
     def parameters(self):
@@ -291,11 +289,7 @@ class SequencePoolLayer:
                 raise ContractError(f"permutation {order} is not a permutation of {len(members)} items")
         sequence = [members[i] for i in order]
         a_v = self.cell.run(sequence)
-        if self.combine_self:
-            combined = ad.concat([self_feat, a_v])
-        else:
-            combined = a_v
-        return self.act(ad.matmul(self.weight, combined))
+        return self.act(ad.matmul(self.weight, ad.concat([self_feat, a_v])))
 
     def forward_group(self, prev, rows, node_args):
         """node_args: per node, the permutation to pass to `forward`."""
@@ -308,39 +302,29 @@ class SequencePoolLayer:
 class TransformerPoolLayer:
     """One self-attention block over the member set, mean-pooled.
 
-    Members are projected to ``proj_dim`` (half the input width unless
-    set), run through a single pre-norm attention + feedforward block
-    with residuals (no positional encoding, so the member set stays
-    unordered), projected back up and mean-pooled into a_v.  A
-    projection narrower than the informative feature span bottlenecks
-    what the block can pass through, so wide-feature problems should
-    set it explicitly.  The feedforward hidden width equals the
-    projected width.  There is exactly one attention block no matter
-    how many layers are stacked above or below.
+    Members are projected to ``proj_dim``, half the input width (at
+    least 1), run through a single pre-norm attention + feedforward
+    block with residuals (no positional encoding, so the member set
+    stays unordered), projected back up and mean-pooled into a_v.  The
+    feedforward hidden width equals the projected width.  There is
+    exactly one attention block no matter how many layers are stacked
+    above or below.
 
-    The combine step is TrGCN's act(W [h_v ; a_v]) by default: the
-    node's own representation reaches the output through its own
-    columns of W instead of only as one member of the pooled set, as
-    in GraphSAGE's concatenation and the sequence aggregator here.
-    ``combine_self=False`` gives act(W a_v).
+    The combine step is TrGCN's act(W [h_v ; a_v]): the node's own
+    representation reaches the output through its own columns of W
+    instead of only as one member of the pooled set, as in GraphSAGE's
+    concatenation and the sequence aggregator here.
     """
 
     kind = "transformer"
 
-    def __init__(self, in_dim, out_dim, activation="relu", rng=None, name="transformer",
-                 combine_self=True, proj_dim=None):
+    def __init__(self, in_dim, out_dim, activation="relu", rng=None, name="transformer"):
         if rng is None:
             rng = make_rng("init", name)
-        if proj_dim is None:
-            proj_dim = max(1, in_dim // 2)
-        if proj_dim < 1:
-            raise ConfigError(f"proj_dim must be >= 1, got {proj_dim}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.act = _activation(activation)
-        self.combine_self = combine_self
-        proj = proj_dim
-        self.proj_dim = proj
+        proj = self.proj_dim = max(1, in_dim // 2)
         self.p_in = ad.param((proj, in_dim), rng, name=f"{name}/Pin")
         self.wq = ad.param((proj, proj), rng, name=f"{name}/Wq")
         self.wk = ad.param((proj, proj), rng, name=f"{name}/Wk")
@@ -355,8 +339,7 @@ class TransformerPoolLayer:
         self.ff2 = ad.param((proj, proj), rng, name=f"{name}/F2")
         self.ff2_b = ad.zeros_param((proj,), name=f"{name}/F2b")
         self.p_out = ad.param((in_dim, proj), rng, name=f"{name}/Pout")
-        width = 2 * in_dim if combine_self else in_dim
-        self.weight = ad.param((out_dim, width), rng, name=f"{name}/W")
+        self.weight = ad.param((out_dim, 2 * in_dim), rng, name=f"{name}/W")
         self._name = name
 
     def parameters(self):
@@ -387,10 +370,7 @@ class TransformerPoolLayer:
         x = ad.add(x, ff)
         back = ad.matmul_t(x, self.p_out)
         a_v = ad.mean(back, axis=1)
-        if self.combine_self:
-            combined = ad.concat([ad.gather(prev, rows[:, 0]), a_v], axis=1)
-        else:
-            combined = a_v
+        combined = ad.concat([ad.gather(prev, rows[:, 0]), a_v], axis=1)
         return self.act(ad.matvec(self.weight, combined))
 
 

@@ -34,7 +34,7 @@ from .seeding import make_rng
 from .synth import SynthSpec, generate_synthetic, oracle_accuracy
 from .zeroshot import (
     ClassSet, GnnClassEncoder, BilinearHead, class_representations, predict,
-    train_bilinear, train_l2,
+    model_params, train_bilinear, train_l2,
 )
 
 log = logging.getLogger("kgzsl.cli")
@@ -183,17 +183,6 @@ def _assemble(cfg, graph, features):
             rng=make_rng("head-init", cfg["seed"]),
         )
     return class_enc, encoder, head
-
-
-def _all_params(class_enc, encoder, head):
-    out = {}
-    groups = [("gnn", class_enc), ("enc", encoder)]
-    if head is not None:
-        groups.append(("head", head))
-    for prefix, obj in groups:
-        for name, t in obj.parameters().items():
-            out[f"{prefix}/{name}"] = t
-    return out
 
 
 # --------------------------------------------------------------- data loading
@@ -421,7 +410,7 @@ def _cmd_train(args, cfg):
             epochs=opt["epochs"], seed=cfg["seed"], lr=opt["lr"],
             weight_decay=opt["weight_decay"],
         )
-    params = _all_params(class_enc, encoder, head)
+    params = model_params(class_enc, encoder, head)
     save_checkpoint(params, os.path.join(out, "checkpoint.json"))
     _dump_json(result.to_jsonable(), out, "train_log.json")
     _write_manifest(out, cfg, ["checkpoint.json", "train_log.json"])
@@ -470,7 +459,7 @@ def _cmd_eval(args, cfg):
                     else any(l in keep for l in label))
             ]
     class_enc, encoder, head = _assemble(cfg, graph, features)
-    load_into(_all_params(class_enc, encoder, head), ckpt)
+    load_into(model_params(class_enc, encoder, head), ckpt)
     mode = _predict_mode(cfg)
     fold_predictions = []
     for i, fold in enumerate(fold_spec.folds):

@@ -211,6 +211,11 @@ def validate(cfg):
         raise ConfigError(
             f"encoder kind must be one of {ENCODER_KINDS}, got {enc.get('kind')!r}"
         )
+    if enc["kind"] == "mention" and enc.get("feature_mode") != "zeros":
+        raise ConfigError(
+            f"encoder.feature_mode must be 'zeros', got {enc.get('feature_mode')!r}: "
+            "example files carry no hand features for the other modes"
+        )
     if model["head"] == "bilinear":
         theta = encoder_output_dim(enc)
         phi = dims[-1]

@@ -121,9 +121,3 @@ def fold_metrics(fold_predictions):
     macro = sum(f.accuracy for f in per_fold) / len(per_fold)
     return EvalResult(per_fold=tuple(per_fold), micro=micro, macro=macro)
 
-
-def topk_hit(ranked, gold, k):
-    """Whether the gold class appears in the first k ranked candidates."""
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    return gold in list(ranked)[:k]

@@ -5,8 +5,6 @@ tail) with string ids; traversal is undirected because neighborhood
 sampling and aggregation do not distinguish edge direction.
 """
 
-import re
-
 import numpy as np
 
 from .errors import EmptyNameError, ParseError, UnknownNodeError
@@ -29,7 +27,7 @@ class Graph:
             edges: iterable of (relation, head, tail) string triples.
                 Duplicates are dropped, first occurrence wins.
             extra_nodes: node ids to intern before the edge endpoints,
-                letting isolated nodes exist (k-hop subgraphs need this).
+                letting isolated nodes exist.
         """
         nodes = []
         node_set = set()
@@ -106,9 +104,6 @@ class Graph:
         if node not in self._node_set:
             raise UnknownNodeError(node)
         return self._adj[node]
-
-    def degree(self, node):
-        return len(self.neighbors(node))
 
     def relations_between(self, u, v):
         """Relations on any edge joining u and v, in either direction."""
@@ -196,43 +191,11 @@ def serialize(g, path):
             fh.write(f"{rel}\t{head}\t{tail}\n")
 
 
-def khop(g, center, k):
-    """Induced subgraph on every node within k undirected hops of center."""
-    if center not in g:
-        raise UnknownNodeError(center)
-    if k < 0:
-        raise ParseError("k must be >= 0")
-    reached = [center]
-    reached_set = {center}
-    frontier = [center]
-    for _ in range(k):
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if u not in reached_set:
-                    reached_set.add(u)
-                    reached.append(u)
-                    nxt.append(u)
-        frontier = nxt
-    edges = [
-        (rel, h, t) for rel, h, t in g.edges if h in reached_set and t in reached_set
-    ]
-    return Graph(edges, extra_nodes=reached)
-
-
-_TOKEN_SPLIT = re.compile(r"[\s_/]+")
-
-
 def default_tokenizer(node_id):
     """Tokens of the last path segment, split on underscores."""
     segs = [s for s in node_id.split("/") if s]
     last = segs[-1] if segs else ""
     return [t for t in last.split("_") if t]
-
-
-def name_tokens(name):
-    """Tokens of a full surface name: split on whitespace, "_" and "/"."""
-    return [t for t in _TOKEN_SPLIT.split(name) if t]
 
 
 class EmbeddingTable:
@@ -251,6 +214,8 @@ class EmbeddingTable:
                 dimension = arr.shape[0]
             if arr.shape != (dimension,):
                 raise ParseError(f"embedding for {token!r} has shape {arr.shape}, want ({dimension},)")
+            if not np.isfinite(arr).all():
+                raise ParseError(f"embedding for {token!r} has a non-finite value")
             arr.flags.writeable = False
             self._entries[token] = arr
         if dimension is None:
@@ -320,6 +285,8 @@ class FeatureTable:
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape != (self._dim,):
                 raise ParseError(f"feature for {node!r} has shape {arr.shape}, want ({self._dim},)")
+            if not np.isfinite(arr).all():
+                raise ParseError(f"feature for {node!r} has a non-finite value")
             arr.flags.writeable = False
             self._features[node] = arr
 

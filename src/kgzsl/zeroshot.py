@@ -118,45 +118,67 @@ class TrainResult:
         return {"best_epoch": self.best_epoch, "log": self.log}
 
 
-def _snapshot(params):
-    return {k: p.data.copy() for k, p in params.items()}
+def model_params(class_encoder, encoder=None, head=None):
+    """Every trainable tensor of the given parts, keyed as checkpoints store them.
 
-
-def _end_epoch(result, params, train_loss, dev_loss):
-    """Log one epoch and keep its snapshot if its selector is the lowest yet.
-
-    The selector is the dev loss, or the train loss when there is no dev
-    data; the first epoch wins ties.  A non-finite loss raises instead
-    of being logged, since no comparison can rank it.
+    Keys are the part's own parameter names under `gnn/`, `enc/` and
+    `head/`, in that order.
     """
-    epoch = len(result.log)
-    for split, loss in (("train", train_loss), ("dev", dev_loss)):
-        if loss is not None and not np.isfinite(loss):
-            raise DivergenceError(f"{split} loss is {loss!r} in epoch {epoch}")
-    result.log.append({"epoch": epoch, "train_loss": train_loss, "dev_loss": dev_loss})
-    if result.best_epoch < 0 or _selector(result.log[-1]) < _selector(result.log[result.best_epoch]):
-        result.best_params = _snapshot(params)
-        result.best_epoch = epoch
+    parts = (("gnn", class_encoder), ("enc", encoder), ("head", head))
+    return {
+        f"{prefix}/{name}": t
+        for prefix, part in parts if part is not None
+        for name, t in part.parameters().items()
+    }
 
 
-def _selector(entry):
-    return entry["dev_loss"] if entry["dev_loss"] is not None else entry["train_loss"]
+def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
+         epochs, seed, lr, weight_decay):
+    """The epoch loop both heads share; returns the TrainResult.
 
+    Each epoch runs one Adam step per batch that `batches()` yields:
+    every seen class is encoded in train mode off the `train-perm`
+    stream, and `batch_loss(reps, batch)` gives the scalar to minimize.
+    The epoch's train loss is the mean of its batch losses.  With dev
+    classes, `dev_loss(reps)` scores their eval-mode encodings under
+    no_grad.  The selected epoch is the one with the lowest dev loss,
+    or train loss without dev classes, the first winning ties; the live
+    parameters are left at its snapshot.  A non-finite loss raises
+    DivergenceError, since no comparison can rank it.
+    """
+    opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
+    perm_rng = make_rng("train-perm", seed)
 
-def _merge_params(*groups):
-    out = {}
-    for prefix, params in groups:
-        for name, t in params.items():
-            key = f"{prefix}/{name}" if prefix else name
-            if key in out:
-                raise ContractError(f"duplicate parameter name {key!r}")
-            out[key] = t
-    return out
+    def step(batch):
+        # a function scope, so this batch's graph is freed before the
+        # next batch builds its own
+        opt.zero_grad()
+        reps = [class_encoder.encode(c, mode="train", rng=perm_rng) for c in seen]
+        loss = batch_loss(reps, batch)
+        ad.backward(loss)
+        opt.step()
+        return float(loss.data)
 
-
-def _batches(n, batch_size, order):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+    result = TrainResult(best_params={}, best_epoch=-1)
+    best = None
+    for epoch in range(epochs):
+        train_loss = float(np.mean([step(batch) for batch in batches()]))
+        held = None
+        if dev:
+            with ad.no_grad():
+                held = dev_loss([class_encoder.encode(c, mode="eval") for c in dev])
+        for split, loss in (("train", train_loss), ("dev", held)):
+            if loss is not None and not np.isfinite(loss):
+                raise DivergenceError(f"{split} loss is {loss!r} in epoch {epoch}")
+        result.log.append({"epoch": epoch, "train_loss": train_loss, "dev_loss": held})
+        selector = train_loss if held is None else held
+        if best is None or selector < best:
+            best = selector
+            result.best_params = {k: p.data.copy() for k, p in params.items()}
+            result.best_epoch = epoch
+    for k, p in params.items():
+        p.data = result.best_params[k].copy()
+    return result
 
 
 def train_bilinear(train_examples, dev_examples, encoder, class_encoder, head, classes,
@@ -197,46 +219,32 @@ def train_bilinear(train_examples, dev_examples, encoder, class_encoder, head, c
     dev_index = {c: i for i, c in enumerate(dev)}
     _validate_labels(train_examples, seen_index, loss_mode, "train")
     _validate_labels(dev_examples, dev_index, loss_mode, "dev")
-
-    params = _merge_params(
-        ("encoder", encoder.parameters()),
-        ("gnn", class_encoder.parameters()),
-        ("head", head.parameters()),
-    )
-    opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
     shuffle_rng = make_rng("train-shuffle", seed)
-    perm_rng = make_rng("train-perm", seed)
 
-    def step(batch):
-        # a function scope, so this batch's graph is freed before the
-        # next batch builds its own
-        opt.zero_grad()
-        reps = [class_encoder.encode(c, mode="train", rng=perm_rng) for c in seen]
-        losses = []
-        for i in batch:
-            x, label = train_examples[i]
-            scores = head.scores(encoder.encode(x), reps)
-            losses.append(_example_loss(scores, label, seen_index, loss_mode, label_smoothing))
-        batch_loss = ad.mean(ad.stack(losses))
-        ad.backward(batch_loss)
-        opt.step()
-        return float(batch_loss.data)
-
-    result = TrainResult(best_params={}, best_epoch=-1)
-    for _ in range(epochs):
+    def batches():
         order = shuffle_rng.permutation(len(train_examples))
-        epoch_losses = [step(batch) for batch in _batches(len(train_examples), batch_size, order)]
-        train_loss = float(np.mean(epoch_losses))
-        dev_loss = _holdout_loss(dev_examples, encoder, class_encoder, head, dev, dev_index, loss_mode)
-        _end_epoch(result, params, train_loss, dev_loss)
-    _restore(params, result.best_params)
-    return result
+        for start in range(0, len(order), batch_size):
+            yield order[start:start + batch_size]
 
+    def batch_loss(reps, batch):
+        losses = [
+            _example_loss(head.scores(encoder.encode(x), reps), label, seen_index,
+                          loss_mode, label_smoothing)
+            for x, label in (train_examples[i] for i in batch)
+        ]
+        return ad.mean(ad.stack(losses))
 
-def _restore(params, snapshot):
-    # leave the live model at the selected checkpoint, not the last epoch
-    for k, p in params.items():
-        p.data = snapshot[k].copy()
+    def dev_loss(reps):
+        return float(np.mean([
+            float(_example_loss(head.scores(encoder.encode(x), reps), label, dev_index, loss_mode).data)
+            for x, label in dev_examples
+        ]))
+
+    return _fit(
+        model_params(class_encoder, encoder, head), class_encoder, seen,
+        dev if dev_examples else [], batches, batch_loss, dev_loss,
+        epochs, seed, lr, weight_decay,
+    )
 
 
 def _validate_labels(examples, index, loss_mode, split):
@@ -270,19 +278,6 @@ def _example_loss(scores, label, index, loss_mode, label_smoothing=0.0):
     return ad.mean(ad.binary_cross_entropy(scores, target))
 
 
-def _holdout_loss(examples, encoder, class_encoder, head, dev, dev_index, loss_mode):
-    if not examples or not dev:
-        return None
-    with ad.no_grad():
-        reps = [class_encoder.encode(c, mode="eval") for c in dev]
-        losses = []
-        for x, label in examples:
-            theta = encoder.encode(x)
-            scores = head.scores(theta, reps)
-            losses.append(float(_example_loss(scores, label, dev_index, loss_mode).data))
-    return float(np.mean(losses))
-
-
 def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=0.0):
     """Fit the aggregator stack so phi(y) regresses onto target vectors.
 
@@ -301,36 +296,22 @@ def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=
             f"target dim {target_dim} does not match stack output {class_encoder.stack.out_dim}"
         )
 
-    params = _merge_params(("gnn", class_encoder.parameters()))
-    opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
-    perm_rng = make_rng("train-perm", seed)
+    def class_losses(class_ids, reps):
+        return [
+            ad.l2_loss(phi, ad.constant(np.asarray(targets[c], dtype=np.float64)))
+            for c, phi in zip(class_ids, reps)
+        ]
 
-    result = TrainResult(best_params={}, best_epoch=-1)
-    for _ in range(epochs):
-        opt.zero_grad()
-        losses = []
-        for c in classes.seen:
-            phi = class_encoder.encode(c, mode="train", rng=perm_rng)
-            losses.append(ad.l2_loss(phi, ad.constant(np.asarray(targets[c], dtype=np.float64))))
-        loss = losses[0] if len(losses) == 1 else ad.sum(ad.stack(losses))
-        ad.backward(loss)
-        opt.step()
-        train_loss = float(loss.data)
+    def batch_loss(reps, _):
+        return ad.sum(ad.stack(class_losses(classes.seen, reps)))
 
-        dev_loss = None
-        if classes.dev:
-            with ad.no_grad():
-                dev_losses = [
-                    float(ad.l2_loss(
-                        class_encoder.encode(c, mode="eval"),
-                        ad.constant(np.asarray(targets[c], dtype=np.float64)),
-                    ).data)
-                    for c in classes.dev
-                ]
-            dev_loss = float(np.sum(dev_losses))
-        _end_epoch(result, params, train_loss, dev_loss)
-    _restore(params, result.best_params)
-    return result
+    def dev_loss(reps):
+        return float(np.sum([float(loss.data) for loss in class_losses(classes.dev, reps)]))
+
+    return _fit(
+        model_params(class_encoder), class_encoder, classes.seen, classes.dev,
+        lambda: [None], batch_loss, dev_loss, epochs, seed, lr, weight_decay,
+    )
 
 
 def candidate_scores(theta, head, class_reps, mode="multiclass"):

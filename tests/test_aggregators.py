@@ -172,13 +172,9 @@ class TestTransformerPool:
         assert out.data.shape == (3,)
 
     def test_combine_self_widens_final_weight(self):
-        plain = agg.TransformerPoolLayer(4, 3, rng=rng(23), combine_self=False)
-        combined = agg.TransformerPoolLayer(4, 3, rng=rng(23), combine_self=True)
-        default = agg.TransformerPoolLayer(4, 3, rng=rng(23))
-        assert plain.weight.data.shape == (3, 4)
-        assert combined.weight.data.shape == (3, 8)
-        # TrGCN's combine act(W [h_v ; a_v]) is the default
-        assert default.weight.data.shape == (3, 8)
+        layer = agg.TransformerPoolLayer(4, 3, rng=rng(23))
+        # TrGCN's combine act(W [h_v ; a_v]) takes the node and the pool side by side
+        assert layer.weight.data.shape == (3, 8)
 
 
 PERMUTATION_FREE = ["gcn", "gat", "transformer"]

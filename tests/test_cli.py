@@ -84,6 +84,30 @@ class TestTrainEval:
         assert 0.0 <= metrics["micro"] <= 1.0
         assert metrics["per_fold"][0]["n"] == 4 * 20
 
+    def test_l2_head_train_then_eval_round_trip(self, tmp_path):
+        base = {
+            "profile": "synthetic",
+            "seed": 3,
+            "model": {"head": "l2"},
+            "optimizer": {"epochs": 3},
+            "synth": {"examples_per_class": 20},
+        }
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", write(tmp_path / "cfg.json", base), "--out", str(run_dir)) == 0
+        log = json.loads((run_dir / "train_log.json").read_text())
+        assert len(log["log"]) == 3
+        ckpt = json.loads((run_dir / "checkpoint.json").read_text())
+        assert {name.split("/")[0] for name in ckpt} == {"gnn"}
+
+        eval_cfg = write(tmp_path / "eval.json", {
+            **base, "paths": {"checkpoint": str(run_dir / "checkpoint.json")},
+        })
+        out = tmp_path / "ev"
+        assert run("eval", "--config", eval_cfg, "--out", str(out)) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["per_fold"][0]["n"] == 4 * 20
+        assert 0.0 <= metrics["micro"] <= 1.0
+
     def test_train_is_bitwise_reproducible(self, synth_cfg, tmp_path):
         run("train", "--config", synth_cfg, "--out", str(tmp_path / "a"))
         run("train", "--config", synth_cfg, "--out", str(tmp_path / "b"))

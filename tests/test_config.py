@@ -87,6 +87,12 @@ class TestValidate:
         cfg = expand({"profile": "typing"})
         assert encoder_output_dim(cfg["model"]["encoder"]) == 2 * 100 + 60 + 300
 
+    @pytest.mark.parametrize("mode", ["supplied", "learned"])
+    def test_mention_feature_mode_other_than_zeros_rejected(self, mode):
+        # example records carry no hand features, so the CLI could not feed these modes
+        with pytest.raises(ConfigError, match="feature_mode must be 'zeros'.*no hand features"):
+            expand({"profile": "typing", "model": {"encoder": {"feature_mode": mode}}})
+
 
 class TestLoadConfig:
     def test_missing_file_names_path(self, tmp_path):

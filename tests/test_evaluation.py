@@ -106,10 +106,3 @@ class TestFoldSpec:
         with pytest.raises(ContractError):
             ev.FoldSpec(folds=())
 
-
-class TestTopK:
-    def test_topk_hit(self):
-        assert ev.topk_hit(["a", "b", "c"], "b", 2)
-        assert not ev.topk_hit(["a", "b", "c"], "c", 2)
-        with pytest.raises(ContractError):
-            ev.topk_hit(["a"], "a", 0)

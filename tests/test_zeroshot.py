@@ -309,6 +309,24 @@ class TestTrainL2:
         assert np.abs(phi - target).max() <= 1e-3
         assert result.log[-1]["train_loss"] <= 1e-5
 
+    def test_bitwise_reproducible(self):
+        def run():
+            g, features, hits, stack = toy_world(num_classes=3, dim=3, seed=5)
+            class_encoder = zs.GnnClassEncoder(stack, g, features, hits, seed=5)
+            r = rng(7)
+            classes = zs.ClassSet(
+                seen=("class_0", "class_1"), unseen=(), dev=("class_2",),
+                targets={f"class_{i}": r.normal(size=3) for i in range(3)},
+            )
+            return zs.train_l2(class_encoder, classes, epochs=4, seed=9, lr=0.05)
+
+        r1, r2 = run(), run()
+        assert r1.log == r2.log
+        assert r1.best_epoch == r2.best_epoch
+        assert set(r1.best_params) == set(r2.best_params)
+        for k in r1.best_params:
+            assert r1.best_params[k].tobytes() == r2.best_params[k].tobytes()
+
     def test_missing_target_rejected(self):
         g, features, hits, stack = toy_world(num_classes=2)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
