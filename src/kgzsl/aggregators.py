@@ -4,12 +4,12 @@ Every layer follows the same AGGREGATE / COMBINE shape: pool the
 neighbor representations into a single vector, then combine with the
 node's own representation and apply a nonlinearity.  Four of the five
 kinds are order-free over the neighbor multiset; to make that exact at
-the bit level, neighbor tensors are put into a canonical order (sorted
-by their raw bytes) before any float reduction, because float addition
+the bit level, neighbors are put into a canonical order (sorted by
+their raw bytes) before any float reduction, because float addition
 is not associative.  The sequence aggregator is order-sensitive by
 design and takes an explicit permutation instead.
 
-Besides the per-node ``forward``, every layer has one level interface,
+Every layer has one implementation, the level interface
 ``forward_group(prev, rows, node_args)``, which embeds a group of B
 nodes with the same member count M at once:
 
@@ -21,10 +21,11 @@ nodes with the same member count M at once:
   the relations to each neighbor (``rgcn``) or the member permutation
   (``lstm``).
 
-It returns a (B, out_dim) tensor.  The set aggregators stack the group
-into one (B, M, in_dim) tensor and make one call of each op, which
-rounds exactly like B separate calls; their ``forward`` is the B = 1
-case of the same code.  ``rgcn`` and ``lstm`` run ``forward`` per node.
+It returns a (B, out_dim) tensor.  All five kinds stack the group into
+(B, M, in_dim) tensors and make one call of each op (per relation and
+basis for ``rgcn``, per time step for ``lstm``), which rounds exactly
+like B separate calls.  The per-node ``forward`` is the B = 1 case of
+the same code.
 """
 
 import numpy as np
@@ -50,22 +51,16 @@ def _activation(name):
         raise ConfigError(f"unknown activation {name!r}") from None
 
 
-def canonical_order(tensors):
-    """Sort tensors by their value bytes; ties are identical values."""
-    return sorted(tensors, key=lambda t: t.data.tobytes())
-
-
 def canonical_rows(prev, rows):
     """`rows` with each node's neighbors (every column but the first) in canonical order."""
     data = prev.data
     return np.array([[r[0]] + sorted(r[1:], key=lambda i: data[i].tobytes()) for r in rows])
 
 
-def _forward_one(layer, self_feat, neighbors):
-    """A set aggregator's per-node forward: its group forward with B = 1."""
-    members = [self_feat] + list(neighbors)
+def _forward_one(layer, members, node_args=None):
+    """A per-node forward: the layer's group forward with B = 1."""
     rows = np.arange(len(members))[None]
-    return ad.row(layer.forward_group(ad.stack(members), rows), 0)
+    return ad.row(layer.forward_group(ad.stack(members), rows, node_args), 0)
 
 
 class MeanPoolLayer:
@@ -86,7 +81,7 @@ class MeanPoolLayer:
         return {self.weight.name: self.weight}
 
     def forward(self, self_feat, neighbors):
-        return _forward_one(self, self_feat, neighbors)
+        return _forward_one(self, [self_feat, *neighbors])
 
     def forward_group(self, prev, rows, node_args=None):
         members = ad.gather(prev, canonical_rows(prev, rows))
@@ -116,7 +111,7 @@ class AttentionPoolLayer:
         return {self.weight.name: self.weight, self.attn.name: self.attn}
 
     def forward(self, self_feat, neighbors):
-        return _forward_one(self, self_feat, neighbors)
+        return _forward_one(self, [self_feat, *neighbors])
 
     def forward_group(self, prev, rows, node_args=None):
         rows = canonical_rows(prev, rows)
@@ -170,35 +165,44 @@ class RelationalMeanLayer:
 
     def forward(self, self_feat, tagged_neighbors):
         """tagged_neighbors: iterable of (relation, tensor) pairs."""
-        by_rel = {}
-        for rel, feat in tagged_neighbors:
-            if rel not in self._rel_index:
-                raise UnknownRelationError(rel)
-            by_rel.setdefault(rel, []).append(feat)
-        agg = None
-        for rel in self.relations:
-            feats = by_rel.get(rel)
-            if not feats:
-                continue
-            total = ad.sum(ad.stack(canonical_order(feats)), axis=0)
-            normed = ad.scale(total, 1.0 / len(feats))
-            coeff = self.coeff[rel]
-            for b, basis in enumerate(self.bases):
-                term = ad.multiply(ad.matmul(basis, normed), ad.element(coeff, b))
-                agg = term if agg is None else ad.add(agg, term)
-        combined = ad.matmul(self.self_weight, self_feat)
-        if agg is not None:
-            combined = ad.add(agg, combined)
-        return self.act(combined)
+        tagged = list(tagged_neighbors)
+        members = [self_feat] + [feat for _, feat in tagged]
+        return _forward_one(self, members, [[(rel,) for rel, _ in tagged]])
 
     def forward_group(self, prev, rows, node_args):
         """node_args: per node, the relations from it to each neighbor."""
-        outs = []
-        for r, relations in zip(rows, node_args):
-            feats = [ad.row(prev, u) for u in r[1:]]
-            tagged = [(rel, feat) for feat, rels in zip(feats, relations) for rel in rels]
-            outs.append(self.forward(ad.row(prev, r[0]), tagged))
-        return ad.stack(outs)
+        data = prev.data
+        count, size = rows.shape
+        # each node's neighbors in canonical order, as in canonical_rows, and
+        # per relation a {0, 1} mask over them
+        index = np.empty((count, size - 1), dtype=np.intp)
+        masks = np.zeros((len(self.relations), count, size - 1, 1))
+        for node, (r, relations) in enumerate(zip(rows, node_args)):
+            ranked = sorted(zip(r[1:], relations), key=lambda pair: data[pair[0]].tobytes())
+            for k, (u, rels) in enumerate(ranked):
+                index[node, k] = u
+                for rel in rels:
+                    if rel not in self._rel_index:
+                        raise UnknownRelationError(rel)
+                    masks[self._rel_index[rel], node, k] = 1.0
+        neighbors = ad.gather(prev, index)
+        agg = None
+        for rel, mask in zip(self.relations, masks):
+            counts = mask.sum(axis=1)
+            if not counts.any():
+                continue
+            keep = ad.constant(np.broadcast_to(mask, neighbors.shape))
+            total = ad.sum(ad.multiply(neighbors, keep), axis=1)
+            inverse = ad.constant(np.broadcast_to(1.0 / np.maximum(counts, 1.0), total.shape))
+            normed = ad.multiply(total, inverse)
+            coeff = self.coeff[rel]
+            for b, basis in enumerate(self.bases):
+                term = ad.multiply(ad.matvec(basis, normed), ad.element(coeff, b))
+                agg = term if agg is None else ad.add(agg, term)
+        combined = ad.matvec(self.self_weight, ad.gather(prev, rows[:, 0]))
+        if agg is not None:
+            combined = ad.add(agg, combined)
+        return self.act(combined)
 
 
 class _LstmCell:
@@ -221,8 +225,9 @@ class _LstmCell:
         return out
 
     def step(self, x, h, c):
+        """One step for an (input_dim,) input or a (B, input_dim) batch."""
         def gate(g):
-            return ad.add(ad.add(ad.matmul(self.wx[g], x), ad.matmul(self.wh[g], h)), self.b[g])
+            return ad.add(ad.add(ad.matvec(self.wx[g], x), ad.matvec(self.wh[g], h)), self.b[g])
 
         i = ad.sigmoid(gate("i"))
         f = ad.sigmoid(gate("f"))
@@ -232,18 +237,9 @@ class _LstmCell:
         h_new = ad.multiply(o, ad.tanh(c_new))
         return h_new, c_new
 
-    def run(self, sequence):
-        """Final hidden state over the sequence (zero initial state)."""
-        h = ad.constant(np.zeros(self.hidden_dim))
-        c = ad.constant(np.zeros(self.hidden_dim))
-        for x in sequence:
-            h, c = self.step(x, h, c)
-        return h
-
     def run_all(self, sequence):
-        """All hidden states, in order."""
-        h = ad.constant(np.zeros(self.hidden_dim))
-        c = ad.constant(np.zeros(self.hidden_dim))
+        """All hidden states over a non-empty sequence, from a zero state."""
+        h = c = ad.constant(np.zeros(sequence[0].shape[:-1] + (self.hidden_dim,)))
         states = []
         for x in sequence:
             h, c = self.step(x, h, c)
@@ -278,7 +274,7 @@ class SequencePoolLayer:
 
     def forward(self, self_feat, neighbors, permutation=None):
         """`permutation` is an index order or an int seed; required."""
-        members = list(neighbors) + [self_feat]
+        members = [self_feat, *neighbors]
         if permutation is None:
             raise ContractError("sequence aggregator needs an explicit permutation or seed")
         if isinstance(permutation, (int, np.integer)):
@@ -287,16 +283,14 @@ class SequencePoolLayer:
             order = list(permutation)
             if sorted(order) != list(range(len(members))):
                 raise ContractError(f"permutation {order} is not a permutation of {len(members)} items")
-        sequence = [members[i] for i in order]
-        a_v = self.cell.run(sequence)
-        return self.act(ad.matmul(self.weight, ad.concat([self_feat, a_v])))
+        return _forward_one(self, members, [order])
 
     def forward_group(self, prev, rows, node_args):
-        """node_args: per node, the permutation to pass to `forward`."""
-        return ad.stack([
-            self.forward(ad.row(prev, r[0]), [ad.row(prev, u) for u in r[1:]], permutation=perm)
-            for r, perm in zip(rows, node_args)
-        ])
+        """node_args: per node, a permutation of its neighbors followed by itself."""
+        sequence = np.take_along_axis(np.roll(rows, -1, axis=1), np.array(node_args), axis=1)
+        a_v = self.cell.run_all([ad.gather(prev, sequence[:, t]) for t in range(sequence.shape[1])])[-1]
+        combined = ad.concat([ad.gather(prev, rows[:, 0]), a_v], axis=1)
+        return self.act(ad.matvec(self.weight, combined))
 
 
 class TransformerPoolLayer:
@@ -352,7 +346,7 @@ class TransformerPoolLayer:
         return {t.name: t for t in tensors}
 
     def forward(self, self_feat, neighbors):
-        return _forward_one(self, self_feat, neighbors)
+        return _forward_one(self, [self_feat, *neighbors])
 
     def forward_group(self, prev, rows, node_args=None):
         rows = canonical_rows(prev, rows)

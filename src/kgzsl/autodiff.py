@@ -67,31 +67,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
-    # operator sugar; constants go through the *_const ops
-    def __add__(self, other):
-        return add_const(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    def __radd__(self, other):
-        return add_const(self, other)
-
-    def __sub__(self, other):
-        return add_const(self, -other) if isinstance(other, (int, float)) else subtract(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if isinstance(other, (int, float)) else multiply(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / other) if isinstance(other, (int, float)) else divide(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _make(data, parents, backward_fn):
     """Wire up an op result; skips recording when grads are off."""
@@ -403,18 +378,16 @@ def row(a, index):
 
 
 def sum(a, axis=None):  # noqa: A001 - mirrors np.sum, always used qualified
-    if axis is not None and a.data.ndim != 2:
+    """Sum of all entries, or over axis 0 or 1 of a 2-D or 3-D tensor."""
+    if axis is not None and (a.data.ndim not in (2, 3) or axis not in (0, 1)):
         raise _shape_err("sum(axis)", a)
 
     def backward(g):
         if not a.requires_grad:
             return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-        elif axis == 0:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-        else:
-            a._accumulate(np.broadcast_to(g[:, None], a.shape).copy())
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape))
     return _make(a.data.sum(axis=axis), (a,), backward)
 
 
@@ -658,15 +631,13 @@ def zeros_param(shape, name=None):
 class Adam:
     """Adam with decoupled weight decay.
 
-    Decay is applied directly to the weights, scaled by lr, outside the
-    adaptive moment update.  Parameters with no gradient are skipped.
+    `params` maps names to tensors.  Decay is applied directly to the
+    weights, scaled by lr, outside the adaptive moment update.
+    Parameters with no gradient are skipped.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
-        if isinstance(params, dict):
-            self.params = dict(params)
-        else:
-            self.params = {f"p{i}": p for i, p in enumerate(params)}
+        self.params = dict(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -132,7 +132,13 @@ _COMMON = {
 }
 
 HEAD_KINDS = ("bilinear", "l2")
-ENCODER_KINDS = ("sentence", "mention", "vector")
+# the exact keys of each encoder kind's config block
+ENCODER_KEYS = {
+    "sentence": ("kind", "input_dim", "hidden_dim", "attn_dim"),
+    "mention": ("kind", "input_dim", "hidden_dim", "attn_dim", "feature_dim", "feature_mode", "window"),
+    "vector": ("kind", "input_dim"),
+}
+ENCODER_KINDS = tuple(ENCODER_KEYS)
 
 
 def _merge(base, override, path=""):
@@ -211,9 +217,16 @@ def validate(cfg):
         raise ConfigError(
             f"encoder kind must be one of {ENCODER_KINDS}, got {enc.get('kind')!r}"
         )
-    if enc["kind"] == "mention" and enc.get("feature_mode") != "zeros":
+    keys = ENCODER_KEYS[enc["kind"]]
+    for key in enc:
+        if key not in keys:
+            raise ConfigError(f"unknown config key 'model.encoder.{key}' for a {enc['kind']} encoder")
+    for key in keys:
+        if key not in enc:
+            raise ConfigError(f"a {enc['kind']} encoder needs config key 'model.encoder.{key}'")
+    if enc["kind"] == "mention" and enc["feature_mode"] != "zeros":
         raise ConfigError(
-            f"encoder.feature_mode must be 'zeros', got {enc.get('feature_mode')!r}: "
+            f"encoder.feature_mode must be 'zeros', got {enc['feature_mode']!r}: "
             "example files carry no hand features for the other modes"
         )
     if model["head"] == "bilinear":

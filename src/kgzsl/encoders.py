@@ -65,18 +65,11 @@ def _bilstm_states(fwd, bwd, xs):
 
 @dataclass
 class MentionInput:
-    """One typed-mention example: the span plus its two contexts.
-
-    Vectors are plain arrays; `feature_vector` feeds the hand-feature
-    slot when the encoder runs in "supplied" mode, `feature_ids` when it
-    runs in "learned" mode.
-    """
+    """One typed-mention example: the span plus its two contexts, as token vectors."""
 
     mention: list
     left: list = field(default_factory=list)
     right: list = field(default_factory=list)
-    feature_vector: np.ndarray | None = None
-    feature_ids: tuple = ()
 
 
 class MentionEncoder:
@@ -87,59 +80,36 @@ class MentionEncoder:
     alpha_i = w_a . tanh(W_e h_i) are normalized by their literal sum
     over both contexts (not a softmax, so weights can be negative but
     always sum to 1).  The output is [context ; hand features ; span],
-    width 2*hidden + feature_dim + input_dim.
+    width 2*hidden + feature_dim + input_dim.  Examples carry no hand
+    features, so that slot holds zeros; "zeros" is the only feature mode.
     """
 
     def __init__(self, input_dim=300, hidden_dim=100, attn_dim=100, feature_dim=60,
-                 feature_mode="zeros", num_feature_ids=None, window=10, rng=None, name="mention"):
-        if feature_mode not in ("zeros", "supplied", "learned"):
-            raise ConfigError(f"unknown feature mode {feature_mode!r}")
-        if feature_mode == "learned" and not num_feature_ids:
-            raise ConfigError("learned feature mode needs num_feature_ids")
+                 feature_mode="zeros", window=10, rng=None, name="mention"):
+        if feature_mode != "zeros":
+            raise ConfigError(f"feature mode must be 'zeros', got {feature_mode!r}")
         if rng is None:
             rng = make_rng("init", name)
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.feature_dim = feature_dim
-        self.feature_mode = feature_mode
         self.window = window
         self.output_dim = 2 * hidden_dim + feature_dim + input_dim
         self.context = _LstmCell(input_dim, hidden_dim, rng, name=f"{name}/ctx")
         self.context_back = _LstmCell(input_dim, hidden_dim, rng, name=f"{name}/ctxb")
         self.attn_hidden = ad.param((attn_dim, 2 * hidden_dim), rng, name=f"{name}/We")
         self.attn_out = ad.param((attn_dim,), rng, name=f"{name}/wa")
-        if feature_mode == "learned":
-            self.feature_table = ad.param((num_feature_ids, feature_dim), rng, name=f"{name}/feat")
-        else:
-            self.feature_table = None
 
     def parameters(self):
         out = self.context.parameters()
         out.update(self.context_back.parameters())
         out[self.attn_hidden.name] = self.attn_hidden
         out[self.attn_out.name] = self.attn_out
-        if self.feature_table is not None:
-            out[self.feature_table.name] = self.feature_table
         return out
 
     def _context_states(self, tokens):
         xs = [ad.constant(np.asarray(v)) for v in tokens]
         return _bilstm_states(self.context, self.context_back, xs)
-
-    def _feature_vector(self, x):
-        if self.feature_mode == "zeros":
-            return ad.constant(np.zeros(self.feature_dim))
-        if self.feature_mode == "supplied":
-            if x.feature_vector is None:
-                raise ContractError("feature_mode='supplied' but example has no feature_vector")
-            vec = np.asarray(x.feature_vector, dtype=np.float64)
-            if vec.shape != (self.feature_dim,):
-                raise ContractError(f"feature vector shape {vec.shape}, want ({self.feature_dim},)")
-            return ad.constant(vec)
-        if not x.feature_ids:
-            return ad.constant(np.zeros(self.feature_dim))
-        rows = [ad.row(self.feature_table, i) for i in x.feature_ids]
-        return ad.mean(ad.stack(rows), axis=0) if len(rows) > 1 else rows[0]
 
     def encode(self, x):
         if not x.mention:
@@ -167,7 +137,7 @@ class MentionEncoder:
         total = ad.sum(raw)
         weights = ad.divide(raw, total)
         v_c = ad.matmul(weights, ad.stack(states))
-        v_f = self._feature_vector(x)
+        v_f = ad.constant(np.zeros(self.feature_dim))
         return ad.concat([v_c, v_f, v_m])
 
 

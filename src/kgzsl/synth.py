@@ -42,10 +42,7 @@ class SynthSpec:
     """Parameters of one synthetic world.
 
     ``feature_dim`` counts the polarity coordinate, so the random part of
-    each attribute feature has ``feature_dim - 1`` dimensions.  When
-    ``latent_rank`` is set the random parts are drawn from a shared
-    low-rank basis instead of independently, which correlates attributes
-    and lets narrow models keep more of the signal.
+    each attribute feature has ``feature_dim - 1`` dimensions.
     """
 
     attribute_pool: int = 20
@@ -57,7 +54,6 @@ class SynthSpec:
     noise: float = 0.1
     examples_per_class: int = 200
     relation_structure: bool = False
-    latent_rank: int = None
     seed: int = 0
 
     def __post_init__(self):
@@ -87,12 +83,6 @@ class SynthSpec:
             raise ConfigError("noise must not be negative")
         if self.examples_per_class < 1:
             raise ConfigError("examples_per_class must be at least 1")
-        if self.latent_rank is not None and not (
-            1 <= self.latent_rank <= self.feature_dim - 1
-        ):
-            raise ConfigError(
-                f"latent_rank {self.latent_rank} outside [1, {self.feature_dim - 1}]"
-            )
         if self.relation_structure and (
             self.attribute_pool % 2 or self.attrs_per_class % 2
         ):
@@ -245,20 +235,9 @@ def _designed_content(spec, attrs_of, seen_idx):
     return base + null
 
 
-def _attr_features(spec, attrs_of=None, seen_idx=None):
-    d = spec.feature_dim
+def _attr_features(spec, attrs_of, seen_idx):
     pool = spec.attribute_pool
-    if spec.latent_rank is not None:
-        basis = make_rng("synth-basis", spec.seed).standard_normal(
-            (spec.latent_rank, d - 1)
-        )
-        content = np.stack([
-            make_rng("synth-attr", spec.seed, k).standard_normal(spec.latent_rank)
-            @ basis / np.sqrt(spec.latent_rank)
-            for k in range(pool)
-        ])
-    else:
-        content = _designed_content(spec, attrs_of, seen_idx)
+    content = _designed_content(spec, attrs_of, seen_idx)
     feats = []
     for k in range(pool):
         polarity = -1.0 if spec.relation_structure and k >= pool // 2 else 1.0

@@ -146,6 +146,8 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
     parameters are left at its snapshot.  A non-finite loss raises
     DivergenceError, since no comparison can rank it.
     """
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
     opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
     perm_rng = make_rng("train-perm", seed)
 

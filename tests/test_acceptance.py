@@ -162,6 +162,7 @@ def _op_cases(rng):
         ("mean_axis1_3d", stacked(lambda t: ad.mean(t, axis=1), (2, 3, 4))),
         ("softmax_3d", stacked(lambda t: ad.softmax(t, axis=-1), (2, 3, 4))),
         ("layer_norm_3d", layer_norm_3d_case()),
+        ("sum_axis1_3d", stacked(lambda t: ad.sum(t, axis=1), (2, 3, 4))),
     ]
 
 

@@ -102,12 +102,68 @@ class TestRelationalMean:
         out = layer.forward(ad.constant([0.0]), tagged)
         np.testing.assert_allclose(out.data, [3.0])
 
+    def test_group_rows_equal_per_node_forward(self):
+        # nodes lack relations that others in the group have, and node 0
+        # reaches one neighbor through two relations
+        layer = agg.RelationalMeanLayer(3, 2, relations=["a", "b", "c"], num_bases=2, rng=rng(52))
+        prev = ad.constant(rng(53).normal(size=(7, 3)))
+        rows = np.array([[0, 1, 2, 3], [4, 5, 6, 1], [2, 0, 6, 5]])
+        node_args = [
+            [("a", "b"), ("a",), ("c",)],
+            [("b",), ("b",), ("b",)],
+            [("a",), ("c",), ("a",)],
+        ]
+        group = layer.forward_group(prev, rows, node_args)
+        for b, (r, relations) in enumerate(zip(rows, node_args)):
+            tagged = [(rel, ad.constant(prev.data[u])) for u, rels in zip(r[1:], relations) for rel in rels]
+            want = layer.forward(ad.constant(prev.data[r[0]]), tagged)
+            assert group.data[b].tobytes() == want.data.tobytes(), b
+
+    def test_group_unknown_relation_raises(self):
+        layer = agg.RelationalMeanLayer(2, 2, relations=["r"], rng=rng(54))
+        prev = ad.constant(rng(55).normal(size=(3, 2)))
+        with pytest.raises(UnknownRelationError):
+            layer.forward_group(prev, np.array([[0, 1], [1, 2]]), [[("r",)], [("q",)]])
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm_layer_oracle(layer, self_feat, neighbors, permutation):
+    """SequencePoolLayer in plain numpy: LSTM gates over the permuted
+    (neighbors..., self) sequence, then act(W [h_v ; a_v]) with relu."""
+    cell = layer.cell
+    members = list(neighbors) + [self_feat]
+    h = np.zeros(cell.hidden_dim)
+    c = np.zeros(cell.hidden_dim)
+    for j in permutation:
+        x = members[j]
+        pre = {g: cell.wx[g].data @ x + cell.wh[g].data @ h + cell.b[g].data for g in "ifgo"}
+        c = _sigmoid(pre["f"]) * c + _sigmoid(pre["i"]) * np.tanh(pre["g"])
+        h = _sigmoid(pre["o"]) * np.tanh(c)
+    return np.maximum(layer.weight.data @ np.concatenate([self_feat, h]), 0.0)
+
 
 class TestSequencePool:
-    def test_empty_sequence_state_is_zero(self):
-        cell = agg._LstmCell(3, 3, rng(10), "cell")
-        h = cell.run([])
-        np.testing.assert_array_equal(h.data, np.zeros(3))
+    def test_matches_numpy_oracle_per_node(self):
+        layer = agg.SequencePoolLayer(3, 4, rng=rng(56))
+        r = rng(57)
+        self_feat, nbrs = r.normal(size=3), [r.normal(size=3) for _ in range(3)]
+        perm = [2, 0, 3, 1]
+        out = layer.forward(ad.constant(self_feat), [ad.constant(n) for n in nbrs], permutation=perm)
+        np.testing.assert_allclose(out.data, lstm_layer_oracle(layer, self_feat, nbrs, perm), rtol=0, atol=1e-12)
+
+    def test_matches_numpy_oracle_in_a_group(self):
+        layer = agg.SequencePoolLayer(3, 4, rng=rng(58))
+        prev = ad.constant(rng(59).normal(size=(6, 3)))
+        rows = np.array([[0, 1, 2], [3, 4, 5], [5, 0, 3]])
+        perms = [[0, 1, 2], [2, 1, 0], [1, 2, 0]]
+        out = layer.forward_group(prev, rows, perms)
+        assert out.data.shape == (3, 4)
+        for b, (r, perm) in enumerate(zip(rows, perms)):
+            want = lstm_layer_oracle(layer, prev.data[r[0]], [prev.data[u] for u in r[1:]], perm)
+            np.testing.assert_allclose(out.data[b], want, rtol=0, atol=1e-12)
 
     def test_hidden_width_equals_input_width(self):
         layer = agg.SequencePoolLayer(5, 2, rng=rng(11))
@@ -455,14 +511,15 @@ class TestLevelBatchedForward:
             err = np.linalg.norm(batched[name] - want) / max(np.linalg.norm(want), 1e-300)
             assert err <= 1e-12, (name, err)
 
-    def test_tape_scales_with_depth_not_neighborhood_size(self):
+    @pytest.mark.parametrize("kind", ["gcn", "gat", "rgcn", "transformer"])
+    def test_tape_scales_with_depth_not_neighborhood_size(self, kind):
         # in a complete graph on n + 1 nodes every node has n neighbors,
         # so with hop limits n every node of the DAG has n + 1 members
         def tape_nodes(n):
             nodes = [f"v{i}" for i in range(n + 1)]
-            g = Graph([("r", a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
+            g = Graph([("r0", a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
             feats = FeatureTable(4, {v: rng(n).normal(size=4) for v in g.nodes})
-            stack = make_stack(["transformer", "transformer"], [n, n], 4, seed=0, activation="relu")
+            stack = make_stack([kind, kind], [n, n], 4, seed=0, activation="relu")
             out = agg.gnn_forward(stack, g, feats, HitSource(g, WalkConfig(seed=0)), "v0", mode="train")
             return len(ad.Tape.from_output(out))
 

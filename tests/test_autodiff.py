@@ -286,6 +286,12 @@ def _(r):
     return lambda: weighted_sum(ad.sum(a, axis=1), rng()), {"a": a}
 
 
+@grad_case("sum_axis1_3d")
+def _(r):
+    a = p(r, 2, 3, 4)
+    return lambda: weighted_sum(ad.sum(a, axis=1), rng()), {"a": a}
+
+
 @grad_case("mean_all")
 def _(r):
     a = p(r, 4)
@@ -518,14 +524,6 @@ class TestBackward:
             out = ad.multiply(w, w)
         assert not out.requires_grad
         assert out._parents == ()
-
-    def test_operator_sugar(self):
-        a = ad.Tensor([1.0, 2.0], requires_grad=True)
-        b = ad.Tensor([3.0, 4.0], requires_grad=True)
-        loss = ad.sum((a * b + 1.0) / 2.0 - b)
-        ad.backward(loss)
-        np.testing.assert_allclose(a.grad, [1.5, 2.0])
-        np.testing.assert_allclose(b.grad, [-0.5, 0.0])
 
 
 class TestInit:

@@ -148,6 +148,20 @@ class TestErrors:
         assert run("train", "--config", cfg) == 1
         assert "optimzer" in capsys.readouterr().err
 
+    def test_incomplete_encoder_block(self, tmp_path, capsys):
+        # switching the synthetic profile to a sentence encoder needs every sentence key
+        cfg = write(tmp_path / "cfg.json", {
+            "profile": "synthetic",
+            "model": {"encoder": {"kind": "sentence", "input_dim": 16}},
+        })
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "x")) == 1
+        assert "model.encoder.hidden_dim" in capsys.readouterr().err
+
+    def test_unknown_encoder_key(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", {"profile": "synthetic", "model": {"encoder": {"typo_key": 1}}})
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "x")) == 1
+        assert "model.encoder.typo_key" in capsys.readouterr().err
+
     def test_bad_log_level(self, synth_cfg, monkeypatch, tmp_path):
         monkeypatch.setenv("KGZSL_LOG", "loud")
         assert run("synth", "--config", synth_cfg, "--out", str(tmp_path / "x")) == 1

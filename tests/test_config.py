@@ -87,6 +87,15 @@ class TestValidate:
         cfg = expand({"profile": "typing"})
         assert encoder_output_dim(cfg["model"]["encoder"]) == 2 * 100 + 60 + 300
 
+    def test_unknown_encoder_key_rejected(self):
+        with pytest.raises(ConfigError, match="model.encoder.typo_key"):
+            expand({"profile": "typing", "model": {"encoder": {"typo_key": 1}}})
+
+    def test_missing_encoder_key_rejected(self):
+        # a kind change replaces the block, so it must carry every key of the new kind
+        with pytest.raises(ConfigError, match="model.encoder.hidden_dim"):
+            expand({"profile": "synthetic", "model": {"encoder": {"kind": "sentence", "input_dim": 16}}})
+
     @pytest.mark.parametrize("mode", ["supplied", "learned"])
     def test_mention_feature_mode_other_than_zeros_rejected(self, mode):
         # example records carry no hand features, so the CLI could not feed these modes

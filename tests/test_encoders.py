@@ -85,34 +85,10 @@ class TestMentionEncoder:
         out = enc.encode(mention_input(rng(25), 3))
         np.testing.assert_array_equal(out.data[4:8], np.zeros(4))
 
-    def test_supplied_feature_mode(self):
-        enc = encoders.MentionEncoder(
-            input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, feature_mode="supplied", rng=rng(26)
-        )
-        x = mention_input(rng(27), 3, feature_vector=np.array([7.0, -7.0]))
-        out = enc.encode(x)
-        np.testing.assert_array_equal(out.data[4:6], [7.0, -7.0])
-
-    def test_supplied_mode_requires_vector(self):
-        enc = encoders.MentionEncoder(
-            input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, feature_mode="supplied", rng=rng(28)
-        )
-        with pytest.raises(ContractError):
-            enc.encode(mention_input(rng(29), 3))
-
-    def test_learned_feature_mode_averages_rows(self):
-        enc = encoders.MentionEncoder(
-            input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2,
-            feature_mode="learned", num_feature_ids=5, rng=rng(30),
-        )
-        x = mention_input(rng(31), 3, feature_ids=(1, 4))
-        out = enc.encode(x)
-        expect = (enc.feature_table.data[1] + enc.feature_table.data[4]) / 2.0
-        np.testing.assert_allclose(out.data[4:6], expect, atol=1e-12)
-
-    def test_learned_mode_needs_vocabulary_size(self):
-        with pytest.raises(ConfigError):
-            encoders.MentionEncoder(feature_mode="learned")
+    def test_feature_mode_other_than_zeros_rejected(self):
+        for mode in ("supplied", "learned"):
+            with pytest.raises(ConfigError, match="feature mode must be 'zeros'"):
+                encoders.MentionEncoder(feature_mode=mode)
 
     def test_attention_weights_literal_sum_to_one(self):
         enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=3, feature_dim=2, rng=rng(32))
@@ -164,10 +140,9 @@ class TestMentionEncoder:
 
     def test_grad_check(self):
         enc = encoders.MentionEncoder(
-            input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2,
-            feature_mode="learned", num_feature_ids=3, rng=rng(43),
+            input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, feature_mode="zeros", rng=rng(43),
         )
-        x = mention_input(rng(44), 3, n_left=2, n_right=2, feature_ids=(0, 2))
+        x = mention_input(rng(44), 3, n_left=2, n_right=2)
         weights = ad.constant(rng(45).normal(size=enc.output_dim))
 
         def fn():

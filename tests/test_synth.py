@@ -56,14 +56,6 @@ class TestSynthSpec:
         with pytest.raises(ConfigError):
             SynthSpec(relation_structure=True, attrs_per_class=3)
 
-    def test_latent_rank_bounds(self):
-        SynthSpec(latent_rank=1)
-        SynthSpec(latent_rank=15)
-        with pytest.raises(ConfigError):
-            SynthSpec(latent_rank=0)
-        with pytest.raises(ConfigError):
-            SynthSpec(latent_rank=16)
-
     def test_tiny_feature_dim_rejected(self):
         with pytest.raises(ConfigError):
             SynthSpec(feature_dim=1)
@@ -156,12 +148,6 @@ class TestGenerate:
         assert fold.train == data.classes.seen
         assert fold.dev == data.classes.dev
         assert fold.test == data.classes.unseen
-
-    def test_latent_rank_ties_attributes_to_a_basis(self):
-        data = generate_synthetic(SynthSpec(latent_rank=3, seed=0))
-        feats = np.stack([data.features[f"attr/{k:02d}"][:-1] for k in range(20)])
-        rank = np.linalg.matrix_rank(feats)
-        assert rank == 3
 
     def test_train_graph_contains_no_unseen_ids(self):
         data = generate_synthetic(SynthSpec(num_dev=1, seed=0))

@@ -156,6 +156,12 @@ class TestTrainBilinear:
         for k in r1.best_params:
             assert r1.best_params[k].tobytes() == r2.best_params[k].tobytes()
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        encoder, class_encoder, head, classes, train, _ = build_training()
+        with pytest.raises(ConfigError, match="epochs"):
+            zs.train_bilinear(train, [], encoder, class_encoder, head, classes, epochs=epochs)
+
     def test_dev_selection_is_argmin(self):
         encoder, class_encoder, head, classes, train, dev_ex = build_training(seed=2, dev=True)
         result = zs.train_bilinear(
@@ -341,6 +347,14 @@ class TestTrainL2:
         classes = zs.ClassSet(seen=("class_0",), unseen=(), targets={"class_0": np.zeros(5)})
         with pytest.raises(ConfigError):
             zs.train_l2(class_encoder, classes, epochs=1)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        g, features, hits, stack = toy_world(num_classes=1, dim=3)
+        class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
+        classes = zs.ClassSet(seen=("class_0",), unseen=(), targets={"class_0": np.ones(3)})
+        with pytest.raises(ConfigError, match="epochs"):
+            zs.train_l2(class_encoder, classes, epochs=epochs)
 
     def test_diverging_train_loss_raises(self):
         # Adam moves each weight by about lr on its first step, so a huge
