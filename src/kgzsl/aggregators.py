@@ -475,7 +475,7 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
         frontier = nxt
 
     row_of = {v: i for i, v in enumerate(depth_of)}
-    prev = ad.constant(np.stack([np.asarray(features[v], dtype=np.float64) for v in depth_of]))
+    prev = ad.constant(np.array([features[v] for v in depth_of], dtype=np.float64))
 
     # a node first reached at depth d is needed up to level k - d; its
     # sampled neighbors then always have the level below already built

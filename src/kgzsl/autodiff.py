@@ -403,7 +403,8 @@ def mean(a, axis=None):
         if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.shape) / count)
-    return _make(a.data.mean(axis=axis), (a,), backward)
+    # sum then divide is what np.mean computes, without its Python wrapper
+    return _make(a.data.sum(axis=axis) / count, (a,), backward)
 
 
 # -------------------------------------------------------------- nonlinearity
@@ -485,10 +486,12 @@ def layer_norm(x, gain, bias, eps=1e-5):
     if x.shape[-1] != gain.shape[0] or x.data.ndim not in (1, 2, 3):
         raise _shape_err("layer_norm", x, gain)
     d = gain.shape[0]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the sums and divisions of np.mean and np.var, so bitwise equal to
+    # them, without their Python wrappers
+    c = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (c * c).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = c * inv
     out = xhat * gain.data + bias.data
 
     def backward(g):
@@ -498,8 +501,8 @@ def layer_norm(x, gain, bias, eps=1e-5):
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = dxhat.sum(axis=-1, keepdims=True) / d
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
             x._accumulate(inv * (dxhat - m1 - xhat * m2))
     return _make(out, (x, gain, bias), backward)
 

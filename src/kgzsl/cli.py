@@ -465,12 +465,14 @@ def _cmd_eval(args, cfg):
     for i, fold in enumerate(fold_spec.folds):
         reps = class_representations(class_enc, fold.test, mode="eval")
         pairs = []
-        for x, gold in test_pairs_of(fold):
-            pred = predict(encoder.encode(x), head, reps, mode)
-            if mode == "multilabel":
-                pairs.append((tuple(sorted(pred)), gold))
-            else:
-                pairs.append(((pred[0],), (gold,)))
+        # the example encoders' weights are parameters: no tape to record
+        with ad.no_grad():
+            for x, gold in test_pairs_of(fold):
+                pred = predict(encoder.encode(x), head, reps, mode)
+                if mode == "multilabel":
+                    pairs.append((tuple(sorted(pred)), gold))
+                else:
+                    pairs.append(((pred[0],), (gold,)))
         if not pairs:
             raise DataError(f"no test examples fall in fold {i}")
         fold_predictions.append(pairs)

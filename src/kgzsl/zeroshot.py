@@ -8,6 +8,7 @@ per-class binary cross entropy, and a regression head that pulls phi(y)
 toward fixed target vectors and ranks by dot product at test time.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,6 +317,44 @@ def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=
     )
 
 
+class ClassReps(Mapping):
+    """Candidate class representations as one read-only (C, d) matrix.
+
+    `ids` holds the class ids in sorted order and row i of `matrix` is
+    phi of ids[i]; `reps[c]` is a view of that row.  Built from any
+    {class id: phi} mapping whose values are arrays or Tensors of one
+    width.
+    """
+
+    def __init__(self, class_reps):
+        if not class_reps:
+            raise ContractError("no candidate classes")
+        self.ids = tuple(sorted(class_reps))
+        self._row = {c: i for i, c in enumerate(self.ids)}
+        rows = [class_reps[c] for c in self.ids]
+        try:
+            matrix = np.array([r.data if isinstance(r, ad.Tensor) else r for r in rows],
+                              dtype=np.float64)
+        except ValueError:
+            raise ContractError("class representations differ in width") from None
+        if matrix.ndim != 2:
+            raise ContractError(f"class representations must be vectors, got shape {matrix.shape[1:]}")
+        matrix.flags.writeable = False
+        self.matrix = matrix
+
+    def __getitem__(self, c):
+        return self.matrix[self._row[c]]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __contains__(self, c):
+        return c in self._row
+
+
 def candidate_scores(theta, head, class_reps, mode="multiclass"):
     """The sorted candidate ids and their scores, as `predict` ranks them.
 
@@ -327,16 +366,10 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
         raise ContractError("no candidate classes")
     if mode not in ("multiclass", "multilabel", "l2"):
         raise ConfigError(f"unknown predict mode {mode!r}")
+    if not isinstance(class_reps, ClassReps):
+        class_reps = ClassReps(class_reps)
     theta = theta.data if isinstance(theta, ad.Tensor) else np.asarray(theta, dtype=np.float64)
-    ids = sorted(class_reps)
-    reps = [class_reps[c] for c in ids]
-    try:
-        phis = np.array([r.data if isinstance(r, ad.Tensor) else r for r in reps], dtype=np.float64)
-    except ValueError:
-        raise ContractError("class representations differ in width") from None
-    if phis.ndim != 2:
-        raise ContractError(f"class representations must be vectors, got shape {phis.shape[1:]}")
-    width = phis.shape[1]
+    width = class_reps.matrix.shape[1]
     if mode == "l2":
         vec = theta
         if width == theta.shape[0] + 1:
@@ -350,7 +383,8 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
                 f"({head.theta_dim}, {head.phi_dim}) head"
             )
         vec = theta @ head.score_matrix()
-    return ids, ad.dot_rows(ad.constant(phis), ad.constant(vec)).data
+    scores = ad.dot_rows(ad.constant(class_reps.matrix), ad.constant(vec)).data
+    return list(class_reps.ids), scores
 
 
 def predict(theta, head, class_reps, mode="multiclass"):
@@ -359,8 +393,8 @@ def predict(theta, head, class_reps, mode="multiclass"):
     Args:
         theta: example encoding as a plain array (or Tensor).
         head: BilinearHead for the bilinear modes; ignored for "l2".
-        class_reps: {class id: phi array} over the candidate set; every
-            phi must have the same width.
+        class_reps: {class id: phi} over the candidate set, as arrays
+            or Tensors of one width; a ClassReps is scored as it is.
         mode: "multiclass" ranks all candidates (ties by id), returning
             a list; "multilabel" returns the set with positive score;
             "l2" ranks by dot product, appending a bias 1 to theta when
@@ -368,12 +402,12 @@ def predict(theta, head, class_reps, mode="multiclass"):
     """
     ids, scores = candidate_scores(theta, head, class_reps, mode)
     if mode == "multilabel":
-        return {ids[i] for i in np.flatnonzero(scores > 0.0)}
+        return {ids[i] for i in np.flatnonzero(scores > 0.0).tolist()}
     # ids are sorted, so a stable sort breaks score ties by id
-    return [ids[i] for i in np.argsort(-scores, kind="stable")]
+    return [ids[i] for i in np.argsort(-scores, kind="stable").tolist()]
 
 
 def class_representations(class_encoder, class_ids, mode="eval"):
-    """phi for each class id, as plain arrays keyed by id."""
+    """phi for each class id, as one ClassReps over the sorted ids."""
     with ad.no_grad():
-        return {c: class_encoder.encode(c, mode=mode).data for c in class_ids}
+        return ClassReps({c: class_encoder.encode(c, mode=mode).data for c in class_ids})

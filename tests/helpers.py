@@ -97,3 +97,10 @@ def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rn
             else:
                 reps[(level, v)] = layer.forward(prev_self, prev_neighbors)
     return reps[(k, node)]
+
+
+def layer_norm_reference(x, gain, bias, eps=1e-5):
+    """Layer norm over the last axis from np.mean and np.var."""
+    mu = np.mean(x, axis=-1, keepdims=True)
+    var = np.var(x, axis=-1, keepdims=True)
+    return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias

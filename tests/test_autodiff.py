@@ -4,9 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kgzsl import autodiff as ad
 from kgzsl.errors import ContractError, ShapeError
+
+from .helpers import layer_norm_reference
 
 
 def rng():
@@ -133,6 +138,49 @@ class TestForwardValues:
         out = ad.layer_norm(x, ad.Tensor(np.ones(7)), ad.Tensor(np.zeros(7)))
         assert abs(out.data.mean()) < 1e-9
         assert abs(out.data.std() - 1.0) < 1e-3
+
+
+def scaled_arrays(shape, min_exp, max_exp):
+    """Float64 arrays of `shape`: entries in [-1, 1] or a signed zero, times 10**e."""
+    unit = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0])
+    return st.tuples(
+        hnp.arrays(np.float64, shape, elements=unit),
+        st.integers(min_exp, max_exp),
+    ).map(lambda pair: pair[0] * 10.0 ** pair[1])
+
+
+@st.composite
+def layer_norm_inputs(draw):
+    d = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))
+    x = draw(scaled_arrays(lead + (d,), -150, 150))
+    if draw(st.booleans()):
+        # constant rows: zero variance
+        x = np.broadcast_to(x[..., :1], x.shape).copy()
+    gain = draw(hnp.arrays(np.float64, d, elements=st.floats(-2.0, 2.0)))
+    bias = draw(hnp.arrays(np.float64, d, elements=st.floats(-2.0, 2.0)))
+    return x, gain, bias
+
+
+class TestNumpyEquivalence:
+    """The sum-and-divide statistics are bitwise the np.mean / np.var ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(layer_norm_inputs())
+    def test_layer_norm_forward_equals_numpy_oracle(self, case):
+        x, gain, bias = case
+        out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias)).data
+        assert out.tobytes() == layer_norm_reference(x, gain, bias).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([((5,), None), ((3, 4), None), ((3, 4), 0), ((3, 4), 1),
+                         ((2, 3, 4), None), ((2, 3, 4), 0), ((2, 3, 4), 1)])
+        .flatmap(lambda case: st.tuples(scaled_arrays(case[0], -100, 100), st.just(case[1])))
+    )
+    def test_mean_equals_np_mean(self, case):
+        x, axis = case
+        assert ad.mean(ad.Tensor(x), axis=axis).data.tobytes() == np.mean(x, axis=axis).tobytes()
 
 
 # a table-driven grad check over every op keeps each case tiny

@@ -9,6 +9,8 @@ import os
 
 import pytest
 
+from kgzsl import autodiff as ad
+from kgzsl import cli
 from kgzsl.cli import main
 
 
@@ -107,6 +109,27 @@ class TestTrainEval:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["per_fold"][0]["n"] == 4 * 20
         assert 0.0 <= metrics["micro"] <= 1.0
+
+    def test_eval_records_no_tape(self, synth_cfg, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", synth_cfg, "--out", str(run_dir)) == 0
+        grad_enabled = []
+
+        def recording_predict(*args, **kwargs):
+            grad_enabled.append(ad._grad_enabled)
+            return predict(*args, **kwargs)
+
+        predict = cli.predict
+        monkeypatch.setattr(cli, "predict", recording_predict)
+        eval_cfg = write(tmp_path / "eval.json", {
+            "profile": "synthetic",
+            "seed": 3,
+            "synth": {"examples_per_class": 20},
+            "paths": {"checkpoint": str(run_dir / "checkpoint.json")},
+        })
+        assert run("eval", "--config", eval_cfg, "--out", str(tmp_path / "ev")) == 0
+        assert len(grad_enabled) == 4 * 20
+        assert not any(grad_enabled)
 
     def test_train_is_bitwise_reproducible(self, synth_cfg, tmp_path):
         run("train", "--config", synth_cfg, "--out", str(tmp_path / "a"))

@@ -455,3 +455,61 @@ class TestPredict:
             assert got == {c for c, s in want.items() if s > 0.0}
         else:
             assert got == sorted(want, key=lambda c: (-want[c], c))
+
+
+class TestClassReps:
+    def encoded(self):
+        g, features, hits, stack = toy_world(num_classes=4, dim=3)
+        enc = zs.GnnClassEncoder(stack, g, features, hits)
+        ids = ["class_2", "class_0", "class_3", "class_1"]
+        return enc, ids, zs.class_representations(enc, ids)
+
+    def test_rows_are_read_only(self):
+        _, _, reps = self.encoded()
+        with pytest.raises(ValueError):
+            reps["class_1"][0] = 1.0
+        with pytest.raises(ValueError):
+            reps.matrix[0, 0] = 1.0
+
+    def test_mapping_behaves_like_a_dict(self):
+        _, ids, reps = self.encoded()
+        assert list(reps) == sorted(ids)
+        assert list(reps.ids) == sorted(ids)
+        assert len(reps) == 4
+        assert "class_3" in reps and "class_9" not in reps
+        with pytest.raises(KeyError):
+            reps["class_9"]
+        assert dict(reps).keys() == set(ids)
+
+    def test_rows_equal_single_encodes_bitwise(self):
+        enc, ids, reps = self.encoded()
+        assert reps.matrix.shape == (4, 3)
+        for c in ids:
+            assert reps[c].tobytes() == enc.encode(c, mode="eval").data.tobytes()
+
+    def test_empty_and_non_vector_rows_rejected(self):
+        with pytest.raises(ContractError):
+            zs.ClassReps({})
+        with pytest.raises(ContractError):
+            zs.ClassReps({"a": np.ones((2, 2))})
+        with pytest.raises(ContractError):
+            zs.ClassReps({"a": np.ones(2), "b": np.ones(3)})
+
+    @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
+    def test_every_mapping_form_scores_the_same_bits(self, mode):
+        _, _, reps = self.encoded()
+        head = zs.BilinearHead(3, 3, rank=2, rng=rng(53))
+        forms = [
+            reps,
+            dict(reps),
+            {c: np.array(phi) for c, phi in reps.items()},
+            {c: ad.Tensor(phi) for c, phi in reps.items()},
+        ]
+        for theta in rng(54).normal(size=(5, 3)):
+            want_ids, want = zs.candidate_scores(theta, head, reps, mode)
+            ranked = zs.predict(theta, head, reps, mode)
+            for form in forms[1:]:
+                ids, scores = zs.candidate_scores(theta, head, form, mode)
+                assert ids == want_ids
+                assert scores.tobytes() == want.tobytes()
+                assert zs.predict(theta, head, form, mode) == ranked
