@@ -195,21 +195,26 @@ def expand(raw):
     return cfg
 
 
+def is_int(value):
+    """A JSON integer: bool is an int subclass, but `true` is not a count or a seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(cfg):
     """Structural checks that need no input data."""
     model = cfg["model"]
     dims = model["dims"]
     if not isinstance(dims, list) or not dims or any(
-        not isinstance(d, int) or d < 1 for d in dims
+        not is_int(d) or d < 1 for d in dims
     ):
         raise ConfigError(f"model.dims must be positive integers, got {dims!r}")
     hops = model["hop_limits"]
+    if not isinstance(hops, list) or any(not is_int(h) or h < 0 for h in hops):
+        raise ConfigError(f"hop limits must be non-negative integers, got {hops!r}")
     if len(hops) != len(dims):
         raise ConfigError(
             f"{len(dims)} layers but {len(hops)} hop limits"
         )
-    if any(not isinstance(h, int) or h < 0 for h in hops):
-        raise ConfigError(f"hop limits must be non-negative integers, got {hops!r}")
     if model["head"] not in HEAD_KINDS:
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {model['head']!r}")
     enc = model["encoder"]
@@ -233,26 +238,29 @@ def validate(cfg):
         theta = encoder_output_dim(enc)
         phi = dims[-1]
         rank = model["rank"]
-        if not isinstance(rank, int) or rank < 1 or rank > min(theta, phi):
+        if not is_int(rank) or rank < 1 or rank > min(theta, phi):
             raise ConfigError(
                 f"rank must be in [1, {min(theta, phi)}] for encoder dim "
                 f"{theta} and stack output {phi}, got {rank!r}"
             )
     opt = cfg["optimizer"]
+    for key in ("lr", "weight_decay"):
+        if not (is_int(opt[key]) or isinstance(opt[key], float)):
+            raise ConfigError(f"{key} must be a number, got {opt[key]!r}")
     if opt["lr"] <= 0:
         raise ConfigError(f"lr must be positive, got {opt['lr']!r}")
     if opt["weight_decay"] < 0:
         raise ConfigError(f"weight_decay must not be negative, got {opt['weight_decay']!r}")
-    if not isinstance(opt["epochs"], int) or opt["epochs"] < 1:
+    if not is_int(opt["epochs"]) or opt["epochs"] < 1:
         raise ConfigError(f"epochs must be a positive integer, got {opt['epochs']!r}")
-    if not isinstance(opt["batch_size"], int) or opt["batch_size"] < 1:
+    if not is_int(opt["batch_size"]) or opt["batch_size"] < 1:
         raise ConfigError(f"batch_size must be a positive integer, got {opt['batch_size']!r}")
     samp = cfg["sampler"]
-    if not isinstance(samp["steps"], int) or samp["steps"] < 1:
+    if not is_int(samp["steps"]) or samp["steps"] < 1:
         raise ConfigError(f"sampler.steps must be a positive integer, got {samp['steps']!r}")
-    if not isinstance(samp["restarts"], int) or samp["restarts"] < 1:
+    if not is_int(samp["restarts"]) or samp["restarts"] < 1:
         raise ConfigError(f"sampler.restarts must be a positive integer, got {samp['restarts']!r}")
-    if not isinstance(cfg["seed"], int):
+    if not is_int(cfg["seed"]):
         raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
 
 

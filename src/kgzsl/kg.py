@@ -5,10 +5,25 @@ tail) with string ids; traversal is undirected because neighborhood
 sampling and aggregation do not distinguish edge direction.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import EmptyNameError, ParseError, UnknownNodeError
 from .seeding import make_rng
+
+
+class Csr(NamedTuple):
+    """Adjacency in compressed sparse rows, nodes numbered in sorted-id order.
+
+    Row i holds the neighbors of ids[i] in `Graph.neighbors` order, so
+    its column indices ascend.
+    """
+
+    ids: tuple
+    index: dict
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
 class Graph:
@@ -18,7 +33,9 @@ class Graph:
     iteration over them is reproducible across processes.
     """
 
-    __slots__ = ("_nodes", "_node_set", "_edges", "_edge_set", "_relations", "_adj", "_rels_between")
+    __slots__ = (
+        "_nodes", "_node_set", "_edges", "_edge_set", "_relations", "_adj", "_rels_between", "_csr",
+    )
 
     def __init__(self, edges, extra_nodes=()):
         """Build a graph from (relation, head, tail) triples.
@@ -75,6 +92,7 @@ class Graph:
         self._rels_between = {
             k: tuple(sorted(rs, key=lambda r: rel_order[r])) for k, rs in rels_between.items()
         }
+        self._csr = None
 
     @property
     def nodes(self):
@@ -104,6 +122,20 @@ class Graph:
         if node not in self._node_set:
             raise UnknownNodeError(node)
         return self._adj[node]
+
+    def csr(self):
+        """The `Csr` view of the adjacency, built on first use and kept."""
+        if self._csr is None:
+            ids = tuple(sorted(self._nodes))
+            index = {v: i for i, v in enumerate(ids)}
+            rows = [self._adj[v] for v in ids]
+            indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+            np.cumsum([len(r) for r in rows], out=indptr[1:])
+            indices = np.fromiter(
+                (index[u] for r in rows for u in r), dtype=np.int64, count=int(indptr[-1])
+            )
+            self._csr = Csr(ids, index, indptr, indices)
+        return self._csr
 
     def relations_between(self, u, v):
         """Relations on any edge joining u and v, in either direction."""

@@ -4,13 +4,29 @@ For a center node, R restarts of a T-step uniform undirected walk are
 simulated.  Visit counts over the center's immediate neighbors, plus
 add-one smoothing, give a probability table used to rank and truncate
 neighborhoods.  Each (center, restart) pair owns its own PCG64 stream,
-so tables do not depend on the order in which centers are queried.
+named ("walk", seed, center, restart), so a table depends neither on
+the order in which centers are queried nor on which centers are
+sampled alongside it.
+
+One kernel runs every walk.  The streams of a run of centers, at most
+CHUNK_STREAMS at a time, draw together through
+`seeding.uniform_columns`, which equals numpy's PCG64 bit for bit, and
+step in lockstep over the graph's CSR arrays: a walk at node v takes
+draw t to neighbor floor(draw_t * deg(v)) of v in sorted-id order, and
+stops at its first dead end.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .config import is_int
 from .errors import ConfigError, ContractError, UnknownNodeError
-from .seeding import make_rng
+from .seeding import derive_seeds, uniform_columns
+
+# the most streams the kernel walks at once, and so the most that one
+# HitSource miss samples (unless one center has more restarts)
+CHUNK_STREAMS = 1024
 
 
 @dataclass(frozen=True)
@@ -20,10 +36,52 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "restarts", "seed"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+
+
+def _positions(csr, centers):
+    """Sorted-order indices of `centers`; an unknown one is an UnknownNodeError."""
+    try:
+        return np.array([csr.index[c] for c in centers], dtype=np.int64)
+    except KeyError as exc:
+        raise UnknownNodeError(exc.args[0]) from None
+
+
+def _walk_steps(csr, centers, cfg):
+    """Yield, one step at a time, slot * N + node for every walk that lands.
+
+    `slot` is the position of the walk's center in `centers` and N the
+    node count, so the keys of one center sort together.  The starting
+    occupation of a center is not a step.  Streams walk in blocks of at
+    most CHUNK_STREAMS, and nothing outlives a step but the walks'
+    positions, so memory stays a few arrays of one block's size.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    degree = np.diff(indptr)
+    restarts = cfg.restarts
+    start = np.repeat(_positions(csr, centers), restarts)
+    base = np.repeat(np.arange(len(centers), dtype=np.int64) * len(csr.ids), restarts)
+    seeds = derive_seeds([("walk", cfg.seed, c) for c in centers], range(restarts))
+    for lo in range(0, len(seeds), CHUNK_STREAMS):
+        cur = start[lo:lo + CHUNK_STREAMS]
+        key_base = base[lo:lo + CHUNK_STREAMS]
+        rows = np.arange(len(cur))
+        for draw in uniform_columns(seeds[lo:lo + CHUNK_STREAMS], cfg.steps):
+            deg = degree[cur]
+            alive = deg > 0
+            if not alive.all():
+                rows, cur, deg, key_base = rows[alive], cur[alive], deg[alive], key_base[alive]
+                if not rows.size:
+                    break
+            cur = indices[indptr[cur] + (draw[rows] * deg).astype(np.int64)]
+            yield key_base + cur
 
 
 def simulate_walks(g, center, cfg):
@@ -31,21 +89,12 @@ def simulate_walks(g, center, cfg):
 
     The starting occupation of the center is not counted; a step has to
     land on a node for it to count.  A walk stops early at a dead end.
+    Keys come in sorted-id order.
     """
-    if center not in g:
-        raise UnknownNodeError(center)
-    counts = {}
-    for restart in range(cfg.restarts):
-        rng = make_rng("walk", cfg.seed, center, restart)
-        draws = rng.random(cfg.steps)
-        cur = center
-        for t in range(cfg.steps):
-            nbrs = g.neighbors(cur)
-            if not nbrs:
-                break
-            cur = nbrs[int(draws[t] * len(nbrs))]
-            counts[cur] = counts.get(cur, 0) + 1
-    return counts
+    csr = g.csr()
+    landed = np.concatenate([np.zeros(0, dtype=np.int64), *_walk_steps(csr, [center], cfg)])
+    nodes, counts = np.unique(landed, return_counts=True)
+    return {csr.ids[v]: c for v, c in zip(nodes.tolist(), counts.tolist())}
 
 
 @dataclass(frozen=True)
@@ -82,6 +131,41 @@ class HitTable:
         }
 
 
+def _neighbor_rows(csr, centers):
+    """(slot, node) of every center-neighbor pair, centers' rows concatenated.
+
+    Slots ascend, and nodes ascend within a slot, so slot * N + node is
+    strictly increasing.
+    """
+    cidx = _positions(csr, centers)
+    starts = csr.indptr[cidx]
+    lens = csr.indptr[cidx + 1] - starts
+    slot = np.repeat(np.arange(len(cidx), dtype=np.int64), lens)
+    pos = np.arange(lens.sum(), dtype=np.int64) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return slot, csr.indices[pos]
+
+
+def _ranked(csr, centers, slot, nbr, counts):
+    """HitTables of `centers` from the walk counts of their `_neighbor_rows`.
+
+    Every neighbor gets (count + 1) / sum over its center's neighbors
+    of (count + 1).  The order sorts on the integer counts, not the
+    float probabilities, so ties are exact and keep the rows' id order.
+    """
+    smoothed = counts + 1
+    order = np.lexsort((-smoothed, slot))
+    denom = np.bincount(slot, weights=smoothed, minlength=len(centers))
+    probs = (smoothed / denom[slot])[order].tolist()
+    ids = [csr.ids[v] for v in nbr[order].tolist()]
+    ends = np.cumsum(np.bincount(slot, minlength=len(centers))).tolist()
+    tables = []
+    begin = 0
+    for center, end in zip(centers, ends):
+        tables.append(HitTable(center, tuple(zip(ids[begin:end], probs[begin:end]))))
+        begin = end
+    return tables
+
+
 def hit_probabilities(g, center, counts):
     """Build the smoothed, ranked HitTable for `center` from walk counts.
 
@@ -89,20 +173,28 @@ def hit_probabilities(g, center, counts):
     gets probability (count + 1) / sum over neighbors of (count + 1), so
     unvisited neighbors still rank, just last.
     """
-    nbrs = g.neighbors(center)
-    if not nbrs:
-        return HitTable(center, ())
-    smoothed = [(n, counts.get(n, 0) + 1) for n in nbrs]
-    denom = sum(c for _, c in smoothed)
-    # sort on integer counts, not float probabilities, so ties are exact
-    ranked = sorted(smoothed, key=lambda item: (-item[1], item[0]))
-    entries = tuple((n, c / denom) for n, c in ranked)
-    return HitTable(center, entries)
+    csr = g.csr()
+    slot, nbr = _neighbor_rows(csr, [center])
+    visits = np.array([counts.get(csr.ids[v], 0) for v in nbr.tolist()], dtype=np.int64)
+    return _ranked(csr, [center], slot, nbr, visits)[0]
+
+
+def _sample(g, centers, cfg):
+    """HitTables of `centers`, in order, from one run of the walk kernel."""
+    csr = g.csr()
+    slot, nbr = _neighbor_rows(csr, centers)
+    pair_keys = slot * len(csr.ids) + nbr
+    counts = np.zeros(len(pair_keys), dtype=np.int64)
+    # a walk lands only if some center has a neighbor, so pair_keys is not empty
+    for keys in _walk_steps(csr, centers, cfg):
+        at = np.minimum(np.searchsorted(pair_keys, keys), len(pair_keys) - 1)
+        counts += np.bincount(at[pair_keys[at] == keys], minlength=len(pair_keys))
+    return _ranked(csr, centers, slot, nbr, counts)
 
 
 def sample_neighborhood(g, center, cfg):
     """Walks plus smoothing in one call."""
-    return hit_probabilities(g, center, simulate_walks(g, center, cfg))
+    return _sample(g, [center], cfg)[0]
 
 
 def top_n(table, n):
@@ -115,9 +207,12 @@ def top_n(table, n):
 class HitSource:
     """Caching hit-table provider for the nodes of one graph.
 
-    Tables are computed lazily and cached; because streams are keyed by
-    (seed, center, restart), the result for a node does not depend on
-    which other nodes were queried first.
+    Tables are computed lazily and cached.  A miss samples the whole
+    chunk of consecutive sorted-order nodes that holds the node, as
+    many as fit CHUNK_STREAMS streams, so a sorted sweep runs at the
+    kernel's bulk rate and a sparse query pays for one chunk.  Because
+    streams are keyed by (seed, center, restart), the result for a node
+    does not depend on which other nodes were queried first.
     """
 
     def __init__(self, graph, cfg):
@@ -128,6 +223,12 @@ class HitSource:
     def __call__(self, node):
         table = self._cache.get(node)
         if table is None:
-            table = sample_neighborhood(self.graph, node, self.cfg)
-            self._cache[node] = table
+            csr = self.graph.csr()
+            if node not in csr.index:
+                raise UnknownNodeError(node)
+            per_chunk = max(1, CHUNK_STREAMS // self.cfg.restarts)
+            first = csr.index[node] // per_chunk * per_chunk
+            chunk = csr.ids[first:first + per_chunk]
+            self._cache.update(zip(chunk, _sample(self.graph, chunk, self.cfg)))
+            table = self._cache[node]
         return table

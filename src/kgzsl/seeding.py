@@ -17,11 +17,150 @@ def derive_seed(*parts) -> int:
     Parts are stringified and joined with an unlikely separator, so
     ("a", 1) and ("a1",) derive different seeds.
     """
-    text = "\x1f".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = hashlib.sha256(_label(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def derive_seeds(prefixes, lasts):
+    """derive_seed(*p, x) for each p in `prefixes`, then each x in `lasts`.
+
+    Prefixes must be non-empty tuples.  Each is joined once, so a run of
+    related streams costs one sha256 apiece and no int parsing.
+
+    Returns:
+        (len(prefixes) * len(lasts),) uint64 array, prefix-major.
+    """
+    tails = ["\x1f" + str(x) for x in lasts]
+    sha256 = hashlib.sha256
+    digests = b"".join(
+        sha256((head + tail).encode("utf-8")).digest()[:8]
+        for head in map(_label, prefixes)
+        for tail in tails
+    )
+    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+
+
+def _label(parts):
+    return "\x1f".join(str(p) for p in parts)
 
 
 def make_rng(*parts) -> np.random.Generator:
     """Fresh generator for the stream named by `parts`."""
     return np.random.Generator(np.random.PCG64(derive_seed(*parts)))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier, high and low words, and its low word's 32-bit limbs
+_MUL_HI, _MUL_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MUL_LO_1, _MUL_LO_0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
+_M32 = np.uint64(0xFFFFFFFF)
+_S1, _S11, _S32, _S58, _S63, _S64 = (np.uint64(s) for s in (1, 11, 32, 58, 63, 64))
+
+
+def _hasher(init, mult):
+    """SeedSequence's hashmix, closed over its running hash constant."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_state(seeds):
+    """SeedSequence(seed).generate_state(4, uint64), one row per seed.
+
+    A seed's entropy is its little-endian uint32 words; a seed below
+    2**32 has one word, and the pool pads the missing high word with a
+    zero, so every 64-bit seed hashes as [lo, hi, 0, 0].
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    words = [(seeds & _M32).astype(np.uint32), (seeds >> _S32).astype(np.uint32), zero, zero]
+    pool = [hashmix(w) for w in words]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [out[2 * k] | (out[2 * k + 1] << _S32) for k in range(4)]
+
+
+def _mulhi(a, b1, b0):
+    """High word of the 128-bit product a * b, from 32-bit limbs."""
+    a1, a0 = a >> _S32, a & _M32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> _S32) + (p01 & _M32) + (p10 & _M32)
+    return p11 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    low = lo + add_lo
+    return hi + add_hi + (low < lo), low
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 state advance: state * multiplier + inc, mod 2**128."""
+    prod_hi = _mulhi(lo, _MUL_LO_1, _MUL_LO_0) + hi * _MUL_LO + lo * _MUL_HI
+    return _add128(prod_hi, lo * _MUL_LO, inc_hi, inc_lo)
+
+
+def uniform_columns(seeds, n):
+    """Yield the draws of many PCG64 streams one draw index at a time.
+
+    Column j, a (len(seeds),) float64 array, is draw j of
+    Generator(PCG64(seed)).random(n) for every seed, bit for bit.
+    SeedSequence hashing, PCG64 seeding, the 128-bit LCG and the XSL-RR
+    output all run as uint32/uint64 array operations over every stream
+    at once, so a batch of streams costs a few dozen numpy calls per
+    draw instead of one generator construction per stream, and holds
+    no more than a few arrays of one column's size.  Array arithmetic
+    wraps silently, which these hashes rely on; numpy scalars would
+    warn on overflow, so every operand is an array or a constant
+    combined with one.
+
+    Args:
+        seeds: 1-D integers in [0, 2**64).
+        n: draws per stream.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = _seed_state(seeds)
+    inc_hi = (seq_hi << _S1) | (seq_lo >> _S63)
+    inc_lo = (seq_lo << _S1) | _S1
+    hi, lo = inc_hi, inc_lo  # the first step from state 0 lands on inc
+    hi, lo = _add128(hi, lo, state_hi, state_lo)
+    hi, lo = _step(hi, lo, inc_hi, inc_lo)
+    for _ in range(n):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        rot = hi >> _S58
+        word = hi ^ lo
+        word = (word >> rot) | (word << ((_S64 - rot) & _S63))
+        yield (word >> _S11) * 2.0 ** -53
+
+
+def uniform_streams(seeds, n):
+    """Row i is Generator(PCG64(seeds[i])).random(n), bit for bit.
+
+    Returns:
+        (len(seeds), n) float64 array of uniforms in [0, 1); column j
+        is the j-th array `uniform_columns` yields.
+    """
+    out = np.empty((len(seeds), n), dtype=np.float64)
+    for j, column in enumerate(uniform_columns(seeds, n)):
+        out[:, j] = column
+    return out

@@ -41,6 +41,36 @@ def markov_hit_table(g, center, steps, restarts):
     return {u: c / denom for u, c in smoothed.items()}
 
 
+def reference_walk_counts(g, center, cfg):
+    """Visit counts of `center`'s walks, one Python step at a time.
+
+    Restart r draws its T uniforms from make_rng("walk", seed, center, r)
+    and steps to neighbors(cur)[int(draw * len(neighbors))], stopping
+    at the first dead end; the start is not counted.
+    """
+    from kgzsl.seeding import make_rng
+
+    counts = {}
+    for restart in range(cfg.restarts):
+        draws = make_rng("walk", cfg.seed, center, restart).random(cfg.steps)
+        cur = center
+        for t in range(cfg.steps):
+            nbrs = g.neighbors(cur)
+            if not nbrs:
+                break
+            cur = nbrs[int(draws[t] * len(nbrs))]
+            counts[cur] = counts.get(cur, 0) + 1
+    return counts
+
+
+def reference_hit_entries(g, center, counts):
+    """HitTable entries from counts: (count + 1) / total, ranked by (-count, id)."""
+    smoothed = [(n, counts.get(n, 0) + 1) for n in g.neighbors(center)]
+    denom = sum(c for _, c in smoothed)
+    ranked = sorted(smoothed, key=lambda item: (-item[1], item[0]))
+    return tuple((n, c / denom) for n, c in ranked)
+
+
 def total_variation(table, exact):
     """TV distance between a HitTable and an exact {node: p} map."""
     empirical = {node: p for node, p in table.entries}

@@ -103,6 +103,45 @@ class TestValidate:
             expand({"profile": "typing", "model": {"encoder": {"feature_mode": mode}}})
 
 
+def _override(path, value):
+    """A config override setting the dotted `path` to `value`."""
+    *parents, leaf = path.split(".")
+    out = {leaf: value}
+    for key in reversed(parents):
+        out = {key: out}
+    return {"profile": "synthetic", **out}
+
+
+class TestTypes:
+    # bool is an int subclass: "seed": true would name every stream "True"
+    @pytest.mark.parametrize("value", [True, 1.0, "3"])
+    @pytest.mark.parametrize("path", [
+        "seed", "sampler.steps", "sampler.restarts", "optimizer.epochs",
+        "optimizer.batch_size", "model.rank",
+    ])
+    def test_integer_keys_reject_non_integers(self, path, value):
+        with pytest.raises(ConfigError, match=path.split(".")[-1]):
+            expand(_override(path, value))
+
+    @pytest.mark.parametrize("value", [True, 1.0, "3"])
+    @pytest.mark.parametrize("path", ["model.dims", "model.hop_limits"])
+    def test_integer_lists_reject_non_integers(self, path, value):
+        with pytest.raises(ConfigError, match=path.split(".")[-1].split("_")[0]):
+            expand(_override(path, [16, value]))
+
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    @pytest.mark.parametrize("path", ["optimizer.lr", "optimizer.weight_decay"])
+    def test_real_keys_reject_non_numbers(self, path, value):
+        with pytest.raises(ConfigError, match=path.split(".")[-1]):
+            expand(_override(path, value))
+
+    @pytest.mark.parametrize("path,value", [
+        ("optimizer.lr", 1), ("optimizer.lr", 0.5), ("optimizer.weight_decay", 0),
+    ])
+    def test_real_keys_take_ints_and_floats(self, path, value):
+        assert expand(_override(path, value))["optimizer"][path.split(".")[1]] == value
+
+
 class TestLoadConfig:
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="no/such/config.json"):

@@ -89,6 +89,17 @@ class TestGraph:
         assert "lonely" in g
         assert g.neighbors("lonely") == ()
 
+    def test_csr_rows_follow_neighbors_in_sorted_id_order(self):
+        g = kg.Graph([("r", "d", "b"), ("r", "b", "a"), ("r", "c", "c")], extra_nodes=["z"])
+        csr = g.csr()
+        assert csr.ids == ("a", "b", "c", "d", "z")
+        assert csr.index == {v: i for i, v in enumerate(csr.ids)}
+        for i, v in enumerate(csr.ids):
+            row = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
+            assert tuple(csr.ids[j] for j in row) == g.neighbors(v)
+        assert csr.indptr.tolist() == [0, 1, 3, 3, 4, 4]
+        assert g.csr() is csr
+
 
 class TestRoundTrip:
     def test_serialize_then_ingest_equal(self, tmp_path):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +11,12 @@ from hypothesis import strategies as st
 from kgzsl import sampler
 from kgzsl.errors import ConfigError, ContractError, UnknownNodeError
 from kgzsl.kg import Graph
+from kgzsl.seeding import uniform_streams
+from kgzsl.synth import SynthSpec, generate_synthetic
 
-from .helpers import markov_hit_table, total_variation
+from .helpers import (
+    markov_hit_table, reference_hit_entries, reference_walk_counts, total_variation,
+)
 
 
 def path_graph(ids):
@@ -25,6 +33,14 @@ class TestWalkConfig:
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ConfigError):
             sampler.WalkConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, 1.0, "3"])
+    @pytest.mark.parametrize("name", ["steps", "restarts", "seed"])
+    def test_rejects_non_integers(self, name, value):
+        # the kernel uses steps and restarts as array shapes, and a bool
+        # seed would name every stream "True"
+        with pytest.raises(ConfigError, match=name):
+            sampler.WalkConfig(**{name: value})
 
 
 class TestSimulateWalks:
@@ -191,3 +207,103 @@ class TestHitSource:
         table = sampler.HitSource(g, sampler.WalkConfig())("a")
         obj = table.to_jsonable()
         assert obj == {"center": "a", "neighbors": [{"id": "b", "p": 1.0}]}
+
+
+# small graphs with isolated, self-loop-only and edge-free cases
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    names = [f"n{i}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=12))
+    return Graph([("r", a, b) for a, b in pairs], extra_nodes=names)
+
+
+class TestAgainstReferenceWalks:
+    """The lockstep kernel against the per-node, per-step Python walk."""
+
+    @given(
+        small_graphs(),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=-(2 ** 64), max_value=2 ** 64 - 1),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_counts_and_tables_equal_reference(self, g, steps, restarts, seed, rnd):
+        cfg = sampler.WalkConfig(steps=steps, restarts=restarts, seed=seed)
+        source = sampler.HitSource(g, cfg)
+        order = list(g.nodes)
+        rnd.shuffle(order)
+        for node in order:
+            counts = reference_walk_counts(g, node, cfg)
+            assert sampler.simulate_walks(g, node, cfg) == counts
+            assert source(node).entries == reference_hit_entries(g, node, counts)
+
+    def test_edge_free_graph(self):
+        g = Graph([], extra_nodes=["a", "b"])
+        source = sampler.HitSource(g, sampler.WalkConfig())
+        assert sampler.simulate_walks(g, "a", sampler.WalkConfig()) == {}
+        assert source("a").entries == () and source("b").entries == ()
+
+    def test_one_center_over_several_stream_chunks(self):
+        g = Graph([("r", "hub", n) for n in "pqrst"] + [("r", "p", "q"), ("r", "t", "deep")])
+        cfg = sampler.WalkConfig(steps=6, restarts=sampler.CHUNK_STREAMS + 300, seed=4)
+        counts = reference_walk_counts(g, "hub", cfg)
+        assert sampler.simulate_walks(g, "hub", cfg) == counts
+        assert sampler.HitSource(g, cfg)("hub").entries == reference_hit_entries(g, "hub", counts)
+
+
+class TestUniformStreams:
+    @staticmethod
+    def numpy_draws(seeds, n):
+        return np.stack([np.random.Generator(np.random.PCG64(s)).random(n) for s in seeds])
+
+    def test_edge_seeds_bitwise(self):
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+        got = uniform_streams(seeds, 40)
+        assert got.shape == (6, 40)
+        assert got.tobytes() == self.numpy_draws(seeds, 40).tobytes()
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_seeds_bitwise(self, seeds, n):
+        assert uniform_streams(seeds, n).tobytes() == self.numpy_draws(seeds, n).tobytes()
+
+
+class TestHitSourceChunks:
+    def test_golden_digest_of_the_default_world(self):
+        # tables of the per-node sampler this kernel replaced; any drift in
+        # the draws, the walk or the ranking changes the digest
+        g = generate_synthetic(SynthSpec(seed=0)).graph
+        source = sampler.HitSource(g, sampler.WalkConfig(seed=0))
+        tables = {n: source(n).to_jsonable() for n in sorted(g.nodes)}
+        digest = hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
+        assert digest == "54e3b0e2c54d42c8ce4aa5d1a8cd822bcbdd61e34d3521ec6a25d9abe678b023"
+
+    @staticmethod
+    def two_chunk_graph():
+        # two centers per chunk, five nodes
+        g = path_graph(["a", "b", "c", "d", "e"])
+        return g, sampler.WalkConfig(steps=5, restarts=sampler.CHUNK_STREAMS // 2, seed=2)
+
+    def test_one_miss_fills_one_chunk(self):
+        g, cfg = self.two_chunk_graph()
+        source = sampler.HitSource(g, cfg)
+        source("d")
+        assert sorted(source._cache) == ["c", "d"]
+
+    def test_chunks_in_either_order_give_equal_tables(self):
+        g, cfg = self.two_chunk_graph()
+        s1, s2 = sampler.HitSource(g, cfg), sampler.HitSource(g, cfg)
+        forward = (s1("a"), s1("e"))
+        backward = (s2("e"), s2("a"))
+        assert forward == backward[::-1]
+        assert forward[0] == sampler.sample_neighborhood(g, "a", cfg)
+
+    def test_unknown_node(self):
+        g, cfg = self.two_chunk_graph()
+        with pytest.raises(UnknownNodeError):
+            sampler.HitSource(g, cfg)("nope")
