@@ -25,7 +25,7 @@ from .errors import ConfigError, ContractError, UnknownNodeError
 from .seeding import derive_seeds, uniform_columns
 
 # the most streams the kernel walks at once, and so the most that one
-# HitSource miss samples (unless one center has more restarts)
+# HitSource miss in a sweep samples (unless one center has more restarts)
 CHUNK_STREAMS = 1024
 
 
@@ -207,28 +207,33 @@ def top_n(table, n):
 class HitSource:
     """Caching hit-table provider for the nodes of one graph.
 
-    Tables are computed lazily and cached.  A miss samples the whole
-    chunk of consecutive sorted-order nodes that holds the node, as
-    many as fit CHUNK_STREAMS streams, so a sorted sweep runs at the
-    kernel's bulk rate and a sparse query pays for one chunk.  Because
-    streams are keyed by (seed, center, restart), the result for a node
-    does not depend on which other nodes were queried first.
+    Tables are computed lazily and cached.  A miss at the sorted-order
+    position right after the nodes the previous miss sampled continues
+    a sweep: it samples the uncached nodes among the next as many as
+    fit CHUNK_STREAMS streams, so a sorted sweep runs at the kernel's
+    bulk rate.  Any other miss samples just its node, so sparse queries,
+    such as a class encoder's DAG, pay for no table they do not ask
+    for.  Because streams are keyed by (seed, center, restart), the
+    result for a node does not depend on which other nodes were queried
+    first.
     """
 
     def __init__(self, graph, cfg):
         self.graph = graph
         self.cfg = cfg
         self._cache = {}
+        self._next = None  # sorted position right after the last sampled run
 
     def __call__(self, node):
         table = self._cache.get(node)
         if table is None:
             csr = self.graph.csr()
-            if node not in csr.index:
+            first = csr.index.get(node)
+            if first is None:
                 raise UnknownNodeError(node)
-            per_chunk = max(1, CHUNK_STREAMS // self.cfg.restarts)
-            first = csr.index[node] // per_chunk * per_chunk
-            chunk = csr.ids[first:first + per_chunk]
-            self._cache.update(zip(chunk, _sample(self.graph, chunk, self.cfg)))
+            run = max(1, CHUNK_STREAMS // self.cfg.restarts) if first == self._next else 1
+            self._next = first + run
+            todo = [v for v in csr.ids[first:self._next] if v not in self._cache]
+            self._cache.update(zip(todo, _sample(self.graph, todo, self.cfg)))
             table = self._cache[node]
         return table

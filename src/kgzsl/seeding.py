@@ -6,6 +6,7 @@ because hash() of strings is salted per process and would break
 run-to-run reproducibility.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -54,25 +55,39 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier, high and low words, and its low word's 32-bit limbs
-_MUL_HI, _MUL_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_MUL_LO_1, _MUL_LO_0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
+# PCG64's 128-bit LCG multiplier, as an int and as high word, low word
+# and the low word's 32-bit limbs
+_MUL = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MUL_WORDS = tuple(np.uint64(w) for w in (_MUL >> 64, _MUL & (2 ** 64 - 1), 0x4385DF64, 0x9FCCF645))
 _M32 = np.uint64(0xFFFFFFFF)
+# the most draws one array operation computes
+_BLOCK = 256
 _S1, _S11, _S32, _S58, _S63, _S64 = (np.uint64(s) for s in (1, 11, 32, 58, 63, 64))
 
 
-def _hasher(init, mult):
-    """SeedSequence's hashmix, closed over its running hash constant."""
-    const = init
+def _hash_constants(init, mult, calls):
+    """The xor and multiply constants of SeedSequence's first `calls` hashmixes.
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
+    hashmix xors with its running constant, steps it (const *= mult,
+    mod 2**32) and multiplies by the new value, so call j's constants
+    are the sequence's terms j and j + 1; neither depends on the data.
+    Returned as (calls, 1) uint32 columns.
+    """
+    terms = [init]
+    for _ in range(calls):
+        terms.append(terms[-1] * mult & 0xFFFFFFFF)
+    column = np.array(terms, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
 
-    return hashmix
+
+# the pool's 4 + 12 hashmixes, and generate_state's 8
+_HASH_POOL = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_STATE = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(values, xor, mul):
+    value = (values ^ xor) * mul
+    return value ^ (value >> _XSHIFT)
 
 
 def _mix(x, y):
@@ -81,24 +96,25 @@ def _mix(x, y):
 
 
 def _seed_state(seeds):
-    """SeedSequence(seed).generate_state(4, uint64), one row per seed.
+    """SeedSequence(seed).generate_state(4, uint64), one column per seed.
 
     A seed's entropy is its little-endian uint32 words; a seed below
     2**32 has one word, and the pool pads the missing high word with a
-    zero, so every 64-bit seed hashes as [lo, hi, 0, 0].
+    zero, so every 64-bit seed hashes as [lo, hi, 0, 0].  The pool's
+    mixing loop hashes pool[src] once for each other word, in order,
+    and leaves pool[src] itself alone, so each src's three hashes and
+    mixes run as one (3, S) step.
     """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    words = [(seeds & _M32).astype(np.uint32), (seeds >> _S32).astype(np.uint32), zero, zero]
-    pool = [hashmix(w) for w in words]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return [out[2 * k] | (out[2 * k + 1] << _S32) for k in range(4)]
+    xor, mul = _HASH_POOL
+    words = np.zeros((4, len(seeds)), dtype=np.uint32)
+    words[0], words[1] = seeds & _M32, seeds >> _S32
+    pool = _hashmix(words, xor[:4], mul[:4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        at = slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[at], mul[at]))
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_STATE).astype(np.uint64)
+    return out[0::2] | (out[1::2] << _S32)
 
 
 def _mulhi(a, b1, b0):
@@ -114,10 +130,35 @@ def _add128(hi, lo, add_hi, add_lo):
     return hi + add_hi + (low < lo), low
 
 
+def _mul128(hi, lo, b_hi, b_lo, b_lo1, b_lo0):
+    """(hi, lo) * b mod 2**128; b_lo1 and b_lo0 are b_lo's 32-bit limbs."""
+    return _mulhi(lo, b_lo1, b_lo0) + hi * b_lo + lo * b_hi, lo * b_lo
+
+
 def _step(hi, lo, inc_hi, inc_lo):
     """One PCG64 state advance: state * multiplier + inc, mod 2**128."""
-    prod_hi = _mulhi(lo, _MUL_LO_1, _MUL_LO_0) + hi * _MUL_LO + lo * _MUL_HI
-    return _add128(prod_hi, lo * _MUL_LO, inc_hi, inc_lo)
+    return _add128(*_mul128(hi, lo, *_MUL_WORDS), inc_hi, inc_lo)
+
+
+@functools.cache
+def _jumps():
+    """Coefficients (a_k, c_k), k = 1.._BLOCK, of k PCG64 steps at once.
+
+    k steps take a state s to a_k * s + c_k * inc mod 2**128, where
+    a_k = multiplier**k and c_k = 1 + multiplier + ... + multiplier**(k-1).
+    Each is returned as the four uint64 words `_mul128` takes.
+    """
+    a, c, terms = 1, 0, []
+    for _ in range(_BLOCK):
+        a, c = a * _MUL % 2 ** 128, (c * _MUL + 1) % 2 ** 128
+        terms.append((a, c))
+
+    def words(values):
+        hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+        lo = np.array([v % 2 ** 64 for v in values], dtype=np.uint64)
+        return hi, lo, lo >> _S32, lo & _M32
+
+    return words([a for a, _ in terms]), words([c for _, c in terms])
 
 
 def uniform_columns(seeds, n):
@@ -127,12 +168,15 @@ def uniform_columns(seeds, n):
     Generator(PCG64(seed)).random(n) for every seed, bit for bit.
     SeedSequence hashing, PCG64 seeding, the 128-bit LCG and the XSL-RR
     output all run as uint32/uint64 array operations over every stream
-    at once, so a batch of streams costs a few dozen numpy calls per
-    draw instead of one generator construction per stream, and holds
-    no more than a few arrays of one column's size.  Array arithmetic
-    wraps silently, which these hashes rely on; numpy scalars would
-    warn on overflow, so every operand is an array or a constant
-    combined with one.
+    at once.  The LCG jumps `width` steps per block: state t + k is
+    a_k * state_t + c_k * inc, so one (streams, width) block of array
+    operations yields `width` columns, and a block holds at most
+    _BLOCK draws (one column if there are more streams).  A few streams
+    then cost a few dozen numpy calls in all, many streams a few dozen
+    per draw, and either holds no more than a few arrays of one block's
+    size.  Array arithmetic wraps silently, which these hashes rely on;
+    numpy scalars would warn on overflow, so every operand is an array
+    or a constant combined with one.
 
     Args:
         seeds: 1-D integers in [0, 2**64).
@@ -145,22 +189,15 @@ def uniform_columns(seeds, n):
     hi, lo = inc_hi, inc_lo  # the first step from state 0 lands on inc
     hi, lo = _add128(hi, lo, state_hi, state_lo)
     hi, lo = _step(hi, lo, inc_hi, inc_lo)
-    for _ in range(n):
-        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+    width = max(1, min(n, _BLOCK // max(1, len(seeds))))
+    a, c = ([w[:width] for w in words] for words in _jumps())
+    shift_hi, shift_lo = _mul128(inc_hi[:, None], inc_lo[:, None], *c)  # c_k * inc
+    hi, lo = hi[:, None], lo[:, None]
+    for start in range(0, n, width):
+        hi, lo = _add128(*_mul128(hi[:, -1:], lo[:, -1:], *a), shift_hi, shift_lo)
         rot = hi >> _S58
         word = hi ^ lo
         word = (word >> rot) | (word << ((_S64 - rot) & _S63))
-        yield (word >> _S11) * 2.0 ** -53
-
-
-def uniform_streams(seeds, n):
-    """Row i is Generator(PCG64(seeds[i])).random(n), bit for bit.
-
-    Returns:
-        (len(seeds), n) float64 array of uniforms in [0, 1); column j
-        is the j-th array `uniform_columns` yields.
-    """
-    out = np.empty((len(seeds), n), dtype=np.float64)
-    for j, column in enumerate(uniform_columns(seeds, n)):
-        out[:, j] = column
-    return out
+        draws = (word >> _S11) * 2.0 ** -53
+        for j in range(min(width, n - start)):
+            yield draws[:, j]

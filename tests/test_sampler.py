@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kgzsl import sampler
 from kgzsl.errors import ConfigError, ContractError, UnknownNodeError
 from kgzsl.kg import Graph
-from kgzsl.seeding import uniform_streams
+from kgzsl.seeding import uniform_columns
 from kgzsl.synth import SynthSpec, generate_synthetic
 
 from .helpers import (
@@ -21,6 +21,14 @@ from .helpers import (
 
 def path_graph(ids):
     return Graph([("r", a, b) for a, b in zip(ids, ids[1:])])
+
+
+def uniform_streams(seeds, n):
+    """(len(seeds), n) array whose column j is the j-th `uniform_columns` array."""
+    out = np.empty((len(seeds), n))
+    for j, column in enumerate(uniform_columns(seeds, n)):
+        out[:, j] = column
+    return out
 
 
 class TestWalkConfig:
@@ -264,6 +272,12 @@ class TestUniformStreams:
         assert got.shape == (6, 40)
         assert got.tobytes() == self.numpy_draws(seeds, 40).tobytes()
 
+    @pytest.mark.parametrize("streams, n", [(1, 600), (7, 100), (300, 3)])
+    def test_block_widths_bitwise(self, streams, n):
+        # one stream jumps 256 draws per block, seven 36, and 300 step one at a time
+        seeds = [2 ** 64 - 1 - 977 * i for i in range(streams)]
+        assert uniform_streams(seeds, n).tobytes() == self.numpy_draws(seeds, n).tobytes()
+
     @given(
         st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), min_size=1, max_size=40),
         st.integers(min_value=0, max_value=50),
@@ -285,23 +299,43 @@ class TestHitSourceChunks:
 
     @staticmethod
     def two_chunk_graph():
-        # two centers per chunk, five nodes
+        # a sweep's run holds two centers; five nodes
         g = path_graph(["a", "b", "c", "d", "e"])
         return g, sampler.WalkConfig(steps=5, restarts=sampler.CHUNK_STREAMS // 2, seed=2)
 
-    def test_one_miss_fills_one_chunk(self):
+    def test_sparse_misses_sample_only_their_nodes(self):
         g, cfg = self.two_chunk_graph()
         source = sampler.HitSource(g, cfg)
-        source("d")
-        assert sorted(source._cache) == ["c", "d"]
+        for node in ("d", "a", "c", "e"):
+            source(node)
+        assert sorted(source._cache) == ["a", "c", "d", "e"]
 
-    def test_chunks_in_either_order_give_equal_tables(self):
+    def test_sweep_fills_a_run_per_miss(self):
         g, cfg = self.two_chunk_graph()
-        s1, s2 = sampler.HitSource(g, cfg), sampler.HitSource(g, cfg)
-        forward = (s1("a"), s1("e"))
-        backward = (s2("e"), s2("a"))
+        source = sampler.HitSource(g, cfg)
+        filled = []
+        for node in sorted(g.nodes):
+            source(node)
+            filled.append(len(source._cache))
+        # a alone, then b starts a sweep: b-c, then d-e
+        assert filled == [1, 3, 3, 5, 5]
+
+    def test_run_skips_cached_nodes(self):
+        g, cfg = self.two_chunk_graph()
+        source = sampler.HitSource(g, cfg)
+        c_table = source("c")
+        source("a")
+        source("b")  # right after a: a run over b and c, which is cached
+        assert source("c") is c_table
+        assert sorted(source._cache) == ["a", "b", "c"]
+
+    def test_fill_order_does_not_change_tables(self):
+        g, cfg = self.two_chunk_graph()
+        swept, single = sampler.HitSource(g, cfg), sampler.HitSource(g, cfg)
+        forward = [swept(n) for n in sorted(g.nodes)]
+        backward = [single(n) for n in sorted(g.nodes, reverse=True)]
         assert forward == backward[::-1]
-        assert forward[0] == sampler.sample_neighborhood(g, "a", cfg)
+        assert forward == [sampler.sample_neighborhood(g, n, cfg) for n in sorted(g.nodes)]
 
     def test_unknown_node(self):
         g, cfg = self.two_chunk_graph()
