@@ -53,8 +53,8 @@ def make_rng(*parts) -> np.random.Generator:
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_XSHIFT = np.uint64(16)
 # PCG64's 128-bit LCG multiplier, as an int and as high word, low word
 # and the low word's 32-bit limbs
 _MUL = 0x2360ED051FC65DA4_4385DF649FCCF645
@@ -71,12 +71,12 @@ def _hash_constants(init, mult, calls):
     hashmix xors with its running constant, steps it (const *= mult,
     mod 2**32) and multiplies by the new value, so call j's constants
     are the sequence's terms j and j + 1; neither depends on the data.
-    Returned as (calls, 1) uint32 columns.
+    Returned as (calls, 1) uint64 columns.
     """
     terms = [init]
     for _ in range(calls):
         terms.append(terms[-1] * mult & 0xFFFFFFFF)
-    column = np.array(terms, dtype=np.uint32)[:, None]
+    column = np.array(terms, dtype=np.uint64)[:, None]
     return column[:-1], column[1:]
 
 
@@ -86,12 +86,12 @@ _HASH_STATE = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
 def _hashmix(values, xor, mul):
-    value = (values ^ xor) * mul
+    value = (values ^ xor) * mul & _M32
     return value ^ (value >> _XSHIFT)
 
 
 def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
+    r = (_MIX_L * x - _MIX_R * y) & _M32
     return r ^ (r >> _XSHIFT)
 
 
@@ -103,17 +103,19 @@ def _seed_state(seeds):
     zero, so every 64-bit seed hashes as [lo, hi, 0, 0].  The pool's
     mixing loop hashes pool[src] once for each other word, in order,
     and leaves pool[src] itself alone, so each src's three hashes and
-    mixes run as one (3, S) step.
+    mixes run as one (3, S) step.  The 32-bit words live in uint64
+    arrays and every product and difference is masked back to 32 bits,
+    so the hash shares the LCG's integer type.
     """
     xor, mul = _HASH_POOL
-    words = np.zeros((4, len(seeds)), dtype=np.uint32)
+    words = np.zeros((4, len(seeds)), dtype=np.uint64)
     words[0], words[1] = seeds & _M32, seeds >> _S32
     pool = _hashmix(words, xor[:4], mul[:4])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         at = slice(4 + 3 * src, 7 + 3 * src)
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[at], mul[at]))
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_STATE).astype(np.uint64)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_STATE)
     return out[0::2] | (out[1::2] << _S32)
 
 
@@ -167,7 +169,7 @@ def uniform_columns(seeds, n):
     Column j, a (len(seeds),) float64 array, is draw j of
     Generator(PCG64(seed)).random(n) for every seed, bit for bit.
     SeedSequence hashing, PCG64 seeding, the 128-bit LCG and the XSL-RR
-    output all run as uint32/uint64 array operations over every stream
+    output all run as uint64 array operations over every stream
     at once.  The LCG jumps `width` steps per block: state t + k is
     a_k * state_t + c_k * inc, so one (streams, width) block of array
     operations yields `width` columns, and a block holds at most
