@@ -10,7 +10,7 @@ sampled alongside it.
 
 One kernel runs every walk.  The streams of a run of centers, at most
 CHUNK_STREAMS at a time, draw together through
-`seeding.uniform_columns`, which equals numpy's PCG64 bit for bit, and
+`seeding.uniform_blocks`, which equals numpy's PCG64 bit for bit, and
 step in lockstep over the graph's CSR arrays: a walk at node v takes
 draw t to neighbor floor(draw_t * deg(v)) of v in sorted-id order, and
 stops at its first dead end.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import is_int
 from .errors import ConfigError, ContractError, UnknownNodeError
-from .seeding import derive_seeds, uniform_columns
+from .seeding import derive_seeds, uniform_blocks
 
 # the most streams the kernel walks at once, and so the most that one
 # HitSource miss in a sweep samples (unless one center has more restarts)
@@ -55,13 +55,14 @@ def _positions(csr, centers):
 
 
 def _walk_steps(csr, centers, cfg):
-    """Yield, one step at a time, slot * N + node for every walk that lands.
+    """Yield slot * N + node for every step that lands, a draw block at a time.
 
     `slot` is the position of the walk's center in `centers` and N the
     node count, so the keys of one center sort together.  The starting
-    occupation of a center is not a step.  Streams walk in blocks of at
-    most CHUNK_STREAMS, and nothing outlives a step but the walks'
-    positions, so memory stays a few arrays of one block's size.
+    occupation of a center is not a step.  Streams walk in groups of at
+    most CHUNK_STREAMS, one step of all of a group's walks at a time,
+    and each yield holds the landings of one `uniform_blocks` block, so
+    memory stays a few arrays of one block's size.
     """
     indptr, indices = csr.indptr, csr.indices
     degree = np.diff(indptr)
@@ -73,15 +74,20 @@ def _walk_steps(csr, centers, cfg):
         cur = start[lo:lo + CHUNK_STREAMS]
         key_base = base[lo:lo + CHUNK_STREAMS]
         rows = np.arange(len(cur))
-        for draw in uniform_columns(seeds[lo:lo + CHUNK_STREAMS], cfg.steps):
-            deg = degree[cur]
-            alive = deg > 0
-            if not alive.all():
-                rows, cur, deg, key_base = rows[alive], cur[alive], deg[alive], key_base[alive]
-                if not rows.size:
-                    break
-            cur = indices[indptr[cur] + (draw[rows] * deg).astype(np.int64)]
-            yield key_base + cur
+        for block in uniform_blocks(seeds[lo:lo + CHUNK_STREAMS], cfg.steps):
+            landed = []
+            for draw in block.T:
+                deg = degree[cur]
+                alive = deg > 0
+                if not alive.all():
+                    rows, cur, deg, key_base = rows[alive], cur[alive], deg[alive], key_base[alive]
+                    if not rows.size:
+                        break
+                cur = indices[indptr[cur] + (draw[rows] * deg).astype(np.int64)]
+                landed.append(key_base + cur)
+            yield np.concatenate([key_base[:0], *landed])
+            if not rows.size:
+                break
 
 
 def simulate_walks(g, center, cfg):

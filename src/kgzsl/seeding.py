@@ -96,7 +96,7 @@ def _mix(x, y):
 
 
 def _seed_state(seeds):
-    """SeedSequence(seed).generate_state(4, uint64), one column per seed.
+    """SeedSequence(seed).generate_state(4, uint64): four (S,) word arrays.
 
     A seed's entropy is its little-endian uint32 words; a seed below
     2**32 has one word, and the pool pads the missing high word with a
@@ -115,8 +115,13 @@ def _seed_state(seeds):
         dst = [d for d in range(4) if d != src]
         at = slice(4 + 3 * src, 7 + 3 * src)
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[at], mul[at]))
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_STATE)
-    return out[0::2] | (out[1::2] << _S32)
+    # generate_state hashes the pool twice over, one half of the state at a time
+    xor, mul = _HASH_STATE
+    state = []
+    for half in (slice(0, 4), slice(4, 8)):
+        out = _hashmix(pool, xor[half], mul[half])
+        state.extend(out[0::2] | (out[1::2] << _S32))
+    return state
 
 
 def _mulhi(a, b1, b0):
@@ -163,22 +168,22 @@ def _jumps():
     return words([a for a, _ in terms]), words([c for _, c in terms])
 
 
-def uniform_columns(seeds, n):
-    """Yield the draws of many PCG64 streams one draw index at a time.
+def uniform_blocks(seeds, n):
+    """Yield the draws of many PCG64 streams a block of draw indices at a time.
 
-    Column j, a (len(seeds),) float64 array, is draw j of
-    Generator(PCG64(seed)).random(n) for every seed, bit for bit.
+    Each block is a (len(seeds), width) float64 array, and the blocks
+    side by side are the (len(seeds), n) array whose row i is
+    Generator(PCG64(seeds[i])).random(n), bit for bit.  A block holds
+    at most _BLOCK draws, or one column if there are more streams.
     SeedSequence hashing, PCG64 seeding, the 128-bit LCG and the XSL-RR
-    output all run as uint64 array operations over every stream
-    at once.  The LCG jumps `width` steps per block: state t + k is
-    a_k * state_t + c_k * inc, so one (streams, width) block of array
-    operations yields `width` columns, and a block holds at most
-    _BLOCK draws (one column if there are more streams).  A few streams
-    then cost a few dozen numpy calls in all, many streams a few dozen
-    per draw, and either holds no more than a few arrays of one block's
-    size.  Array arithmetic wraps silently, which these hashes rely on;
-    numpy scalars would warn on overflow, so every operand is an array
-    or a constant combined with one.
+    output all run as uint64 array operations over every stream at
+    once, and the LCG jumps a block's width at once: state t + k is
+    a_k * state_t + c_k * inc.  A few streams then cost a few dozen
+    numpy calls in all, many streams a few dozen per draw, and either
+    holds no more than a few arrays of one block's size.  Array
+    arithmetic wraps silently, which these hashes rely on; numpy
+    scalars would warn on overflow, so every operand is an array or a
+    constant combined with one.
 
     Args:
         seeds: 1-D integers in [0, 2**64).
@@ -200,6 +205,4 @@ def uniform_columns(seeds, n):
         rot = hi >> _S58
         word = hi ^ lo
         word = (word >> rot) | (word << ((_S64 - rot) & _S63))
-        draws = (word >> _S11) * 2.0 ** -53
-        for j in range(min(width, n - start)):
-            yield draws[:, j]
+        yield ((word >> _S11) * 2.0 ** -53)[:, :n - start]

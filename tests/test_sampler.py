@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kgzsl import sampler
 from kgzsl.errors import ConfigError, ContractError, UnknownNodeError
 from kgzsl.kg import Graph
-from kgzsl.seeding import uniform_columns
+from kgzsl.seeding import uniform_blocks
 from kgzsl.synth import SynthSpec, generate_synthetic
 
 from .helpers import (
@@ -24,11 +24,8 @@ def path_graph(ids):
 
 
 def uniform_streams(seeds, n):
-    """(len(seeds), n) array whose column j is the j-th `uniform_columns` array."""
-    out = np.empty((len(seeds), n))
-    for j, column in enumerate(uniform_columns(seeds, n)):
-        out[:, j] = column
-    return out
+    """The (len(seeds), n) array of `uniform_blocks`'s blocks side by side."""
+    return np.concatenate([np.empty((len(seeds), 0)), *uniform_blocks(seeds, n)], axis=1)
 
 
 class TestWalkConfig:
