@@ -160,6 +160,12 @@ def _check_feature_dim(cfg, features):
         )
 
 
+def _walk_config(cfg):
+    return WalkConfig(
+        steps=cfg["sampler"]["steps"], restarts=cfg["sampler"]["restarts"], seed=cfg["seed"],
+    )
+
+
 def _assemble(cfg, graph, features):
     """Build class encoder, example encoder and head for one run.
 
@@ -168,12 +174,7 @@ def _assemble(cfg, graph, features):
     """
     _check_feature_dim(cfg, features)
     stack = _build_stack(cfg, graph, features.dimension)
-    wc = WalkConfig(
-        steps=cfg["sampler"]["steps"],
-        restarts=cfg["sampler"]["restarts"],
-        seed=cfg["seed"],
-    )
-    hits = HitSource(graph, wc)
+    hits = HitSource(graph, _walk_config(cfg))
     class_enc = GnnClassEncoder(stack, graph, features, hits, seed=cfg["seed"])
     encoder = _build_example_encoder(cfg)
     head = None
@@ -198,6 +199,17 @@ def _load_graph(cfg):
     return g
 
 
+def _numbers(raw, where):
+    """A JSON list of numbers as a float64 array; anything else is a DataError."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DataError(f"{where}: not a list of numbers")
+    return arr.astype(np.float64)
+
+
 def _record_to_input(rec, cfg, emb, where):
     """One examples-file record -> (encoder input, label or labels)."""
     kind = cfg["model"]["encoder"]["kind"]
@@ -211,11 +223,13 @@ def _record_to_input(rec, cfg, emb, where):
             raise DataError(f"{where}: record has no label")
     if kind == "vector":
         want = cfg["model"]["encoder"]["input_dim"]
-        vec = np.asarray(rec.get("vector", ()), dtype=np.float64)
+        vec = _numbers(rec.get("vector", ()), f"{where} vector")
         if vec.shape != (want,):
             raise DataError(
                 f"{where}: vector has shape {vec.shape}, config expects ({want},)"
             )
+        if not np.isfinite(vec).all():
+            raise DataError(f"{where}: vector has a non-finite value")
         return vec, label
     if kind == "sentence":
         tokens = rec.get("tokens")
@@ -261,7 +275,7 @@ def _load_examples(cfg, splits):
             for i, rec in enumerate(rows)
         ]
     out["targets"] = {
-        cls: np.asarray(vec, dtype=np.float64)
+        cls: _numbers(vec, f"{path} targets[{cls!r}]")
         for cls, vec in obj.get("targets", {}).items()
     }
     return out
@@ -313,11 +327,7 @@ def _cmd_ingest(args, cfg):
 def _cmd_sample(args, cfg):
     out = _out_dir(args, cfg)
     g = _load_graph(cfg)
-    wc = WalkConfig(
-        steps=cfg["sampler"]["steps"],
-        restarts=cfg["sampler"]["restarts"],
-        seed=cfg["seed"],
-    )
+    wc = _walk_config(cfg)
     source = HitSource(g, wc)
     tables = {node: source(node).to_jsonable() for node in sorted(g.nodes)}
     _dump_json(

@@ -120,8 +120,7 @@ class MentionEncoder:
         if not left and not right:
             raise ContractError("both contexts empty; nothing to attend over")
 
-        v_m = ad.mean(ad.stack([ad.constant(np.asarray(v)) for v in x.mention]), axis=0) \
-            if len(x.mention) > 1 else ad.constant(np.asarray(x.mention[0]))
+        v_m = ad.mean(ad.stack([ad.constant(np.asarray(v)) for v in x.mention]), axis=0)
 
         states = []
         scores = []

@@ -16,8 +16,8 @@ from .seeding import make_rng
 class Csr(NamedTuple):
     """Adjacency in compressed sparse rows, nodes numbered in sorted-id order.
 
-    Row i holds the neighbors of ids[i] in `Graph.neighbors` order, so
-    its column indices ascend.
+    Row i holds the distinct undirected neighbors of ids[i], self-loops
+    excluded, so its column indices ascend.
     """
 
     ids: tuple
@@ -30,12 +30,11 @@ class Graph:
     """Immutable multi-relational graph over string node ids.
 
     Nodes, relations and edges keep first-seen order so that any
-    iteration over them is reproducible across processes.
+    iteration over them is reproducible across processes.  The adjacency
+    is held once, as the `Csr` built at construction.
     """
 
-    __slots__ = (
-        "_nodes", "_node_set", "_edges", "_edge_set", "_relations", "_adj", "_rels_between", "_csr",
-    )
+    __slots__ = ("_nodes", "_edges", "_relations", "_rels_between", "_csr")
 
     def __init__(self, edges, extra_nodes=()):
         """Build a graph from (relation, head, tail) triples.
@@ -46,53 +45,42 @@ class Graph:
             extra_nodes: node ids to intern before the edge endpoints,
                 letting isolated nodes exist.
         """
-        nodes = []
-        node_set = set()
-        relations = []
-        relation_set = set()
-        kept = []
-        edge_set = set()
-        adj = {}
-        rels_between = {}
-
-        def intern_node(v):
-            if v not in node_set:
-                node_set.add(v)
-                nodes.append(v)
-                adj[v] = set()
-
+        self._edges = tuple(dict.fromkeys((rel, head, tail) for rel, head, tail in edges))
+        self._relations = tuple(dict.fromkeys(rel for rel, _, _ in self._edges))
+        first_seen = {}
         for v in extra_nodes:
-            intern_node(v)
-        for rel, head, tail in edges:
-            triple = (rel, head, tail)
-            if triple in edge_set:
-                continue
-            edge_set.add(triple)
-            kept.append(triple)
-            if rel not in relation_set:
-                relation_set.add(rel)
-                relations.append(rel)
-            intern_node(head)
-            intern_node(tail)
-            if head != tail:
-                adj[head].add(tail)
-                adj[tail].add(head)
-            key = (head, tail) if head <= tail else (tail, head)
-            rels_between.setdefault(key, set()).add(rel)
+            first_seen.setdefault(v, len(first_seen))
+        ends = [first_seen.setdefault(v, len(first_seen)) for _, head, tail in self._edges
+                for v in (head, tail)]
+        self._nodes = tuple(first_seen)
 
-        self._nodes = tuple(nodes)
-        self._node_set = frozenset(node_set)
-        self._edges = tuple(kept)
-        self._edge_set = frozenset(edge_set)
-        self._relations = tuple(relations)
-        # sorted tuples, not sets: set iteration over salted str hashes is
-        # not reproducible across processes
-        self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        rels_between = {}
+        for rel, head, tail in self._edges:
+            key = (head, tail) if head <= tail else (tail, head)
+            rels_between.setdefault(key, {})[rel] = None
         rel_order = {r: i for i, r in enumerate(self._relations)}
         self._rels_between = {
-            k: tuple(sorted(rs, key=lambda r: rel_order[r])) for k, rs in rels_between.items()
+            k: tuple(sorted(rs, key=rel_order.__getitem__)) for k, rs in rels_between.items()
         }
-        self._csr = None
+
+        # number nodes in sorted-id order, then sort both directions of every
+        # non-loop edge by (row, column) and keep the first of each repeat
+        n = len(self._nodes)
+        order = sorted(range(n), key=self._nodes.__getitem__)
+        ids = tuple(self._nodes[i] for i in order)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n, dtype=np.int64)
+        pairs = rank[np.array(ends, dtype=np.int64).reshape(-1, 2)]
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+        by_pair = np.lexsort((cols, rows))
+        rows, cols = rows[by_pair], cols[by_pair]
+        keys = rows * n + cols
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = keys[1:] > keys[:-1]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[fresh], minlength=n), out=indptr[1:])
+        self._csr = Csr(ids, dict(zip(ids, range(n))), indptr, cols[fresh])
 
     @property
     def nodes(self):
@@ -115,34 +103,28 @@ class Graph:
         return len(self._edges)
 
     def __contains__(self, node):
-        return node in self._node_set
+        return node in self._csr.index
+
+    def _position(self, node):
+        i = self._csr.index.get(node)
+        if i is None:
+            raise UnknownNodeError(node)
+        return i
 
     def neighbors(self, node):
         """Distinct undirected neighbors of `node`, sorted by id."""
-        if node not in self._node_set:
-            raise UnknownNodeError(node)
-        return self._adj[node]
+        i = self._position(node)
+        ids, indptr = self._csr.ids, self._csr.indptr
+        return tuple(ids[j] for j in self._csr.indices[indptr[i]:indptr[i + 1]].tolist())
 
     def csr(self):
-        """The `Csr` view of the adjacency, built on first use and kept."""
-        if self._csr is None:
-            ids = tuple(sorted(self._nodes))
-            index = {v: i for i, v in enumerate(ids)}
-            rows = [self._adj[v] for v in ids]
-            indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-            np.cumsum([len(r) for r in rows], out=indptr[1:])
-            indices = np.fromiter(
-                (index[u] for r in rows for u in r), dtype=np.int64, count=int(indptr[-1])
-            )
-            self._csr = Csr(ids, index, indptr, indices)
+        """The `Csr` adjacency."""
         return self._csr
 
     def relations_between(self, u, v):
         """Relations on any edge joining u and v, in either direction."""
-        if u not in self._node_set:
-            raise UnknownNodeError(u)
-        if v not in self._node_set:
-            raise UnknownNodeError(v)
+        self._position(u)
+        self._position(v)
         key = (u, v) if u <= v else (v, u)
         return self._rels_between.get(key, ())
 
@@ -201,14 +183,8 @@ def ingest(path, lang_filter=None, bidirectional=False):
 
 def make_bidirectional(g):
     """Add the reverse of every edge (same relation id), deduplicated."""
-    edges = list(g.edges)
-    present = set(edges)
-    for rel, head, tail in g.edges:
-        rev = (rel, tail, head)
-        if rev not in present:
-            present.add(rev)
-            edges.append(rev)
-    return Graph(edges, extra_nodes=g.nodes)
+    reverses = [(rel, tail, head) for rel, head, tail in g.edges]
+    return Graph(list(g.edges) + reverses, extra_nodes=g.nodes)
 
 
 def serialize(g, path):
@@ -334,9 +310,6 @@ class FeatureTable:
             return self._features[node]
         except KeyError:
             raise UnknownNodeError(node) from None
-
-    def nodes(self):
-        return tuple(self._features.keys())
 
     def to_jsonable(self):
         return {

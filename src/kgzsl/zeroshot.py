@@ -289,21 +289,27 @@ def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=
     checkpoint selection the same way dev examples do for the bilinear
     head.
     """
-    targets = classes.targets or {}
+    given = classes.targets or {}
+    out_dim = class_encoder.stack.out_dim
+    targets = {}
     for c in list(classes.seen) + list(classes.dev):
-        if c not in targets:
+        if c not in given:
             raise DataError(f"no regression target for class {c!r}")
-    target_dim = np.asarray(targets[classes.seen[0]]).shape[0]
-    if target_dim != class_encoder.stack.out_dim:
-        raise ConfigError(
-            f"target dim {target_dim} does not match stack output {class_encoder.stack.out_dim}"
-        )
+        try:
+            target = np.asarray(given[c], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(f"regression target for class {c!r} is not numeric") from None
+        if target.shape != (out_dim,):
+            raise ConfigError(
+                f"regression target for class {c!r} has shape {target.shape}, "
+                f"stack output is ({out_dim},)"
+            )
+        if not np.isfinite(target).all():
+            raise DataError(f"regression target for class {c!r} has a non-finite value")
+        targets[c] = target
 
     def class_losses(class_ids, reps):
-        return [
-            ad.l2_loss(phi, ad.constant(np.asarray(targets[c], dtype=np.float64)))
-            for c, phi in zip(class_ids, reps)
-        ]
+        return [ad.l2_loss(phi, ad.constant(targets[c])) for c, phi in zip(class_ids, reps)]
 
     def batch_loss(reps, _):
         return ad.sum(ad.stack(class_losses(classes.seen, reps)))

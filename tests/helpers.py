@@ -134,3 +134,54 @@ def layer_norm_reference(x, gain, bias, eps=1e-5):
     mu = np.mean(x, axis=-1, keepdims=True)
     var = np.var(x, axis=-1, keepdims=True)
     return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
+
+
+def reference_graph(edges, extra_nodes=()):
+    """What a `kg.Graph` over these triples holds, built from dicts of sets.
+
+    Returns a dict with the first-seen `nodes`, `edges` and `relations`,
+    `neighbors` (node -> sorted distinct non-self neighbors),
+    `relations_between` ((u, v) with u <= v -> relations in first-seen
+    order) and the CSR arrays `ids`, `indptr`, `indices` in sorted-id
+    numbering.
+    """
+    nodes, relations, kept = [], [], []
+    adj, rels_between = {}, {}
+    for v in extra_nodes:
+        if v not in adj:
+            adj[v] = set()
+            nodes.append(v)
+    for rel, head, tail in edges:
+        if (rel, head, tail) in kept:
+            continue
+        kept.append((rel, head, tail))
+        if rel not in relations:
+            relations.append(rel)
+        for v in (head, tail):
+            if v not in adj:
+                adj[v] = set()
+                nodes.append(v)
+        if head != tail:
+            adj[head].add(tail)
+            adj[tail].add(head)
+        rels_between.setdefault(tuple(sorted((head, tail))), set()).add(rel)
+    neighbors = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+    ids = tuple(sorted(nodes))
+    position = {v: i for i, v in enumerate(ids)}
+    indptr = [0]
+    indices = []
+    for v in ids:
+        indices.extend(position[u] for u in neighbors[v])
+        indptr.append(len(indices))
+    return {
+        "nodes": tuple(nodes),
+        "edges": tuple(kept),
+        "relations": tuple(relations),
+        "neighbors": neighbors,
+        "relations_between": {
+            k: tuple(r for r in relations if r in rs) for k, rs in rels_between.items()
+        },
+        "ids": ids,
+        "indptr": indptr,
+        "indices": indices,
+    }

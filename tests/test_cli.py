@@ -239,6 +239,64 @@ class TestGradcheck:
         assert all(r["passed"] for r in report.values())
 
 
+class TestExamplesFile:
+    """Unusable numbers in a file-backed examples file fail as data errors."""
+
+    @pytest.fixture
+    def world(self, tmp_path):
+        (tmp_path / "g.tsv").write_text(
+            "has\tcls/alpha\tattr/red\n"
+            "has\tcls/beta\tattr/blue\n"
+            "has\tcls/gamma\tattr/red\n"
+        )
+        (tmp_path / "emb.txt").write_text(
+            "alpha 1 0 0 0\nbeta 0 1 0 0\ngamma 0 0 1 0\nred 0 0 0 1\nblue 1 1 0 0\n"
+        )
+        write(tmp_path / "folds.json", {"folds": [{
+            "train": ["cls/alpha", "cls/beta"], "dev": [], "test": ["cls/gamma"],
+        }]})
+        (tmp_path / "ckpt.json").write_text("{}")
+        return tmp_path
+
+    def config(self, world, examples, **model):
+        write(world / "ex.json", examples)
+        return write(world / "cfg.json", {
+            "profile": "synthetic",
+            "model": {"dims": [4, 4], "rank": 2, "encoder": {"kind": "vector", "input_dim": 4},
+                      **model},
+            "optimizer": {"epochs": 1},
+            "paths": {name: str(world / f) for name, f in (
+                ("graph", "g.tsv"), ("embeddings", "emb.txt"), ("examples", "ex.json"),
+                ("fold_spec", "folds.json"), ("checkpoint", "ckpt.json"))},
+        })
+
+    def test_usable_file_trains_both_heads(self, world, tmp_path):
+        good = {"vector": [1.0, 0.0, 0.5, 0.0], "label": "cls/alpha"}
+        targets = {"cls/alpha": [1.0, 0.0, 0.0, 0.0], "cls/beta": [0, 1, 0, 0]}
+        for head in ("bilinear", "l2"):
+            cfg = self.config(world, {"train": [good], "targets": targets}, head=head)
+            assert run("train", "--config", cfg, "--out", str(tmp_path / head)) == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "a"])
+    @pytest.mark.parametrize("command,split", [("train", "train"), ("eval", "test")])
+    def test_unusable_vector_names_record(self, world, tmp_path, capsys, bad, command, split):
+        good = {"vector": [1.0, 0.0, 0.0, 0.0], "label": "cls/alpha"}
+        examples = {"train": [good, good], "dev": [], "test": [good, good]}
+        examples[split] = [good, {"vector": [0.0, bad, 0.0, 0.0], "label": "cls/gamma"}]
+        cfg = self.config(world, examples)
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert f"{world / 'ex.json'} {split}[1]" in err
+
+    @pytest.mark.parametrize("bad", [[0.0, 1.0, 2.0], ["a", "b", "c", "d"], [0.0, float("nan"), 0.0, 0.0]])
+    def test_unusable_l2_target_names_class(self, world, tmp_path, capsys, bad):
+        cfg = self.config(world, {
+            "targets": {"cls/alpha": [1.0, 0.0, 0.0, 0.0], "cls/beta": bad},
+        }, head="l2")
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        assert "cls/beta" in capsys.readouterr().err
+
+
 class TestSentenceProfile:
     """A miniature file-backed run through the intent-style pipeline."""
 

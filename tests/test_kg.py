@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgzsl import kg
 from kgzsl.errors import EmptyNameError, ParseError, UnknownNodeError
+
+from .helpers import reference_graph
 
 
 def write(tmp_path, text, name="graph.tsv"):
@@ -99,6 +105,52 @@ class TestGraph:
             assert tuple(csr.ids[j] for j in row) == g.neighbors(v)
         assert csr.indptr.tolist() == [0, 1, 3, 3, 4, 4]
         assert g.csr() is csr
+
+
+_ids = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
+_triples = st.lists(st.tuples(st.sampled_from(["r", "s", "t"]), _ids, _ids), max_size=30)
+
+
+class TestGraphMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        triples=_triples,
+        reversed_picks=st.lists(st.integers(0, 29), max_size=5),
+        repeat_picks=st.lists(st.integers(0, 29), max_size=5),
+        extra=st.lists(st.sampled_from(["a", "c", "x", "y", "z"]), max_size=4),
+    )
+    def test_same_as_dict_of_sets_construction(self, triples, reversed_picks, repeat_picks, extra):
+        edges = list(triples)
+        if triples:
+            picked = [triples[i % len(triples)] for i in reversed_picks]
+            edges += [(rel, tail, head) for rel, head, tail in picked]
+            edges += [triples[i % len(triples)] for i in repeat_picks]
+        ref = reference_graph(edges, extra)
+        g = kg.Graph(edges, extra_nodes=extra)
+        assert g.nodes == ref["nodes"]
+        assert g.edges == ref["edges"]
+        assert g.relations == ref["relations"]
+        csr = g.csr()
+        assert csr.ids == ref["ids"]
+        assert csr.index == {v: i for i, v in enumerate(ref["ids"])}
+        assert csr.indptr.dtype == np.int64 and csr.indices.dtype == np.int64
+        assert csr.indptr.tolist() == ref["indptr"]
+        assert csr.indices.tolist() == ref["indices"]
+        for v in g.nodes:
+            assert g.neighbors(v) == ref["neighbors"][v]
+            for u in g.nodes:
+                key = (u, v) if u <= v else (v, u)
+                assert g.relations_between(u, v) == ref["relations_between"].get(key, ())
+
+    def test_empty_graph_builds_without_warnings(self, tmp_path):
+        p = write(tmp_path, "# only a comment\n\n# and another\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graphs = [kg.Graph([]), kg.ingest(p), kg.ingest(p, bidirectional=True)]
+        for g in graphs:
+            assert g.nodes == () and g.edges == ()
+            csr = g.csr()
+            assert csr.indptr.tolist() == [0] and csr.indices.tolist() == []
 
 
 class TestRoundTrip:

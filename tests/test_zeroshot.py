@@ -348,6 +348,28 @@ class TestTrainL2:
         with pytest.raises(ConfigError):
             zs.train_l2(class_encoder, classes, epochs=1)
 
+    def test_every_target_width_checked_naming_class(self):
+        g, features, hits, stack = toy_world(num_classes=3, dim=3)
+        class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
+        for seen, dev in ((("class_0", "class_1"), ()), (("class_0",), ("class_1",))):
+            classes = zs.ClassSet(seen=seen, unseen=(), dev=dev,
+                                  targets={"class_0": np.zeros(3), "class_1": np.zeros(2)})
+            with pytest.raises(ConfigError, match="'class_1'"):
+                zs.train_l2(class_encoder, classes, epochs=1)
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [np.inf, 0.0, 0.0], ["a", "b", "c"]])
+    @pytest.mark.parametrize("split", ["seen", "dev"])
+    def test_unusable_target_is_data_error_naming_class(self, bad, split):
+        g, features, hits, stack = toy_world(num_classes=2, dim=3)
+        class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
+        targets = {"class_0": np.ones(3), "class_1": bad}
+        if split == "seen":
+            classes = zs.ClassSet(seen=("class_0", "class_1"), unseen=(), targets=targets)
+        else:
+            classes = zs.ClassSet(seen=("class_0",), unseen=(), dev=("class_1",), targets=targets)
+        with pytest.raises(DataError, match="'class_1'"):
+            zs.train_l2(class_encoder, classes, epochs=1)
+
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
         g, features, hits, stack = toy_world(num_classes=1, dim=3)
