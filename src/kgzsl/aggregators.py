@@ -75,7 +75,6 @@ class MeanPoolLayer:
         self.out_dim = out_dim
         self.act = _activation(activation)
         self.weight = ad.param((out_dim, in_dim), rng, name=f"{name}/W")
-        self._name = name
 
     def parameters(self):
         return {self.weight.name: self.weight}
@@ -105,7 +104,6 @@ class AttentionPoolLayer:
         self.act = _activation(activation)
         self.weight = ad.param((out_dim, in_dim), rng, name=f"{name}/W")
         self.attn = ad.param((2 * out_dim,), rng, name=f"{name}/a")
-        self._name = name
 
     def parameters(self):
         return {self.weight.name: self.weight, self.attn.name: self.attn}
@@ -154,7 +152,6 @@ class RelationalMeanLayer:
             r: ad.param((num_bases,), rng, name=f"{name}/coeff/{r}") for r in self.relations
         }
         self.self_weight = ad.param((out_dim, in_dim), rng, name=f"{name}/Wself")
-        self._name = name
 
     def parameters(self):
         out = {t.name: t for t in self.bases}
@@ -265,7 +262,6 @@ class SequencePoolLayer:
         self.act = _activation(activation)
         self.cell = _LstmCell(in_dim, in_dim, rng, name=f"{name}/cell")
         self.weight = ad.param((out_dim, 2 * in_dim), rng, name=f"{name}/W")
-        self._name = name
 
     def parameters(self):
         out = self.cell.parameters()
@@ -273,16 +269,13 @@ class SequencePoolLayer:
         return out
 
     def forward(self, self_feat, neighbors, permutation=None):
-        """`permutation` is an index order or an int seed; required."""
+        """`permutation` is an index order over the members; required."""
         members = [self_feat, *neighbors]
         if permutation is None:
-            raise ContractError("sequence aggregator needs an explicit permutation or seed")
-        if isinstance(permutation, (int, np.integer)):
-            order = make_rng("lstm-perm", permutation).permutation(len(members))
-        else:
-            order = list(permutation)
-            if sorted(order) != list(range(len(members))):
-                raise ContractError(f"permutation {order} is not a permutation of {len(members)} items")
+            raise ContractError("sequence aggregator needs an explicit permutation")
+        order = list(permutation)
+        if sorted(order) != list(range(len(members))):
+            raise ContractError(f"permutation {order} is not a permutation of {len(members)} items")
         return _forward_one(self, members, [order])
 
     def forward_group(self, prev, rows, node_args):
@@ -334,7 +327,6 @@ class TransformerPoolLayer:
         self.ff2_b = ad.zeros_param((proj,), name=f"{name}/F2b")
         self.p_out = ad.param((in_dim, proj), rng, name=f"{name}/Pout")
         self.weight = ad.param((out_dim, 2 * in_dim), rng, name=f"{name}/W")
-        self._name = name
 
     def parameters(self):
         tensors = [

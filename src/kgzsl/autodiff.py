@@ -639,12 +639,12 @@ class Adam:
     Parameters with no gradient are skipped.
     """
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
+    def __init__(self, params, lr=0.001, weight_decay=0.0):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -656,7 +656,7 @@ class Adam:
 
     def step(self):
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETAS
         for key, p in self.params.items():
             if p.grad is None:
                 continue
@@ -669,7 +669,7 @@ class Adam:
             v += (1 - b2) * g * g
             mhat = m / (1 - b1 ** self._t)
             vhat = v / (1 - b2 ** self._t)
-            update = mhat / (np.sqrt(vhat) + self.eps)
+            update = mhat / (np.sqrt(vhat) + self.EPS)
             if self.weight_decay:
                 # decoupled: decay the pre-step weight, outside the moments
                 update = update + self.weight_decay * p.data

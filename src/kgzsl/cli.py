@@ -26,7 +26,9 @@ from . import config as cfgmod
 from .aggregators import GnnStack, LAYER_KINDS, make_layer
 from .autodiff import grad_check, load_into, save_checkpoint
 from .encoders import MentionEncoder, MentionInput, SentenceEncoder, VectorEncoder
-from .errors import ConfigError, ContractError, DataError, DivergenceError, KgzslError, ParseError
+from .errors import (
+    ConfigError, ContractError, DataError, DivergenceError, EmptyNameError, KgzslError, ParseError,
+)
 from .evaluation import FoldSpec, fold_metrics
 from .kg import EmbeddingTable, ingest, init_features, serialize
 from .sampler import HitSource, WalkConfig
@@ -39,7 +41,7 @@ from .zeroshot import (
 
 log = logging.getLogger("kgzsl.cli")
 
-_USER_ERRORS = (ParseError, ConfigError, DataError, DivergenceError)
+_USER_ERRORS = (ParseError, ConfigError, DataError, DivergenceError, EmptyNameError)
 
 
 def _setup_logging():
@@ -212,6 +214,8 @@ def _numbers(raw, where):
 
 def _record_to_input(rec, cfg, emb, where):
     """One examples-file record -> (encoder input, label or labels)."""
+    if not isinstance(rec, dict):
+        raise DataError(f"{where}: record is not a JSON object")
     kind = cfg["model"]["encoder"]["kind"]
     if cfg["model"]["loss_mode"] == "multilabel":
         label = tuple(rec.get("labels", ()))
@@ -259,6 +263,8 @@ def _load_examples(cfg, splits):
             obj = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"examples file {path} is not valid JSON: {e}")
+    if not isinstance(obj, dict):
+        raise DataError(f"examples file {path}: top level is not a JSON object")
     emb = None
     if cfg["model"]["encoder"]["kind"] in ("sentence", "mention"):
         emb = EmbeddingTable.from_file(_require_file(cfg, "embeddings"))
@@ -270,15 +276,26 @@ def _load_examples(cfg, splits):
     out = {}
     for split in splits:
         rows = obj.get(split, [])
+        if not isinstance(rows, list):
+            raise DataError(f"examples file {path}: {split} is not a list of records")
         out[split] = [
             _record_to_input(rec, cfg, emb, f"{path} {split}[{i}]")
             for i, rec in enumerate(rows)
         ]
+    targets = obj.get("targets", {})
+    if not isinstance(targets, dict):
+        raise DataError(f"examples file {path}: targets is not a JSON object")
     out["targets"] = {
-        cls: _numbers(vec, f"{path} targets[{cls!r}]")
-        for cls, vec in obj.get("targets", {}).items()
+        cls: _numbers(vec, f"{path} targets[{cls!r}]") for cls, vec in targets.items()
     }
     return out
+
+
+def _check_fold_classes(graph, index, classes):
+    """A fold class that is not a graph node is a DataError naming fold and class."""
+    for cls in classes:
+        if cls not in graph:
+            raise DataError(f"fold {index} class {cls!r} is not a node of the graph")
 
 
 def _synth_world(cfg):
@@ -393,6 +410,7 @@ def _train_world(cfg):
     features = init_features(graph, emb)
     examples = _load_examples(cfg, ("train", "dev"))
     fold = FoldSpec.load(_require_file(cfg, "fold_spec")).folds[0]
+    _check_fold_classes(graph, 0, [*fold.train, *fold.dev])
     classes = ClassSet(
         seen=fold.train, unseen=fold.test, dev=fold.dev,
         targets=examples["targets"] or None,
@@ -468,6 +486,8 @@ def _cmd_eval(args, cfg):
                 if (label in keep if isinstance(label, str)
                     else any(l in keep for l in label))
             ]
+    for i, fold in enumerate(fold_spec.folds):
+        _check_fold_classes(graph, i, fold.test)
     class_enc, encoder, head = _assemble(cfg, graph, features)
     load_into(model_params(class_enc, encoder, head), ckpt)
     mode = _predict_mode(cfg)

@@ -19,8 +19,7 @@ class SentenceEncoder:
 
     Scores are w_a . tanh(W_h h_i), softmax-normalized; the encoding is
     the attention-weighted sum of the bidirectional states, so output
-    width is 2 * hidden_dim.  Tokens past `length` never enter the
-    forward pass, which is what makes padding invisible.
+    width is 2 * hidden_dim.
     """
 
     def __init__(self, input_dim=300, hidden_dim=32, attn_dim=20, rng=None, name="sent"):
@@ -41,13 +40,11 @@ class SentenceEncoder:
         out[self.attn_out.name] = self.attn_out
         return out
 
-    def encode(self, token_vectors, length=None):
-        """Encode a token vector sequence; only the first `length` count."""
-        if length is None:
-            length = len(token_vectors)
-        if length < 1 or length > len(token_vectors):
-            raise ContractError(f"length {length} out of range for {len(token_vectors)} tokens")
-        xs = [ad.constant(np.asarray(v)) for v in token_vectors[:length]]
+    def encode(self, token_vectors):
+        """Encode a non-empty token vector sequence."""
+        if not len(token_vectors):
+            raise ContractError("sentence must have at least one token")
+        xs = [ad.constant(np.asarray(v)) for v in token_vectors]
         states = _bilstm_states(self.fwd, self.bwd, xs)
         scores = []
         for h in states:

@@ -214,7 +214,7 @@ class EmbeddingTable:
     itself, so the same miss yields the same vector in every process.
     """
 
-    def __init__(self, entries, dimension=None, oov_seed=0):
+    def __init__(self, entries, dimension=None):
         self._entries = {}
         for token, vec in entries.items():
             arr = np.asarray(vec, dtype=np.float64)
@@ -229,11 +229,10 @@ class EmbeddingTable:
         if dimension is None:
             raise ParseError("cannot determine embedding dimension from empty table")
         self._dim = int(dimension)
-        self._oov_seed = oov_seed
         self._oov_cache = {}
 
     @classmethod
-    def from_file(cls, path, oov_seed=0):
+    def from_file(cls, path):
         """Parse a whitespace-separated `token v1 ... vd` file."""
         entries = {}
         dim = None
@@ -258,14 +257,11 @@ class EmbeddingTable:
                 entries[parts[0]] = vec
         if dim is None:
             raise ParseError("empty embedding file")
-        return cls(entries, dimension=dim, oov_seed=oov_seed)
+        return cls(entries, dimension=dim)
 
     @property
     def dimension(self):
         return self._dim
-
-    def __contains__(self, token):
-        return token in self._entries or token.lower() in self._entries
 
     def lookup(self, token):
         vec = self._entries.get(token)
@@ -275,7 +271,7 @@ class EmbeddingTable:
             key = token.lower()
             vec = self._oov_cache.get(key)
             if vec is None:
-                rng = make_rng("oov", self._oov_seed, key)
+                rng = make_rng("oov", 0, key)
                 span = 0.5 / self._dim
                 vec = rng.uniform(-span, span, size=self._dim)
                 vec.flags.writeable = False
@@ -317,22 +313,16 @@ class FeatureTable:
             "features": {node: [float(x) for x in vec] for node, vec in self._features.items()},
         }
 
-    @classmethod
-    def from_jsonable(cls, obj):
-        return cls(obj["dimension"], obj["features"])
 
-
-def init_features(g, embeddings, tokenizer=None):
-    """Mean-of-token-embeddings feature for every graph node.
+def init_features(g, embeddings):
+    """Mean of the `default_tokenizer` token embeddings for every graph node.
 
     Raises:
         EmptyNameError: a node id tokenizes to nothing.
     """
-    if tokenizer is None:
-        tokenizer = default_tokenizer
     feats = {}
     for node in g.nodes:
-        tokens = tokenizer(node)
+        tokens = default_tokenizer(node)
         if not tokens:
             raise EmptyNameError(node)
         vecs = [embeddings.lookup(t) for t in tokens]

@@ -90,19 +90,6 @@ def _walk_steps(csr, centers, cfg):
                 break
 
 
-def simulate_walks(g, center, cfg):
-    """Visit counts over all nodes touched by the walks from `center`.
-
-    The starting occupation of the center is not counted; a step has to
-    land on a node for it to count.  A walk stops early at a dead end.
-    Keys come in sorted-id order.
-    """
-    csr = g.csr()
-    landed = np.concatenate([np.zeros(0, dtype=np.int64), *_walk_steps(csr, [center], cfg)])
-    nodes, counts = np.unique(landed, return_counts=True)
-    return {csr.ids[v]: c for v, c in zip(nodes.tolist(), counts.tolist())}
-
-
 @dataclass(frozen=True)
 class HitTable:
     """Smoothed hit probabilities over one center's immediate neighbors.
@@ -123,12 +110,6 @@ class HitTable:
                 raise ContractError(f"hit probabilities sum to {total!r}, want 1")
             if any(p <= 0 for _, p in self.entries):
                 raise ContractError("hit probabilities must be strictly positive")
-
-    def probability(self, node):
-        for n, p in self.entries:
-            if n == node:
-                return p
-        return 0.0
 
     def to_jsonable(self):
         return {
@@ -170,19 +151,6 @@ def _ranked(csr, centers, slot, nbr, counts):
         tables.append(HitTable(center, tuple(zip(ids[begin:end], probs[begin:end]))))
         begin = end
     return tables
-
-
-def hit_probabilities(g, center, counts):
-    """Build the smoothed, ranked HitTable for `center` from walk counts.
-
-    Only immediate neighbors of the center are eligible; every neighbor
-    gets probability (count + 1) / sum over neighbors of (count + 1), so
-    unvisited neighbors still rank, just last.
-    """
-    csr = g.csr()
-    slot, nbr = _neighbor_rows(csr, [center])
-    visits = np.array([counts.get(csr.ids[v], 0) for v in nbr.tolist()], dtype=np.int64)
-    return _ranked(csr, [center], slot, nbr, visits)[0]
 
 
 def _sample(g, centers, cfg):

@@ -196,16 +196,6 @@ class TestSequencePool:
         b = layer.forward(self_feat, nbrs, permutation=[3, 2, 1, 0])
         assert out_bytes(a) != out_bytes(b)
 
-    def test_int_permutation_is_a_seed(self):
-        layer = agg.SequencePoolLayer(2, 2, rng=rng(17))
-        r = rng(18)
-        self_feat, nbrs = ad.constant(r.normal(size=2)), vecs(r, 4, 2)
-        a = layer.forward(self_feat, nbrs, permutation=123)
-        b = layer.forward(self_feat, nbrs, permutation=123)
-        c = layer.forward(self_feat, nbrs, permutation=124)
-        assert out_bytes(a) == out_bytes(b)
-        assert out_bytes(a) != out_bytes(c)
-
 
 class TestTransformerPool:
     def test_projection_is_half_width(self):

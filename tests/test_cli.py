@@ -296,6 +296,37 @@ class TestExamplesFile:
         assert run("train", "--config", cfg, "--out", str(tmp_path / "out")) == 1
         assert "cls/beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("examples,where", [
+        ([], ""), ({"targets": ["x"]}, ""), ({"train": {"a": 1}}, ""), ({"train": ["x"]}, " train[0]"),
+    ])
+    def test_malformed_file_names_file(self, world, tmp_path, capsys, examples, where):
+        cfg = self.config(world, examples)
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"{world / 'ex.json'}{where}" in err
+
+    @pytest.mark.parametrize("command,split,missing", [
+        ("train", "train", "cls/omega"), ("train", "dev", "cls/omega"), ("eval", "test", "cls/zeta"),
+    ])
+    def test_fold_class_not_in_graph(self, world, tmp_path, capsys, command, split, missing):
+        fold = {"train": ["cls/alpha", "cls/beta"], "dev": [], "test": ["cls/gamma"]}
+        fold[split] = [*fold[split], missing]
+        write(world / "folds.json", {"folds": [fold]})
+        good = {"vector": [1.0, 0.0, 0.0, 0.0], "label": "cls/alpha"}
+        cfg = self.config(world, {"train": [good], "test": [good]})
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        assert f"fold 0 class {missing!r}" in capsys.readouterr().err
+
+    def test_node_without_tokens_names_node(self, world, tmp_path, capsys):
+        with open(world / "g.tsv", "a") as fh:
+            fh.write("has\t___\tattr/blue\n")
+        good = {"vector": [1.0, 0.0, 0.0, 0.0], "label": "cls/alpha"}
+        cfg = self.config(world, {"train": [good]})
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'___'" in err
+
 
 class TestSentenceProfile:
     """A miniature file-backed run through the intent-style pipeline."""

@@ -22,14 +22,6 @@ class TestSentenceEncoder:
         out = enc.encode(tokens(rng(2), 5, 4))
         assert out.data.shape == (6,)
 
-    def test_padding_beyond_length_is_invisible(self):
-        enc = encoders.SentenceEncoder(input_dim=4, hidden_dim=3, attn_dim=2, rng=rng(3))
-        toks = tokens(rng(4), 4, 4)
-        padded = toks + [np.full(4, 99.0), np.full(4, -99.0)]
-        a = enc.encode(toks)
-        b = enc.encode(padded, length=4)
-        assert a.data.tobytes() == b.data.tobytes()
-
     def test_zero_scorer_reduces_to_state_mean(self):
         enc = encoders.SentenceEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(5))
         enc.attn_out.data = np.zeros(2)
@@ -43,9 +35,7 @@ class TestSentenceEncoder:
     def test_length_out_of_range(self):
         enc = encoders.SentenceEncoder(input_dim=2, hidden_dim=2, attn_dim=2, rng=rng(7))
         with pytest.raises(ContractError):
-            enc.encode(tokens(rng(8), 2, 2), length=3)
-        with pytest.raises(ContractError):
-            enc.encode([], length=0)
+            enc.encode([])
 
     def test_grad_check(self):
         enc = encoders.SentenceEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(9))

@@ -48,44 +48,65 @@ class TestWalkConfig:
             sampler.WalkConfig(**{name: value})
 
 
+def landings(g, center, cfg):
+    """{node id: landing count} of `center`'s walks, decoded from the kernel's keys."""
+    csr = g.csr()
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *sampler._walk_steps(csr, [center], cfg)])
+    nodes, counts = np.unique(keys, return_counts=True)
+    return {csr.ids[v]: c for v, c in zip(nodes.tolist(), counts.tolist())}
+
+
+def reference_table(g, center, cfg):
+    return reference_hit_entries(g, center, reference_walk_counts(g, center, cfg))
+
+
 class TestSimulateWalks:
+    """The walk kernel's landings and the tables they make."""
+
     def test_two_node_graph_counts_are_exact(self):
         # the walk must alternate a,b,a,b..., so counts are fully determined
         g = Graph([("r", "a", "b")])
-        counts = sampler.simulate_walks(g, "a", sampler.WalkConfig(steps=20, restarts=10))
-        assert counts == {"a": 100, "b": 100}
+        assert landings(g, "a", sampler.WalkConfig(steps=20, restarts=10)) == {"a": 100, "b": 100}
 
     def test_start_occupation_not_counted(self):
         g = Graph([("r", "a", "b")])
-        counts = sampler.simulate_walks(g, "a", sampler.WalkConfig(steps=1, restarts=5))
-        assert counts == {"b": 5}
+        assert landings(g, "a", sampler.WalkConfig(steps=1, restarts=5)) == {"b": 5}
 
     def test_isolated_center_walks_nowhere(self):
-        g = Graph([("r", "a", "b")], extra_nodes=["island"])
-        counts = sampler.simulate_walks(g, "island", sampler.WalkConfig())
-        assert counts == {}
+        # an isolated center is a dead end from the start: its walks stop
+        # there, and the walks of centers sampled in the same run go on
+        g = Graph([("r", "a", "b"), ("r", "b", "c")], extra_nodes=["b0"])
+        cfg = sampler.WalkConfig(seed=3)
+        assert landings(g, "b0", cfg) == {}
+        centers = ["a", "b0", "b", "c"]
+        tables = sampler._sample(g, centers, cfg)
+        assert tables[1].entries == ()
+        assert [t.entries for t in tables] == [reference_table(g, c, cfg) for c in centers]
 
     def test_unknown_center(self):
         g = Graph([("r", "a", "b")])
         with pytest.raises(UnknownNodeError):
-            sampler.simulate_walks(g, "nope", sampler.WalkConfig())
+            sampler.sample_neighborhood(g, "nope", sampler.WalkConfig())
 
     def test_deterministic_for_fixed_seed(self):
         g = path_graph(["a", "b", "c", "d"])
         cfg = sampler.WalkConfig(seed=7)
-        assert sampler.simulate_walks(g, "b", cfg) == sampler.simulate_walks(g, "b", cfg)
+        assert sampler.sample_neighborhood(g, "b", cfg) == sampler.sample_neighborhood(g, "b", cfg)
 
     def test_seed_changes_counts(self):
         g = Graph([("r", "c", f"l{i}") for i in range(5)] + [("r", f"l{i}", f"m{i}") for i in range(5)])
-        c1 = sampler.simulate_walks(g, "c", sampler.WalkConfig(seed=0))
-        c2 = sampler.simulate_walks(g, "c", sampler.WalkConfig(seed=1))
-        assert c1 != c2
+        t1 = sampler.sample_neighborhood(g, "c", sampler.WalkConfig(seed=0))
+        t2 = sampler.sample_neighborhood(g, "c", sampler.WalkConfig(seed=1))
+        assert t1 != t2
 
     def test_total_steps_bounded(self):
+        # from b every other step lands on a or c: 10 of each walk's 20, so
+        # the smoothed table's denominator is 10 * 10 + 2
         g = path_graph(["a", "b", "c"])
-        cfg = sampler.WalkConfig(steps=20, restarts=10)
-        counts = sampler.simulate_walks(g, "a", cfg)
-        assert sum(counts.values()) == cfg.steps * cfg.restarts
+        table = sampler.sample_neighborhood(g, "b", sampler.WalkConfig(steps=20, restarts=10))
+        smoothed = [p * 102 for _, p in table.entries]
+        assert [round(c) for c in smoothed] == pytest.approx(smoothed, abs=1e-9)
+        assert sum(round(c) for c in smoothed) == 102
 
 
 class TestHitProbabilities:
@@ -95,27 +116,29 @@ class TestHitProbabilities:
         assert table.entries == (("b", 1.0),)
 
     def test_smoothing_keeps_unvisited_neighbor(self):
-        g = Graph([("r", "a", "b"), ("r", "a", "c")])
-        # no walks at all: both neighbors smoothed to 1/2
-        table = sampler.hit_probabilities(g, "a", {})
-        assert table.entries == (("b", 0.5), ("c", 0.5))
+        # one one-step walk lands on e; the other four keep 1/6 each and
+        # rank last, in id order
+        g = Graph([("r", "hub", n) for n in "bcdef"])
+        table = sampler.sample_neighborhood(g, "hub", sampler.WalkConfig(steps=1, restarts=1, seed=3))
+        assert table.entries == (("e", 2 / 6), ("b", 1 / 6), ("c", 1 / 6), ("d", 1 / 6), ("f", 1 / 6))
 
     def test_only_neighbors_eligible(self):
         g = path_graph(["a", "b", "c", "d"])
-        counts = {"c": 100, "d": 50, "b": 10}
-        table = sampler.hit_probabilities(g, "a", counts)
-        assert [n for n, _ in table.entries] == ["b"]
-        assert table.probability("c") == 0.0
+        cfg = sampler.WalkConfig()
+        assert {"c", "d"} <= landings(g, "a", cfg).keys()
+        assert sampler.sample_neighborhood(g, "a", cfg).entries == (("b", 1.0),)
 
     def test_ranking_desc_with_id_tiebreak(self):
-        g = Graph([("r", "a", n) for n in ["n1", "n2", "n3", "n4"]])
-        counts = {"n3": 5, "n1": 5, "n2": 9}
-        table = sampler.hit_probabilities(g, "a", counts)
+        # seed 128 lands on n2 three times and on n1 and n3 once each
+        g = Graph([("r", "hub", n) for n in ["n1", "n2", "n3", "n4"]])
+        cfg = sampler.WalkConfig(steps=1, restarts=5, seed=128)
+        assert landings(g, "hub", cfg) == {"n1": 1, "n2": 3, "n3": 1}
+        table = sampler.sample_neighborhood(g, "hub", cfg)
         assert [n for n, _ in table.entries] == ["n2", "n1", "n3", "n4"]
 
     def test_probabilities_sum_to_one(self):
-        g = Graph([("r", "a", n) for n in "bcdef"])
-        table = sampler.hit_probabilities(g, "a", {"b": 3, "d": 1})
+        g = Graph([("r", "a", n) for n in "bcdef"] + [("r", "b", "c"), ("r", "f", "g")])
+        table = sampler.sample_neighborhood(g, "a", sampler.WalkConfig(seed=2))
         assert abs(sum(p for _, p in table.entries) - 1.0) < 1e-12
 
     def test_isolated_center_empty_table(self):
@@ -166,26 +189,21 @@ class TestMarkovOracle:
 
 
 class TestTopN:
+    TABLE = sampler.HitTable("a", (("d", 0.5), ("c", 0.3), ("b", 0.1), ("e", 0.1)))
+    SINGLE = sampler.HitTable("a", (("b", 1.0),))
+
     def test_truncates_in_rank_order(self):
-        g = Graph([("r", "a", n) for n in "bcde"])
-        table = sampler.hit_probabilities(g, "a", {"d": 9, "c": 5})
-        assert sampler.top_n(table, 2) == ["d", "c"]
+        assert sampler.top_n(self.TABLE, 2) == ["d", "c"]
 
     def test_n_larger_than_table(self):
-        g = Graph([("r", "a", "b")])
-        table = sampler.hit_probabilities(g, "a", {})
-        assert sampler.top_n(table, 10) == ["b"]
+        assert sampler.top_n(self.SINGLE, 10) == ["b"]
 
     def test_zero_n_gives_empty_selection(self):
-        g = Graph([("r", "a", "b")])
-        table = sampler.hit_probabilities(g, "a", {})
-        assert sampler.top_n(table, 0) == []
+        assert sampler.top_n(self.SINGLE, 0) == []
 
     def test_rejects_negative_n(self):
-        g = Graph([("r", "a", "b")])
-        table = sampler.hit_probabilities(g, "a", {})
         with pytest.raises(ContractError):
-            sampler.top_n(table, -1)
+            sampler.top_n(self.SINGLE, -1)
 
 
 class TestHitSource:
@@ -234,28 +252,24 @@ class TestAgainstReferenceWalks:
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=30, deadline=None)
-    def test_counts_and_tables_equal_reference(self, g, steps, restarts, seed, rnd):
+    def test_tables_equal_reference(self, g, steps, restarts, seed, rnd):
         cfg = sampler.WalkConfig(steps=steps, restarts=restarts, seed=seed)
         source = sampler.HitSource(g, cfg)
         order = list(g.nodes)
         rnd.shuffle(order)
         for node in order:
-            counts = reference_walk_counts(g, node, cfg)
-            assert sampler.simulate_walks(g, node, cfg) == counts
-            assert source(node).entries == reference_hit_entries(g, node, counts)
+            assert source(node).entries == reference_table(g, node, cfg)
 
     def test_edge_free_graph(self):
         g = Graph([], extra_nodes=["a", "b"])
         source = sampler.HitSource(g, sampler.WalkConfig())
-        assert sampler.simulate_walks(g, "a", sampler.WalkConfig()) == {}
         assert source("a").entries == () and source("b").entries == ()
 
     def test_one_center_over_several_stream_chunks(self):
+        # 1,324 restarts: the hub's streams span two kernel groups
         g = Graph([("r", "hub", n) for n in "pqrst"] + [("r", "p", "q"), ("r", "t", "deep")])
         cfg = sampler.WalkConfig(steps=6, restarts=sampler.CHUNK_STREAMS + 300, seed=4)
-        counts = reference_walk_counts(g, "hub", cfg)
-        assert sampler.simulate_walks(g, "hub", cfg) == counts
-        assert sampler.HitSource(g, cfg)("hub").entries == reference_hit_entries(g, "hub", counts)
+        assert sampler.HitSource(g, cfg)("hub").entries == reference_table(g, "hub", cfg)
 
 
 class TestUniformStreams:
