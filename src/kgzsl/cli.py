@@ -13,6 +13,7 @@ invariant (a bug, not a user error).
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -35,7 +36,7 @@ from .sampler import HitSource, WalkConfig
 from .seeding import make_rng
 from .synth import SynthSpec, generate_synthetic, oracle_accuracy
 from .zeroshot import (
-    ClassSet, GnnClassEncoder, BilinearHead, class_representations, predict,
+    GnnClassEncoder, BilinearHead, class_representations, predict,
     model_params, train_bilinear, train_l2,
 )
 
@@ -212,19 +213,29 @@ def _numbers(raw, where):
     return arr.astype(np.float64)
 
 
+def _strings(rec, key, where):
+    """A record's list-of-strings field; an absent field is empty."""
+    value = rec.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{where}: {key} is not a list of strings")
+    return value
+
+
 def _record_to_input(rec, cfg, emb, where):
     """One examples-file record -> (encoder input, label or labels)."""
     if not isinstance(rec, dict):
         raise DataError(f"{where}: record is not a JSON object")
     kind = cfg["model"]["encoder"]["kind"]
     if cfg["model"]["loss_mode"] == "multilabel":
-        label = tuple(rec.get("labels", ()))
+        label = tuple(_strings(rec, "labels", where))
         if not label:
             raise DataError(f"{where}: record has no labels")
     else:
         label = rec.get("label")
         if label is None:
             raise DataError(f"{where}: record has no label")
+        if not isinstance(label, str):
+            raise DataError(f"{where}: label is not a string")
     if kind == "vector":
         want = cfg["model"]["encoder"]["input_dim"]
         vec = _numbers(rec.get("vector", ()), f"{where} vector")
@@ -236,21 +247,21 @@ def _record_to_input(rec, cfg, emb, where):
             raise DataError(f"{where}: vector has a non-finite value")
         return vec, label
     if kind == "sentence":
-        tokens = rec.get("tokens")
+        tokens = _strings(rec, "tokens", where)
         if not tokens:
             raise DataError(f"{where}: record has no tokens")
         return np.stack([emb.lookup(t) for t in tokens]), label
     x = MentionInput(
-        mention=[emb.lookup(t) for t in rec.get("mention", ())],
-        left=[emb.lookup(t) for t in rec.get("left", ())],
-        right=[emb.lookup(t) for t in rec.get("right", ())],
+        mention=[emb.lookup(t) for t in _strings(rec, "mention", where)],
+        left=[emb.lookup(t) for t in _strings(rec, "left", where)],
+        right=[emb.lookup(t) for t in _strings(rec, "right", where)],
     )
     if not x.mention:
         raise DataError(f"{where}: mention span is empty")
     return x, label
 
 
-def _load_examples(cfg, splits):
+def _load_examples(cfg, splits, emb):
     """Read the examples file into encoder inputs for the given splits.
 
     Layout: {"train": [...], "dev": [...], "test": [...], "targets":
@@ -265,14 +276,9 @@ def _load_examples(cfg, splits):
             raise ParseError(f"examples file {path} is not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise DataError(f"examples file {path}: top level is not a JSON object")
-    emb = None
-    if cfg["model"]["encoder"]["kind"] in ("sentence", "mention"):
-        emb = EmbeddingTable.from_file(_require_file(cfg, "embeddings"))
-        if emb.dimension != cfg["model"]["encoder"]["input_dim"]:
-            raise ConfigError(
-                f"embeddings are {emb.dimension}-dimensional but the config "
-                f"expects {cfg['model']['encoder']['input_dim']}"
-            )
+    want = cfg["model"]["encoder"]["input_dim"]
+    if cfg["model"]["encoder"]["kind"] in ("sentence", "mention") and emb.dimension != want:
+        raise ConfigError(f"embeddings are {emb.dimension}-dimensional but the config expects {want}")
     out = {}
     for split in splits:
         rows = obj.get(split, [])
@@ -291,11 +297,36 @@ def _load_examples(cfg, splits):
     return out
 
 
+def _load_inputs(cfg, splits):
+    """A file-backed run's graph, node features, fold spec and examples.
+
+    One parse of the embedding file serves the features and the tokens.
+    """
+    graph = _load_graph(cfg)
+    emb = EmbeddingTable.from_file(_require_file(cfg, "embeddings"))
+    features = init_features(graph, emb)
+    examples = _load_examples(cfg, splits, emb)
+    fold_spec = FoldSpec.load(_require_file(cfg, "fold_spec"))
+    return graph, features, fold_spec, examples
+
+
 def _check_fold_classes(graph, index, classes):
     """A fold class that is not a graph node is a DataError naming fold and class."""
     for cls in classes:
         if cls not in graph:
             raise DataError(f"fold {index} class {cls!r} is not a node of the graph")
+
+
+def _generates_world(cfg):
+    """Whether a train or eval run regenerates its synthetic world from the config."""
+    if cfg["profile"] != "synthetic" or cfg["paths"]["graph"]:
+        return False
+    if cfg["model"]["loss_mode"] == "multilabel":
+        raise ConfigError(
+            "model.loss_mode 'multilabel' needs a file-backed run: "
+            "a generated world gives each example one label"
+        )
+    return True
 
 
 def _synth_world(cfg):
@@ -396,25 +427,15 @@ def _train_world(cfg):
     config; training binds to the pruned train graph so unseen ids are
     unreachable.  File-backed runs read every input from paths.
     """
-    if cfg["profile"] == "synthetic" and not cfg["paths"]["graph"]:
+    if _generates_world(cfg):
         data = _synth_world(cfg)
         classes = data.classes
         if cfg["model"]["head"] == "l2":
-            classes = ClassSet(
-                seen=classes.seen, unseen=classes.unseen, dev=classes.dev,
-                targets=_synth_l2_targets(cfg, data, classes),
-            )
+            classes = dataclasses.replace(classes, targets=_synth_l2_targets(cfg, data, classes))
         return data.train_graph, data.features, classes, data.train_pairs(), data.dev_pairs()
-    graph = _load_graph(cfg)
-    emb = EmbeddingTable.from_file(_require_file(cfg, "embeddings"))
-    features = init_features(graph, emb)
-    examples = _load_examples(cfg, ("train", "dev"))
-    fold = FoldSpec.load(_require_file(cfg, "fold_spec")).folds[0]
-    _check_fold_classes(graph, 0, [*fold.train, *fold.dev])
-    classes = ClassSet(
-        seen=fold.train, unseen=fold.test, dev=fold.dev,
-        targets=examples["targets"] or None,
-    )
+    graph, features, fold_spec, examples = _load_inputs(cfg, ("train", "dev"))
+    classes = dataclasses.replace(fold_spec.folds[0], targets=examples["targets"] or None)
+    _check_fold_classes(graph, 0, [*classes.seen, *classes.dev])
     if not examples["train"] and cfg["model"]["head"] == "bilinear":
         raise DataError(f"examples file {cfg['paths']['examples']} has no training records")
     return graph, features, classes, examples["train"], examples["dev"]
@@ -450,54 +471,43 @@ def _cmd_train(args, cfg):
     return 0
 
 
-def _predict_mode(cfg):
-    if cfg["model"]["head"] == "l2":
-        return "l2"
-    return cfg["model"]["loss_mode"]
+def _fold_test_pairs(rows, fold, multilabel):
+    """The (input, gold) rows with a gold label among the fold's test classes."""
+    keep = set(fold.unseen)
+    if multilabel:
+        return [(x, labels) for x, labels in rows if keep.intersection(labels)]
+    return [(x, label) for x, label in rows if label in keep]
 
 
 def _cmd_eval(args, cfg):
     out = _out_dir(args, cfg)
     ckpt = _require_file(cfg, "checkpoint")
-    if cfg["profile"] == "synthetic" and not cfg["paths"]["graph"]:
+    if _generates_world(cfg):
         data = _synth_world(cfg)
         graph, features = data.graph, data.features
+        fold_spec = data.fold_spec
         if cfg["paths"]["fold_spec"]:
             fold_spec = FoldSpec.load(_require_file(cfg, "fold_spec"))
-        else:
-            fold_spec = data.fold_spec
-
-        def test_pairs_of(fold):
-            missing = [c for c in fold.test if c not in data.examples]
-            if missing:
-                raise DataError(f"fold test classes not in this world: {missing}")
-            return data.pairs(fold.test)
+        missing = [c for f in fold_spec.folds for c in f.unseen if c not in data.examples]
+        if missing:
+            raise DataError(f"fold test classes not in this world: {missing}")
+        rows = data.pairs(sorted(data.examples))
     else:
-        graph = _load_graph(cfg)
-        emb = EmbeddingTable.from_file(_require_file(cfg, "embeddings"))
-        features = init_features(graph, emb)
-        rows = _load_examples(cfg, ("test",))["test"]
-        fold_spec = FoldSpec.load(_require_file(cfg, "fold_spec"))
-
-        def test_pairs_of(fold):
-            keep = set(fold.test)
-            return [
-                (x, label) for x, label in rows
-                if (label in keep if isinstance(label, str)
-                    else any(l in keep for l in label))
-            ]
+        graph, features, fold_spec, examples = _load_inputs(cfg, ("test",))
+        rows = examples["test"]
     for i, fold in enumerate(fold_spec.folds):
-        _check_fold_classes(graph, i, fold.test)
+        _check_fold_classes(graph, i, fold.unseen)
     class_enc, encoder, head = _assemble(cfg, graph, features)
     load_into(model_params(class_enc, encoder, head), ckpt)
-    mode = _predict_mode(cfg)
+    mode = "l2" if cfg["model"]["head"] == "l2" else cfg["model"]["loss_mode"]
+    multilabel = cfg["model"]["loss_mode"] == "multilabel"
     fold_predictions = []
     for i, fold in enumerate(fold_spec.folds):
-        reps = class_representations(class_enc, fold.test, mode="eval")
+        reps = class_representations(class_enc, fold.unseen, mode="eval")
         pairs = []
         # the example encoders' weights are parameters: no tape to record
         with ad.no_grad():
-            for x, gold in test_pairs_of(fold):
+            for x, gold in _fold_test_pairs(rows, fold, multilabel):
                 pred = predict(encoder.encode(x), head, reps, mode)
                 if mode == "multilabel":
                     pairs.append((tuple(sorted(pred)), gold))

@@ -200,6 +200,37 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_leaf(ok, key, want, value):
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+
+
+def _check_leaf_types(cfg):
+    """Types of the leaves that no range check below reads; SynthSpec checks the synth ranges."""
+    enc = cfg["model"]["encoder"]
+    counts = [("model.num_bases", cfg["model"]["num_bases"])] + [
+        (f"model.encoder.{key}", enc[key])
+        for key in ("input_dim", "hidden_dim", "attn_dim", "feature_dim") if key in enc
+    ]
+    for key, value in counts:
+        _check_leaf(is_int(value) and value >= 1, key, "a positive integer", value)
+    if "window" in enc:
+        _check_leaf(is_int(enc["window"]) and enc["window"] >= 0, "model.encoder.window",
+                    "a non-negative integer (0 keeps all context)", enc["window"])
+    for key, value in cfg.get("synth", {}).items():
+        if key == "noise":
+            _check_leaf(is_int(value) or isinstance(value, float), "synth.noise", "a number", value)
+        elif key == "relation_structure":
+            _check_leaf(isinstance(value, bool), "synth.relation_structure", "true or false", value)
+        else:
+            _check_leaf(is_int(value), f"synth.{key}", "an integer", value)
+    bidirectional, lang = cfg["ingest"]["bidirectional"], cfg["ingest"]["lang"]
+    _check_leaf(isinstance(bidirectional, bool), "ingest.bidirectional", "true or false", bidirectional)
+    _check_leaf(lang is None or isinstance(lang, str), "ingest.lang", "a string or null", lang)
+    for key, value in cfg["paths"].items():
+        _check_leaf(value is None or isinstance(value, str), f"paths.{key}", "a string or null", value)
+
+
 def validate(cfg):
     """Structural checks that need no input data."""
     model = cfg["model"]
@@ -229,6 +260,7 @@ def validate(cfg):
     for key in keys:
         if key not in enc:
             raise ConfigError(f"a {enc['kind']} encoder needs config key 'model.encoder.{key}'")
+    _check_leaf_types(cfg)
     if enc["kind"] == "mention" and enc["feature_mode"] != "zeros":
         raise ConfigError(
             f"encoder.feature_mode must be 'zeros', got {enc['feature_mode']!r}: "
@@ -247,9 +279,10 @@ def validate(cfg):
     for key in ("lr", "weight_decay"):
         if not (is_int(opt[key]) or isinstance(opt[key], float)):
             raise ConfigError(f"{key} must be a number, got {opt[key]!r}")
-    if opt["lr"] <= 0:
+    # written as negations so that NaN fails them too
+    if not opt["lr"] > 0:
         raise ConfigError(f"lr must be positive, got {opt['lr']!r}")
-    if opt["weight_decay"] < 0:
+    if not opt["weight_decay"] >= 0:
         raise ConfigError(f"weight_decay must not be negative, got {opt['weight_decay']!r}")
     if not is_int(opt["epochs"]) or opt["epochs"] < 1:
         raise ConfigError(f"epochs must be a positive integer, got {opt['epochs']!r}")

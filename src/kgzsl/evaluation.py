@@ -1,4 +1,4 @@
-"""Fold-based strict accuracy metrics.
+"""Per-fold strict accuracy metrics.
 
 A prediction is strictly correct only when its label set equals the
 gold set exactly.  Micro accuracy pools every mention across folds;
@@ -10,34 +10,36 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractError, ParseError
+from .zeroshot import ClassSet
 
 
-@dataclass(frozen=True)
-class Fold:
-    train: tuple
-    dev: tuple
-    test: tuple
-
-    def __post_init__(self):
-        train, dev, test = set(self.train), set(self.dev), set(self.test)
-        if train & dev or train & test or dev & test:
-            raise ContractError("fold class splits must be pairwise disjoint")
-        if not self.test:
-            raise ContractError("fold has no test classes")
+def _class_names(fold, key):
+    """One split of a fold-file fold as a tuple of class names; dev may be absent."""
+    names = fold.get(key, []) if key == "dev" else fold[key]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise TypeError(f"{key} is not a list of class names")
+    return tuple(names)
 
 
 @dataclass(frozen=True)
 class FoldSpec:
+    """Zero-shot folds, each a ClassSet whose unseen classes are tested.
+
+    A fold file names the splits train/dev/test, read as seen/dev/unseen.
+    """
+
     folds: tuple
 
     def __post_init__(self):
         if not self.folds:
             raise ContractError("fold spec needs at least one fold")
+        if not all(fold.unseen for fold in self.folds):
+            raise ContractError("every fold needs test classes")
 
     def to_jsonable(self):
         return {
             "folds": [
-                {"train": list(f.train), "dev": list(f.dev), "test": list(f.test)}
+                {"train": list(f.seen), "dev": list(f.dev), "test": list(f.unseen)}
                 for f in self.folds
             ]
         }
@@ -46,7 +48,7 @@ class FoldSpec:
     def from_jsonable(cls, obj):
         try:
             folds = tuple(
-                Fold(tuple(f["train"]), tuple(f.get("dev", ())), tuple(f["test"]))
+                ClassSet(*(_class_names(f, key) for key in ("train", "test", "dev")))
                 for f in obj["folds"]
             )
             return cls(folds)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .evaluation import Fold, FoldSpec
+from .evaluation import FoldSpec
 from .kg import FeatureTable, Graph
 from .seeding import make_rng
 from .zeroshot import ClassSet
@@ -79,8 +79,8 @@ class SynthSpec:
             )
         if self.feature_dim < 2:
             raise ConfigError("feature_dim must be at least 2")
-        if self.noise < 0:
-            raise ConfigError("noise must not be negative")
+        if not self.noise >= 0:  # NaN fails too
+            raise ConfigError(f"noise must not be negative, got {self.noise!r}")
         if self.examples_per_class < 1:
             raise ConfigError("examples_per_class must be at least 1")
         if self.relation_structure and (
@@ -308,7 +308,7 @@ def generate_synthetic(spec):
         )
     )
     classes = ClassSet(seen=seen, unseen=unseen, dev=dev)
-    fold_spec = FoldSpec((Fold(seen, dev, unseen),))
+    fold_spec = FoldSpec((classes,))
 
     # training-time graph: unseen class ids must not be reachable by any
     # query during training, so they are cut out entirely, not just unlabeled

@@ -23,6 +23,7 @@ from .seeding import make_rng
 class ClassSet:
     """Seen / unseen split, plus the dev classes used for checkpointing.
 
+    An evaluation fold is a ClassSet whose unseen classes are tested.
     `targets` carries per-class regression targets for the L2 head;
     bilinear training ignores it.
     """

@@ -12,6 +12,7 @@ import pytest
 from kgzsl import autodiff as ad
 from kgzsl import cli
 from kgzsl.cli import main
+from kgzsl.kg import EmbeddingTable
 
 
 def write(path, obj):
@@ -140,6 +141,20 @@ class TestTrainEval:
     def test_eval_needs_checkpoint_path(self, synth_cfg, tmp_path):
         assert run("eval", "--config", synth_cfg, "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_generated_world_rejects_multilabel(self, tmp_path, capsys, command):
+        # every generated example has one label: a multilabel run would score label characters
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text("{}")
+        cfg = write(tmp_path / "cfg.json", {
+            "profile": "synthetic",
+            "model": {"loss_mode": "multilabel"},
+            "synth": {"examples_per_class": 20},
+            "paths": {"checkpoint": str(ckpt)},
+        })
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "x")) == 1
+        assert "model.loss_mode" in capsys.readouterr().err
+
     def test_empty_test_fold_is_config_error(self, tmp_path):
         fold = write(tmp_path / "folds.json",
                      {"folds": [{"train": ["class/0"], "dev": [], "test": []}]})
@@ -239,6 +254,15 @@ class TestGradcheck:
         assert all(r["passed"] for r in report.values())
 
 
+VEC = [1.0, 0.0, 0.0, 0.0]
+MULTILABEL = {"loss_mode": "multilabel"}
+SENTENCE = {"encoder": {"kind": "sentence", "input_dim": 4, "hidden_dim": 2, "attn_dim": 2}}
+MENTION = {"encoder": {
+    "kind": "mention", "input_dim": 4, "hidden_dim": 2, "attn_dim": 2, "feature_dim": 2,
+    "feature_mode": "zeros", "window": 0,
+}}
+
+
 class TestExamplesFile:
     """Unusable numbers in a file-backed examples file fail as data errors."""
 
@@ -287,6 +311,36 @@ class TestExamplesFile:
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert f"{world / 'ex.json'} {split}[1]" in err
+
+    @pytest.mark.parametrize("model,good,bad", [
+        ({}, {"vector": VEC, "label": "cls/alpha"}, {"vector": VEC, "label": 5}),
+        (MULTILABEL, {"vector": VEC, "labels": ["cls/alpha"]}, {"vector": VEC, "labels": "cls/gamma"}),
+        (MULTILABEL, {"vector": VEC, "labels": ["cls/alpha"]}, {"vector": VEC, "labels": [5]}),
+        (SENTENCE, {"tokens": ["alpha"], "label": "cls/alpha"},
+         {"tokens": "gamma red", "label": "cls/gamma"}),
+        (MENTION, {"mention": ["alpha"], "label": "cls/alpha"},
+         {"mention": "gamma", "label": "cls/gamma"}),
+        (MENTION, {"mention": ["alpha"], "label": "cls/alpha"},
+         {"mention": ["gamma"], "right": "red", "label": "cls/gamma"}),
+    ], ids=["label-int", "labels-str", "labels-int", "tokens-str", "mention-str", "right-str"])
+    @pytest.mark.parametrize("command,split", [("train", "train"), ("eval", "test")])
+    def test_mistyped_field_names_record(self, world, tmp_path, capsys, model, good, bad,
+                                         command, split):
+        examples = {"train": [good, good], "dev": [], "test": [good, good]}
+        examples[split] = [good, bad]
+        cfg = self.config(world, examples, **model)
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{world / 'ex.json'} {split}[1]" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_train_fold_is_malformed(self, world, tmp_path, capsys, command):
+        write(world / "folds.json", {"folds": [{"train": [], "dev": [], "test": ["cls/gamma"]}]})
+        good = {"vector": VEC, "label": "cls/gamma"}
+        cfg = self.config(world, {"train": [good], "test": [good]})
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        assert "malformed fold spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [[0.0, 1.0, 2.0], ["a", "b", "c", "d"], [0.0, float("nan"), 0.0, 0.0]])
     def test_unusable_l2_target_names_class(self, world, tmp_path, capsys, bad):
@@ -365,8 +419,9 @@ class TestSentenceProfile:
         })
         return tmp_path
 
-    def test_train_and_eval(self, world, tmp_path):
-        cfg = write(world / "cfg.json", {
+    @pytest.fixture
+    def cfg(self, world):
+        return write(world / "cfg.json", {
             "profile": "intent",
             "model": {
                 "dims": [5, 5], "hop_limits": [3, 3], "rank": 2,
@@ -381,13 +436,34 @@ class TestSentenceProfile:
                 "fold_spec": str(world / "folds.json"),
             },
         })
+
+    def eval_config(self, world, run_dir):
+        eval_cfg = json.loads((world / "cfg.json").read_text())
+        eval_cfg["paths"]["checkpoint"] = str(run_dir / "checkpoint.json")
+        return write(world / "eval.json", eval_cfg)
+
+    def test_train_and_eval(self, world, cfg):
         run_dir = world / "run"
         assert run("train", "--config", cfg, "--out", str(run_dir)) == 0
 
-        eval_cfg = json.loads((world / "cfg.json").read_text())
-        eval_cfg["paths"]["checkpoint"] = str(run_dir / "checkpoint.json")
-        cfg2 = write(world / "eval.json", eval_cfg)
         out = world / "ev"
-        assert run("eval", "--config", cfg2, "--out", str(out)) == 0
+        assert run("eval", "--config", self.eval_config(world, run_dir), "--out", str(out)) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["per_fold"][0]["n"] == 1
+
+    def test_each_command_parses_embeddings_once(self, world, cfg, monkeypatch):
+        # the node features and the example tokens share one parse of the file
+        parsed = []
+        from_file = EmbeddingTable.from_file
+
+        def counting(cls, path):
+            parsed.append(path)
+            return from_file(path)
+
+        monkeypatch.setattr(EmbeddingTable, "from_file", classmethod(counting))
+        run_dir = world / "run"
+        assert run("train", "--config", cfg, "--out", str(run_dir)) == 0
+        assert parsed == [str(world / "emb.txt")]
+        parsed.clear()
+        assert run("eval", "--config", self.eval_config(world, run_dir), "--out", str(world / "ev")) == 0
+        assert parsed == [str(world / "emb.txt")]

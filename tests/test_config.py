@@ -72,6 +72,9 @@ class TestValidate:
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ConfigError, match="lr"):
             expand({"profile": "synthetic", "optimizer": {"lr": 0}})
+        for key in ("lr", "weight_decay"):
+            with pytest.raises(ConfigError, match=key):
+                expand({"profile": "synthetic", "optimizer": {key: float("nan")}})
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ConfigError, match="dims"):
@@ -103,13 +106,13 @@ class TestValidate:
             expand({"profile": "typing", "model": {"encoder": {"feature_mode": mode}}})
 
 
-def _override(path, value):
+def _override(path, value, profile="synthetic"):
     """A config override setting the dotted `path` to `value`."""
     *parents, leaf = path.split(".")
     out = {leaf: value}
     for key in reversed(parents):
         out = {key: out}
-    return {"profile": "synthetic", **out}
+    return {"profile": profile, **out}
 
 
 class TestTypes:
@@ -117,7 +120,9 @@ class TestTypes:
     @pytest.mark.parametrize("value", [True, 1.0, "3"])
     @pytest.mark.parametrize("path", [
         "seed", "sampler.steps", "sampler.restarts", "optimizer.epochs",
-        "optimizer.batch_size", "model.rank",
+        "optimizer.batch_size", "model.rank", "synth.attribute_pool",
+        "synth.num_classes", "synth.num_unseen", "synth.num_dev", "synth.attrs_per_class",
+        "synth.feature_dim", "synth.examples_per_class",
     ])
     def test_integer_keys_reject_non_integers(self, path, value):
         with pytest.raises(ConfigError, match=path.split(".")[-1]):
@@ -130,10 +135,45 @@ class TestTypes:
             expand(_override(path, [16, value]))
 
     @pytest.mark.parametrize("value", [True, "0.1"])
-    @pytest.mark.parametrize("path", ["optimizer.lr", "optimizer.weight_decay"])
+    @pytest.mark.parametrize("path", ["optimizer.lr", "optimizer.weight_decay", "synth.noise"])
     def test_real_keys_reject_non_numbers(self, path, value):
         with pytest.raises(ConfigError, match=path.split(".")[-1]):
             expand(_override(path, value))
+
+    # a mention encoder block has every encoder key; bool is an int, but true is no width
+    @pytest.mark.parametrize("value", [True, 2.5, "3", 0, -2])
+    @pytest.mark.parametrize("path", [
+        "model.num_bases", "model.encoder.input_dim", "model.encoder.hidden_dim",
+        "model.encoder.attn_dim", "model.encoder.feature_dim",
+    ])
+    def test_positive_integer_keys_reject_others(self, path, value):
+        with pytest.raises(ConfigError, match=path):
+            expand(_override(path, value, profile="typing"))
+
+    @pytest.mark.parametrize("value", [True, 2.5, "3", -1])
+    def test_window_is_a_non_negative_integer(self, value):
+        with pytest.raises(ConfigError, match="model.encoder.window"):
+            expand(_override("model.encoder.window", value, profile="typing"))
+        cfg = expand(_override("model.encoder.window", 0, profile="typing"))
+        assert cfg["model"]["encoder"]["window"] == 0
+
+    @pytest.mark.parametrize("value", ["no", "yes", 1, None])
+    @pytest.mark.parametrize("path", ["synth.relation_structure", "ingest.bidirectional"])
+    def test_bool_keys_reject_non_bools(self, path, value):
+        with pytest.raises(ConfigError, match=path):
+            expand(_override(path, value))
+
+    # an integer path would open the inherited file descriptor of that number
+    @pytest.mark.parametrize("value", [True, 1, ["g.tsv"]])
+    @pytest.mark.parametrize("path", [
+        "ingest.lang", "paths.graph", "paths.embeddings", "paths.examples", "paths.fold_spec",
+        "paths.checkpoint", "paths.checkpoint_dir",
+    ])
+    def test_string_keys_take_a_string_or_null(self, path, value):
+        with pytest.raises(ConfigError, match=path):
+            expand(_override(path, value))
+        block, key = path.split(".")
+        assert expand(_override(path, "x"))[block][key] == "x"
 
     @pytest.mark.parametrize("path,value", [
         ("optimizer.lr", 1), ("optimizer.lr", 0.5), ("optimizer.weight_decay", 0),

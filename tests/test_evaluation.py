@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kgzsl import evaluation as ev
 from kgzsl.errors import ContractError, ParseError
+from kgzsl.zeroshot import ClassSet
 
 
 class TestStrictMatch:
@@ -78,19 +79,19 @@ class TestFoldMetrics:
 class TestFoldSpec:
     def test_disjointness(self):
         with pytest.raises(ContractError):
-            ev.Fold(train=("a",), dev=("a",), test=("b",))
+            ClassSet(seen=("a",), dev=("a",), unseen=("b",))
         with pytest.raises(ContractError):
-            ev.Fold(train=("a",), dev=(), test=("a",))
+            ClassSet(seen=("a",), dev=(), unseen=("a",))
 
     def test_test_classes_required(self):
         with pytest.raises(ContractError):
-            ev.Fold(train=("a",), dev=(), test=())
+            ev.FoldSpec(folds=(ClassSet(seen=("a",), dev=(), unseen=()),))
 
     def test_round_trip(self, tmp_path):
         spec = ev.FoldSpec(
             folds=(
-                ev.Fold(train=("a", "b"), dev=("c",), test=("d",)),
-                ev.Fold(train=("d",), dev=(), test=("a", "b")),
+                ClassSet(seen=("a", "b"), dev=("c",), unseen=("d",)),
+                ClassSet(seen=("d",), dev=(), unseen=("a", "b")),
             )
         )
         path = tmp_path / "folds.json"
@@ -101,6 +102,12 @@ class TestFoldSpec:
     def test_malformed_spec(self):
         with pytest.raises(ParseError):
             ev.FoldSpec.from_jsonable({"folds": [{"train": []}]})
+        # a string is not split into one-character class names
+        for split in ("train", "dev", "test"):
+            for bad in ("cls/alpha", ["a", 5], [["a"]], {"a": 1}):
+                fold = {"train": ["x"], "dev": ["y"], "test": ["z"], split: bad}
+                with pytest.raises(ParseError, match=split):
+                    ev.FoldSpec.from_jsonable({"folds": [fold]})
 
     def test_needs_folds(self):
         with pytest.raises(ContractError):

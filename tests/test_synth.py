@@ -45,6 +45,8 @@ class TestSynthSpec:
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
             SynthSpec(noise=-0.1)
+        with pytest.raises(ConfigError):
+            SynthSpec(noise=float("nan"))
 
     def test_split_must_leave_training_classes(self):
         with pytest.raises(ConfigError):
@@ -144,10 +146,7 @@ class TestGenerate:
 
     def test_fold_spec_matches_classes(self):
         data = generate_synthetic(SynthSpec(seed=0))
-        (fold,) = data.fold_spec.folds
-        assert fold.train == data.classes.seen
-        assert fold.dev == data.classes.dev
-        assert fold.test == data.classes.unseen
+        assert data.fold_spec.folds == (data.classes,)
 
     def test_train_graph_contains_no_unseen_ids(self):
         data = generate_synthetic(SynthSpec(num_dev=1, seed=0))
