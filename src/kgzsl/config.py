@@ -248,6 +248,11 @@ def validate(cfg):
         )
     if model["head"] not in HEAD_KINDS:
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {model['head']!r}")
+    if model["head"] == "l2" and model["loss_mode"] == "multilabel":
+        raise ConfigError(
+            "model.loss_mode 'multilabel' needs the bilinear head: "
+            "an l2 head predicts one class per example"
+        )
     enc = model["encoder"]
     if enc.get("kind") not in ENCODER_KINDS:
         raise ConfigError(

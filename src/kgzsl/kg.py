@@ -54,14 +54,19 @@ class Graph:
                 for v in (head, tail)]
         self._nodes = tuple(first_seen)
 
-        rels_between = {}
+        rels_between, several = {}, {}
         for rel, head, tail in self._edges:
             key = (head, tail) if head <= tail else (tail, head)
-            rels_between.setdefault(key, {})[rel] = None
+            rels = rels_between.setdefault(key, (rel,))
+            if rel not in rels:
+                rels_between[key] = rels + (rel,)
+                several[key] = None
+        # a pair's relations come in edge order; only a pair with two or
+        # more needs sorting into the relations' first-seen order
         rel_order = {r: i for i, r in enumerate(self._relations)}
-        self._rels_between = {
-            k: tuple(sorted(rs, key=rel_order.__getitem__)) for k, rs in rels_between.items()
-        }
+        for key in several:
+            rels_between[key] = tuple(sorted(rels_between[key], key=rel_order.__getitem__))
+        self._rels_between = rels_between
 
         # number nodes in sorted-id order, then sort both directions of every
         # non-loop edge by (row, column) and keep the first of each repeat
@@ -156,25 +161,22 @@ def ingest(path, lang_filter=None, bidirectional=False):
         ParseError: wrong column count or empty field, with line number.
     """
     edges = []
+    # text mode reads "\r\n" and "\r" as "\n", and stripping a field drops
+    # the line's "\n", so only the fields a row uses are ever stripped
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
+            text = raw.lstrip()
+            if not text or text[0] == "#":
                 continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise ParseError(
-                    f"expected 3 or 4 tab-separated fields, got {len(fields)}", line=lineno
-                )
-            fields = [f.strip() for f in fields]
-            rel, head, tail = fields[0], fields[1], fields[2]
-            if not rel or not head or not tail:
+            fields = raw.split("\t")
+            count = len(fields)
+            if count != 3 and count != 4:
+                raise ParseError(f"expected 3 or 4 tab-separated fields, got {count}", line=lineno)
+            rel, head, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+            if not (rel and head and tail):
                 raise ParseError("empty relation or node id", line=lineno)
-            if lang_filter is not None:
-                lang = fields[3] if len(fields) == 4 else None
-                if lang != lang_filter:
-                    continue
-            edges.append((rel, head, tail))
+            if lang_filter is None or (count == 4 and fields[3].strip() == lang_filter):
+                edges.append((rel, head, tail))
     g = Graph(edges)
     if bidirectional:
         g = make_bidirectional(g)

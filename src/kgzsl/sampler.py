@@ -26,7 +26,7 @@ from .seeding import derive_seeds, uniform_blocks
 
 # the most streams the kernel walks at once, and so the most that one
 # HitSource miss in a sweep samples (unless one center has more restarts)
-CHUNK_STREAMS = 1024
+CHUNK_STREAMS = 8192
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,12 @@ class HitTable:
 
     def __post_init__(self):
         if self.entries:
-            total = sum(p for _, p in self.entries)
-            if abs(total - 1.0) > 1e-9:
+            # written as negations so that NaN fails them too
+            _, probs = zip(*self.entries)
+            total = sum(probs)
+            if not abs(total - 1.0) <= 1e-9:
                 raise ContractError(f"hit probabilities sum to {total!r}, want 1")
-            if any(p <= 0 for _, p in self.entries):
+            if not all(p > 0 for p in probs):
                 raise ContractError("hit probabilities must be strictly positive")
 
     def to_jsonable(self):

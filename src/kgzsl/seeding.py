@@ -25,19 +25,21 @@ def derive_seed(*parts) -> int:
 def derive_seeds(prefixes, lasts):
     """derive_seed(*p, x) for each p in `prefixes`, then each x in `lasts`.
 
-    Prefixes must be non-empty tuples.  Each is joined once, so a run of
-    related streams costs one sha256 apiece and no int parsing.
+    Prefixes must be non-empty tuples.  Each prefix and each tail is
+    joined and encoded once, so a run of related streams costs one
+    sha256 apiece and no int parsing.  The UTF-8 encoding of a joined
+    label is the concatenation of its parts' encodings.
 
     Returns:
         (len(prefixes) * len(lasts),) uint64 array, prefix-major.
     """
-    tails = ["\x1f" + str(x) for x in lasts]
+    tails = [("\x1f" + str(x)).encode("utf-8") for x in lasts]
     sha256 = hashlib.sha256
-    digests = b"".join(
-        sha256((head + tail).encode("utf-8")).digest()[:8]
-        for head in map(_label, prefixes)
+    digests = b"".join([
+        sha256(head + tail).digest()[:8]
+        for head in [_label(p).encode("utf-8") for p in prefixes]
         for tail in tails
-    )
+    ])
     return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 

@@ -372,6 +372,27 @@ class TestExamplesFile:
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
         assert f"fold 0 class {missing!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_l2_head_with_multilabel_is_config_error(self, world, tmp_path, capsys, command):
+        good = {"vector": VEC, "labels": ["cls/alpha"]}
+        targets = {"cls/alpha": VEC, "cls/beta": VEC}
+        cfg = self.config(world, {"train": [good], "test": [good], "targets": targets},
+                          head="l2", **MULTILABEL)
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        assert "model.loss_mode" in capsys.readouterr().err
+
+    def test_eval_rejects_fold_testing_a_trained_class(self, world, tmp_path, capsys):
+        # train fits fold 0, so fold 1 would score cls/alpha as zero-shot after training on it
+        write(world / "folds.json", {"folds": [
+            {"train": ["cls/alpha", "cls/beta"], "dev": [], "test": ["cls/gamma"]},
+            {"train": ["cls/gamma"], "dev": [], "test": ["cls/alpha"]},
+        ]})
+        test = [{"vector": VEC, "label": "cls/gamma"}, {"vector": VEC, "label": "cls/alpha"}]
+        cfg = self.config(world, {"train": [{"vector": VEC, "label": "cls/alpha"}], "test": test})
+        assert run("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fold 1" in err and "'cls/alpha'" in err
+
     def test_node_without_tokens_names_node(self, world, tmp_path, capsys):
         with open(world / "g.tsv", "a") as fh:
             fh.write("has\t___\tattr/blue\n")

@@ -86,6 +86,11 @@ class TestValidate:
         assert cfg["model"]["head"] == "l2"
         assert cfg["model"]["dims"] == [2048, 2049]
 
+    def test_l2_head_rejects_multilabel(self):
+        # an l2 head predicts one class, which never equals a gold label set
+        with pytest.raises(ConfigError, match="model.loss_mode"):
+            expand({"profile": "vision", "model": {"loss_mode": "multilabel"}})
+
     def test_mention_encoder_output_dim(self):
         cfg = expand({"profile": "typing"})
         assert encoder_output_dim(cfg["model"]["encoder"]) == 2 * 100 + 60 + 300

@@ -65,6 +65,37 @@ class TestIngest:
         g = kg.ingest(p, bidirectional=True)
         assert set(g.edges) == {("r", "a", "b"), ("r", "b", "a"), ("r", "b", "c"), ("r", "c", "b")}
 
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "graph.tsv"
+        p.write_bytes(b"r\ta\tb\r\ns\tb\tc\ten\r\n# note\r\n\r\nr\tc\td\ten\r\n")
+        assert kg.ingest(p).edges == (("r", "a", "b"), ("s", "b", "c"), ("r", "c", "d"))
+        assert kg.ingest(p, lang_filter="en").edges == (("s", "b", "c"), ("r", "c", "d"))
+
+    def test_indented_comment_and_tab_only_line_skipped(self, tmp_path):
+        # a line of tabs alone would split into three empty fields
+        p = write(tmp_path, " \t# r\tx\ty\n\t\t\nr\ta\tb\n\t\t\t\n")
+        assert kg.ingest(p).edges == (("r", "a", "b"),)
+
+    def test_padded_fields_stripped(self, tmp_path):
+        p = write(tmp_path, " r \t a\tb  \n\u3000s\tb\t c\t en \ns\tc\td\tfr\n")
+        assert kg.ingest(p).edges == (("r", "a", "b"), ("s", "b", "c"), ("s", "c", "d"))
+        assert kg.ingest(p, lang_filter="en").edges == (("s", "b", "c"),)
+
+    def test_empty_language_column_matches_only_empty_filter(self, tmp_path):
+        p = write(tmp_path, "r\ta\tb\t \nr\tb\tc\n")
+        assert kg.ingest(p, lang_filter="").edges == (("r", "a", "b"),)
+        assert kg.ingest(p, lang_filter="en").edges == ()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("r\ta\n", "got 2"), ("r\ta\tb\tc\te\n", "got 5"), ("r\t \tb\n", "empty"),
+    ])
+    def test_parse_error_line_counts_skipped_lines(self, tmp_path, bad, message):
+        p = tmp_path / "graph.tsv"
+        p.write_bytes(b"# c\r\n\r\n\t\t\n  # x\nr\ta\tb\r\n" + bad.encode())
+        with pytest.raises(ParseError, match=message) as err:
+            kg.ingest(p)
+        assert err.value.line == 6
+
     def test_utf8_ids(self, tmp_path):
         p = write(tmp_path, "r\t/c/fr/fête\t/c/fr/noël\n")
         g = kg.ingest(p)
@@ -90,6 +121,16 @@ class TestGraph:
         g = kg.Graph([("r", "a", "b"), ("s", "b", "a")])
         assert set(g.relations_between("a", "b")) == {"r", "s"}
         assert g.relations_between("a", "b") == g.relations_between("b", "a")
+
+    def test_relations_between_in_first_seen_relation_order(self):
+        # a-b's edges list r before s, and x-y's t before s, but s is seen first
+        g = kg.Graph([("s", "x", "y"), ("r", "a", "b"), ("t", "y", "x"), ("s", "b", "a"),
+                      ("r", "b", "a"), ("t", "a", "b"), ("s", "x", "y"), ("r", "c", "a")])
+        assert g.relations == ("s", "r", "t")
+        assert g.relations_between("b", "a") == ("s", "r", "t")
+        assert g.relations_between("y", "x") == ("s", "t")
+        assert g.relations_between("a", "c") == ("r",)
+        assert g.relations_between("c", "x") == ()
 
     def test_isolated_node_via_extra_nodes(self):
         g = kg.Graph([("r", "a", "b")], extra_nodes=["lonely"])

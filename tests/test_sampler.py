@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kgzsl import sampler
 from kgzsl.errors import ConfigError, ContractError, UnknownNodeError
 from kgzsl.kg import Graph
-from kgzsl.seeding import uniform_blocks
+from kgzsl.seeding import derive_seed, derive_seeds, uniform_blocks
 from kgzsl.synth import SynthSpec, generate_synthetic
 
 from .helpers import (
@@ -150,6 +150,16 @@ class TestHitProbabilities:
         with pytest.raises(ContractError):
             sampler.HitTable("a", (("b", 0.7), ("c", 0.2)))
 
+    @pytest.mark.parametrize("entries", [
+        (("b", float("nan")), ("c", 0.5)),
+        (("b", 0.5), ("c", float("nan"))),
+        (("b", float("inf")), ("c", 0.5)),
+        (("b", 1.5), ("c", -0.5)),
+    ], ids=["nan-first", "nan-last", "inf", "negative"])
+    def test_invalid_probability_rejected(self, entries):
+        with pytest.raises(ContractError):
+            sampler.HitTable("a", entries)
+
     @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_table_invariants_random(self, extra_counts, seed):
@@ -266,7 +276,7 @@ class TestAgainstReferenceWalks:
         assert source("a").entries == () and source("b").entries == ()
 
     def test_one_center_over_several_stream_chunks(self):
-        # 1,324 restarts: the hub's streams span two kernel groups
+        # CHUNK_STREAMS + 300 restarts: the hub's streams span two kernel groups
         g = Graph([("r", "hub", n) for n in "pqrst"] + [("r", "p", "q"), ("r", "t", "deep")])
         cfg = sampler.WalkConfig(steps=6, restarts=sampler.CHUNK_STREAMS + 300, seed=4)
         assert sampler.HitSource(g, cfg)("hub").entries == reference_table(g, "hub", cfg)
@@ -296,6 +306,28 @@ class TestUniformStreams:
     @settings(max_examples=60, deadline=None)
     def test_random_seeds_bitwise(self, seeds, n):
         assert uniform_streams(seeds, n).tobytes() == self.numpy_draws(seeds, n).tobytes()
+
+
+class TestDeriveSeeds:
+    @pytest.mark.parametrize("prefixes, lasts", [
+        ([("walk", 0, "/c/fr/fête"), ("walk", 0, "/c/ja/日本語"), ("walk", 0, "plain")], range(4)),
+        ([("walk", -7, "a"), ("walk", 2 ** 64, "b"), ("walk", 2 ** 70 + 3, "ü")], [0, -1, 2 ** 64, "é"]),
+    ])
+    def test_equal_to_derive_seed(self, prefixes, lasts):
+        got = derive_seeds(prefixes, lasts)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(*p, x) for p in prefixes for x in lasts]
+
+    @given(
+        st.lists(st.tuples(st.text(st.characters(blacklist_categories=("Cs",))), st.integers()),
+                 min_size=1, max_size=4),
+        st.lists(st.one_of(st.integers(), st.text(st.characters(blacklist_categories=("Cs",)))),
+                 max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_labels(self, prefixes, lasts):
+        got = derive_seeds(prefixes, lasts)
+        assert got.tolist() == [derive_seed(*p, x) for p in prefixes for x in lasts]
 
 
 class TestHitSourceChunks:
@@ -352,3 +384,23 @@ class TestHitSourceChunks:
         g, cfg = self.two_chunk_graph()
         with pytest.raises(UnknownNodeError):
             sampler.HitSource(g, cfg)("nope")
+
+    def test_sweep_over_several_runs_equals_one_node_sampling(self, monkeypatch):
+        # 300 nodes, 64 to a run: n000 alone, then five sweep runs of the kernel
+        ids = [f"n{i:03d}" for i in range(300)]
+        g = Graph([("r", ids[i], ids[(i + 1) % 300]) for i in range(300)]
+                  + [("s", ids[i], ids[i * 7 % 300]) for i in range(0, 300, 3)])
+        cfg = sampler.WalkConfig(steps=5, restarts=sampler.CHUNK_STREAMS // 64, seed=9)
+        runs = []
+
+        def counted(graph, centers, walk):
+            runs.append(len(centers))
+            return sample(graph, centers, walk)
+
+        sample = sampler._sample
+        monkeypatch.setattr(sampler, "_sample", counted)
+        source = sampler.HitSource(g, cfg)
+        swept = {node: source(node) for node in sorted(g.nodes)}
+        assert runs == [1, 64, 64, 64, 64, 43]
+        for node in sorted(g.nodes)[::50]:
+            assert swept[node] == sampler.sample_neighborhood(g, node, cfg)
