@@ -295,7 +295,7 @@ class TransformerPoolLayer:
     stays unordered), projected back up and mean-pooled into a_v.  The
     feedforward hidden width equals the projected width.  There is
     exactly one attention block no matter how many layers are stacked
-    above or below.
+    above or below, and it is one tape node, `ad.transformer_block`.
 
     The combine step is TrGCN's act(W [h_v ; a_v]): the node's own
     representation reaches the output through its own columns of W
@@ -342,20 +342,11 @@ class TransformerPoolLayer:
 
     def forward_group(self, prev, rows, node_args=None):
         rows = canonical_rows(prev, rows)
-        x = ad.matmul_t(ad.gather(prev, rows), self.p_in)
-        n1 = ad.layer_norm(x, self.ln1_g, self.ln1_b)
-        q = ad.matmul_t(n1, self.wq)
-        k = ad.matmul_t(n1, self.wk)
-        v = ad.matmul_t(n1, self.wv)
-        scores = ad.scale(ad.matmul_t(q, k), 1.0 / np.sqrt(self.proj_dim))
-        attn = ad.matmul(ad.softmax(scores, axis=-1), v)
-        x = ad.add(x, ad.matmul_t(attn, self.wo))
-        n2 = ad.layer_norm(x, self.ln2_g, self.ln2_b)
-        ff = ad.add(ad.matmul_t(n2, self.ff1), self.ff1_b)
-        ff = ad.add(ad.matmul_t(ad.relu(ff), self.ff2), self.ff2_b)
-        x = ad.add(x, ff)
-        back = ad.matmul_t(x, self.p_out)
-        a_v = ad.mean(back, axis=1)
+        a_v = ad.transformer_block(
+            ad.gather(prev, rows), self.p_in, self.wq, self.wk, self.wv, self.wo,
+            self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b,
+            self.ff1, self.ff1_b, self.ff2, self.ff2_b, self.p_out,
+        )
         combined = ad.concat([ad.gather(prev, rows[:, 0]), a_v], axis=1)
         return self.act(ad.matvec(self.weight, combined))
 

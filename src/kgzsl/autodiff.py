@@ -4,6 +4,8 @@ A Tensor wraps an ndarray plus the closure that pushes gradients to its
 parents.  backward() builds a Tape (the topologically ordered record of
 the operations reachable from the loss) and traverses it exactly once,
 accumulating gradients with +=, so reuse of a tensor sums contributions.
+One op, transformer_block, fuses a whole attention block into a single
+node whose values and gradients are bitwise those of its elementary ops.
 
 Shapes are checked strictly: the only implicit broadcasts anywhere are
 adding a (n,) bias to every row of a (..., n) tensor, a 2-D right
@@ -60,8 +62,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the bits of zeros_like(data) += g (-0.0 becomes +0.0) in one call
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
+        else:
+            self.grad += g
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -87,6 +91,18 @@ def constant(data, name=None):
     return Tensor(data, requires_grad=False, name=name)
 
 
+def _weight_grad(w, g, x):
+    """matmul_t's gradient for a 2-D right operand w shared by the rows of x."""
+    if w.requires_grad:
+        w._accumulate(g.reshape(-1, w.shape[0]).T @ x.reshape(-1, w.shape[1]))
+
+
+def _bias_grad(b, g):
+    """add's gradient for a bias b broadcast over the rows of g."""
+    if b.requires_grad:
+        b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
+
+
 # ---------------------------------------------------------------- arithmetic
 
 
@@ -103,8 +119,7 @@ def add(a, b):
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g)
-            if b.requires_grad:
-                b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
+            _bias_grad(b, g)
         return _make(a.data + b.data, (a, b), backward)
     raise _shape_err("add", a, b)
 
@@ -220,11 +235,10 @@ def matmul_t(a, b):
     def backward(g):
         if a.requires_grad:
             a._accumulate(g @ b.data)
-        if b.requires_grad:
-            if bn == 2:
-                b._accumulate(g.reshape(-1, b.shape[0]).T @ a.data.reshape(-1, b.shape[1]))
-            else:
-                b._accumulate(g.transpose(0, 2, 1) @ a.data)
+        if bn == 2:
+            _weight_grad(b, g, a.data)
+        elif b.requires_grad:
+            b._accumulate(g.transpose(0, 2, 1) @ a.data)
     return _make(a.data @ b_t, (a, b), backward)
 
 
@@ -476,6 +490,36 @@ def softmax(a, axis=-1):
     return _make(out, (a,), backward)
 
 
+def _layer_norm_forward(x, gain, bias, eps=1e-5):
+    """Layer norm of the array x over its last axis: (out, xhat, inv)."""
+    d = gain.shape[0]
+    # the sums and divisions of np.mean and np.var, so bitwise equal to
+    # them, without their Python wrappers
+    c = x - x.sum(axis=-1, keepdims=True) / d
+    var = (c * c).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = c * inv
+    return xhat * gain.data + bias.data, xhat, inv
+
+
+def _layer_norm_param_grads(g, gain, bias, xhat):
+    """Push the output gradient g into the gain and bias tensors."""
+    d = gain.shape[0]
+    if gain.requires_grad:
+        gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+    if bias.requires_grad:
+        bias._accumulate(g.reshape(-1, d).sum(axis=0))
+
+
+def _layer_norm_input_grad(g, gain, xhat, inv):
+    """The input's gradient for the output gradient g."""
+    d = gain.shape[0]
+    dxhat = g * gain.data
+    m1 = dxhat.sum(axis=-1, keepdims=True) / d
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+    return inv * (dxhat - m1 - xhat * m2)
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then scale and shift.
 
@@ -485,26 +529,88 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise _shape_err("layer_norm", gain, bias)
     if x.shape[-1] != gain.shape[0] or x.data.ndim not in (1, 2, 3):
         raise _shape_err("layer_norm", x, gain)
-    d = gain.shape[0]
-    # the sums and divisions of np.mean and np.var, so bitwise equal to
-    # them, without their Python wrappers
-    c = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (c * c).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = c * inv
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = _layer_norm_forward(x.data, gain, bias, eps)
 
     def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
+        _layer_norm_param_grads(g, gain, bias, xhat)
         if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.sum(axis=-1, keepdims=True) / d
-            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+            x._accumulate(_layer_norm_input_grad(g, gain, xhat, inv))
     return _make(out, (x, gain, bias), backward)
+
+
+def transformer_block(members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
+                      ff1, ff1_b, ff2, ff2_b, p_out):
+    """One pre-norm attention + feedforward block, mean-pooled, as one node.
+
+    members is a (B, M, n) stack of B member sets.  Each set is
+    projected by p_in (p, n), run through single-head attention and a
+    relu feedforward, each behind layer norm and a residual, projected
+    back by p_out (n, p) and averaged over its M members: (B, n).
+
+    The forward is the composition of matmul_t, layer_norm, matmul_t,
+    scale, softmax, matmul, add, relu and mean, expression for
+    expression, and the backward is their backwards, in the order the
+    tape would run them, so values and gradients keep every bit.
+    Intermediate gradients skip the +0.0 of a first _accumulate: a
+    zero's sign cannot reach a leaf, whose own first write adds it.
+    """
+    if members.data.ndim != 3 or p_in.data.ndim != 2 or p_in.shape[1] != members.shape[2]:
+        raise _shape_err("transformer_block", members, p_in)
+    proj = p_in.shape[0]
+    count = members.shape[1]
+    c = float(1.0 / np.sqrt(proj))
+
+    x0 = members.data @ p_in.data.T
+    n1, xhat1, inv1 = _layer_norm_forward(x0, ln1_g, ln1_b)
+    q = n1 @ wq.data.T
+    k = n1 @ wk.data.T
+    v = n1 @ wv.data.T
+    scores = (q @ k.transpose(0, 2, 1)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    mixed = attn @ v
+    x1 = x0 + mixed @ wo.data.T
+    n2, xhat2, inv2 = _layer_norm_forward(x1, ln2_g, ln2_b)
+    hidden = n2 @ ff1.data.T + ff1_b.data
+    act = np.maximum(hidden, 0.0)
+    x2 = x1 + (act @ ff2.data.T + ff2_b.data)
+    back = x2 @ p_out.data.T
+
+    def backward(g):
+        d_back = np.broadcast_to(np.expand_dims(g, 1), back.shape) / count
+        _weight_grad(p_out, d_back, x2)
+        d_x2 = d_back @ p_out.data
+        _bias_grad(ff2_b, d_x2)
+        _weight_grad(ff2, d_x2, act)
+        d_hidden = (d_x2 @ ff2.data) * (hidden > 0)
+        _bias_grad(ff1_b, d_hidden)
+        _weight_grad(ff1, d_hidden, n2)
+        d_n2 = d_hidden @ ff1.data
+        _layer_norm_param_grads(d_n2, ln2_g, ln2_b, xhat2)
+        # x1 feeds a residual add and layer norm 2: the add's backward runs first
+        d_x1 = d_x2 + _layer_norm_input_grad(d_n2, ln2_g, xhat2, inv2)
+        _weight_grad(wo, d_x1, mixed)
+        d_mixed = d_x1 @ wo.data
+        d_attn = d_mixed @ v.transpose(0, 2, 1)
+        d_v = attn.transpose(0, 2, 1) @ d_mixed
+        d_scores = (attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))) * c
+        d_q = d_scores @ k
+        d_k = d_scores.transpose(0, 2, 1) @ q
+        _weight_grad(wq, d_q, n1)
+        _weight_grad(wk, d_k, n1)
+        _weight_grad(wv, d_v, n1)
+        # n1 feeds q, k and v, whose backwards run in that order
+        d_n1 = d_q @ wq.data + d_k @ wk.data + d_v @ wv.data
+        _layer_norm_param_grads(d_n1, ln1_g, ln1_b, xhat1)
+        # as for x1: the residual add's contribution first, then layer norm 1's
+        d_x0 = d_x1 + _layer_norm_input_grad(d_n1, ln1_g, xhat1, inv1)
+        _weight_grad(p_in, d_x0, members.data)
+        if members.requires_grad:
+            members._accumulate(d_x0 @ p_in.data)
+
+    parents = (members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
+               ff1, ff1_b, ff2, ff2_b, p_out)
+    return _make(back.sum(axis=1) / count, parents, backward)
 
 
 # -------------------------------------------------------------------- losses

@@ -492,18 +492,19 @@ def _cmd_eval(args, cfg):
         if missing:
             raise DataError(f"fold test classes not in this world: {missing}")
         rows = data.pairs(sorted(data.examples))
-        trained = data.classes.seen
+        trained = data.classes
     else:
         graph, features, fold_spec, examples = _load_inputs(cfg, ("test",))
         rows = examples["test"]
-        trained = fold_spec.folds[0].seen
+        trained = fold_spec.folds[0]
+    # `train` fits the seen classes of `trained` and picks its epoch by
+    # the loss on its dev classes, so a zero-shot score must count neither
+    roles = dict.fromkeys(trained.dev, "dev") | dict.fromkeys(trained.seen, "seen")
     for i, fold in enumerate(fold_spec.folds):
         _check_fold_classes(graph, i, fold.unseen)
-        # `train` fits fold 0's seen classes only, and a zero-shot score
-        # must not count a class the checkpoint was trained on
         for cls in fold.unseen:
-            if cls in trained:
-                raise DataError(f"fold {i} tests class {cls!r}, which training saw as a seen class")
+            if cls in roles:
+                raise DataError(f"fold {i} tests class {cls!r}, which training saw as a {roles[cls]} class")
     class_enc, encoder, head = _assemble(cfg, graph, features)
     load_into(model_params(class_enc, encoder, head), ckpt)
     mode = "l2" if cfg["model"]["head"] == "l2" else cfg["model"]["loss_mode"]

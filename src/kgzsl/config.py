@@ -132,6 +132,7 @@ _COMMON = {
 }
 
 HEAD_KINDS = ("bilinear", "l2")
+LOSS_MODES = ("multiclass", "multilabel")
 # the exact keys of each encoder kind's config block
 ENCODER_KEYS = {
     "sentence": ("kind", "input_dim", "hidden_dim", "attn_dim"),
@@ -248,6 +249,8 @@ def validate(cfg):
         )
     if model["head"] not in HEAD_KINDS:
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {model['head']!r}")
+    if model["loss_mode"] not in LOSS_MODES:
+        raise ConfigError(f"model.loss_mode must be one of {LOSS_MODES}, got {model['loss_mode']!r}")
     if model["head"] == "l2" and model["loss_mode"] == "multilabel":
         raise ConfigError(
             "model.loss_mode 'multilabel' needs the bilinear head: "

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from kgzsl import autodiff as ad
+from kgzsl.aggregators import TransformerPoolLayer, canonical_rows
+
 
 def markov_hit_table(g, center, steps, restarts):
     """Exact expected hit table via transition-matrix powering.
@@ -127,6 +130,43 @@ def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rn
             else:
                 reps[(level, v)] = layer.forward(prev_self, prev_neighbors)
     return reps[(k, node)]
+
+
+def composed_transformer_block(members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
+                               ff1, ff1_b, ff2, ff2_b, p_out):
+    """The transformer block built from the engine's elementary ops.
+
+    The aggregator's block before it became `transformer_block`: one
+    tape node per step, so the fused op's values, gradients and
+    gradient accumulation order can be compared with it byte for byte.
+    """
+    x = ad.matmul_t(members, p_in)
+    n1 = ad.layer_norm(x, ln1_g, ln1_b)
+    q = ad.matmul_t(n1, wq)
+    k = ad.matmul_t(n1, wk)
+    v = ad.matmul_t(n1, wv)
+    scores = ad.scale(ad.matmul_t(q, k), 1.0 / np.sqrt(p_in.shape[0]))
+    attn = ad.matmul(ad.softmax(scores, axis=-1), v)
+    x = ad.add(x, ad.matmul_t(attn, wo))
+    n2 = ad.layer_norm(x, ln2_g, ln2_b)
+    ff = ad.add(ad.matmul_t(n2, ff1), ff1_b)
+    ff = ad.add(ad.matmul_t(ad.relu(ff), ff2), ff2_b)
+    x = ad.add(x, ff)
+    return ad.mean(ad.matmul_t(x, p_out), axis=1)
+
+
+class ComposedTransformerLayer(TransformerPoolLayer):
+    """A TransformerPoolLayer whose group forward runs the composed block."""
+
+    def forward_group(self, prev, rows, node_args=None):
+        rows = canonical_rows(prev, rows)
+        a_v = composed_transformer_block(
+            ad.gather(prev, rows), self.p_in, self.wq, self.wk, self.wv, self.wo,
+            self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b,
+            self.ff1, self.ff1_b, self.ff2, self.ff2_b, self.p_out,
+        )
+        combined = ad.concat([ad.gather(prev, rows[:, 0]), a_v], axis=1)
+        return self.act(ad.matvec(self.weight, combined))
 
 
 def layer_norm_reference(x, gain, bias, eps=1e-5):

@@ -120,6 +120,20 @@ def _op_cases(rng):
             {"x": x, "g": g, "b": b},
         )
 
+    def transformer_block_case():
+        # members 6 wide, so the block is 3 wide; the layer norm gains
+        # stay away from zero, as in layer_norm_case
+        members = leaf((2, 3, 6))
+        shapes = [(3, 6)] + [(3, 3)] * 4 + [3] * 4 + [(3, 3), 3, (3, 3), 3, (6, 3)]
+        params = [leaf(shape, low=0.5 if i in (5, 7) else None) for i, shape in enumerate(shapes)]
+
+        def block():
+            return ad.transformer_block(members, *params)
+        return (
+            lambda: ad.sum(ad.multiply(block(), block())),
+            {"members": members, **{f"w{i}": t for i, t in enumerate(params)}},
+        )
+
     return [
         ("add", pair(ad.add)),
         ("subtract", pair(ad.subtract)),
@@ -163,6 +177,7 @@ def _op_cases(rng):
         ("softmax_3d", stacked(lambda t: ad.softmax(t, axis=-1), (2, 3, 4))),
         ("layer_norm_3d", layer_norm_3d_case()),
         ("sum_axis1_3d", stacked(lambda t: ad.sum(t, axis=1), (2, 3, 4))),
+        ("transformer_block", transformer_block_case()),
     ]
 
 

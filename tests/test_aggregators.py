@@ -12,7 +12,7 @@ from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, HitTable, WalkConfig
 from kgzsl.seeding import make_rng
 
-from .helpers import per_node_forward
+from .helpers import ComposedTransformerLayer, per_node_forward
 
 
 def rng(seed=0):
@@ -500,6 +500,44 @@ class TestLevelBatchedForward:
         for name, want in reference.items():
             err = np.linalg.norm(batched[name] - want) / max(np.linalg.norm(want), 1e-300)
             assert err <= 1e-12, (name, err)
+
+    def test_fused_transformer_matches_composed_block_bitwise(self):
+        # three levels; below the top, each level runs several member
+        # counts whose groups share rows of `prev`, so their gradients
+        # add up there in the tape's order
+        g, feats, hits = random_world(11, 9, 5)
+        stack = make_stack(["transformer"] * 3, [4, 3, 3], 5, seed=12)
+        oracle = agg.GnnStack([
+            ComposedTransformerLayer(5, 5, activation="tanh", rng=make_rng("stack-test", 12, i),
+                                     name=f"transformer{i}")
+            for i in range(3)
+        ], stack.hop_limits)
+        weights = ad.constant(rng(13).normal(size=5))
+
+        def spy(layer, calls):
+            inner = layer.forward_group
+
+            def forward_group(prev, rows, node_args=None):
+                calls.append(rows)
+                return inner(prev, rows, node_args)
+            layer.forward_group = forward_group
+
+        groups = {0: [], 1: []}
+        for level, calls in groups.items():
+            spy(stack.layers[level], calls)
+        agg.gnn_forward(stack, g, feats, hits, "n2", seed=2)
+        for level, calls in groups.items():
+            del stack.layers[level].forward_group
+            assert len(calls) >= 2, level
+            assert set(calls[0].ravel()) & set(calls[1].ravel()), level
+
+        def run(s):
+            outs = [agg.gnn_forward(s, g, feats, hits, v, mode="train", seed=2) for v in g.nodes]
+            ad.backward(ad.sum(ad.multiply(ad.sum(ad.stack(outs), axis=0), weights)))
+            grads = {name: t.grad.tobytes() for name, t in s.parameters().items()}
+            return [o.data.tobytes() for o in outs], grads
+
+        assert run(stack) == run(oracle)
 
     @pytest.mark.parametrize("kind", ["gcn", "gat", "rgcn", "transformer"])
     def test_tape_scales_with_depth_not_neighborhood_size(self, kind):

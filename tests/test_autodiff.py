@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from kgzsl import autodiff as ad
 from kgzsl.errors import ContractError, ShapeError
 
-from .helpers import layer_norm_reference
+from .helpers import composed_transformer_block, layer_norm_reference
 
 
 def rng():
@@ -485,6 +485,21 @@ def _(r):
     return lambda: weighted_sum(ad.layer_norm(x, g_, b), rng()), {"x": x, "g": g_, "b": b}
 
 
+def block_tensors(r, width):
+    """Random parameters of a transformer block over members `width` wide."""
+    proj = max(1, width // 2)
+    shapes = [(proj, width)] + [(proj, proj)] * 4 + [(proj,)] * 4 + [
+        (proj, proj), (proj,), (proj, proj), (proj,), (width, proj)]
+    return [p(r, *shape) for shape in shapes]
+
+
+@grad_case("transformer_block")
+def _(r):
+    members, params = p(r, 2, 3, 6), block_tensors(r, 6)
+    named = {"members": members, **{f"w{i}": t for i, t in enumerate(params)}}
+    return lambda: weighted_sum(ad.transformer_block(members, *params), rng()), named
+
+
 @grad_case("cross_entropy")
 def _(r):
     a = p(r, 5)
@@ -527,6 +542,56 @@ class TestGradCheckAllOps:
         report = ad.grad_check(bad_square, {"t": t})
         assert not report.passed
         assert report.worst() > 1e-3
+
+
+class TestTransformerBlock:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 4),
+        count=st.integers(1, 6),
+        width=st.integers(1, 6),
+        mode=st.sampled_from(["train", "eval", "no_grad"]),
+        members_grad=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_composed_ops(self, seed, batch, count, width, mode, members_grad):
+        r = np.random.Generator(np.random.PCG64(seed))
+        members = ad.Tensor(r.normal(size=(batch, count, width)), requires_grad=members_grad)
+        params = block_tensors(r, width)
+        # some upstream gradients are signed zeros
+        weights = ad.constant(r.normal(size=(batch, width)) * (r.random((batch, width)) > 0.3))
+        leaves = [members, *params]
+
+        def run(block):
+            for t in leaves:
+                t.zero_grad()
+            if mode == "no_grad":
+                with ad.no_grad():
+                    out = block(members, *params)
+                assert not out.requires_grad
+                return out.data.tobytes(), []
+            out = block(members, *params)
+            if mode == "eval":
+                return out.data.tobytes(), []
+            ad.backward(ad.sum(ad.multiply(out, weights)))
+            assert all(t.grad is not None for t in params)
+            assert (members.grad is not None) == members_grad
+            return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+        assert run(ad.transformer_block) == run(composed_transformer_block)
+
+    def test_is_one_tape_node(self):
+        r = rng()
+        out = ad.transformer_block(p(r, 2, 3, 4), *block_tensors(r, 4))
+        # the op and its 15 leaves
+        assert len(ad.Tape.from_output(out)) == 16
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (3, 4), (2, 3, 3)])
+    def test_wrong_member_width_names_op(self, shape):
+        r = rng()
+        with pytest.raises(ShapeError) as err:
+            ad.transformer_block(p(r, *shape), *block_tensors(r, 4))
+        assert "transformer_block" in str(err.value)
 
 
 class TestBackward:

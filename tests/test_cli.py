@@ -155,6 +155,35 @@ class TestTrainEval:
         assert run(command, "--config", cfg, "--out", str(tmp_path / "x")) == 1
         assert "model.loss_mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unknown_loss_mode_is_config_error(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text("{}")
+        cfg = write(tmp_path / "cfg.json", {
+            "profile": "synthetic",
+            "model": {"loss_mode": "foo"},
+            "synth": {"examples_per_class": 20},
+            "paths": {"checkpoint": str(ckpt)},
+        })
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "x")) == 1
+        assert "model.loss_mode" in capsys.readouterr().err
+
+    def test_eval_rejects_fold_testing_a_dev_class(self, tmp_path, capsys):
+        # train picks its epoch by the dev classes' loss: they are not zero-shot classes
+        base = {"profile": "synthetic", "synth": {"examples_per_class": 20, "num_dev": 2}}
+        assert run("synth", "--config", write(tmp_path / "s.json", base), "--out", str(tmp_path / "w")) == 0
+        fold = json.loads((tmp_path / "w" / "fold_spec.json").read_text())["folds"][0]
+        dev = fold["dev"][0]
+        folds = write(tmp_path / "folds.json", {"folds": [
+            fold, {"train": fold["train"], "dev": [], "test": [dev]},
+        ]})
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text("{}")
+        cfg = write(tmp_path / "cfg.json", {**base, "paths": {"checkpoint": str(ckpt), "fold_spec": folds}})
+        assert run("eval", "--config", cfg, "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fold 1" in err and repr(dev) in err and "dev" in err
+
     def test_empty_test_fold_is_config_error(self, tmp_path):
         fold = write(tmp_path / "folds.json",
                      {"folds": [{"train": ["class/0"], "dev": [], "test": []}]})
@@ -392,6 +421,18 @@ class TestExamplesFile:
         assert run("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fold 1" in err and "'cls/alpha'" in err
+
+    def test_eval_rejects_fold_testing_a_dev_class(self, world, tmp_path, capsys):
+        # train picks its epoch by fold 0's dev loss, so cls/beta is no zero-shot class
+        write(world / "folds.json", {"folds": [
+            {"train": ["cls/alpha"], "dev": ["cls/beta"], "test": ["cls/gamma"]},
+            {"train": ["cls/gamma"], "dev": [], "test": ["cls/beta"]},
+        ]})
+        test = [{"vector": VEC, "label": "cls/gamma"}, {"vector": VEC, "label": "cls/beta"}]
+        cfg = self.config(world, {"train": [{"vector": VEC, "label": "cls/alpha"}], "test": test})
+        assert run("eval", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fold 1" in err and "'cls/beta'" in err and "dev" in err
 
     def test_node_without_tokens_names_node(self, world, tmp_path, capsys):
         with open(world / "g.tsv", "a") as fh:

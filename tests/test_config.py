@@ -91,6 +91,12 @@ class TestValidate:
         with pytest.raises(ConfigError, match="model.loss_mode"):
             expand({"profile": "vision", "model": {"loss_mode": "multilabel"}})
 
+    @pytest.mark.parametrize("profile", ["vision", "synthetic"])
+    @pytest.mark.parametrize("mode", ["foo", "", None, ["multiclass"]])
+    def test_unknown_loss_mode_rejected(self, profile, mode):
+        with pytest.raises(ConfigError, match="model.loss_mode"):
+            expand({"profile": profile, "model": {"loss_mode": mode}})
+
     def test_mention_encoder_output_dim(self):
         cfg = expand({"profile": "typing"})
         assert encoder_output_dim(cfg["model"]["encoder"]) == 2 * 100 + 60 + 300
