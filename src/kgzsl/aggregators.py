@@ -51,10 +51,21 @@ def _activation(name):
         raise ConfigError(f"unknown activation {name!r}") from None
 
 
+def _row_bytes(data):
+    """A sort key taking a row number i of `data` to the bytes of data[i].
+
+    Each key is a slice of one `tobytes()` buffer of the whole array,
+    so no row builds its own.
+    """
+    buf = data.tobytes()
+    step = len(buf) // len(data) if len(data) else 0
+    return lambda i: buf[i * step:(i + 1) * step]
+
+
 def canonical_rows(prev, rows):
     """`rows` with each node's neighbors (every column but the first) in canonical order."""
-    data = prev.data
-    return np.array([[r[0]] + sorted(r[1:], key=lambda i: data[i].tobytes()) for r in rows])
+    key = _row_bytes(prev.data)
+    return np.array([[r[0]] + sorted(r[1:], key=key) for r in rows.tolist()])
 
 
 def _forward_one(layer, members, node_args=None):
@@ -161,27 +172,40 @@ class RelationalMeanLayer:
         return out
 
     def forward(self, self_feat, tagged_neighbors):
-        """tagged_neighbors: iterable of (relation, tensor) pairs."""
-        tagged = list(tagged_neighbors)
-        members = [self_feat] + [feat for _, feat in tagged]
-        return _forward_one(self, members, [[(rel,) for rel, _ in tagged]])
+        """tagged_neighbors: iterable of (relation, tensor) pairs.
 
-    def forward_group(self, prev, rows, node_args):
-        """node_args: per node, the relations from it to each neighbor."""
-        data = prev.data
+        Pairs that share one tensor object are one neighbor reached
+        through several relations: one member, as in `forward_group`, so
+        both sum the same members in the same order, and a relation
+        repeated for it counts once.
+        """
+        relations = {}
+        for rel, feat in tagged_neighbors:
+            relations.setdefault(id(feat), (feat, []))[1].append(rel)
+        members = [self_feat] + [feat for feat, _ in relations.values()]
+        return _forward_one(self, members, [[tuple(rels) for _, rels in relations.values()]])
+
+    def _canonical_members(self, data, rows, node_args):
+        """Each node's neighbors in canonical order, as in canonical_rows, as
+        a (B, M - 1) index into `data`, and per relation a {0, 1} mask over
+        them, (R, B, M - 1, 1)."""
+        key = _row_bytes(data)
         count, size = rows.shape
-        # each node's neighbors in canonical order, as in canonical_rows, and
-        # per relation a {0, 1} mask over them
         index = np.empty((count, size - 1), dtype=np.intp)
         masks = np.zeros((len(self.relations), count, size - 1, 1))
-        for node, (r, relations) in enumerate(zip(rows, node_args)):
-            ranked = sorted(zip(r[1:], relations), key=lambda pair: data[pair[0]].tobytes())
+        for node, (r, relations) in enumerate(zip(rows.tolist(), node_args)):
+            ranked = sorted(zip(r[1:], relations), key=lambda pair: key(pair[0]))
             for k, (u, rels) in enumerate(ranked):
                 index[node, k] = u
                 for rel in rels:
                     if rel not in self._rel_index:
                         raise UnknownRelationError(rel)
                     masks[self._rel_index[rel], node, k] = 1.0
+        return index, masks
+
+    def forward_group(self, prev, rows, node_args):
+        """node_args: per node, the relations from it to each neighbor."""
+        index, masks = self._canonical_members(prev.data, rows, node_args)
         neighbors = ad.gather(prev, index)
         agg = None
         for rel, mask in zip(self.relations, masks):
@@ -295,12 +319,16 @@ class TransformerPoolLayer:
     stays unordered), projected back up and mean-pooled into a_v.  The
     feedforward hidden width equals the projected width.  There is
     exactly one attention block no matter how many layers are stacked
-    above or below, and it is one tape node, `ad.transformer_block`.
+    above or below.
 
     The combine step is TrGCN's act(W [h_v ; a_v]): the node's own
     representation reaches the output through its own columns of W
     instead of only as one member of the pooled set, as in GraphSAGE's
     concatenation and the sequence aggregator here.
+
+    A group is two tape nodes: `ad.transformer_block`, which gathers
+    the members and the self rows from the level below, runs the block
+    and returns W [h_v ; a_v], and the activation.
     """
 
     kind = "transformer"
@@ -341,14 +369,11 @@ class TransformerPoolLayer:
         return _forward_one(self, [self_feat, *neighbors])
 
     def forward_group(self, prev, rows, node_args=None):
-        rows = canonical_rows(prev, rows)
-        a_v = ad.transformer_block(
-            ad.gather(prev, rows), self.p_in, self.wq, self.wk, self.wv, self.wo,
+        return self.act(ad.transformer_block(
+            prev, canonical_rows(prev, rows), self.p_in, self.wq, self.wk, self.wv, self.wo,
             self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b,
-            self.ff1, self.ff1_b, self.ff2, self.ff2_b, self.p_out,
-        )
-        combined = ad.concat([ad.gather(prev, rows[:, 0]), a_v], axis=1)
-        return self.act(ad.matvec(self.weight, combined))
+            self.ff1, self.ff1_b, self.ff2, self.ff2_b, self.p_out, self.weight,
+        ))
 
 
 LAYER_KINDS = {

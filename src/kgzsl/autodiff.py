@@ -4,8 +4,9 @@ A Tensor wraps an ndarray plus the closure that pushes gradients to its
 parents.  backward() builds a Tape (the topologically ordered record of
 the operations reachable from the loss) and traverses it exactly once,
 accumulating gradients with +=, so reuse of a tensor sums contributions.
-One op, transformer_block, fuses a whole attention block into a single
-node whose values and gradients are bitwise those of its elementary ops.
+One op, transformer_block, fuses a whole transformer aggregator group
+(gathers, attention block and combine) into a single node whose values
+and gradients are bitwise those of its elementary ops.
 
 Shapes are checked strictly: the only implicit broadcasts anywhere are
 adding a (n,) bias to every row of a (..., n) tensor, a 2-D right
@@ -275,7 +276,12 @@ def dot_rows(x, v):
             x._accumulate(g[..., None] * v.data)
         if v.requires_grad:
             v._accumulate((g[..., None] * x.data).reshape(-1, v.shape[0]).sum(axis=0))
-    return _make((x.data[..., None, :] @ v.data[:, None])[..., 0, 0], (x, v), backward)
+    return _make(_dot_rows(x.data, v.data), (x, v), backward)
+
+
+def _dot_rows(x, v):
+    """dot_rows' forward on arrays: x_i . v for every trailing vector x_i of x."""
+    return (x[..., None, :] @ v[:, None])[..., 0, 0]
 
 
 # ------------------------------------------------------------ restructuring
@@ -337,15 +343,24 @@ def gather(a, index):
     index = np.asarray(index)
     if a.data.ndim < 1 or index.dtype.kind not in "iu":
         raise _shape_err("gather", a)
-    if index.size and (index.min() < 0 or index.max() >= a.shape[0]):
-        raise ContractError(f"gather: index out of range for {a.shape}")
+    _check_index("gather", a, index)
 
     def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, index, g)
-            a._accumulate(buf)
+        _gather_grad(a, index, g)
     return _make(a.data[index], (a,), backward)
+
+
+def _check_index(op, a, index):
+    if index.size and (index.min() < 0 or index.max() >= a.shape[0]):
+        raise ContractError(f"{op}: index out of range for {a.shape}")
+
+
+def _gather_grad(a, index, g):
+    """gather's gradient: g summed into the rows of a that `index` took."""
+    if a.requires_grad:
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, index, g)
+        a._accumulate(buf)
 
 
 def transpose(a):
@@ -538,29 +553,41 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _make(out, (x, gain, bias), backward)
 
 
-def transformer_block(members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
-                      ff1, ff1_b, ff2, ff2_b, p_out):
-    """One pre-norm attention + feedforward block, mean-pooled, as one node.
+def transformer_block(prev, rows, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
+                      ff1, ff1_b, ff2, ff2_b, p_out, w):
+    """The transformer aggregator's group before its activation, as one node.
 
-    members is a (B, M, n) stack of B member sets.  Each set is
-    projected by p_in (p, n), run through single-head attention and a
-    relu feedforward, each behind layer norm and a residual, projected
-    back by p_out (n, p) and averaged over its M members: (B, n).
+    prev is the (N, n) level below and rows a (B, M) integer array of
+    its rows: each node first, then its members.  Each member set
+    prev[rows[i]] is projected by p_in (p, n), run through single-head
+    attention and a relu feedforward, each behind layer norm and a
+    residual, projected back by p_out (n, p) and averaged over its M
+    members into a_v; the result is w [h_v ; a_v], (B, o) for a w of
+    shape (o, 2n), with h_v = prev[rows[:, 0]].
 
-    The forward is the composition of matmul_t, layer_norm, matmul_t,
-    scale, softmax, matmul, add, relu and mean, expression for
-    expression, and the backward is their backwards, in the order the
-    tape would run them, so values and gradients keep every bit.
-    Intermediate gradients skip the +0.0 of a first _accumulate: a
-    zero's sign cannot reach a leaf, whose own first write adds it.
+    The forward is the composition of gather, matmul_t, layer_norm,
+    matmul_t, scale, softmax, matmul, add, relu, mean, concat and
+    matvec, expression for expression, and the backward is their
+    backwards, in the order the tape would run them, so values and
+    gradients keep every bit.  Intermediate gradients skip the +0.0 of
+    a first _accumulate: a zero's sign cannot reach a leaf, whose own
+    first write adds it, nor prev, whose gather buffers start at +0.0.
     """
-    if members.data.ndim != 3 or p_in.data.ndim != 2 or p_in.shape[1] != members.shape[2]:
-        raise _shape_err("transformer_block", members, p_in)
+    rows = np.asarray(rows)
+    if prev.data.ndim != 2 or p_in.data.ndim != 2 or p_in.shape[1] != prev.shape[1]:
+        raise _shape_err("transformer_block", prev, p_in)
+    width = prev.shape[1]
+    if w.data.ndim != 2 or w.shape[1] != 2 * width:
+        raise _shape_err("transformer_block", prev, w)
+    if rows.ndim != 2 or not rows.shape[1] or rows.dtype.kind not in "iu":
+        raise ShapeError(f"transformer_block: rows must be a (B, M) integer array, got {rows.shape}")
+    _check_index("transformer_block", prev, rows)
     proj = p_in.shape[0]
-    count = members.shape[1]
+    count = rows.shape[1]
     c = float(1.0 / np.sqrt(proj))
 
-    x0 = members.data @ p_in.data.T
+    members = prev.data[rows]
+    x0 = members @ p_in.data.T
     n1, xhat1, inv1 = _layer_norm_forward(x0, ln1_g, ln1_b)
     q = n1 @ wq.data.T
     k = n1 @ wk.data.T
@@ -575,9 +602,14 @@ def transformer_block(members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
     act = np.maximum(hidden, 0.0)
     x2 = x1 + (act @ ff2.data.T + ff2_b.data)
     back = x2 @ p_out.data.T
+    combined = np.concatenate([prev.data[rows[:, 0]], back.sum(axis=1) / count], axis=1)
 
     def backward(g):
-        d_back = np.broadcast_to(np.expand_dims(g, 1), back.shape) / count
+        # matvec, then concat: h_v's gather, then the block
+        _weight_grad(w, g, combined)
+        d_combined = g @ w.data
+        _gather_grad(prev, rows[:, 0], d_combined[:, :width])
+        d_back = np.broadcast_to(np.expand_dims(d_combined[:, width:], 1), back.shape) / count
         _weight_grad(p_out, d_back, x2)
         d_x2 = d_back @ p_out.data
         _bias_grad(ff2_b, d_x2)
@@ -604,13 +636,13 @@ def transformer_block(members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
         _layer_norm_param_grads(d_n1, ln1_g, ln1_b, xhat1)
         # as for x1: the residual add's contribution first, then layer norm 1's
         d_x0 = d_x1 + _layer_norm_input_grad(d_n1, ln1_g, xhat1, inv1)
-        _weight_grad(p_in, d_x0, members.data)
-        if members.requires_grad:
-            members._accumulate(d_x0 @ p_in.data)
+        _weight_grad(p_in, d_x0, members)
+        if prev.requires_grad:
+            _gather_grad(prev, rows, d_x0 @ p_in.data)
 
-    parents = (members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
-               ff1, ff1_b, ff2, ff2_b, p_out)
-    return _make(back.sum(axis=1) / count, parents, backward)
+    parents = (prev, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,
+               ff1, ff1_b, ff2, ff2_b, p_out, w)
+    return _make((w.data @ combined[..., None])[..., 0], parents, backward)
 
 
 # -------------------------------------------------------------------- losses

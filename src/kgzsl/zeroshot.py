@@ -390,8 +390,7 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
                 f"({head.theta_dim}, {head.phi_dim}) head"
             )
         vec = theta @ head.score_matrix()
-    scores = ad.dot_rows(ad.constant(class_reps.matrix), ad.constant(vec)).data
-    return list(class_reps.ids), scores
+    return list(class_reps.ids), ad._dot_rows(class_reps.matrix, vec)
 
 
 def predict(theta, head, class_reps, mode="multiclass"):

@@ -156,7 +156,12 @@ def composed_transformer_block(members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_
 
 
 class ComposedTransformerLayer(TransformerPoolLayer):
-    """A TransformerPoolLayer whose group forward runs the composed block."""
+    """A TransformerPoolLayer whose group forward is all elementary ops.
+
+    Gathers, the composed block, concat, matvec and the activation, one
+    tape node each: the oracle for `ad.transformer_block`, which fuses
+    all of them but the activation.
+    """
 
     def forward_group(self, prev, rows, node_args=None):
         rows = canonical_rows(prev, rows)

@@ -121,17 +121,20 @@ def _op_cases(rng):
         )
 
     def transformer_block_case():
-        # members 6 wide, so the block is 3 wide; the layer norm gains
-        # stay away from zero, as in layer_norm_case
-        members = leaf((2, 3, 6))
-        shapes = [(3, 6)] + [(3, 3)] * 4 + [3] * 4 + [(3, 3), 3, (3, 3), 3, (6, 3)]
+        # prev 6 wide, so the block is 3 wide; the layer norm gains
+        # stay away from zero, as in layer_norm_case.  Two member sets
+        # of 3 over 5 rows of prev: each takes a row twice, row 3 is a
+        # self row and a member, and row 2 is unused
+        prev = leaf((5, 6))
+        rows = np.array([[0, 3, 3], [3, 1, 1]])
+        shapes = [(3, 6)] + [(3, 3)] * 4 + [3] * 4 + [(3, 3), 3, (3, 3), 3, (6, 3), (4, 12)]
         params = [leaf(shape, low=0.5 if i in (5, 7) else None) for i, shape in enumerate(shapes)]
 
         def block():
-            return ad.transformer_block(members, *params)
+            return ad.transformer_block(prev, rows, *params)
         return (
             lambda: ad.sum(ad.multiply(block(), block())),
-            {"members": members, **{f"w{i}": t for i, t in enumerate(params)}},
+            {"prev": prev, **{f"w{i}": t for i, t in enumerate(params)}},
         )
 
     return [

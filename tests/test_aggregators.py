@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kgzsl import aggregators as agg
 from kgzsl import autodiff as ad
@@ -453,6 +454,10 @@ class TestLevelBatchedForward:
         others=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
         mode=st.sampled_from(["eval", "train"]),
     )
+    # rgcn: n1 reaches neighbors through both relations, and its 8
+    # (neighbor, relation) pairs once rounded differently from the
+    # level-batched path's 5 neighbors
+    @example(seed=885, num_nodes=6, dim=1, limits=[5], others=["gcn", "gcn"], mode="eval")
     @settings(max_examples=15, deadline=None)
     def test_matches_per_node_reference_bitwise(self, kind, seed, num_nodes, dim, limits, others, mode):
         g, feats, hits = random_world(seed, num_nodes, dim)
@@ -552,6 +557,44 @@ class TestLevelBatchedForward:
             return len(ad.Tape.from_output(out))
 
         assert tape_nodes(2) == tape_nodes(8)
+
+
+# signed zeros and a few repeated values, so rows tie in value but not in bytes, or in both
+ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4, 4, width=64))
+
+
+def reference_canonical_rows(data, rows):
+    return [[r[0]] + sorted(r[1:], key=lambda i: data[i].tobytes()) for r in rows]
+
+
+class TestCanonicalOrder:
+    @given(st.data(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_rows_sorts_by_row_bytes(self, data, num_rows, dim, batch, size):
+        prev = ad.constant(data.draw(hnp.arrays(np.float64, (num_rows, dim), elements=ROW_VALUES)))
+        rows = data.draw(hnp.arrays(np.intp, (batch, size), elements=st.integers(0, num_rows - 1)))
+        got = agg.canonical_rows(prev, rows)
+        assert got.dtype.kind == "i" and got.shape == rows.shape
+        assert got.tolist() == reference_canonical_rows(prev.data, rows)
+
+    @given(st.data(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_rgcn_order_and_masks_match_byte_sort(self, data, num_rows, dim, batch, size):
+        # equal rows that carry different relations keep their given order
+        layer = agg.RelationalMeanLayer(dim, 2, relations=RELATIONS, rng=rng(56))
+        values = data.draw(hnp.arrays(np.float64, (num_rows, dim), elements=ROW_VALUES))
+        rows = data.draw(hnp.arrays(np.intp, (batch, size), elements=st.integers(0, num_rows - 1)))
+        subsets = st.lists(st.sampled_from(RELATIONS), min_size=1, max_size=2, unique=True).map(tuple)
+        node_args = [[data.draw(subsets) for _ in range(size - 1)] for _ in range(batch)]
+        index, masks = layer._canonical_members(values, rows, node_args)
+        want_masks = np.zeros_like(masks)
+        for b, (r, relations) in enumerate(zip(rows, node_args)):
+            ranked = sorted(zip(r[1:], relations), key=lambda pair: values[pair[0]].tobytes())
+            assert index[b].tolist() == [u for u, _ in ranked]
+            for k, (_, rels) in enumerate(ranked):
+                for rel in rels:
+                    want_masks[RELATIONS.index(rel), b, k] = 1.0
+        assert masks.tobytes() == want_masks.tobytes()
 
 
 class TestMakeLayer:

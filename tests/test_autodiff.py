@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kgzsl import autodiff as ad
+from kgzsl.aggregators import ACTIVATIONS, TransformerPoolLayer
 from kgzsl.errors import ContractError, ShapeError
 
-from .helpers import composed_transformer_block, layer_norm_reference
+from .helpers import ComposedTransformerLayer, layer_norm_reference
 
 
 def rng():
@@ -485,19 +486,21 @@ def _(r):
     return lambda: weighted_sum(ad.layer_norm(x, g_, b), rng()), {"x": x, "g": g_, "b": b}
 
 
-def block_tensors(r, width):
-    """Random parameters of a transformer block over members `width` wide."""
+def block_tensors(r, width, out_dim=3):
+    """Random parameters of a transformer group over rows `width` wide:
+    the block's 14, then the (out_dim, 2 width) combine weight."""
     proj = max(1, width // 2)
     shapes = [(proj, width)] + [(proj, proj)] * 4 + [(proj,)] * 4 + [
-        (proj, proj), (proj,), (proj, proj), (proj,), (width, proj)]
+        (proj, proj), (proj,), (proj, proj), (proj,), (width, proj), (out_dim, 2 * width)]
     return [p(r, *shape) for shape in shapes]
 
 
 @grad_case("transformer_block")
 def _(r):
-    members, params = p(r, 2, 3, 6), block_tensors(r, 6)
-    named = {"members": members, **{f"w{i}": t for i, t in enumerate(params)}}
-    return lambda: weighted_sum(ad.transformer_block(members, *params), rng()), named
+    prev, params = p(r, 5, 6), block_tensors(r, 6)
+    rows = np.array([[0, 3, 3], [3, 1, 1]])
+    named = {"prev": prev, **{f"w{i}": t for i, t in enumerate(params)}}
+    return lambda: weighted_sum(ad.transformer_block(prev, rows, *params), rng()), named
 
 
 @grad_case("cross_entropy")
@@ -544,53 +547,122 @@ class TestGradCheckAllOps:
         assert report.worst() > 1e-3
 
 
+def transformer_layer(in_dim, out_dim, activation, seed):
+    return ComposedTransformerLayer(in_dim, out_dim, activation=activation,
+                                    rng=np.random.Generator(np.random.PCG64(seed)))
+
+
+# one layer's parameters through the fused op and through the composed oracle
+FUSED, COMPOSED = TransformerPoolLayer.forward_group, ComposedTransformerLayer.forward_group
+
+
 class TestTransformerBlock:
     @given(
         seed=st.integers(0, 2**32 - 1),
         batch=st.integers(1, 4),
         count=st.integers(1, 6),
-        width=st.integers(1, 6),
+        in_dim=st.integers(1, 6),
+        out_dim=st.integers(1, 4),
         mode=st.sampled_from(["train", "eval", "no_grad"]),
-        members_grad=st.booleans(),
+        prev_grad=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_bitwise_equal_to_composed_ops(self, seed, batch, count, width, mode, members_grad):
+    def test_bitwise_equal_to_composed_ops(self, seed, batch, count, in_dim, out_dim, mode, prev_grad):
         r = np.random.Generator(np.random.PCG64(seed))
-        members = ad.Tensor(r.normal(size=(batch, count, width)), requires_grad=members_grad)
-        params = block_tensors(r, width)
+        # fewer rows than members, so rows repeat within and across sets,
+        # and some rows are equal, so the canonical order has ties
+        num_rows = int(r.integers(1, batch * count + 1))
+        data = r.normal(size=(num_rows, in_dim))
+        data[r.random(num_rows) < 0.3] = data[0]
+        prev = ad.Tensor(data, requires_grad=prev_grad)
+        rows = r.integers(0, num_rows, size=(batch, count))
         # some upstream gradients are signed zeros
-        weights = ad.constant(r.normal(size=(batch, width)) * (r.random((batch, width)) > 0.3))
-        leaves = [members, *params]
+        weights = ad.constant(r.normal(size=(batch, out_dim)) * (r.random((batch, out_dim)) > 0.3))
 
-        def run(block):
+        def run(forward_group, layer):
+            leaves = [prev, *layer.parameters().values()]
             for t in leaves:
                 t.zero_grad()
             if mode == "no_grad":
                 with ad.no_grad():
-                    out = block(members, *params)
+                    out = forward_group(layer, prev, rows)
                 assert not out.requires_grad
                 return out.data.tobytes(), []
-            out = block(members, *params)
+            out = forward_group(layer, prev, rows)
             if mode == "eval":
                 return out.data.tobytes(), []
             ad.backward(ad.sum(ad.multiply(out, weights)))
-            assert all(t.grad is not None for t in params)
-            assert (members.grad is not None) == members_grad
+            assert all(t.grad is not None for t in leaves[1:])
+            assert (prev.grad is not None) == prev_grad
             return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in leaves]
 
-        assert run(ad.transformer_block) == run(composed_transformer_block)
+        for activation in sorted(ACTIVATIONS):
+            layer = transformer_layer(in_dim, out_dim, activation, seed)
+            assert run(FUSED, layer) == run(COMPOSED, layer), activation
+
+    def test_three_level_stack_two_groups_per_level(self):
+        # each level runs two member counts over shared rows of the level
+        # below, so prev's gradient adds up over both groups of every
+        # level in the tape's order
+        r = rng()
+        widths = [5, 4, 3, 2]
+        layers = [transformer_layer(d_in, d_out, "tanh", i) for i, (d_in, d_out) in
+                  enumerate(zip(widths, widths[1:]))]
+        base = ad.Tensor(r.normal(size=(6, widths[0])), requires_grad=True)
+        weights = ad.constant(r.normal(size=(4, widths[-1])))
+        groups = [(r.integers(0, 6, size=(2, 3)), r.integers(0, 6, size=(4, 2)))
+                  for _ in layers]
+        leaves = [base] + [t for layer in layers for t in layer.parameters().values()]
+
+        def run(forward_group):
+            for t in leaves:
+                t.zero_grad()
+            prev = base
+            for layer, (small, large) in zip(layers, groups):
+                prev = ad.concat([forward_group(layer, prev, small), forward_group(layer, prev, large)])
+            ad.backward(ad.sum(ad.multiply(ad.gather(prev, np.arange(4)), weights)))
+            return prev.data.tobytes(), [t.grad.tobytes() for t in leaves]
+
+        assert run(FUSED) == run(COMPOSED)
 
     def test_is_one_tape_node(self):
         r = rng()
-        out = ad.transformer_block(p(r, 2, 3, 4), *block_tensors(r, 4))
-        # the op and its 15 leaves
-        assert len(ad.Tape.from_output(out)) == 16
+        prev = p(r, 4, 4)
+        out = ad.transformer_block(prev, np.array([[0, 1, 1], [2, 3, 0]]), *block_tensors(r, 4))
+        # the op, prev and its 15 parameters
+        assert len(ad.Tape.from_output(out)) == 17
+        # with its activation, a group is two nodes
+        layer = TransformerPoolLayer(4, 3, rng=r)
+        assert len(ad.Tape.from_output(layer.forward_group(ad.constant(prev.data), np.array([[0, 1]])))) == 18
 
-    @pytest.mark.parametrize("shape", [(2, 3, 5), (3, 4), (2, 3, 3)])
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 3, 4), (4, 3)])
     def test_wrong_member_width_names_op(self, shape):
         r = rng()
+        rows = np.zeros((1, 2), dtype=int)
         with pytest.raises(ShapeError) as err:
-            ad.transformer_block(p(r, *shape), *block_tensors(r, 4))
+            ad.transformer_block(p(r, *shape), rows, *block_tensors(r, 4))
+        assert "transformer_block" in str(err.value)
+
+    @pytest.mark.parametrize("shape", [(3, 7), (3, 9), (6,)])
+    def test_wrong_combine_width_names_op(self, shape):
+        r = rng()
+        params = block_tensors(r, 4)
+        with pytest.raises(ShapeError) as err:
+            ad.transformer_block(p(r, 5, 4), np.zeros((1, 2), dtype=int), *params[:-1], p(r, *shape))
+        assert "transformer_block" in str(err.value)
+
+    @pytest.mark.parametrize("rows", [np.zeros((1, 2)), np.zeros(2, dtype=int), np.zeros((1, 0), dtype=int)])
+    def test_rows_not_an_integer_matrix_names_op(self, rows):
+        r = rng()
+        with pytest.raises(ShapeError) as err:
+            ad.transformer_block(p(r, 5, 4), rows, *block_tensors(r, 4))
+        assert "transformer_block" in str(err.value)
+
+    @pytest.mark.parametrize("rows", [[[0, 5]], [[-1, 0]], [[5]]])
+    def test_rows_out_of_range(self, rows):
+        r = rng()
+        with pytest.raises(ContractError) as err:
+            ad.transformer_block(p(r, 5, 4), np.array(rows), *block_tensors(r, 4))
         assert "transformer_block" in str(err.value)
 
 
