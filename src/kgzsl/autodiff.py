@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DataError, ShapeError
 
 _grad_enabled = True
 
@@ -395,8 +395,8 @@ def row(a, index):
 
     def backward(g):
         if a.requires_grad:
-            # straight into the row: a row per member of every node of a
-            # level would otherwise allocate a level-sized buffer each
+            # straight into the row: only that row of the gradient is
+            # non-zero, so a full-size g would be a buffer and an add of zeros
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             a.grad[index] += g
@@ -884,12 +884,20 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as {name: ndarray}."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    out = {}
-    for name, rec in obj.items():
-        out[name] = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+    """Read a checkpoint back as {name: ndarray}.
+
+    A file that is not a checkpoint, or a NaN or infinite value, is a DataError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        out = {name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+               for name, rec in obj.items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise DataError(f"malformed checkpoint: {type(e).__name__}: {e}")
+    for name, arr in out.items():
+        if not np.isfinite(arr).all():
+            raise DataError(f"checkpoint parameter {name!r} holds a non-finite value")
     return out
 
 

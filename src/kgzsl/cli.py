@@ -29,6 +29,7 @@ from .autodiff import grad_check, load_into, save_checkpoint
 from .encoders import MentionEncoder, MentionInput, SentenceEncoder, VectorEncoder
 from .errors import (
     ConfigError, ContractError, DataError, DivergenceError, EmptyNameError, KgzslError, ParseError,
+    ShapeError,
 )
 from .evaluation import FoldSpec, fold_metrics
 from .kg import EmbeddingTable, ingest, init_features, serialize
@@ -147,8 +148,6 @@ def _build_example_encoder(cfg):
         input_dim=enc["input_dim"],
         hidden_dim=enc["hidden_dim"],
         attn_dim=enc["attn_dim"],
-        feature_dim=enc["feature_dim"],
-        feature_mode=enc["feature_mode"],
         window=enc["window"],
         rng=make_rng("enc-init", cfg["seed"]),
     )
@@ -506,7 +505,11 @@ def _cmd_eval(args, cfg):
             if cls in roles:
                 raise DataError(f"fold {i} tests class {cls!r}, which training saw as a {roles[cls]} class")
     class_enc, encoder, head = _assemble(cfg, graph, features)
-    load_into(model_params(class_enc, encoder, head), ckpt)
+    try:
+        load_into(model_params(class_enc, encoder, head), ckpt)
+    except (ContractError, DataError, ShapeError) as e:
+        # a checkpoint from another model config, or a corrupted one, is bad input
+        raise DataError(f"checkpoint {ckpt} cannot be loaded: {e}")
     mode = "l2" if cfg["model"]["head"] == "l2" else cfg["model"]["loss_mode"]
     multilabel = cfg["model"]["loss_mode"] == "multilabel"
     fold_predictions = []

@@ -53,8 +53,6 @@ PROFILES = {
                 "input_dim": 300,
                 "hidden_dim": 100,
                 "attn_dim": 100,
-                "feature_dim": 60,
-                "feature_mode": "zeros",
                 "window": 10,
             },
             "loss_mode": "multilabel",
@@ -136,7 +134,7 @@ LOSS_MODES = ("multiclass", "multilabel")
 # the exact keys of each encoder kind's config block
 ENCODER_KEYS = {
     "sentence": ("kind", "input_dim", "hidden_dim", "attn_dim"),
-    "mention": ("kind", "input_dim", "hidden_dim", "attn_dim", "feature_dim", "feature_mode", "window"),
+    "mention": ("kind", "input_dim", "hidden_dim", "attn_dim", "window"),
     "vector": ("kind", "input_dim"),
 }
 ENCODER_KINDS = tuple(ENCODER_KEYS)
@@ -211,7 +209,7 @@ def _check_leaf_types(cfg):
     enc = cfg["model"]["encoder"]
     counts = [("model.num_bases", cfg["model"]["num_bases"])] + [
         (f"model.encoder.{key}", enc[key])
-        for key in ("input_dim", "hidden_dim", "attn_dim", "feature_dim") if key in enc
+        for key in ("input_dim", "hidden_dim", "attn_dim") if key in enc
     ]
     for key, value in counts:
         _check_leaf(is_int(value) and value >= 1, key, "a positive integer", value)
@@ -251,6 +249,11 @@ def validate(cfg):
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {model['head']!r}")
     if model["loss_mode"] not in LOSS_MODES:
         raise ConfigError(f"model.loss_mode must be one of {LOSS_MODES}, got {model['loss_mode']!r}")
+    # imported here: aggregators imports sampler, which imports this module
+    from .aggregators import ACTIVATIONS, LAYER_KINDS
+    for key, names in (("aggregator", tuple(LAYER_KINDS)), ("activation", tuple(ACTIVATIONS))):
+        if model[key] not in names:
+            raise ConfigError(f"model.{key} must be one of {names}, got {model[key]!r}")
     if model["head"] == "l2" and model["loss_mode"] == "multilabel":
         raise ConfigError(
             "model.loss_mode 'multilabel' needs the bilinear head: "
@@ -269,11 +272,6 @@ def validate(cfg):
         if key not in enc:
             raise ConfigError(f"a {enc['kind']} encoder needs config key 'model.encoder.{key}'")
     _check_leaf_types(cfg)
-    if enc["kind"] == "mention" and enc["feature_mode"] != "zeros":
-        raise ConfigError(
-            f"encoder.feature_mode must be 'zeros', got {enc['feature_mode']!r}: "
-            "example files carry no hand features for the other modes"
-        )
     if model["head"] == "bilinear":
         theta = encoder_output_dim(enc)
         phi = dims[-1]
@@ -310,7 +308,7 @@ def encoder_output_dim(enc):
     if kind == "sentence":
         return 2 * enc["hidden_dim"]
     if kind == "mention":
-        return 2 * enc["hidden_dim"] + enc["feature_dim"] + enc["input_dim"]
+        return 2 * enc["hidden_dim"] + enc["input_dim"]
     return enc["input_dim"]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .aggregators import _LstmCell
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .seeding import make_rng
 
 
@@ -76,22 +76,18 @@ class MentionEncoder:
     over the left and the right context separately; position scores
     alpha_i = w_a . tanh(W_e h_i) are normalized by their literal sum
     over both contexts (not a softmax, so weights can be negative but
-    always sum to 1).  The output is [context ; hand features ; span],
-    width 2*hidden + feature_dim + input_dim.  Examples carry no hand
-    features, so that slot holds zeros; "zeros" is the only feature mode.
+    always sum to 1).  The output is [context ; span], width
+    2*hidden + input_dim.
     """
 
-    def __init__(self, input_dim=300, hidden_dim=100, attn_dim=100, feature_dim=60,
-                 feature_mode="zeros", window=10, rng=None, name="mention"):
-        if feature_mode != "zeros":
-            raise ConfigError(f"feature mode must be 'zeros', got {feature_mode!r}")
+    def __init__(self, input_dim=300, hidden_dim=100, attn_dim=100, window=10, rng=None,
+                 name="mention"):
         if rng is None:
             rng = make_rng("init", name)
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.feature_dim = feature_dim
         self.window = window
-        self.output_dim = 2 * hidden_dim + feature_dim + input_dim
+        self.output_dim = 2 * hidden_dim + input_dim
         self.context = _LstmCell(input_dim, hidden_dim, rng, name=f"{name}/ctx")
         self.context_back = _LstmCell(input_dim, hidden_dim, rng, name=f"{name}/ctxb")
         self.attn_hidden = ad.param((attn_dim, 2 * hidden_dim), rng, name=f"{name}/We")
@@ -133,8 +129,7 @@ class MentionEncoder:
         total = ad.sum(raw)
         weights = ad.divide(raw, total)
         v_c = ad.matmul(weights, ad.stack(states))
-        v_f = ad.constant(np.zeros(self.feature_dim))
-        return ad.concat([v_c, v_f, v_m])
+        return ad.concat([v_c, v_m])
 
 
 class VectorEncoder:

@@ -214,8 +214,7 @@ def _encoder_cases(seed):
         out = sent.encode(tokens)
         return ad.sum(ad.multiply(out, out))
 
-    ment = MentionEncoder(input_dim=4, hidden_dim=2, attn_dim=2, feature_dim=3,
-                          feature_mode="zeros", window=2,
+    ment = MentionEncoder(input_dim=4, hidden_dim=2, attn_dim=2, window=2,
                           rng=make_rng("acc-grad-ment", seed))
     x = MentionInput(
         mention=[rng.standard_normal(4) for _ in range(2)],

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from kgzsl import autodiff as ad
 from kgzsl.aggregators import ACTIVATIONS, TransformerPoolLayer
-from kgzsl.errors import ContractError, ShapeError
+from kgzsl.errors import ContractError, DataError, ShapeError
 
 from .helpers import ComposedTransformerLayer, layer_norm_reference
 
@@ -807,6 +807,31 @@ class TestCheckpoint:
         ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True)}, path)
         with pytest.raises(ContractError):
             ad.load_into({"other": ad.Tensor([1.0], requires_grad=True)}, path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_names_parameter(self, tmp_path, value):
+        path = tmp_path / "c.json"
+        ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True),
+                            "b": ad.Tensor([1.0, value], requires_grad=True)}, path)
+        target = {"w": ad.Tensor([0.0], requires_grad=True), "b": ad.Tensor([0.0, 0.0], requires_grad=True)}
+        with pytest.raises(DataError, match="'b'.*non-finite"):
+            ad.load_into(target, path)
+        with pytest.raises(DataError, match="'b'.*non-finite"):
+            ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"w": {"shape": [1], "data": [1.0]',  # truncated
+        '[]',
+        '{"w": [1.0]}',
+        '{"w": {"shape": [1]}}',
+        '{"w": {"shape": [1], "data": ["x"]}}',
+        '{"w": {"shape": [2], "data": [1.0]}}',
+    ])
+    def test_malformed_file_is_data_error(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="malformed checkpoint"):
+            ad.load_checkpoint(path)
 
     def test_load_into_extra_param(self, tmp_path):
         path = tmp_path / "c.json"

@@ -197,6 +197,50 @@ class TestTrainEval:
         assert run("eval", "--config", cfg, "--out", str(tmp_path / "x")) == 1
 
 
+class TestBadCheckpoint:
+    """A checkpoint that does not fit the model, or holds a NaN, is bad input to `eval`."""
+
+    BASE = {"profile": "synthetic", "optimizer": {"epochs": 1}, "synth": {"examples_per_class": 10}}
+
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        run_dir = tmp_path_factory.mktemp("run")
+        cfg = write(run_dir / "cfg.json", self.BASE)
+        assert run("train", "--config", cfg, "--out", str(run_dir)) == 0
+        return run_dir / "checkpoint.json"
+
+    def _eval(self, tmp_path, ckpt, model=None):
+        cfg = write(tmp_path / "eval.json", {
+            **self.BASE, "model": model or {}, "paths": {"checkpoint": str(ckpt)},
+        })
+        return run("eval", "--config", cfg, "--out", str(tmp_path / "ev"))
+
+    def test_non_finite_value_names_parameter_and_path(self, ckpt, tmp_path, capsys):
+        obj = json.loads(ckpt.read_text())
+        obj["gnn/layer0/transformer/F1"]["data"][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))
+        assert self._eval(tmp_path, bad) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "gnn/layer0/transformer/F1" in err
+        assert not (tmp_path / "ev" / "metrics.json").exists()
+
+    def test_truncated_file_names_path(self, ckpt, tmp_path, capsys):
+        bad = tmp_path / "cut.json"
+        bad.write_text(ckpt.read_text()[:500])
+        assert self._eval(tmp_path, bad) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [{"dims": [16, 12]}, {"aggregator": "gcn"}], ids=["dims", "gcn"])
+    def test_checkpoint_of_another_model_config(self, ckpt, tmp_path, capsys, model):
+        assert self._eval(tmp_path, ckpt, model) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err
+
+    def test_clean_checkpoint_evaluates(self, ckpt, tmp_path):
+        assert self._eval(tmp_path, ckpt) == 0
+
+
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("train", "--config", str(tmp_path / "nope.json")) == 1
@@ -228,6 +272,20 @@ class TestErrors:
         cfg = write(tmp_path / "cfg.json", {"profile": "synthetic", "model": {"encoder": {"typo_key": 1}}})
         assert run("train", "--config", cfg, "--out", str(tmp_path / "x")) == 1
         assert "model.encoder.typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("feature_dim", 60), ("feature_mode", "zeros")])
+    def test_removed_mention_feature_key(self, tmp_path, capsys, key, value):
+        cfg = write(tmp_path / "cfg.json", {"profile": "typing", "model": {"encoder": {key: value}}})
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "x")) == 1
+        assert f"model.encoder.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, name", [("aggregator", "foo"), ("activation", "swish")])
+    def test_unknown_aggregator_or_activation_fails_before_synth(self, tmp_path, capsys, key, name):
+        cfg = write(tmp_path / "cfg.json", {"profile": "synthetic", "model": {key: name}})
+        out = tmp_path / "w"
+        assert run("synth", "--config", cfg, "--out", str(out)) == 1
+        assert f"model.{key}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_bad_log_level(self, synth_cfg, monkeypatch, tmp_path):
         monkeypatch.setenv("KGZSL_LOG", "loud")
@@ -287,8 +345,7 @@ VEC = [1.0, 0.0, 0.0, 0.0]
 MULTILABEL = {"loss_mode": "multilabel"}
 SENTENCE = {"encoder": {"kind": "sentence", "input_dim": 4, "hidden_dim": 2, "attn_dim": 2}}
 MENTION = {"encoder": {
-    "kind": "mention", "input_dim": 4, "hidden_dim": 2, "attn_dim": 2, "feature_dim": 2,
-    "feature_mode": "zeros", "window": 0,
+    "kind": "mention", "input_dim": 4, "hidden_dim": 2, "attn_dim": 2, "window": 0,
 }}
 
 

@@ -97,9 +97,23 @@ class TestValidate:
         with pytest.raises(ConfigError, match="model.loss_mode"):
             expand({"profile": profile, "model": {"loss_mode": mode}})
 
+    @pytest.mark.parametrize("key", ["aggregator", "activation"])
+    @pytest.mark.parametrize("name", ["foo", "swish", "", None, ["gcn"]])
+    def test_unknown_aggregator_and_activation_rejected(self, key, name):
+        with pytest.raises(ConfigError, match=f"model.{key} must be one of") as err:
+            expand({"profile": "synthetic", "model": {key: name}})
+        # the message lists what is allowed
+        assert ("transformer" if key == "aggregator" else "leaky_relu") in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [("feature_dim", 60), ("feature_mode", "zeros")])
+    def test_removed_mention_feature_keys_rejected(self, key, value):
+        # examples carry no hand features, so the mention encoder has no slot for them
+        with pytest.raises(ConfigError, match=f"model.encoder.{key}"):
+            expand({"profile": "typing", "model": {"encoder": {key: value}}})
+
     def test_mention_encoder_output_dim(self):
         cfg = expand({"profile": "typing"})
-        assert encoder_output_dim(cfg["model"]["encoder"]) == 2 * 100 + 60 + 300
+        assert encoder_output_dim(cfg["model"]["encoder"]) == 2 * 100 + 300
 
     def test_unknown_encoder_key_rejected(self):
         with pytest.raises(ConfigError, match="model.encoder.typo_key"):
@@ -109,12 +123,6 @@ class TestValidate:
         # a kind change replaces the block, so it must carry every key of the new kind
         with pytest.raises(ConfigError, match="model.encoder.hidden_dim"):
             expand({"profile": "synthetic", "model": {"encoder": {"kind": "sentence", "input_dim": 16}}})
-
-    @pytest.mark.parametrize("mode", ["supplied", "learned"])
-    def test_mention_feature_mode_other_than_zeros_rejected(self, mode):
-        # example records carry no hand features, so the CLI could not feed these modes
-        with pytest.raises(ConfigError, match="feature_mode must be 'zeros'.*no hand features"):
-            expand({"profile": "typing", "model": {"encoder": {"feature_mode": mode}}})
 
 
 def _override(path, value, profile="synthetic"):
@@ -155,7 +163,7 @@ class TestTypes:
     @pytest.mark.parametrize("value", [True, 2.5, "3", 0, -2])
     @pytest.mark.parametrize("path", [
         "model.num_bases", "model.encoder.input_dim", "model.encoder.hidden_dim",
-        "model.encoder.attn_dim", "model.encoder.feature_dim",
+        "model.encoder.attn_dim",
     ])
     def test_positive_integer_keys_reject_others(self, path, value):
         with pytest.raises(ConfigError, match=path):

@@ -5,7 +5,7 @@ import pytest
 
 from kgzsl import autodiff as ad
 from kgzsl import encoders
-from kgzsl.errors import ConfigError, ContractError
+from kgzsl.errors import ContractError
 
 
 def rng(seed=0):
@@ -60,28 +60,18 @@ def mention_input(r, d, n_mention=2, n_left=3, n_right=2, **kw):
 
 class TestMentionEncoder:
     def test_output_width(self):
-        enc = encoders.MentionEncoder(input_dim=4, hidden_dim=3, attn_dim=2, feature_dim=5, rng=rng(20))
+        enc = encoders.MentionEncoder(input_dim=4, hidden_dim=3, attn_dim=2, rng=rng(20))
         out = enc.encode(mention_input(rng(21), 4))
-        assert out.data.shape == (2 * 3 + 5 + 4,)
+        assert out.data.shape == (2 * 3 + 4,)
 
     def test_mention_slot_is_token_average(self):
-        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, rng=rng(22))
+        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(22))
         x = mention_input(rng(23), 3, n_mention=3)
         out = enc.encode(x)
         np.testing.assert_allclose(out.data[-3:], np.mean(x.mention, axis=0), atol=1e-12)
 
-    def test_zeros_feature_mode(self):
-        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=4, rng=rng(24))
-        out = enc.encode(mention_input(rng(25), 3))
-        np.testing.assert_array_equal(out.data[4:8], np.zeros(4))
-
-    def test_feature_mode_other_than_zeros_rejected(self):
-        for mode in ("supplied", "learned"):
-            with pytest.raises(ConfigError, match="feature mode must be 'zeros'"):
-                encoders.MentionEncoder(feature_mode=mode)
-
     def test_attention_weights_literal_sum_to_one(self):
-        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=3, feature_dim=2, rng=rng(32))
+        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=3, rng=rng(32))
         x = mention_input(rng(33), 3, n_left=3, n_right=3)
         states = []
         scores = []
@@ -101,7 +91,7 @@ class TestMentionEncoder:
         np.testing.assert_allclose(out.data[:4], v_c, atol=1e-10)
 
     def test_window_keeps_tokens_nearest_the_span(self):
-        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, window=2, rng=rng(34))
+        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, window=2, rng=rng(34))
         r = rng(35)
         far_left = tokens(r, 3, 3)
         near_left = tokens(r, 2, 3)
@@ -112,26 +102,24 @@ class TestMentionEncoder:
         assert enc.encode(full).data.tobytes() == enc.encode(trimmed).data.tobytes()
 
     def test_empty_mention_rejected(self):
-        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, rng=rng(36))
+        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(36))
         with pytest.raises(ContractError):
             enc.encode(encoders.MentionInput(mention=[], left=tokens(rng(37), 2, 3)))
 
     def test_both_contexts_empty_rejected(self):
-        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, rng=rng(38))
+        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(38))
         with pytest.raises(ContractError):
             enc.encode(encoders.MentionInput(mention=tokens(rng(39), 1, 3)))
 
     def test_one_sided_context_works(self):
-        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, rng=rng(40))
+        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(40))
         out = enc.encode(
             encoders.MentionInput(mention=tokens(rng(41), 1, 3), left=tokens(rng(42), 2, 3))
         )
-        assert out.data.shape == (4 + 2 + 3,)
+        assert out.data.shape == (4 + 3,)
 
     def test_grad_check(self):
-        enc = encoders.MentionEncoder(
-            input_dim=3, hidden_dim=2, attn_dim=2, feature_dim=2, feature_mode="zeros", rng=rng(43),
-        )
+        enc = encoders.MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(43))
         x = mention_input(rng(44), 3, n_left=2, n_right=2)
         weights = ad.constant(rng(45).normal(size=enc.output_dim))
 

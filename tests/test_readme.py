@@ -1,0 +1,24 @@
+"""The README's worked example runs as written."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import kgzsl
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_worked_example_ranks_both_classes():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    src_dir = str(Path(kgzsl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    done = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ranking = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+    assert sorted(ranking) == ["class/cat", "class/dog"]

@@ -5,8 +5,8 @@ import pytest
 
 from kgzsl import autodiff as ad
 from kgzsl import zeroshot as zs
-from kgzsl.aggregators import GnnStack, MeanPoolLayer
-from kgzsl.encoders import VectorEncoder
+from kgzsl.aggregators import LAYER_KINDS, GnnStack, MeanPoolLayer, make_layer
+from kgzsl.encoders import MentionEncoder, SentenceEncoder, VectorEncoder
 from kgzsl.errors import ConfigError, ContractError, DataError, DivergenceError
 from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, WalkConfig
@@ -535,3 +535,43 @@ class TestClassReps:
                 assert ids == want_ids
                 assert scores.tobytes() == want.tobytes()
                 assert zs.predict(theta, head, form, mode) == ranked
+
+
+def _reachable_trainables(obj, seen):
+    """Every requires_grad tensor reachable from `obj` through attributes, lists, tuples and dicts."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, ad.Tensor):
+        return [obj] if obj.requires_grad else []
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif type(obj).__module__.startswith("kgzsl."):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [t for child in children for t in _reachable_trainables(child, seen)]
+
+
+def _parts():
+    kwargs = {"rgcn": {"relations": ("r1", "r2"), "num_bases": 2}}
+    parts = {kind: make_layer(kind, 4, 3, rng=rng(60), **kwargs.get(kind, {})) for kind in LAYER_KINDS}
+    parts["sentence"] = SentenceEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(61))
+    parts["mention"] = MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=rng(62))
+    parts["vector"] = VectorEncoder(4)
+    parts["head"] = zs.BilinearHead(4, 3, rank=2, rng=rng(63))
+    return parts
+
+
+class TestParameters:
+    # a trainable tensor missing from parameters() would be neither trained nor checkpointed
+    @pytest.mark.parametrize("part", [pytest.param(p, id=k) for k, p in sorted(_parts().items())])
+    def test_parameters_list_every_trainable_tensor(self, part):
+        reachable = _reachable_trainables(part, set())
+        listed = {id(t) for t in part.parameters().values()}
+        missing = [t.name for t in reachable if id(t) not in listed]
+        assert not missing
+        assert len(listed) == len(reachable)
+        assert reachable or isinstance(part, VectorEncoder)
