@@ -79,9 +79,7 @@ class MeanPoolLayer:
 
     kind = "gcn"
 
-    def __init__(self, in_dim, out_dim, activation="relu", rng=None, name="gcn"):
-        if rng is None:
-            rng = make_rng("init", name)
+    def __init__(self, in_dim, out_dim, activation="relu", *, rng, name="gcn"):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.act = _activation(activation)
@@ -107,9 +105,7 @@ class AttentionPoolLayer:
 
     kind = "gat"
 
-    def __init__(self, in_dim, out_dim, activation="relu", rng=None, name="gat"):
-        if rng is None:
-            rng = make_rng("init", name)
+    def __init__(self, in_dim, out_dim, activation="relu", *, rng, name="gat"):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.act = _activation(activation)
@@ -145,9 +141,7 @@ class RelationalMeanLayer:
 
     kind = "rgcn"
 
-    def __init__(self, in_dim, out_dim, relations, num_bases=1, activation="relu", rng=None, name="rgcn"):
-        if rng is None:
-            rng = make_rng("init", name)
+    def __init__(self, in_dim, out_dim, relations, num_bases=1, activation="relu", *, rng, name="rgcn"):
         if num_bases < 1:
             raise ConfigError(f"num_bases must be >= 1, got {num_bases}")
         if not relations:
@@ -278,9 +272,7 @@ class SequencePoolLayer:
 
     kind = "lstm"
 
-    def __init__(self, in_dim, out_dim, activation="relu", rng=None, name="lstm"):
-        if rng is None:
-            rng = make_rng("init", name)
+    def __init__(self, in_dim, out_dim, activation="relu", *, rng, name="lstm"):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.act = _activation(activation)
@@ -333,9 +325,7 @@ class TransformerPoolLayer:
 
     kind = "transformer"
 
-    def __init__(self, in_dim, out_dim, activation="relu", rng=None, name="transformer"):
-        if rng is None:
-            rng = make_rng("init", name)
+    def __init__(self, in_dim, out_dim, activation="relu", *, rng, name="transformer"):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.act = _activation(activation)
@@ -385,7 +375,7 @@ LAYER_KINDS = {
 }
 
 
-def make_layer(kind, in_dim, out_dim, activation="relu", rng=None, name=None, **kwargs):
+def make_layer(kind, in_dim, out_dim, activation="relu", *, rng, name=None, **kwargs):
     try:
         cls = LAYER_KINDS[kind]
     except KeyError:

@@ -192,11 +192,7 @@ def _assemble(cfg, graph, features):
 
 def _load_graph(cfg):
     path = _require_file(cfg, "graph")
-    g = ingest(
-        path,
-        lang_filter=cfg["ingest"]["lang"],
-        bidirectional=cfg["ingest"]["bidirectional"],
-    )
+    g = ingest(path, lang_filter=cfg["ingest"]["lang"])
     log.info("graph: %d nodes, %d edges", g.num_nodes, g.num_edges)
     return g
 
@@ -268,11 +264,7 @@ def _load_examples(cfg, splits, emb):
     plus "label" (or "labels" for multilabel runs).
     """
     path = _require_file(cfg, "examples")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"examples file {path} is not valid JSON: {e}")
+    obj = cfgmod.read_json(path, ParseError, "examples file")
     if not isinstance(obj, dict):
         raise DataError(f"examples file {path}: top level is not a JSON object")
     want = cfg["model"]["encoder"]["input_dim"]
@@ -331,11 +323,7 @@ def _generates_world(cfg):
 def _synth_world(cfg):
     s = dict(cfg["synth"])
     s["seed"] = cfg["seed"]
-    try:
-        spec = SynthSpec(**s)
-    except TypeError as e:
-        raise ConfigError(f"bad synth block: {e}")
-    return generate_synthetic(spec)
+    return generate_synthetic(SynthSpec(**s))
 
 
 def _synth_l2_targets(cfg, data, classes):

@@ -9,6 +9,7 @@ echoed into the manifest verbatim.
 
 import copy
 import json
+import sys
 
 from .errors import ConfigError
 
@@ -126,7 +127,7 @@ _COMMON = {
         "checkpoint_dir": None,
     },
     "sampler": {"steps": 20, "restarts": 10},
-    "ingest": {"lang": None, "bidirectional": False},
+    "ingest": {"lang": None},
 }
 
 HEAD_KINDS = ("bilinear", "l2")
@@ -223,8 +224,7 @@ def _check_leaf_types(cfg):
             _check_leaf(isinstance(value, bool), "synth.relation_structure", "true or false", value)
         else:
             _check_leaf(is_int(value), f"synth.{key}", "an integer", value)
-    bidirectional, lang = cfg["ingest"]["bidirectional"], cfg["ingest"]["lang"]
-    _check_leaf(isinstance(bidirectional, bool), "ingest.bidirectional", "true or false", bidirectional)
+    lang = cfg["ingest"]["lang"]
     _check_leaf(lang is None or isinstance(lang, str), "ingest.lang", "a string or null", lang)
     for key, value in cfg["paths"].items():
         _check_leaf(value is None or isinstance(value, str), f"paths.{key}", "a string or null", value)
@@ -285,11 +285,13 @@ def validate(cfg):
     for key in ("lr", "weight_decay"):
         if not (is_int(opt[key]) or isinstance(opt[key], float)):
             raise ConfigError(f"{key} must be a number, got {opt[key]!r}")
-    # written as negations so that NaN fails them too
-    if not opt["lr"] > 0:
-        raise ConfigError(f"lr must be positive, got {opt['lr']!r}")
-    if not opt["weight_decay"] >= 0:
-        raise ConfigError(f"weight_decay must not be negative, got {opt['weight_decay']!r}")
+    # written as negations so that NaN fails them too; json.load reads Infinity
+    if not 0 < opt["lr"] <= sys.float_info.max:
+        raise ConfigError(f"optimizer.lr must be positive and finite, got {opt['lr']!r}")
+    if not 0 <= opt["weight_decay"] <= sys.float_info.max:
+        raise ConfigError(
+            f"optimizer.weight_decay must be non-negative and finite, got {opt['weight_decay']!r}"
+        )
     if not is_int(opt["epochs"]) or opt["epochs"] < 1:
         raise ConfigError(f"epochs must be a positive integer, got {opt['epochs']!r}")
     if not is_int(opt["batch_size"]) or opt["batch_size"] < 1:
@@ -319,16 +321,22 @@ def load_config(path, seed_override=None):
     echoed anywhere, so the manifest always shows the effective seed.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path, ConfigError, "config file")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}")
     if seed_override is not None:
         raw = dict(raw)
         raw["seed"] = seed_override
     return expand(raw)
+
+
+def read_json(path, error, what):
+    """Parse a JSON file; bytes that are not UTF-8 or text that is not JSON raise `error` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
+        raise error(f"{what} {path} is not valid JSON: {e}") from None
 
 
 def canonical_json(obj):

@@ -11,7 +11,6 @@ import numpy as np
 from . import autodiff as ad
 from .aggregators import _LstmCell
 from .errors import ContractError
-from .seeding import make_rng
 
 
 class SentenceEncoder:
@@ -22,9 +21,7 @@ class SentenceEncoder:
     width is 2 * hidden_dim.
     """
 
-    def __init__(self, input_dim=300, hidden_dim=32, attn_dim=20, rng=None, name="sent"):
-        if rng is None:
-            rng = make_rng("init", name)
+    def __init__(self, input_dim=300, hidden_dim=32, attn_dim=20, *, rng, name="sent"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.output_dim = 2 * hidden_dim
@@ -80,10 +77,7 @@ class MentionEncoder:
     2*hidden + input_dim.
     """
 
-    def __init__(self, input_dim=300, hidden_dim=100, attn_dim=100, window=10, rng=None,
-                 name="mention"):
-        if rng is None:
-            rng = make_rng("init", name)
+    def __init__(self, input_dim=300, hidden_dim=100, attn_dim=100, window=10, *, rng, name="mention"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.window = window

@@ -9,6 +9,7 @@ matter their size.
 import json
 from dataclasses import dataclass
 
+from .config import read_json
 from .errors import ContractError, ParseError
 from .zeroshot import ClassSet
 
@@ -58,8 +59,7 @@ class FoldSpec:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_jsonable(json.load(fh))
+        return cls.from_jsonable(read_json(path, ParseError, "fold spec"))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

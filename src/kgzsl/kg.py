@@ -149,7 +149,7 @@ class Graph:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges}, relations={len(self._relations)})"
 
 
-def ingest(path, lang_filter=None, bidirectional=False):
+def ingest(path, lang_filter=None):
     """Read a TSV assertion file into a Graph.
 
     Each data line is `relation<TAB>head<TAB>tail` with an optional
@@ -158,35 +158,35 @@ def ingest(path, lang_filter=None, bidirectional=False):
     that language tag are kept; untagged rows do not match.
 
     Raises:
-        ParseError: wrong column count or empty field, with line number.
+        ParseError: wrong column count or empty field, with line number;
+            bytes that are not UTF-8, with the path.
     """
     edges = []
     # text mode reads "\r\n" and "\r" as "\n", and stripping a field drops
     # the line's "\n", so only the fields a row uses are ever stripped
+    for lineno, raw in _numbered_lines(path, "graph file"):
+        text = raw.lstrip()
+        if not text or text[0] == "#":
+            continue
+        fields = raw.split("\t")
+        count = len(fields)
+        if count != 3 and count != 4:
+            raise ParseError(f"expected 3 or 4 tab-separated fields, got {count}", line=lineno)
+        rel, head, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+        if not (rel and head and tail):
+            raise ParseError("empty relation or node id", line=lineno)
+        if lang_filter is None or (count == 4 and fields[3].strip() == lang_filter):
+            edges.append((rel, head, tail))
+    return Graph(edges)
+
+
+def _numbered_lines(path, what):
+    """(1-based line number, line) pairs of a UTF-8 text file; other bytes are a ParseError naming it."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.lstrip()
-            if not text or text[0] == "#":
-                continue
-            fields = raw.split("\t")
-            count = len(fields)
-            if count != 3 and count != 4:
-                raise ParseError(f"expected 3 or 4 tab-separated fields, got {count}", line=lineno)
-            rel, head, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
-            if not (rel and head and tail):
-                raise ParseError("empty relation or node id", line=lineno)
-            if lang_filter is None or (count == 4 and fields[3].strip() == lang_filter):
-                edges.append((rel, head, tail))
-    g = Graph(edges)
-    if bidirectional:
-        g = make_bidirectional(g)
-    return g
-
-
-def make_bidirectional(g):
-    """Add the reverse of every edge (same relation id), deduplicated."""
-    reverses = [(rel, tail, head) for rel, head, tail in g.edges]
-    return Graph(list(g.edges) + reverses, extra_nodes=g.nodes)
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{what} {path} is not UTF-8: {e}") from None
 
 
 def serialize(g, path):
@@ -238,25 +238,24 @@ class EmbeddingTable:
         """Parse a whitespace-separated `token v1 ... vd` file."""
         entries = {}
         dim = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if dim is None:
-                    if len(parts) < 2:
-                        raise ParseError("embedding line needs a token and at least one value", line=lineno)
-                    dim = len(parts) - 1
-                if len(parts) != dim + 1:
-                    raise ParseError(
-                        f"expected {dim} values, got {len(parts) - 1}", line=lineno
-                    )
-                try:
-                    vec = [float(x) for x in parts[1:]]
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno) from exc
-                entries[parts[0]] = vec
+        for lineno, raw in _numbered_lines(path, "embeddings file"):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if dim is None:
+                if len(parts) < 2:
+                    raise ParseError("embedding line needs a token and at least one value", line=lineno)
+                dim = len(parts) - 1
+            if len(parts) != dim + 1:
+                raise ParseError(
+                    f"expected {dim} values, got {len(parts) - 1}", line=lineno
+                )
+            try:
+                vec = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            entries[parts[0]] = vec
         if dim is None:
             raise ParseError("empty embedding file")
         return cls(entries, dimension=dim)

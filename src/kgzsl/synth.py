@@ -22,6 +22,7 @@ setting, so examples carry a near-constant coordinate that acts as a
 built-in bias term for bilinear scoring.
 """
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -79,8 +80,8 @@ class SynthSpec:
             )
         if self.feature_dim < 2:
             raise ConfigError("feature_dim must be at least 2")
-        if not self.noise >= 0:  # NaN fails too
-            raise ConfigError(f"noise must not be negative, got {self.noise!r}")
+        if not 0 <= self.noise <= sys.float_info.max:  # NaN and infinity fail too
+            raise ConfigError(f"noise must be non-negative and finite, got {self.noise!r}")
         if self.examples_per_class < 1:
             raise ConfigError("examples_per_class must be at least 1")
         if self.relation_structure and (

@@ -49,13 +49,11 @@ class BilinearHead:
     the two sides are wide.
     """
 
-    def __init__(self, theta_dim, phi_dim, rank, rng=None, name="head"):
+    def __init__(self, theta_dim, phi_dim, rank, *, rng, name="head"):
         if rank < 1 or rank > min(theta_dim, phi_dim):
             raise ConfigError(
                 f"rank must be in [1, {min(theta_dim, phi_dim)}], got {rank}"
             )
-        if rng is None:
-            rng = make_rng("init", name)
         self.theta_dim = theta_dim
         self.phi_dim = phi_dim
         self.rank = rank

@@ -600,8 +600,8 @@ class TestCanonicalOrder:
 class TestMakeLayer:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            agg.make_layer("nope", 2, 2)
+            agg.make_layer("nope", 2, 2, rng=rng())
 
     def test_unknown_activation(self):
         with pytest.raises(ConfigError):
-            agg.MeanPoolLayer(2, 2, activation="swish")
+            agg.MeanPoolLayer(2, 2, activation="swish", rng=rng())

@@ -287,6 +287,25 @@ class TestErrors:
         assert f"model.{key}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_removed_ingest_bidirectional_key(self, tmp_path, capsys):
+        (tmp_path / "g.tsv").write_text("r\ta\tb\n")
+        cfg = write(tmp_path / "cfg.json", {
+            "profile": "intent", "paths": {"graph": str(tmp_path / "g.tsv")},
+            "ingest": {"bidirectional": True},
+        })
+        out = tmp_path / "x"
+        assert run("ingest", "--config", cfg, "--out", str(out)) == 1
+        assert "ingest.bidirectional" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_noise_fails_before_synth(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"profile": "synthetic", "synth": {"noise": Infinity}}')
+        out = tmp_path / "w"
+        assert run("synth", "--config", str(cfg), "--out", str(out)) == 1
+        assert "noise" in capsys.readouterr().err
+        assert not (out / "examples.json").exists()
+
     def test_bad_log_level(self, synth_cfg, monkeypatch, tmp_path):
         monkeypatch.setenv("KGZSL_LOG", "loud")
         assert run("synth", "--config", synth_cfg, "--out", str(tmp_path / "x")) == 1
@@ -317,6 +336,14 @@ class TestGraphCommands:
         })
         assert run("ingest", "--config", cfg, "--out", str(tmp_path / "x")) == 1
         assert "gone.tsv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "sample"])
+    def test_graph_that_is_not_utf8_names_file(self, toy, tmp_path, capsys, command):
+        (tmp_path / "toy.tsv").write_bytes(b"related_to\tcat\tdog\nis_a\tcat\tan\xffimal\n")
+        assert run(command, "--config", toy, "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert str(tmp_path / "toy.tsv") in err
 
     def test_sample_writes_tables_for_all_nodes(self, toy, tmp_path):
         out = tmp_path / "smp"
@@ -445,6 +472,25 @@ class TestExamplesFile:
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert f"{world / 'ex.json'}{where}" in err
+
+    # each input file a run reads, with bytes that are not UTF-8 or text that is not JSON
+    @pytest.mark.parametrize("name,data", [
+        ("cfg.json", b'{"profile": "synthetic", "seed": 1\xff}'),
+        ("g.tsv", b"has\tcls/alpha\tattr/red\nhas\tcls/beta\tattr/bl\xffue\n"),
+        ("emb.txt", b"alpha 1 0 0 0\nbeta 0 1 0 0\n\xff 0 0 1 0\n"),
+        ("ex.json", b'{"train": [{"vector": [1, 0, 0, 0], "label": "cls/\xffalpha"}]}'),
+        ("folds.json", b'{"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"]}'),
+        ("folds.json", b'{"folds": [{"train": ["cls/\xffalpha"], "test": ["cls/gamma"]}]}'),
+    ], ids=["config", "graph", "embeddings", "examples", "fold_spec-json", "fold_spec-utf8"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unreadable_input_names_file(self, world, tmp_path, capsys, name, data, command):
+        good = {"vector": VEC, "label": "cls/alpha"}
+        cfg = self.config(world, {"train": [good], "test": [good]})
+        (world / name).write_bytes(data)
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert str(world / name) in err
 
     @pytest.mark.parametrize("command,split,missing", [
         ("train", "train", "cls/omega"), ("train", "dev", "cls/omega"), ("eval", "test", "cls/zeta"),

@@ -72,9 +72,11 @@ class TestValidate:
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ConfigError, match="lr"):
             expand({"profile": "synthetic", "optimizer": {"lr": 0}})
+        # an int past the float range would overflow to inf in the first update
         for key in ("lr", "weight_decay"):
-            with pytest.raises(ConfigError, match=key):
-                expand({"profile": "synthetic", "optimizer": {key: float("nan")}})
+            for value in (float("nan"), float("inf"), 10**400):
+                with pytest.raises(ConfigError, match=f"optimizer.{key}"):
+                    expand({"profile": "synthetic", "optimizer": {key: value}})
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ConfigError, match="dims"):
@@ -110,6 +112,12 @@ class TestValidate:
         # examples carry no hand features, so the mention encoder has no slot for them
         with pytest.raises(ConfigError, match=f"model.encoder.{key}"):
             expand({"profile": "typing", "model": {"encoder": {key: value}}})
+
+    @pytest.mark.parametrize("value", [False, True, "no", "yes", 1, None])
+    def test_removed_ingest_bidirectional_rejected(self, value):
+        # the graph is undirected, so adding each edge's reverse changed nothing it computes
+        with pytest.raises(ConfigError, match="unknown config key 'ingest.bidirectional'"):
+            expand({"profile": "synthetic", "ingest": {"bidirectional": value}})
 
     def test_mention_encoder_output_dim(self):
         cfg = expand({"profile": "typing"})
@@ -177,7 +185,7 @@ class TestTypes:
         assert cfg["model"]["encoder"]["window"] == 0
 
     @pytest.mark.parametrize("value", ["no", "yes", 1, None])
-    @pytest.mark.parametrize("path", ["synth.relation_structure", "ingest.bidirectional"])
+    @pytest.mark.parametrize("path", ["synth.relation_structure"])
     def test_bool_keys_reject_non_bools(self, path, value):
         with pytest.raises(ConfigError, match=path):
             expand(_override(path, value))
@@ -210,6 +218,13 @@ class TestLoadConfig:
         p = tmp_path / "c.json"
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(p))
+
+    def test_infinity_literal_is_config_error(self, tmp_path):
+        # json.load reads Infinity, so the check lives in validate
+        p = tmp_path / "c.json"
+        p.write_text('{"profile": "synthetic", "optimizer": {"lr": Infinity}}')
+        with pytest.raises(ConfigError, match="optimizer.lr"):
             load_config(str(p))
 
     def test_seed_override_applies_before_echo(self, tmp_path):

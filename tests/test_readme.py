@@ -1,6 +1,7 @@
-"""The README's worked example runs as written."""
+"""The README's worked example runs as written, and its configs expand."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import kgzsl
+from kgzsl import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +24,11 @@ def test_worked_example_ranks_both_classes():
     assert done.returncode == 0, done.stderr
     ranking = ast.literal_eval(done.stdout.strip().splitlines()[-1])
     assert sorted(ranking) == ["class/cat", "class/dog"]
+
+
+def test_config_snippets_expand():
+    # a snippet naming a deleted or misspelled key fails here, as it would in a run
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        config.expand(json.loads(block))

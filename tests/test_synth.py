@@ -45,8 +45,10 @@ class TestSynthSpec:
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
             SynthSpec(noise=-0.1)
-        with pytest.raises(ConfigError):
-            SynthSpec(noise=float("nan"))
+        # an int past the float range would overflow to inf in the first multiply
+        for noise in (float("nan"), float("inf"), 10**400):
+            with pytest.raises(ConfigError, match="noise"):
+                SynthSpec(noise=noise)
 
     def test_split_must_leave_training_classes(self):
         with pytest.raises(ConfigError):

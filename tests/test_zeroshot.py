@@ -41,9 +41,9 @@ class TestBilinearHead:
 
     def test_rank_validation(self):
         with pytest.raises(ConfigError):
-            zs.BilinearHead(3, 4, rank=0)
+            zs.BilinearHead(3, 4, rank=0, rng=rng(0))
         with pytest.raises(ConfigError):
-            zs.BilinearHead(3, 4, rank=4)
+            zs.BilinearHead(3, 4, rank=4, rng=rng(0))
 
     def test_rectangular_sides(self):
         head = zs.BilinearHead(7, 3, rank=3, rng=rng(6))
@@ -575,3 +575,18 @@ class TestParameters:
         assert not missing
         assert len(listed) == len(reachable)
         assert reachable or isinstance(part, VectorEncoder)
+
+    # weights come only from a caller's stream, which the pipeline derives from the run's seed
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda k=k: LAYER_KINDS[k](4, 3, **({"relations": ("r1",)} if k == "rgcn" else {})),
+                     id=k)
+        for k in sorted(LAYER_KINDS)
+    ] + [
+        pytest.param(lambda: make_layer("gcn", 4, 3), id="make_layer"),
+        pytest.param(lambda: SentenceEncoder(input_dim=3, hidden_dim=2, attn_dim=2), id="sentence"),
+        pytest.param(lambda: MentionEncoder(input_dim=3, hidden_dim=2, attn_dim=2), id="mention"),
+        pytest.param(lambda: zs.BilinearHead(4, 3, rank=2), id="head"),
+    ])
+    def test_constructors_need_an_rng(self, build):
+        with pytest.raises(TypeError, match="rng"):
+            build()
