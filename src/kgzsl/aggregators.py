@@ -28,6 +28,9 @@ like B separate calls.  The per-node ``forward`` is the B = 1 case of
 the same code.
 """
 
+import contextlib
+import contextvars
+
 import numpy as np
 
 from . import autodiff as ad
@@ -430,6 +433,37 @@ class GnnStack:
         return out
 
 
+_SHARED = contextvars.ContextVar("kgzsl_shared_eval", default=None)
+
+
+@contextlib.contextmanager
+def shared_eval():
+    """One eval pass: `gnn_forward` calls inside the block share level rows.
+
+    Inside the block, an eval-mode `gnn_forward` that records no tape
+    reuses every level row an earlier call of the block computed for
+    the same binding (stack, graph, features, hits, seed), so a pass
+    over many roots computes each shared sub-neighborhood once.  Every
+    row is dropped when the block exits: parameters must not change
+    inside it, and the next pass pays in full.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared_rows(stack, graph, features, hits, seed):
+    """The enclosing pass's (interned keys, rows by key) for this binding."""
+    scope = _SHARED.get()
+    binding = (id(stack), id(graph), id(features), id(hits), seed)
+    if binding not in scope:
+        # the entry holds the bound objects, so no id is reused while it lives
+        scope[binding] = ((stack, graph, features, hits), {}, {})
+    return scope[binding][1:]
+
+
 def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
     """Embed `node` from its truncated k-hop neighborhood.
 
@@ -439,20 +473,29 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
     the output depends only on the truncated k-hop neighborhood.  Each
     level is one `forward_group` call per distinct member count.
 
+    Inside `shared_eval`, an eval-mode call under `no_grad` skips every
+    DAG node whose row an earlier call of the pass computed.  A node's
+    row at level l is keyed by hash-consing: key(v, 0) = v, and
+    key(v, l) interns (l, key(v, l - 1), the level l - 1 keys of v's
+    sampled neighbors).  That fixes the row for any hop limits, since
+    lstm's eval permutation depends only on (seed, v, member count) and
+    rgcn's relations only on the graph.  Only the rows the missed nodes
+    need are built, features included, and each row comes out bitwise
+    as without the pass.
+
     Args:
         hits: callable node -> HitTable (see sampler.HitSource).
         mode: "train" draws a fresh sequence permutation per call from
-            `rng`; "eval" derives it from (seed, node id) so repeated
-            evaluation is bitwise stable.
-        rng: train-mode permutation stream; defaults to a stream seeded
-            by `seed`.
+            `rng`, which it requires; "eval" derives it from (seed,
+            node id) so repeated evaluation is bitwise stable.
+        rng: the train-mode permutation stream.
     """
     if node not in graph:
         raise UnknownNodeError(node)
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and rng is None:
-        rng = make_rng("gnn-train", seed)
+        raise ContractError("train mode needs an rng for its sequence permutations")
 
     k = stack.depth
 
@@ -472,35 +515,77 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
                         nxt.append(u)
         frontier = nxt
 
-    row_of = {v: i for i, v in enumerate(depth_of)}
-    prev = ad.constant(np.array([features[v] for v in depth_of], dtype=np.float64))
-
     # a node first reached at depth d is needed up to level k - d; its
     # sampled neighbors then always have the level below already built
-    for level in range(1, k + 1):
+    todo = {level: [v for v in sampled if level <= k - depth_of[v]] for level in range(1, k + 1)}
+    cached = {level: {} for level in todo}
+    shared = None
+    if mode == "eval" and _SHARED.get() is not None and not ad.grad_enabled():
+        interned, shared = _shared_rows(stack, graph, features, hits, seed)
+        keys = {}
+        for level in todo:
+            below, keys[level] = keys.get(level - 1), {}
+            for v in todo[level]:
+                if below is None:  # key(v, 0) is v
+                    term = (level, v, *sampled[v])
+                else:
+                    term = (level, below[v], *map(below.__getitem__, sampled[v]))
+                keys[level][v] = interned.setdefault(term, len(interned))
+        # top-down, so a cached row's sub-neighborhood is never visited
+        need = {node}
+        for level in reversed(todo):
+            missed = []
+            for v in todo[level]:
+                if v in need:
+                    row = shared.get(keys[level][v])
+                    if row is None:
+                        missed.append(v)
+                    else:
+                        cached[level][v] = row
+            todo[level] = missed
+            need = set(missed).union(*map(sampled.__getitem__, missed))
+        # level 0 is keyed too, and a row there is a node's features
+        leaves = [v for v in depth_of if v in need]
+        for v in leaves:
+            if v not in shared:
+                shared[v] = features[v]
+        base = [shared[v] for v in leaves]
+    else:
+        leaves = list(depth_of)
+        base = [features[v] for v in leaves]
+
+    prev = ad.constant(np.array(base, dtype=np.float64)) if leaves else None
+    row_of = {v: i for i, v in enumerate(leaves)}
+    for level in todo:
         layer = stack.layers[level - 1]
-        todo = [v for v in sampled if level <= k - depth_of[v]]
         # node_args in DAG order, so train-mode permutation draws
         # come off `rng` in a fixed order
         if layer.kind == "rgcn":
-            node_args = [[graph.relations_between(v, u) for u in sampled[v]] for v in todo]
+            node_args = [[graph.relations_between(v, u) for u in sampled[v]] for v in todo[level]]
         elif layer.kind == "lstm":
             node_args = []
-            for v in todo:
+            for v in todo[level]:
                 perm_rng = rng if mode == "train" else make_rng("lstm-perm", seed, v)
                 node_args.append(list(perm_rng.permutation(len(sampled[v]) + 1)))
         else:
-            node_args = [None] * len(todo)
+            node_args = [None] * len(todo[level])
         groups = {}
-        for v, arg in zip(todo, node_args):
+        for v, arg in zip(todo[level], node_args):
             groups.setdefault(len(sampled[v]) + 1, []).append((v, arg))
         outs, order = [], []
         for size in sorted(groups):
             nodes = [v for v, _ in groups[size]]
             rows = np.array([[row_of[v]] + [row_of[u] for u in sampled[v]] for v in nodes])
-            outs.append(layer.forward_group(prev, rows, [arg for _, arg in groups[size]]))
+            out = layer.forward_group(prev, rows, [arg for _, arg in groups[size]])
+            if shared is not None:
+                shared.update(zip((keys[level][v] for v in nodes), out.data))
+            outs.append(out)
             order += nodes
-        prev = outs[0] if len(outs) == 1 else ad.concat(outs)
+        if cached[level]:
+            outs.append(ad.constant(np.array(list(cached[level].values()))))
+            order += cached[level]
+        if outs:
+            prev = outs[0] if len(outs) == 1 else ad.concat(outs)
         row_of = {v: i for i, v in enumerate(order)}
 
     return ad.row(prev, row_of[node])

@@ -66,6 +66,8 @@ def _require_file(cfg, role):
         raise ConfigError(f"this run needs paths.{role} in the config")
     if not os.path.exists(path):
         raise ConfigError(f"paths.{role} file not found: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"paths.{role} is a directory, not a file: {path}")
     return path
 
 

@@ -331,10 +331,16 @@ def load_config(path, seed_override=None):
 
 
 def read_json(path, error, what):
-    """Parse a JSON file; bytes that are not UTF-8 or text that is not JSON raise `error` naming it."""
+    """Parse a JSON file.
+
+    A directory, bytes that are not UTF-8 or text that is not JSON raise
+    `error` naming the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except IsADirectoryError:
+        raise error(f"{what} {path} is a directory, not a file") from None
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
         raise error(f"{what} {path} is not valid JSON: {e}") from None
 

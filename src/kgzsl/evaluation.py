@@ -14,11 +14,13 @@ from .errors import ContractError, ParseError
 from .zeroshot import ClassSet
 
 
-def _class_names(fold, key):
+def _class_names(fold, key, where):
     """One split of a fold-file fold as a tuple of class names; dev may be absent."""
-    names = fold.get(key, []) if key == "dev" else fold[key]
+    if key not in fold and key != "dev":
+        raise ParseError(f"{where} has no {key!r} list")
+    names = fold.get(key, [])
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise TypeError(f"{key} is not a list of class names")
+        raise ParseError(f"{where} {key!r} is not a list of class names")
     return tuple(names)
 
 
@@ -46,20 +48,30 @@ class FoldSpec:
         }
 
     @classmethod
-    def from_jsonable(cls, obj):
+    def from_jsonable(cls, obj, source="fold spec"):
+        """Parse the file form; any other shape is a ParseError naming
+        `source` and, where one is at fault, the fold index and key."""
+        # a bad fold in a file is a data problem, not a caller bug
+        folds = obj.get("folds") if isinstance(obj, dict) else None
+        if not isinstance(folds, list):
+            raise ParseError(f"malformed {source}: 'folds' is not a list of folds")
+        parsed = []
+        for i, fold in enumerate(folds):
+            where = f"malformed {source}: fold {i}"
+            if not isinstance(fold, dict):
+                raise ParseError(f"{where} is not a JSON object")
+            try:
+                parsed.append(ClassSet(*(_class_names(fold, key, where) for key in ("train", "test", "dev"))))
+            except ContractError as exc:
+                raise ParseError(f"{where}: {exc}") from None
         try:
-            folds = tuple(
-                ClassSet(*(_class_names(f, key) for key in ("train", "test", "dev")))
-                for f in obj["folds"]
-            )
-            return cls(folds)
-        except (KeyError, TypeError, ContractError) as exc:
-            # a bad fold in a file is a data problem, not a caller bug
-            raise ParseError(f"malformed fold spec: {exc}") from exc
+            return cls(tuple(parsed))
+        except ContractError as exc:
+            raise ParseError(f"malformed {source}: {exc}") from None
 
     @classmethod
     def load(cls, path):
-        return cls.from_jsonable(read_json(path, ParseError, "fold spec"))
+        return cls.from_jsonable(read_json(path, ParseError, "fold spec"), source=f"fold spec {path}")
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

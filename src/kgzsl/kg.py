@@ -159,7 +159,7 @@ def ingest(path, lang_filter=None):
 
     Raises:
         ParseError: wrong column count or empty field, with line number;
-            bytes that are not UTF-8, with the path.
+            a directory or bytes that are not UTF-8, with the path.
     """
     edges = []
     # text mode reads "\r\n" and "\r" as "\n", and stripping a field drops
@@ -181,8 +181,15 @@ def ingest(path, lang_filter=None):
 
 
 def _numbered_lines(path, what):
-    """(1-based line number, line) pairs of a UTF-8 text file; other bytes are a ParseError naming it."""
-    with open(path, encoding="utf-8") as fh:
+    """(1-based line number, line) pairs of a UTF-8 text file.
+
+    A directory, or bytes that are not UTF-8, are a ParseError naming it.
+    """
+    try:
+        fh = open(path, encoding="utf-8")
+    except IsADirectoryError:
+        raise ParseError(f"{what} {path} is a directory, not a file") from None
+    with fh:
         try:
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError as e:
@@ -235,8 +242,13 @@ class EmbeddingTable:
 
     @classmethod
     def from_file(cls, path):
-        """Parse a whitespace-separated `token v1 ... vd` file."""
+        """Parse a whitespace-separated `token v1 ... vd` file.
+
+        A token on two lines is a ParseError naming it and both lines;
+        tokens that differ in case are distinct.
+        """
         entries = {}
+        first_line = {}
         dim = None
         for lineno, raw in _numbered_lines(path, "embeddings file"):
             line = raw.strip()
@@ -255,7 +267,13 @@ class EmbeddingTable:
                 vec = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
-            entries[parts[0]] = vec
+            token = parts[0]
+            if token in first_line:
+                raise ParseError(
+                    f"embedding token {token!r} repeats line {first_line[token]}", line=lineno
+                )
+            first_line[token] = lineno
+            entries[token] = vec
         if dim is None:
             raise ParseError("empty embedding file")
         return cls(entries, dimension=dim)

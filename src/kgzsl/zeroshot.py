@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .aggregators import gnn_forward
+from .aggregators import gnn_forward, shared_eval
 from .errors import ConfigError, ContractError, DataError, DivergenceError
 from .seeding import make_rng
 
@@ -140,11 +140,12 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
     every seen class is encoded in train mode off the `train-perm`
     stream, and `batch_loss(reps, batch)` gives the scalar to minimize.
     The epoch's train loss is the mean of its batch losses.  With dev
-    classes, `dev_loss(reps)` scores their eval-mode encodings under
-    no_grad.  The selected epoch is the one with the lowest dev loss,
-    or train loss without dev classes, the first winning ties; the live
-    parameters are left at its snapshot.  A non-finite loss raises
-    DivergenceError, since no comparison can rank it.
+    classes, `dev_loss(reps)` scores their eval-mode encodings, made
+    under no_grad as one `shared_eval` pass.  The selected epoch is the
+    one with the lowest dev loss, or train loss without dev classes, the
+    first winning ties; the live parameters are left at its snapshot.  A
+    non-finite loss raises DivergenceError, since no comparison can rank
+    it.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
@@ -167,7 +168,7 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
         train_loss = float(np.mean([step(batch) for batch in batches()]))
         held = None
         if dev:
-            with ad.no_grad():
+            with ad.no_grad(), shared_eval():
                 held = dev_loss([class_encoder.encode(c, mode="eval") for c in dev])
         for split, loss in (("train", train_loss), ("dev", held)):
             if loss is not None and not np.isfinite(loss):
@@ -412,6 +413,11 @@ def predict(theta, head, class_reps, mode="multiclass"):
 
 
 def class_representations(class_encoder, class_ids, mode="eval"):
-    """phi for each class id, as one ClassReps over the sorted ids."""
-    with ad.no_grad():
+    """phi for each class id, as one ClassReps over the sorted ids.
+
+    The classes are encoded as one `shared_eval` pass, so in eval mode a
+    neighborhood that several classes sample is built once; each phi is
+    bitwise what encoding its class alone gives.
+    """
+    with ad.no_grad(), shared_eval():
         return ClassReps({c: class_encoder.encode(c, mode=mode).data for c in class_ids})

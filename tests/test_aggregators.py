@@ -404,6 +404,12 @@ class TestGnnForward:
         with pytest.raises(UnknownNodeError):
             agg.gnn_forward(stack, g, feats, hits, "nope")
 
+    def test_train_mode_needs_an_rng(self):
+        g, feats, hits = two_hop_fixture()
+        stack = agg.GnnStack([agg.SequencePoolLayer(3, 2, rng=rng(52))], [3])
+        with pytest.raises(ContractError, match="rng"):
+            agg.gnn_forward(stack, g, feats, hits, "c", mode="train")
+
     def test_rgcn_sees_relation_tags(self):
         edges = [("likes", "c", "a"), ("hates", "c", "b")]
         g = Graph(edges)
@@ -537,7 +543,8 @@ class TestLevelBatchedForward:
             assert set(calls[0].ravel()) & set(calls[1].ravel()), level
 
         def run(s):
-            outs = [agg.gnn_forward(s, g, feats, hits, v, mode="train", seed=2) for v in g.nodes]
+            perm_rng = make_rng("fused-perm", 2)
+            outs = [agg.gnn_forward(s, g, feats, hits, v, mode="train", rng=perm_rng) for v in g.nodes]
             ad.backward(ad.sum(ad.multiply(ad.sum(ad.stack(outs), axis=0), weights)))
             grads = {name: t.grad.tobytes() for name, t in s.parameters().items()}
             return [o.data.tobytes() for o in outs], grads
@@ -553,11 +560,104 @@ class TestLevelBatchedForward:
             g = Graph([("r0", a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
             feats = FeatureTable(4, {v: rng(n).normal(size=4) for v in g.nodes})
             stack = make_stack([kind, kind], [n, n], 4, seed=0, activation="relu")
-            out = agg.gnn_forward(stack, g, feats, HitSource(g, WalkConfig(seed=0)), "v0", mode="train")
+            out = agg.gnn_forward(stack, g, feats, HitSource(g, WalkConfig(seed=0)), "v0",
+                                  mode="train", rng=rng(n))
             return len(ad.Tape.from_output(out))
 
         assert tape_nodes(2) == tape_nodes(8)
 
+
+class TestSharedEval:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_nodes=st.integers(2, 10),
+        dim=st.integers(1, 6),
+        limits=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        others=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
+        picks=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+    )
+    # hop limits that differ by depth: a node's neighbor list, and so its
+    # rows, depend on the depth at which each root reaches it
+    @example(seed=3, num_nodes=9, dim=3, limits=[3, 1], others=["gat", "gcn"], picks=[0, 4, 4, 7])
+    @example(seed=4, num_nodes=10, dim=2, limits=[2, 0, 1], others=["lstm", "rgcn"], picks=[1, 2, 3, 1])
+    @settings(max_examples=15, deadline=None)
+    def test_pass_matches_fresh_per_root_forward_bitwise(self, kind, seed, num_nodes, dim, limits,
+                                                          others, picks):
+        from kgzsl.sampler import top_n
+
+        g, feats, hits = random_world(seed, num_nodes, dim)
+        stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
+        roots = [g.nodes[i % len(g.nodes)] for i in picks]
+        # repeats, and roots that are the first root's own sampled neighbors
+        roots += roots[:1] + top_n(hits(roots[0]), limits[0])
+        with ad.no_grad():
+            want = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in roots]
+            with agg.shared_eval():
+                got = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in roots]
+        assert got == want
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_recording_calls_ignore_the_pass(self, kind, mode):
+        # train mode, and eval mode with grad recording on, build their
+        # whole tape even where the pass already holds the rows
+        g, feats, hits = random_world(5, 8, 3)
+        stack = make_stack([kind, kind], [3, 1], 3, seed=6)
+        params = stack.parameters()
+        weights = ad.constant(rng(7).normal(size=3))
+
+        def run():
+            for t in params.values():
+                t.zero_grad()
+            perm_rng = make_rng("scope-perm", 0)
+            outs = [agg.gnn_forward(stack, g, feats, hits, v, mode=mode, seed=1, rng=perm_rng)
+                    for v in g.nodes]
+            loss = ad.sum(ad.multiply(ad.sum(ad.stack(outs), axis=0), weights))
+            tape = len(ad.Tape.from_output(loss))
+            ad.backward(loss)
+            return tape, {name: t.grad.tobytes() for name, t in params.items()}
+
+        want = run()
+        with agg.shared_eval():
+            with ad.no_grad():
+                for v in g.nodes:
+                    agg.gnn_forward(stack, g, feats, hits, v, seed=1)
+            assert run() == want
+
+    def test_train_mode_without_a_tape_ignores_the_pass(self):
+        # train-mode lstm rows depend on the rng's draws, which no key holds
+        g, feats, hits = random_world(2, 8, 3)
+        stack = make_stack(["lstm", "lstm"], [3, 2], 3, seed=3)
+
+        def run():
+            perm_rng = make_rng("scope-perm", 1)
+            return [agg.gnn_forward(stack, g, feats, hits, v, mode="train", rng=perm_rng).data.tobytes()
+                    for v in g.nodes]
+
+        with ad.no_grad():
+            want = run()
+            with agg.shared_eval():
+                for v in g.nodes:
+                    agg.gnn_forward(stack, g, feats, hits, v, seed=0)
+                assert run() == want
+
+    def test_bindings_keep_their_own_rows(self):
+        # one pass, two feature tables and two seeds over one stack
+        g, feats, hits = random_world(8, 7, 3)
+        other = FeatureTable(3, {v: feats[v] + 1.0 for v in g.nodes})
+        stack = make_stack(["lstm", "transformer"], [2, 2], 3, seed=9)
+        bindings = [(feats, 0), (other, 0), (feats, 1)]
+        with ad.no_grad():
+            want = [[agg.gnn_forward(stack, g, f, hits, v, seed=s).data.tobytes() for f, s in bindings]
+                    for v in g.nodes]
+            with agg.shared_eval():
+                got = [[agg.gnn_forward(stack, g, f, hits, v, seed=s).data.tobytes() for f, s in bindings]
+                       for v in g.nodes]
+        assert got == want
+        # every binding gives each node its own row, so one that read
+        # another's rows would show
+        assert all(len(set(row)) == len(bindings) for row in want)
 
 # signed zeros and a few repeated values, so rows tie in value but not in bytes, or in both
 ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4, 4, width=64))

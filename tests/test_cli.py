@@ -492,6 +492,48 @@ class TestExamplesFile:
         assert "internal error" not in err
         assert str(world / name) in err
 
+    # each input path a run reads, made a directory; only eval reads the checkpoint
+    @pytest.mark.parametrize("command,role,name", [
+        (command, role, name)
+        for command in ("train", "eval")
+        for role, name in (("config", "cfg.json"), ("graph", "g.tsv"), ("embeddings", "emb.txt"),
+                           ("examples", "ex.json"), ("fold_spec", "folds.json"),
+                           ("checkpoint", "ckpt.json"))
+        if role != "checkpoint" or command == "eval"
+    ])
+    def test_directory_input_names_role_and_path(self, world, tmp_path, capsys, command, role, name):
+        good = {"vector": VEC, "label": "cls/alpha"}
+        cfg = self.config(world, {"train": [good], "test": [good]})
+        (world / name).unlink()
+        (world / name).mkdir()
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "directory" in err and str(world / name) in err
+        assert ("config file" if role == "config" else f"paths.{role}") in err
+
+    @pytest.mark.parametrize("folds,where", [
+        ({"folds": {"a": 1}}, "'folds'"),
+        ({"folds": "cls/gamma"}, "'folds'"),
+        ([], "'folds'"),
+        ({"folds": [["cls/alpha"]]}, "fold 0 is not"),
+        ({"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"]}, {"test": ["cls/gamma"]}]},
+         "fold 1 has no 'train'"),
+        ({"folds": [{"train": ["cls/alpha"]}]}, "fold 0 has no 'test'"),
+        ({"folds": [{"train": ["cls/alpha"], "test": "cls/gamma"}]}, "fold 0 'test'"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_misshapen_fold_spec_names_file_fold_and_key(self, world, tmp_path, capsys, folds, where,
+                                                          command):
+        write(world / "folds.json", folds)
+        good = {"vector": VEC, "label": "cls/alpha"}
+        cfg = self.config(world, {"train": [good], "test": [good]})
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal error" not in err
+        assert f"malformed fold spec {world / 'folds.json'}: " in err and where in err
+        assert "string indices" not in err
+
     @pytest.mark.parametrize("command,split,missing", [
         ("train", "train", "cls/omega"), ("train", "dev", "cls/omega"), ("eval", "test", "cls/zeta"),
     ])

@@ -1,6 +1,7 @@
 """Profile expansion and config validation."""
 
 import json
+import re
 
 import pytest
 
@@ -219,6 +220,10 @@ class TestLoadConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(p))
+
+    def test_directory_is_config_error_naming_path(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"config file {re.escape(str(tmp_path))} is a directory"):
+            load_config(str(tmp_path))
 
     def test_infinity_literal_is_config_error(self, tmp_path):
         # json.load reads Infinity, so the check lives in validate

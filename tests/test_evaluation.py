@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,24 @@ class TestFoldSpec:
                 fold = {"train": ["x"], "dev": ["y"], "test": ["z"], split: bad}
                 with pytest.raises(ParseError, match=split):
                     ev.FoldSpec.from_jsonable({"folds": [fold]})
+
+    @pytest.mark.parametrize("obj,where", [
+        ({"folds": {"a": 1}}, "'folds' is not a list"),
+        ([{"train": ["x"], "test": ["z"]}], "'folds' is not a list"),
+        ({"folds": [{"train": ["x"], "test": ["z"]}, "x"]}, "fold 1 is not a JSON object"),
+        ({"folds": [{"test": ["z"]}]}, "fold 0 has no 'train' list"),
+        ({"folds": [{"train": ["x"], "test": ["z"]}, {"train": ["x"]}]}, "fold 1 has no 'test' list"),
+        ({"folds": [{"train": ["x"], "test": ["x"]}]}, "fold 0: seen, dev and unseen"),
+    ])
+    def test_misshapen_file_names_file_fold_and_key(self, tmp_path, obj, where):
+        path = tmp_path / "folds.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=f"^malformed fold spec {re.escape(str(path))}: .*{where}"):
+            ev.FoldSpec.load(path)
+
+    def test_directory_is_parse_error_naming_path(self, tmp_path):
+        with pytest.raises(ParseError, match=f"fold spec {re.escape(str(tmp_path))} is a directory"):
+            ev.FoldSpec.load(tmp_path)
 
     def test_needs_folds(self):
         with pytest.raises(ContractError):

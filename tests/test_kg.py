@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -96,6 +97,10 @@ class TestIngest:
         p = write(tmp_path, "r\t/c/fr/fête\t/c/fr/noël\n")
         g = kg.ingest(p)
         assert "/c/fr/fête" in g
+
+    def test_directory_is_parse_error_naming_path(self, tmp_path):
+        with pytest.raises(ParseError, match=f"graph file {re.escape(str(tmp_path))} is a directory"):
+            kg.ingest(tmp_path)
 
 
 class TestGraph:
@@ -295,6 +300,24 @@ class TestEmbeddingTable:
         p = write(tmp_path, f"dog 1.0 2.0\ncat 0.5 {token}\n", name="emb.txt")
         with pytest.raises(ParseError, match="'cat'.*non-finite"):
             kg.EmbeddingTable.from_file(p)
+
+
+    def test_repeated_token_names_token_and_both_lines(self, tmp_path):
+        p = write(tmp_path, "dog 1.0 2.0\ncat 3.0 4.0\n\ndog 5.0 6.0\n", name="emb.txt")
+        with pytest.raises(ParseError, match="line 4: embedding token 'dog' repeats line 1") as err:
+            kg.EmbeddingTable.from_file(p)
+        assert err.value.line == 4
+
+    def test_tokens_differing_in_case_are_distinct(self, tmp_path):
+        p = write(tmp_path, "Dog 1.0 2.0\ndog 3.0 4.0\n", name="emb.txt")
+        emb = kg.EmbeddingTable.from_file(p)
+        np.testing.assert_array_equal(emb.lookup("Dog"), [1.0, 2.0])
+        np.testing.assert_array_equal(emb.lookup("dog"), [3.0, 4.0])
+        np.testing.assert_array_equal(emb.lookup("DOG"), [3.0, 4.0])
+
+    def test_directory_is_parse_error_naming_path(self, tmp_path):
+        with pytest.raises(ParseError, match=f"embeddings file {re.escape(str(tmp_path))} is a directory"):
+            kg.EmbeddingTable.from_file(tmp_path)
 
 
 class TestInitFeatures:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -536,6 +538,87 @@ class TestClassReps:
                 assert scores.tobytes() == want.tobytes()
                 assert zs.predict(theta, head, form, mode) == ranked
 
+
+def shared_world(num_classes=6, dim=4, seed=0):
+    """Classes that share attribute nodes, under a two-level transformer stack."""
+    edges = [("has", f"class_{c}", f"attr_{a}")
+             for c in range(num_classes) for a in sorted({c % 4, (c + 1) % 4, 4 + c % 2})]
+    g = Graph(edges)
+    r = rng(seed)
+    features = FeatureTable(dim, {v: r.normal(size=dim) for v in g.nodes})
+    layers = [make_layer("transformer", dim, dim, activation="tanh", rng=rng(seed + 10 + i), name=f"t{i}")
+              for i in range(2)]
+    stack = GnnStack(layers, [3, 2])
+    return zs.GnnClassEncoder(stack, g, features, HitSource(g, WalkConfig(seed=seed)), seed=seed)
+
+
+class CountingFeatures:
+    """A feature table that counts the lookups of each node."""
+
+    def __init__(self, table):
+        self.table = table
+        self.dimension = table.dimension
+        self.counts = Counter()
+
+    def __getitem__(self, node):
+        self.counts[node] += 1
+        return self.table[node]
+
+
+class TestSharedPass:
+    def classes(self, enc):
+        return [v for v in enc.graph.nodes if v.startswith("class_")]
+
+    def test_one_pass_looks_up_each_needed_feature_once(self):
+        enc = shared_world()
+        ids = self.classes(enc)
+        apart = CountingFeatures(enc.features)
+        with ad.no_grad():
+            want = {c: enc.rebind(enc.graph, apart, enc.hits).encode(c).data for c in ids}
+        counting = CountingFeatures(enc.features)
+        reps = zs.class_representations(enc.rebind(enc.graph, counting, enc.hits), ids)
+        # every node of every class's DAG, each looked up once
+        assert dict(counting.counts) == dict.fromkeys(apart.counts, 1)
+        assert sum(apart.counts.values()) > len(apart.counts)
+        for c in ids:
+            assert reps[c].tobytes() == want[c].tobytes()
+
+    def test_rows_do_not_outlive_the_pass(self):
+        enc = shared_world()
+        ids = self.classes(enc)
+        first = zs.class_representations(enc, ids)
+        weight = enc.stack.layers[0].weight
+        weight.data = weight.data * 1.5
+        second = zs.class_representations(enc, ids)
+        with ad.no_grad():
+            for c in ids:
+                assert second[c].tobytes() == enc.encode(c).data.tobytes()
+        assert all(second[c].tobytes() != first[c].tobytes() for c in ids)
+
+    def test_fit_dev_encode_is_one_pass(self):
+        enc = shared_world()
+        counting = CountingFeatures(enc.features)
+        enc = enc.rebind(enc.graph, counting, enc.hits)
+        ids = self.classes(enc)
+        targets = {c: rng(i).normal(size=4) for i, c in enumerate(ids)}
+        classes = zs.ClassSet(seen=tuple(ids[:2]), unseen=(), dev=tuple(ids[2:]), targets=targets)
+        eval_lookups = []
+        encode = enc.encode
+
+        def spy(c, mode="eval", rng=None):
+            before = Counter(counting.counts)
+            out = encode(c, mode=mode, rng=rng)
+            if mode == "eval":
+                eval_lookups.append(counting.counts - before)
+            return out
+
+        enc.encode = spy
+        zs.train_l2(enc, classes, epochs=2, seed=0)
+        dev = len(classes.dev)
+        assert len(eval_lookups) == 2 * dev
+        for epoch in range(2):
+            lookups = sum(eval_lookups[epoch * dev:(epoch + 1) * dev], Counter())
+            assert set(lookups.values()) == {1}
 
 def _reachable_trainables(obj, seen):
     """Every requires_grad tensor reachable from `obj` through attributes, lists, tuples and dicts."""
