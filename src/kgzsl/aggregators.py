@@ -25,7 +25,10 @@ It returns a (B, out_dim) tensor.  All five kinds stack the group into
 (B, M, in_dim) tensors and make one call of each op (per relation and
 basis for ``rgcn``, per time step for ``lstm``), which rounds exactly
 like B separate calls.  The per-node ``forward`` is the B = 1 case of
-the same code.
+the same code.  ``gnn_forward`` splits the nodes of a level that share
+a member count into slices of at most ``GROUP_ROWS`` and makes one
+call per slice, so a wide eval level never holds the intermediates of
+its whole group at once, and the slices round like one call.
 """
 
 import contextlib
@@ -435,33 +438,39 @@ class GnnStack:
 
 _SHARED = contextvars.ContextVar("kgzsl_shared_eval", default=None)
 
+# the most nodes one `forward_group` call embeds (see the module docstring)
+GROUP_ROWS = 64
+
 
 @contextlib.contextmanager
-def shared_eval():
-    """One eval pass: `gnn_forward` calls inside the block share level rows.
+def shared_eval(roots=()):
+    """One eval pass over the declared `roots`: one forward encodes them all.
 
-    Inside the block, an eval-mode `gnn_forward` that records no tape
-    reuses every level row an earlier call of the block computed for
-    the same binding (stack, graph, features, hits, seed), so a pass
-    over many roots computes each shared sub-neighborhood once.  Every
-    row is dropped when the block exits: parameters must not change
-    inside it, and the next pass pays in full.
+    Inside the block, the first eval-mode `gnn_forward` under `no_grad`
+    for a binding (stack, graph, features, hits, seed) encodes its own
+    node and every declared root as one forward, so a neighborhood that
+    several roots sample is built once, and keeps each root's output
+    row.  Later calls for those roots return the kept row; a call for a
+    node with no row encodes it together with the roots still pending.
+    Each row is bitwise what a fresh call outside the block gives.
+    Every row is dropped when the block exits: parameters must not
+    change inside it, and the next pass pays in full.
     """
-    token = _SHARED.set({})
+    token = _SHARED.set((tuple(dict.fromkeys(roots)), {}))
     try:
         yield
     finally:
         _SHARED.reset(token)
 
 
-def _shared_rows(stack, graph, features, hits, seed):
-    """The enclosing pass's (interned keys, rows by key) for this binding."""
-    scope = _SHARED.get()
+def _pass_rows(stack, graph, features, hits, seed):
+    """The enclosing pass's (declared roots, output rows by root) for this binding."""
+    roots, scope = _SHARED.get()
     binding = (id(stack), id(graph), id(features), id(hits), seed)
     if binding not in scope:
         # the entry holds the bound objects, so no id is reused while it lives
-        scope[binding] = ((stack, graph, features, hits), {}, {})
-    return scope[binding][1:]
+        scope[binding] = ((stack, graph, features, hits), {})
+    return roots, scope[binding][1]
 
 
 def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
@@ -471,17 +480,21 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
     where it is reached: top hop_limits[d] neighbors by hit probability.
     Representation levels are then evaluated bottom-up over that DAG, so
     the output depends only on the truncated k-hop neighborhood.  Each
-    level is one `forward_group` call per distinct member count.
+    level is one `forward_group` call per slice of at most GROUP_ROWS
+    nodes with the same member count.
 
-    Inside `shared_eval`, an eval-mode call under `no_grad` skips every
-    DAG node whose row an earlier call of the pass computed.  A node's
-    row at level l is keyed by hash-consing: key(v, 0) = v, and
-    key(v, l) interns (l, key(v, l - 1), the level l - 1 keys of v's
-    sampled neighbors).  That fixes the row for any hop limits, since
-    lstm's eval permutation depends only on (seed, v, member count) and
-    rgcn's relations only on the graph.  Only the rows the missed nodes
-    need are built, features included, and each row comes out bitwise
-    as without the pass.
+    Inside `shared_eval`, an eval-mode call under `no_grad` returns the
+    row the pass keeps for `node`, or else encodes `node` and every
+    declared root without a row as one forward over the union of their
+    DAGs.  Each root's DAG is sampled on its own, reading each node's
+    hit table once per forward, and a node's row at level l is keyed by
+    hash-consing: key(v, 0) = v, and key(v, l) interns (key(v, l - 1),
+    the level l - 1 keys of v's sampled neighbors) in level l's table,
+    as its position there.  A key fixes its row
+    for any hop limits, since lstm's eval permutation depends only on
+    (seed, v, member count) and rgcn's relations only on the graph, so
+    each level builds each distinct key once and every root's row comes
+    out bitwise as from a call of its own.
 
     Args:
         hits: callable node -> HitTable (see sampler.HitSource).
@@ -497,95 +510,89 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
     if mode == "train" and rng is None:
         raise ContractError("train mode needs an rng for its sequence permutations")
 
-    k = stack.depth
-
-    # fix each node's truncated neighbor list at the shallowest depth
-    # where it is reached; nodes first reached at depth k stay leaves
-    sampled = {}
-    depth_of = {node: 0}
-    frontier = [node]
-    for depth in range(k):
-        nxt = []
-        for v in frontier:
-            sampled[v] = top_n(hits(v), stack.hop_limits[depth])
-            for u in sampled[v]:
-                if u not in depth_of:
-                    depth_of[u] = depth + 1
-                    if depth + 1 < k:
-                        nxt.append(u)
-        frontier = nxt
-
-    # a node first reached at depth d is needed up to level k - d; its
-    # sampled neighbors then always have the level below already built
-    todo = {level: [v for v in sampled if level <= k - depth_of[v]] for level in range(1, k + 1)}
-    cached = {level: {} for level in todo}
-    shared = None
+    roots, kept = [node], None
     if mode == "eval" and _SHARED.get() is not None and not ad.grad_enabled():
-        interned, shared = _shared_rows(stack, graph, features, hits, seed)
-        keys = {}
-        for level in todo:
-            below, keys[level] = keys.get(level - 1), {}
-            for v in todo[level]:
-                if below is None:  # key(v, 0) is v
-                    term = (level, v, *sampled[v])
-                else:
-                    term = (level, below[v], *map(below.__getitem__, sampled[v]))
-                keys[level][v] = interned.setdefault(term, len(interned))
-        # top-down, so a cached row's sub-neighborhood is never visited
-        need = {node}
-        for level in reversed(todo):
-            missed = []
-            for v in todo[level]:
-                if v in need:
-                    row = shared.get(keys[level][v])
-                    if row is None:
-                        missed.append(v)
-                    else:
-                        cached[level][v] = row
-            todo[level] = missed
-            need = set(missed).union(*map(sampled.__getitem__, missed))
-        # level 0 is keyed too, and a row there is a node's features
-        leaves = [v for v in depth_of if v in need]
-        for v in leaves:
-            if v not in shared:
-                shared[v] = features[v]
-        base = [shared[v] for v in leaves]
-    else:
-        leaves = list(depth_of)
-        base = [features[v] for v in leaves]
+        declared, kept = _pass_rows(stack, graph, features, hits, seed)
+        if node in kept:
+            return ad.row(*kept[node])
+        roots += [r for r in declared if r not in kept and r != node]
+        for r in roots:
+            if r not in graph:
+                raise UnknownNodeError(r)
 
-    prev = ad.constant(np.array(base, dtype=np.float64)) if leaves else None
+    k = stack.depth
+    tables, ranked = {}, {}
+    # per level, member keys -> (key, node, its sampled neighbors)
+    todo = {level: {} for level in range(1, k + 1)}
+    leaves = {}
+    tops = []
+    for root in roots:
+        # fix each node's truncated neighbor list at the shallowest depth
+        # where this root reaches it; nodes first reached at depth k stay leaves
+        sampled = {}
+        depth_of = {root: 0}
+        frontier = [root]
+        for depth, limit in enumerate(stack.hop_limits):
+            nxt = []
+            for v in frontier:
+                nbrs = ranked.get((v, limit))
+                if nbrs is None:
+                    if v not in tables:
+                        tables[v] = hits(v)
+                    nbrs = ranked[v, limit] = top_n(tables[v], limit)
+                sampled[v] = nbrs
+                for u in nbrs:
+                    if u not in depth_of:
+                        depth_of[u] = depth + 1
+                        if depth + 1 < k:
+                            nxt.append(u)
+            frontier = nxt
+        leaves.update(depth_of)
+        # a node first reached at depth d is needed up to level k - d; its
+        # sampled neighbors then always have the level below already keyed
+        below = None
+        for level in todo:
+            keys = {}
+            for v in sampled:
+                if level <= k - depth_of[v]:
+                    if below is None:  # key(v, 0) is v
+                        members = (v, *sampled[v])
+                    else:
+                        members = (below[v], *map(below.__getitem__, sampled[v]))
+                    nodes = todo[level]
+                    keys[v] = nodes.setdefault(members, (len(nodes), v, sampled[v]))[0]
+            below = keys
+        tops.append(below[root])
+
+    prev = ad.constant(np.array([features[v] for v in leaves], dtype=np.float64))
     row_of = {v: i for i, v in enumerate(leaves)}
-    for level in todo:
+    for level, nodes in todo.items():
         layer = stack.layers[level - 1]
         # node_args in DAG order, so train-mode permutation draws
         # come off `rng` in a fixed order
         if layer.kind == "rgcn":
-            node_args = [[graph.relations_between(v, u) for u in sampled[v]] for v in todo[level]]
+            node_args = [[graph.relations_between(v, u) for u in nbrs] for _, v, nbrs in nodes.values()]
         elif layer.kind == "lstm":
             node_args = []
-            for v in todo[level]:
+            for _, v, nbrs in nodes.values():
                 perm_rng = rng if mode == "train" else make_rng("lstm-perm", seed, v)
-                node_args.append(list(perm_rng.permutation(len(sampled[v]) + 1)))
+                node_args.append(list(perm_rng.permutation(len(nbrs) + 1)))
         else:
-            node_args = [None] * len(todo[level])
+            node_args = [None] * len(nodes)
         groups = {}
-        for v, arg in zip(todo[level], node_args):
-            groups.setdefault(len(sampled[v]) + 1, []).append((v, arg))
+        for (members, (key, _, _)), arg in zip(nodes.items(), node_args):
+            groups.setdefault(len(members), []).append((key, members, arg))
         outs, order = [], []
         for size in sorted(groups):
-            nodes = [v for v, _ in groups[size]]
-            rows = np.array([[row_of[v]] + [row_of[u] for u in sampled[v]] for v in nodes])
-            out = layer.forward_group(prev, rows, [arg for _, arg in groups[size]])
-            if shared is not None:
-                shared.update(zip((keys[level][v] for v in nodes), out.data))
-            outs.append(out)
-            order += nodes
-        if cached[level]:
-            outs.append(ad.constant(np.array(list(cached[level].values()))))
-            order += cached[level]
-        if outs:
-            prev = outs[0] if len(outs) == 1 else ad.concat(outs)
-        row_of = {v: i for i, v in enumerate(order)}
+            group = groups[size]
+            for start in range(0, len(group), GROUP_ROWS):
+                part = group[start:start + GROUP_ROWS]
+                rows = np.array([[row_of[m] for m in members] for _, members, _ in part])
+                outs.append(layer.forward_group(prev, rows, [arg for _, _, arg in part]))
+                order += [key for key, _, _ in part]
+        prev = outs[0] if len(outs) == 1 else ad.concat(outs)
+        row_of = {key: i for i, key in enumerate(order)}
 
-    return ad.row(prev, row_of[node])
+    if kept is not None:
+        kept.update((r, (prev, row_of[t])) for r, t in zip(roots, tops))
+    return ad.row(prev, row_of[tops[0]])

@@ -14,6 +14,14 @@ from .errors import ContractError, ParseError
 from .zeroshot import ClassSet
 
 
+_FOLD_KEYS = ("train", "test", "dev")
+
+
+def _unknown_key(obj, known):
+    """The first key of `obj` not in `known`, or None."""
+    return next((key for key in obj if key not in known), None)
+
+
 def _class_names(fold, key, where):
     """One split of a fold-file fold as a tuple of class names; dev may be absent."""
     if key not in fold and key != "dev":
@@ -49,19 +57,26 @@ class FoldSpec:
 
     @classmethod
     def from_jsonable(cls, obj, source="fold spec"):
-        """Parse the file form; any other shape is a ParseError naming
-        `source` and, where one is at fault, the fold index and key."""
+        """Parse the file form; any other shape, or a key other than
+        `folds` at the top or train/test/dev in a fold, is a ParseError
+        naming `source` and, where one is at fault, the fold index and key."""
         # a bad fold in a file is a data problem, not a caller bug
         folds = obj.get("folds") if isinstance(obj, dict) else None
         if not isinstance(folds, list):
             raise ParseError(f"malformed {source}: 'folds' is not a list of folds")
+        extra = _unknown_key(obj, ("folds",))
+        if extra is not None:
+            raise ParseError(f"malformed {source}: unknown key {extra!r}")
         parsed = []
         for i, fold in enumerate(folds):
             where = f"malformed {source}: fold {i}"
             if not isinstance(fold, dict):
                 raise ParseError(f"{where} is not a JSON object")
+            extra = _unknown_key(fold, _FOLD_KEYS)
+            if extra is not None:
+                raise ParseError(f"{where} has unknown key {extra!r}")
             try:
-                parsed.append(ClassSet(*(_class_names(fold, key, where) for key in ("train", "test", "dev"))))
+                parsed.append(ClassSet(*(_class_names(fold, key, where) for key in _FOLD_KEYS)))
             except ContractError as exc:
                 raise ParseError(f"{where}: {exc}") from None
         try:

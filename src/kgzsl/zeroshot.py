@@ -141,11 +141,12 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
     stream, and `batch_loss(reps, batch)` gives the scalar to minimize.
     The epoch's train loss is the mean of its batch losses.  With dev
     classes, `dev_loss(reps)` scores their eval-mode encodings, made
-    under no_grad as one `shared_eval` pass.  The selected epoch is the
-    one with the lowest dev loss, or train loss without dev classes, the
-    first winning ties; the live parameters are left at its snapshot.  A
-    non-finite loss raises DivergenceError, since no comparison can rank
-    it.
+    under no_grad as one `shared_eval` pass that declares them, so one
+    forward builds them all.  The selected epoch is the one with the
+    lowest dev loss, or train loss without dev classes, the first
+    winning ties; the live parameters are left at its snapshot.  A
+    non-finite loss raises DivergenceError, since no comparison can
+    rank it.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
@@ -168,7 +169,7 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
         train_loss = float(np.mean([step(batch) for batch in batches()]))
         held = None
         if dev:
-            with ad.no_grad(), shared_eval():
+            with ad.no_grad(), shared_eval(dev):
                 held = dev_loss([class_encoder.encode(c, mode="eval") for c in dev])
         for split, loss in (("train", train_loss), ("dev", held)):
             if loss is not None and not np.isfinite(loss):
@@ -413,11 +414,14 @@ def predict(theta, head, class_reps, mode="multiclass"):
 
 
 def class_representations(class_encoder, class_ids, mode="eval"):
-    """phi for each class id, as one ClassReps over the sorted ids.
+    """phi for each class id, as one ClassReps over the sorted distinct ids.
 
-    The classes are encoded as one `shared_eval` pass, so in eval mode a
-    neighborhood that several classes sample is built once; each phi is
-    bitwise what encoding its class alone gives.
+    The ids are declared as the roots of one `shared_eval` pass, so in
+    eval mode the first encode builds every class's phi in one forward,
+    in which a neighborhood that several classes sample is built once;
+    each phi is bitwise what encoding its class alone gives.  The rows
+    are dropped when the pass ends.
     """
-    with ad.no_grad(), shared_eval():
-        return ClassReps({c: class_encoder.encode(c, mode=mode).data for c in class_ids})
+    ids = sorted(set(class_ids))
+    with ad.no_grad(), shared_eval(ids):
+        return ClassReps({c: class_encoder.encode(c, mode=mode).data for c in ids})

@@ -598,6 +598,91 @@ class TestSharedEval:
         assert got == want
 
     @pytest.mark.parametrize("kind", KINDS)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_nodes=st.integers(2, 12),
+        dim=st.integers(1, 6),
+        limits=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        others=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
+        declared=st.lists(st.integers(0, 11), min_size=1, max_size=8),
+        calls=st.lists(st.integers(0, 11), min_size=1, max_size=12),
+    )
+    @example(seed=3, num_nodes=9, dim=3, limits=[3, 1], others=["gat", "gcn"],
+             declared=[0, 4, 4], calls=[7, 0, 4, 8])
+    @example(seed=4, num_nodes=10, dim=2, limits=[2, 0, 1], others=["lstm", "rgcn"],
+             declared=[1, 2, 3, 1], calls=[9, 1, 5, 2])
+    @settings(max_examples=15, deadline=None)
+    def test_declared_roots_match_fresh_per_root_forward_bitwise(self, kind, seed, num_nodes, dim,
+                                                                 limits, others, declared, calls):
+        from kgzsl.sampler import top_n
+
+        g, feats, hits = random_world(seed, num_nodes, dim)
+        stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
+        nodes = g.nodes
+        # repeats, and roots that are the first root's own sampled neighbors
+        roots = [nodes[i % len(nodes)] for i in declared]
+        roots += roots[:1] + top_n(hits(roots[0]), limits[0])
+        # calls for undeclared nodes too, before and after the declared ones
+        asked = [nodes[i % len(nodes)] for i in calls] + roots[::-1]
+        with ad.no_grad():
+            want = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in asked]
+            with agg.shared_eval(roots):
+                got = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in asked]
+        assert got == want
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wide_groups_go_in_capped_slices(self, kind):
+        # every leaf of a star is a root with one neighbor, the hub, so
+        # each level holds one member-count group of over 150 nodes
+        leaves = [f"leaf{i:03d}" for i in range(150)]
+        g = Graph([("r0", "hub", v) for v in leaves])
+        r = rng(21)
+        feats = FeatureTable(3, {v: r.normal(size=3) for v in g.nodes})
+        hits = HitSource(g, WalkConfig(steps=4, restarts=4, seed=2))
+        stack = make_stack([kind, kind], [1, 1], 3, seed=22)
+        with ad.no_grad():
+            want = [agg.gnn_forward(stack, g, feats, hits, v, seed=5).data.tobytes() for v in leaves]
+            sizes = []
+            for layer in stack.layers:
+                def spy(prev, rows, node_args, forward=layer.forward_group):
+                    sizes.append(len(rows))
+                    return forward(prev, rows, node_args)
+                layer.forward_group = spy
+            with agg.shared_eval(leaves):
+                got = [agg.gnn_forward(stack, g, feats, hits, v, seed=5).data.tobytes() for v in leaves]
+        assert got == want
+        assert max(sizes) == agg.GROUP_ROWS
+        assert sum(sizes) > 2 * len(leaves)
+
+    def test_undeclared_call_encodes_the_declared_roots_once(self):
+        g, feats, hits = random_world(11, 9, 3)
+        stack = make_stack(["gcn", "gat"], [3, 2], 3, seed=12)
+        counted = []
+
+        def counting(v):
+            counted.append(v)
+            return hits(v)
+
+        with ad.no_grad(), agg.shared_eval(g.nodes[:4]):
+            for v in [g.nodes[-1], *g.nodes[:4], g.nodes[-1]]:
+                agg.gnn_forward(stack, g, feats, counting, v)
+            # the first call sampled every root's DAG, each table once
+            assert sorted(counted) == sorted(set(counted))
+
+    def test_unknown_declared_root_is_named(self):
+        g, feats, source = random_world(9, 5, 2)
+        # sources that would serve a node the graph lacks
+        feats = FeatureTable(2, {**{v: feats[v] for v in g.nodes}, "nowhere": np.ones(2)})
+
+        def hits(v):
+            return source(v) if v in g else HitTable(v, ())
+
+        stack = make_stack(["gcn"], [2], 2, seed=1)
+        with ad.no_grad(), agg.shared_eval(["n0", "nowhere"]):
+            with pytest.raises(UnknownNodeError, match="nowhere"):
+                agg.gnn_forward(stack, g, feats, hits, "n0")
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_recording_calls_ignore_the_pass(self, kind, mode):
         # train mode, and eval mode with grad recording on, build their

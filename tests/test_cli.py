@@ -521,6 +521,9 @@ class TestExamplesFile:
          "fold 1 has no 'train'"),
         ({"folds": [{"train": ["cls/alpha"]}]}, "fold 0 has no 'test'"),
         ({"folds": [{"train": ["cls/alpha"], "test": "cls/gamma"}]}, "fold 0 'test'"),
+        ({"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"], "devv": ["cls/beta"]}]},
+         "fold 0 has unknown key 'devv'"),
+        ({"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"]}], "extra": 1}, "unknown key 'extra'"),
     ])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_misshapen_fold_spec_names_file_fold_and_key(self, world, tmp_path, capsys, folds, where,

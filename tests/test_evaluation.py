@@ -117,6 +117,11 @@ class TestFoldSpec:
         ({"folds": [{"test": ["z"]}]}, "fold 0 has no 'train' list"),
         ({"folds": [{"train": ["x"], "test": ["z"]}, {"train": ["x"]}]}, "fold 1 has no 'test' list"),
         ({"folds": [{"train": ["x"], "test": ["x"]}]}, "fold 0: seen, dev and unseen"),
+        # a misspelt split is not an absent one
+        ({"folds": [{"train": ["x"], "test": ["z"], "devv": ["y"]}]}, "fold 0 has unknown key 'devv'"),
+        ({"folds": [{"train": ["x"], "test": ["z"]}, {"train": ["z"], "test": ["x"], "Dev": []}]},
+         "fold 1 has unknown key 'Dev'"),
+        ({"folds": [{"train": ["x"], "test": ["z"]}], "fold": []}, "unknown key 'fold'"),
     ])
     def test_misshapen_file_names_file_fold_and_key(self, tmp_path, obj, where):
         path = tmp_path / "folds.json"

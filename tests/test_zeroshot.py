@@ -583,6 +583,33 @@ class TestSharedPass:
         for c in ids:
             assert reps[c].tobytes() == want[c].tobytes()
 
+    def test_one_pass_reads_each_hit_table_once(self):
+        enc = shared_world()
+        ids = self.classes(enc)
+        apart, counted = Counter(), Counter()
+
+        def counting(into):
+            def hits(v):
+                into[v] += 1
+                return enc.hits(v)
+            return hits
+
+        with ad.no_grad():
+            for c in ids:
+                enc.rebind(enc.graph, enc.features, counting(apart)).encode(c)
+        zs.class_representations(enc.rebind(enc.graph, enc.features, counting(counted)), ids)
+        assert dict(counted) == dict.fromkeys(apart, 1)
+        assert sum(apart.values()) > len(apart)
+
+    def test_ids_are_taken_once_each_in_any_order(self):
+        enc = shared_world()
+        ids = sorted(self.classes(enc))
+        want = zs.class_representations(enc, ids)
+        for given in (iter(ids[::-1]), ids[2:] + ids + ids[:1]):
+            got = zs.class_representations(enc, given)
+            assert got.ids == want.ids
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+
     def test_rows_do_not_outlive_the_pass(self):
         enc = shared_world()
         ids = self.classes(enc)
