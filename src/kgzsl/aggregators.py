@@ -25,14 +25,15 @@ It returns a (B, out_dim) tensor.  All five kinds stack the group into
 (B, M, in_dim) tensors and make one call of each op (per relation and
 basis for ``rgcn``, per time step for ``lstm``), which rounds exactly
 like B separate calls.  The per-node ``forward`` is the B = 1 case of
-the same code.  ``gnn_forward`` splits the nodes of a level that share
-a member count into slices of at most ``GROUP_ROWS`` and makes one
-call per slice, so a wide eval level never holds the intermediates of
-its whole group at once, and the slices round like one call.
-"""
+the same code.
 
-import contextlib
-import contextvars
+``gnn_forward`` embeds one root, or a sequence of roots as one forward
+over the union of their sampled DAGs.  It splits the nodes of a level
+that share a member count into slices of at most ``GROUP_ROWS`` and
+makes one call per slice, so a wide eval level never holds the
+intermediates of its whole group at once, and the slices round like
+one call.
+"""
 
 import numpy as np
 
@@ -436,97 +437,58 @@ class GnnStack:
         return out
 
 
-_SHARED = contextvars.ContextVar("kgzsl_shared_eval", default=None)
-
 # the most nodes one `forward_group` call embeds (see the module docstring)
 GROUP_ROWS = 64
 
 
-@contextlib.contextmanager
-def shared_eval(roots=()):
-    """One eval pass over the declared `roots`: one forward encodes them all.
-
-    Inside the block, the first eval-mode `gnn_forward` under `no_grad`
-    for a binding (stack, graph, features, hits, seed) encodes its own
-    node and every declared root as one forward, so a neighborhood that
-    several roots sample is built once, and keeps each root's output
-    row.  Later calls for those roots return the kept row; a call for a
-    node with no row encodes it together with the roots still pending.
-    Each row is bitwise what a fresh call outside the block gives.
-    Every row is dropped when the block exits: parameters must not
-    change inside it, and the next pass pays in full.
-    """
-    token = _SHARED.set((tuple(dict.fromkeys(roots)), {}))
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _pass_rows(stack, graph, features, hits, seed):
-    """The enclosing pass's (declared roots, output rows by root) for this binding."""
-    roots, scope = _SHARED.get()
-    binding = (id(stack), id(graph), id(features), id(hits), seed)
-    if binding not in scope:
-        # the entry holds the bound objects, so no id is reused while it lives
-        scope[binding] = ((stack, graph, features, hits), {})
-    return roots, scope[binding][1]
-
-
 def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
-    """Embed `node` from its truncated k-hop neighborhood.
+    """Embed `node`, or each node of a sequence of them, from its truncated k-hop neighborhood.
 
-    The sampled neighborhood is fixed per node at the shallowest depth
-    where it is reached: top hop_limits[d] neighbors by hit probability.
-    Representation levels are then evaluated bottom-up over that DAG, so
-    the output depends only on the truncated k-hop neighborhood.  Each
-    level is one `forward_group` call per slice of at most GROUP_ROWS
-    nodes with the same member count.
+    The sampled neighborhood is fixed per root at the shallowest depth
+    where the root reaches each node: top hop_limits[d] neighbors by hit
+    probability.  Representation levels are then evaluated bottom-up
+    over that DAG, so the output depends only on the truncated k-hop
+    neighborhood.  Each level is one `forward_group` call per slice of
+    at most GROUP_ROWS nodes with the same member count.
 
-    Inside `shared_eval`, an eval-mode call under `no_grad` returns the
-    row the pass keeps for `node`, or else encodes `node` and every
-    declared root without a row as one forward over the union of their
-    DAGs.  Each root's DAG is sampled on its own, reading each node's
-    hit table once per forward, and a node's row at level l is keyed by
-    hash-consing: key(v, 0) = v, and key(v, l) interns (key(v, l - 1),
-    the level l - 1 keys of v's sampled neighbors) in level l's table,
-    as its position there.  A key fixes its row
-    for any hop limits, since lstm's eval permutation depends only on
-    (seed, v, member count) and rgcn's relations only on the graph, so
-    each level builds each distinct key once and every root's row comes
-    out bitwise as from a call of its own.
+    `node` is one node id, which gives its (out_dim,) row, or a sequence
+    of ids, which gives a (len, out_dim) tensor whose rows follow that
+    order, repeats included.  The roots of a sequence are encoded as one
+    forward over the union of their DAGs.  Each root's DAG is sampled on
+    its own, reading each node's hit table once per call, and a node's
+    row at level l is keyed by hash-consing: key(v, 0) = v, and
+    key(v, l) interns (key(v, l - 1), the level l - 1 keys of v's
+    sampled neighbors) in level l's table, as its position there.  A key
+    fixes its row for any hop limits, since lstm's eval permutation
+    depends only on (seed, v, member count) and rgcn's relations only on
+    the graph, so each level builds each distinct key once and in eval
+    mode every root's row comes out bitwise as from a call of its own.
 
     Args:
         hits: callable node -> HitTable (see sampler.HitSource).
-        mode: "train" draws a fresh sequence permutation per call from
-            `rng`, which it requires; "eval" derives it from (seed,
+        mode: "train" draws a fresh sequence permutation per DAG node
+            from `rng`, which it requires; "eval" derives it from (seed,
             node id) so repeated evaluation is bitwise stable.
         rng: the train-mode permutation stream.
     """
-    if node not in graph:
-        raise UnknownNodeError(node)
+    roots = [node] if isinstance(node, str) else list(node)
+    if not roots:
+        raise ContractError("no nodes to embed")
+    for r in roots:
+        if r not in graph:
+            raise UnknownNodeError(r)
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and rng is None:
         raise ContractError("train mode needs an rng for its sequence permutations")
-
-    roots, kept = [node], None
-    if mode == "eval" and _SHARED.get() is not None and not ad.grad_enabled():
-        declared, kept = _pass_rows(stack, graph, features, hits, seed)
-        if node in kept:
-            return ad.row(*kept[node])
-        roots += [r for r in declared if r not in kept and r != node]
-        for r in roots:
-            if r not in graph:
-                raise UnknownNodeError(r)
 
     k = stack.depth
     tables, ranked = {}, {}
     # per level, member keys -> (key, node, its sampled neighbors)
     todo = {level: {} for level in range(1, k + 1)}
     leaves = {}
-    tops = []
-    for root in roots:
+    tops = {}
+    for root in dict.fromkeys(roots):
         # fix each node's truncated neighbor list at the shallowest depth
         # where this root reaches it; nodes first reached at depth k stay leaves
         sampled = {}
@@ -562,7 +524,7 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
                     nodes = todo[level]
                     keys[v] = nodes.setdefault(members, (len(nodes), v, sampled[v]))[0]
             below = keys
-        tops.append(below[root])
+        tops[root] = below[root]
 
     prev = ad.constant(np.array([features[v] for v in leaves], dtype=np.float64))
     row_of = {v: i for i, v in enumerate(leaves)}
@@ -593,6 +555,6 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
         prev = outs[0] if len(outs) == 1 else ad.concat(outs)
         row_of = {key: i for i, key in enumerate(order)}
 
-    if kept is not None:
-        kept.update((r, (prev, row_of[t])) for r, t in zip(roots, tops))
-    return ad.row(prev, row_of[tops[0]])
+    if isinstance(node, str):
+        return ad.row(prev, row_of[tops[node]])
+    return ad.gather(prev, np.array([row_of[tops[r]] for r in roots]))

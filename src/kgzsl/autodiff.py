@@ -43,11 +43,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled():
-    """Whether ops record the tape here: False inside `no_grad`."""
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 

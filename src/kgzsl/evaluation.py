@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .config import read_json
 from .errors import ContractError, ParseError
-from .zeroshot import ClassSet
+from .zeroshot import ClassSet, repeated
 
 
 _FOLD_KEYS = ("train", "test", "dev")
@@ -29,6 +29,9 @@ def _class_names(fold, key, where):
     names = fold.get(key, [])
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ParseError(f"{where} {key!r} is not a list of class names")
+    twice = repeated(names)
+    if twice is not None:
+        raise ParseError(f"{where} {key!r} lists class {twice!r} twice")
     return tuple(names)
 
 

@@ -8,15 +8,21 @@ per-class binary cross entropy, and a regression head that pulls phi(y)
 toward fixed target vectors and ranks by dot product at test time.
 """
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .aggregators import gnn_forward, shared_eval
+from .aggregators import gnn_forward
 from .errors import ConfigError, ContractError, DataError, DivergenceError
 from .seeding import make_rng
+
+
+def repeated(names):
+    """The first name that occurs twice in `names`, or None."""
+    return next((name for name, n in Counter(names).items() if n > 1), None)
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,10 @@ class ClassSet:
     targets: dict | None = None
 
     def __post_init__(self):
+        for split in ("seen", "unseen", "dev"):
+            twice = repeated(getattr(self, split))
+            if twice is not None:
+                raise ContractError(f"class {twice!r} is listed twice in {split}")
         seen, unseen, dev = set(self.seen), set(self.unseen), set(self.dev)
         if seen & unseen or seen & dev or unseen & dev:
             raise ContractError("seen, dev and unseen classes must be disjoint")
@@ -102,6 +112,9 @@ class GnnClassEncoder:
         return self.stack.parameters()
 
     def encode(self, class_node, mode="eval", rng=None):
+        """phi of one class id as an (out_dim,) tensor, or of a sequence of
+        ids as one (len, out_dim) tensor in that order, built by one
+        forward over the union of their neighborhoods (see `gnn_forward`)."""
         return gnn_forward(
             self.stack, self.graph, self.features, self.hits, class_node,
             mode=mode, seed=self.seed, rng=rng,
@@ -141,12 +154,11 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
     stream, and `batch_loss(reps, batch)` gives the scalar to minimize.
     The epoch's train loss is the mean of its batch losses.  With dev
     classes, `dev_loss(reps)` scores their eval-mode encodings, made
-    under no_grad as one `shared_eval` pass that declares them, so one
-    forward builds them all.  The selected epoch is the one with the
-    lowest dev loss, or train loss without dev classes, the first
-    winning ties; the live parameters are left at its snapshot.  A
-    non-finite loss raises DivergenceError, since no comparison can
-    rank it.
+    under no_grad by one `encode(dev)` call, so one forward builds them
+    all.  The selected epoch is the one with the lowest dev loss, or
+    train loss without dev classes, the first winning ties; the live
+    parameters are left at its snapshot.  A non-finite loss raises
+    DivergenceError, since no comparison can rank it.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
@@ -169,8 +181,9 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
         train_loss = float(np.mean([step(batch) for batch in batches()]))
         held = None
         if dev:
-            with ad.no_grad(), shared_eval(dev):
-                held = dev_loss([class_encoder.encode(c, mode="eval") for c in dev])
+            with ad.no_grad():
+                reps = class_encoder.encode(dev, mode="eval")
+                held = dev_loss([ad.row(reps, i) for i in range(len(dev))])
         for split, loss in (("train", train_loss), ("dev", held)):
             if loss is not None and not np.isfinite(loss):
                 raise DivergenceError(f"{split} loss is {loss!r} in epoch {epoch}")
@@ -416,12 +429,12 @@ def predict(theta, head, class_reps, mode="multiclass"):
 def class_representations(class_encoder, class_ids, mode="eval"):
     """phi for each class id, as one ClassReps over the sorted distinct ids.
 
-    The ids are declared as the roots of one `shared_eval` pass, so in
-    eval mode the first encode builds every class's phi in one forward,
-    in which a neighborhood that several classes sample is built once;
-    each phi is bitwise what encoding its class alone gives.  The rows
-    are dropped when the pass ends.
+    The ids go to one `encode(ids)` call under no_grad, so every class's
+    phi comes from one forward, in which a neighborhood that several
+    classes sample is built once; in eval mode each phi is bitwise what
+    encoding its class alone gives.
     """
     ids = sorted(set(class_ids))
-    with ad.no_grad(), shared_eval(ids):
-        return ClassReps({c: class_encoder.encode(c, mode=mode).data for c in ids})
+    with ad.no_grad():
+        phis = class_encoder.encode(ids, mode=mode)
+    return ClassReps(dict(zip(ids, phis.data)))

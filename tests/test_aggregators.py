@@ -568,6 +568,8 @@ class TestLevelBatchedForward:
 
 
 class TestSharedEval:
+    """One eval pass is one `gnn_forward` call over a sequence of roots."""
+
     @pytest.mark.parametrize("kind", KINDS)
     @given(
         seed=st.integers(0, 10_000),
@@ -593,42 +595,9 @@ class TestSharedEval:
         roots += roots[:1] + top_n(hits(roots[0]), limits[0])
         with ad.no_grad():
             want = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in roots]
-            with agg.shared_eval():
-                got = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in roots]
-        assert got == want
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @given(
-        seed=st.integers(0, 10_000),
-        num_nodes=st.integers(2, 12),
-        dim=st.integers(1, 6),
-        limits=st.lists(st.integers(0, 5), min_size=1, max_size=3),
-        others=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
-        declared=st.lists(st.integers(0, 11), min_size=1, max_size=8),
-        calls=st.lists(st.integers(0, 11), min_size=1, max_size=12),
-    )
-    @example(seed=3, num_nodes=9, dim=3, limits=[3, 1], others=["gat", "gcn"],
-             declared=[0, 4, 4], calls=[7, 0, 4, 8])
-    @example(seed=4, num_nodes=10, dim=2, limits=[2, 0, 1], others=["lstm", "rgcn"],
-             declared=[1, 2, 3, 1], calls=[9, 1, 5, 2])
-    @settings(max_examples=15, deadline=None)
-    def test_declared_roots_match_fresh_per_root_forward_bitwise(self, kind, seed, num_nodes, dim,
-                                                                 limits, others, declared, calls):
-        from kgzsl.sampler import top_n
-
-        g, feats, hits = random_world(seed, num_nodes, dim)
-        stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
-        nodes = g.nodes
-        # repeats, and roots that are the first root's own sampled neighbors
-        roots = [nodes[i % len(nodes)] for i in declared]
-        roots += roots[:1] + top_n(hits(roots[0]), limits[0])
-        # calls for undeclared nodes too, before and after the declared ones
-        asked = [nodes[i % len(nodes)] for i in calls] + roots[::-1]
-        with ad.no_grad():
-            want = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in asked]
-            with agg.shared_eval(roots):
-                got = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in asked]
-        assert got == want
+            got = agg.gnn_forward(stack, g, feats, hits, roots, seed=seed).data
+        assert got.shape == (len(roots), stack.out_dim)
+        assert [row.tobytes() for row in got] == want
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_wide_groups_go_in_capped_slices(self, kind):
@@ -648,26 +617,10 @@ class TestSharedEval:
                     sizes.append(len(rows))
                     return forward(prev, rows, node_args)
                 layer.forward_group = spy
-            with agg.shared_eval(leaves):
-                got = [agg.gnn_forward(stack, g, feats, hits, v, seed=5).data.tobytes() for v in leaves]
-        assert got == want
+            got = agg.gnn_forward(stack, g, feats, hits, leaves, seed=5).data
+        assert [row.tobytes() for row in got] == want
         assert max(sizes) == agg.GROUP_ROWS
         assert sum(sizes) > 2 * len(leaves)
-
-    def test_undeclared_call_encodes_the_declared_roots_once(self):
-        g, feats, hits = random_world(11, 9, 3)
-        stack = make_stack(["gcn", "gat"], [3, 2], 3, seed=12)
-        counted = []
-
-        def counting(v):
-            counted.append(v)
-            return hits(v)
-
-        with ad.no_grad(), agg.shared_eval(g.nodes[:4]):
-            for v in [g.nodes[-1], *g.nodes[:4], g.nodes[-1]]:
-                agg.gnn_forward(stack, g, feats, counting, v)
-            # the first call sampled every root's DAG, each table once
-            assert sorted(counted) == sorted(set(counted))
 
     def test_unknown_declared_root_is_named(self):
         g, feats, source = random_world(9, 5, 2)
@@ -678,71 +631,14 @@ class TestSharedEval:
             return source(v) if v in g else HitTable(v, ())
 
         stack = make_stack(["gcn"], [2], 2, seed=1)
-        with ad.no_grad(), agg.shared_eval(["n0", "nowhere"]):
-            with pytest.raises(UnknownNodeError, match="nowhere"):
-                agg.gnn_forward(stack, g, feats, hits, "n0")
+        with ad.no_grad(), pytest.raises(UnknownNodeError, match="nowhere"):
+            agg.gnn_forward(stack, g, feats, hits, ["n0", "nowhere"])
 
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_recording_calls_ignore_the_pass(self, kind, mode):
-        # train mode, and eval mode with grad recording on, build their
-        # whole tape even where the pass already holds the rows
-        g, feats, hits = random_world(5, 8, 3)
-        stack = make_stack([kind, kind], [3, 1], 3, seed=6)
-        params = stack.parameters()
-        weights = ad.constant(rng(7).normal(size=3))
-
-        def run():
-            for t in params.values():
-                t.zero_grad()
-            perm_rng = make_rng("scope-perm", 0)
-            outs = [agg.gnn_forward(stack, g, feats, hits, v, mode=mode, seed=1, rng=perm_rng)
-                    for v in g.nodes]
-            loss = ad.sum(ad.multiply(ad.sum(ad.stack(outs), axis=0), weights))
-            tape = len(ad.Tape.from_output(loss))
-            ad.backward(loss)
-            return tape, {name: t.grad.tobytes() for name, t in params.items()}
-
-        want = run()
-        with agg.shared_eval():
-            with ad.no_grad():
-                for v in g.nodes:
-                    agg.gnn_forward(stack, g, feats, hits, v, seed=1)
-            assert run() == want
-
-    def test_train_mode_without_a_tape_ignores_the_pass(self):
-        # train-mode lstm rows depend on the rng's draws, which no key holds
-        g, feats, hits = random_world(2, 8, 3)
-        stack = make_stack(["lstm", "lstm"], [3, 2], 3, seed=3)
-
-        def run():
-            perm_rng = make_rng("scope-perm", 1)
-            return [agg.gnn_forward(stack, g, feats, hits, v, mode="train", rng=perm_rng).data.tobytes()
-                    for v in g.nodes]
-
-        with ad.no_grad():
-            want = run()
-            with agg.shared_eval():
-                for v in g.nodes:
-                    agg.gnn_forward(stack, g, feats, hits, v, seed=0)
-                assert run() == want
-
-    def test_bindings_keep_their_own_rows(self):
-        # one pass, two feature tables and two seeds over one stack
-        g, feats, hits = random_world(8, 7, 3)
-        other = FeatureTable(3, {v: feats[v] + 1.0 for v in g.nodes})
-        stack = make_stack(["lstm", "transformer"], [2, 2], 3, seed=9)
-        bindings = [(feats, 0), (other, 0), (feats, 1)]
-        with ad.no_grad():
-            want = [[agg.gnn_forward(stack, g, f, hits, v, seed=s).data.tobytes() for f, s in bindings]
-                    for v in g.nodes]
-            with agg.shared_eval():
-                got = [[agg.gnn_forward(stack, g, f, hits, v, seed=s).data.tobytes() for f, s in bindings]
-                       for v in g.nodes]
-        assert got == want
-        # every binding gives each node its own row, so one that read
-        # another's rows would show
-        assert all(len(set(row)) == len(bindings) for row in want)
+    def test_empty_sequence_is_contract_error(self):
+        g, feats, hits = random_world(9, 5, 2)
+        stack = make_stack(["gcn"], [2], 2, seed=1)
+        with pytest.raises(ContractError, match="no nodes"):
+            agg.gnn_forward(stack, g, feats, hits, [])
 
 # signed zeros and a few repeated values, so rows tie in value but not in bytes, or in both
 ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4, 4, width=64))

@@ -524,6 +524,13 @@ class TestExamplesFile:
         ({"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"], "devv": ["cls/beta"]}]},
          "fold 0 has unknown key 'devv'"),
         ({"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"]}], "extra": 1}, "unknown key 'extra'"),
+        # a class twice in one split would take two score columns or two losses
+        ({"folds": [{"train": ["cls/alpha", "cls/alpha"], "test": ["cls/gamma"]}]},
+         "fold 0 'train' lists class 'cls/alpha' twice"),
+        ({"folds": [{"train": ["cls/alpha"], "dev": ["cls/beta", "cls/beta"], "test": ["cls/gamma"]}]},
+         "fold 0 'dev' lists class 'cls/beta' twice"),
+        ({"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma", "cls/gamma"]}]},
+         "fold 0 'test' lists class 'cls/gamma' twice"),
     ])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_misshapen_fold_spec_names_file_fold_and_key(self, world, tmp_path, capsys, folds, where,

@@ -122,6 +122,11 @@ class TestFoldSpec:
         ({"folds": [{"train": ["x"], "test": ["z"]}, {"train": ["z"], "test": ["x"], "Dev": []}]},
          "fold 1 has unknown key 'Dev'"),
         ({"folds": [{"train": ["x"], "test": ["z"]}], "fold": []}, "unknown key 'fold'"),
+        ({"folds": [{"train": ["a", "a", "c"], "test": ["b"]}]}, "fold 0 'train' lists class 'a' twice"),
+        ({"folds": [{"train": ["x"], "test": ["z"]}, {"train": ["x"], "test": ["z", "y", "z"]}]},
+         "fold 1 'test' lists class 'z' twice"),
+        ({"folds": [{"train": ["x"], "dev": ["y", "w", "y"], "test": ["z"]}]},
+         "fold 0 'dev' lists class 'y' twice"),
     ])
     def test_misshapen_file_names_file_fold_and_key(self, tmp_path, obj, where):
         path = tmp_path / "folds.json"
