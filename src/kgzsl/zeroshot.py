@@ -5,7 +5,7 @@ the class node's sampled neighborhood; an example encoding theta(x)
 comes from one of the example encoders.  Two heads are supported: a
 low-rank bilinear score theta' B A phi trained with cross entropy or
 per-class binary cross entropy, and a regression head that pulls phi(y)
-toward fixed target vectors and ranks by dot product at test time.
+toward fixed target vectors and picks the highest dot product at test time.
 """
 
 from collections import Counter
@@ -376,11 +376,12 @@ class ClassReps(Mapping):
 
 
 def candidate_scores(theta, head, class_reps, mode="multiclass"):
-    """The sorted candidate ids and their scores, as `predict` ranks them.
+    """The sorted candidate ids and their scores, as `predict` reads them.
 
     Every candidate is scored against the one vector theta B A (theta
     for "l2") in a single stacked product, which rounds exactly like
-    scoring each candidate on its own.  Arguments are as for `predict`.
+    scoring each candidate on its own.  Arguments are as for `predict`;
+    theta must be a vector in every mode.
     """
     if not class_reps:
         raise ContractError("no candidate classes")
@@ -389,6 +390,8 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
     if not isinstance(class_reps, ClassReps):
         class_reps = ClassReps(class_reps)
     theta = theta.data if isinstance(theta, ad.Tensor) else np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 1:
+        raise ContractError(f"theta must be a vector, got shape {theta.shape}")
     width = class_reps.matrix.shape[1]
     if mode == "l2":
         vec = theta
@@ -407,23 +410,30 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
 
 
 def predict(theta, head, class_reps, mode="multiclass"):
-    """Rank or select candidate classes for one example encoding.
+    """Select the predicted classes for one example encoding.
 
     Args:
         theta: example encoding as a plain array (or Tensor).
         head: BilinearHead for the bilinear modes; ignored for "l2".
         class_reps: {class id: phi} over the candidate set, as arrays
             or Tensors of one width; a ClassReps is scored as it is.
-        mode: "multiclass" ranks all candidates (ties by id), returning
-            a list; "multilabel" returns the set with positive score;
-            "l2" ranks by dot product, appending a bias 1 to theta when
-            phi carries one extra dimension.
+        mode: "multiclass" returns [best], the one candidate with the
+            highest score, the smaller id winning an exact tie;
+            "multilabel" returns the set with positive score; "l2"
+            returns [best] by dot product, appending a bias 1 to theta
+            when phi carries one extra dimension.
+
+    A NaN or infinite score raises DataError naming its candidate.
     """
     ids, scores = candidate_scores(theta, head, class_reps, mode)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DataError(f"candidate {ids[i]!r} scores {float(scores[i])!r}")
     if mode == "multilabel":
         return {ids[i] for i in np.flatnonzero(scores > 0.0).tolist()}
-    # ids are sorted, so a stable sort breaks score ties by id
-    return [ids[i] for i in np.argsort(-scores, kind="stable").tolist()]
+    # ids are sorted and argmax takes the first maximum, so ties go to the smaller id
+    return [ids[int(scores.argmax())]]
 
 
 def class_representations(class_encoder, class_ids, mode="eval"):

@@ -230,3 +230,25 @@ def reference_graph(edges, extra_nodes=()):
         "indptr": indptr,
         "indices": indices,
     }
+
+
+def reference_scores(theta, head, reps, mode):
+    """{class id: score}, one `vec @ phi` per candidate.
+
+    vec is theta B A for the bilinear modes; for "l2" it is theta, with
+    a bias 1 appended when phi is one entry wider.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if mode == "l2":
+        width = len(next(iter(reps.values())))
+        vec = np.concatenate([theta, [1.0]]) if width == len(theta) + 1 else theta
+    else:
+        vec = theta @ (head.b.data @ head.a.data)
+    return {c: vec @ np.asarray(phi, dtype=np.float64) for c, phi in reps.items()}
+
+
+def ranking_reference(theta, head, reps, mode):
+    """Every candidate id ordered by (-score, id): the full ranking whose
+    head is the multiclass and l2 prediction."""
+    scores = reference_scores(theta, head, reps, mode)
+    return sorted(scores, key=lambda c: (-scores[c], c))

@@ -14,7 +14,7 @@ from kgzsl import config
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_worked_example_ranks_both_classes():
+def test_worked_example_predicts_the_argmax():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     src_dir = str(Path(kgzsl.__file__).resolve().parents[1])
@@ -22,8 +22,11 @@ def test_worked_example_ranks_both_classes():
     done = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    ranking = ast.literal_eval(done.stdout.strip().splitlines()[-1])
-    assert sorted(ranking) == ["class/cat", "class/dog"]
+    *_, scores_line, predicted_line = done.stdout.strip().splitlines()
+    scores = ast.literal_eval(scores_line)
+    assert sorted(scores) == ["class/cat", "class/dog"]
+    # the highest score, ties going to the smaller id
+    assert ast.literal_eval(predicted_line) == [min(scores, key=lambda c: (-scores[c], c))]
 
 
 def test_config_snippets_expand():

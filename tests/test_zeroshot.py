@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kgzsl import autodiff as ad
 from kgzsl import zeroshot as zs
@@ -13,6 +17,8 @@ from kgzsl.encoders import MentionEncoder, SentenceEncoder, VectorEncoder
 from kgzsl.errors import ConfigError, ContractError, DataError, DivergenceError
 from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, WalkConfig
+
+from .helpers import ranking_reference, reference_scores
 
 
 def rng(seed=0):
@@ -148,8 +154,8 @@ class TestTrainBilinear:
         reps = zs.class_representations(class_encoder, classes.seen)
         correct = 0
         for x, label in train:
-            ranked = zs.predict(encoder.encode(x), head, reps)
-            correct += ranked[0] == label
+            predicted = zs.predict(encoder.encode(x), head, reps)
+            correct += predicted[0] == label
         assert correct / len(train) >= 0.9
 
     def test_bitwise_reproducible(self):
@@ -418,11 +424,12 @@ class TestPredict:
         head.a.data = np.eye(2)
         return head
 
-    def test_multiclass_ranks_desc_with_id_tiebreak(self):
+    def test_multiclass_picks_the_top_score_with_id_tiebreak(self):
         head = self.make_head()
         reps = {"b": np.array([1.0, 0.0]), "a": np.array([1.0, 0.0]), "c": np.array([5.0, 0.0])}
-        ranked = zs.predict(np.array([1.0, 0.0]), head, reps)
-        assert ranked == ["c", "a", "b"]
+        assert zs.predict(np.array([1.0, 0.0]), head, reps) == ["c"]
+        # "a" and "b" tie for the top: the smaller id wins
+        assert zs.predict(np.array([1.0, 0.0]), head, {**reps, "c": np.array([-5.0, 0.0])}) == ["a"]
 
     def test_multilabel_positive_scores(self):
         head = self.make_head()
@@ -433,15 +440,16 @@ class TestPredict:
 
     def test_l2_mode_dot_product(self):
         reps = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        ranked = zs.predict(np.array([0.2, 0.9]), None, reps, mode="l2")
-        assert ranked == ["b", "a"]
+        assert zs.predict(np.array([0.2, 0.9]), None, reps, mode="l2") == ["b"]
+        assert zs.predict(np.array([0.9, 0.2]), None, reps, mode="l2") == ["a"]
 
     def test_l2_mode_bias_append(self):
         # phi one dim wider: last entry acts as a bias with theta
         # extended by 1
         reps = {"a": np.array([0.0, 0.0, 10.0]), "b": np.array([1.0, 1.0, 0.0])}
-        ranked = zs.predict(np.array([1.0, 1.0]), None, reps, mode="l2")
-        assert ranked == ["a", "b"]
+        assert zs.predict(np.array([1.0, 1.0]), None, reps, mode="l2") == ["a"]
+        # "a" wins on its bias alone, 10 > 1 + 1, until theta outgrows it
+        assert zs.predict(np.array([6.0, 6.0]), None, reps, mode="l2") == ["b"]
 
     def test_l2_dim_mismatch(self):
         reps = {"a": np.array([1.0, 2.0, 3.0, 4.0])}
@@ -476,9 +484,9 @@ class TestPredict:
         theta = r.normal(size=6)
         width = 7 if mode == "l2" else 5
         reps = {f"c{i:03d}": r.normal(size=width) for i in range(40)}
-        reps["c999"] = reps["c007"].copy()  # a tie, broken by id
-        vec = np.concatenate([theta, [1.0]]) if mode == "l2" else theta @ head.score_matrix()
-        want = {c: vec @ phi for c, phi in reps.items()}
+        top = ranking_reference(theta, head, reps, mode)[0]
+        reps["b999"] = reps[top].copy()  # ties the top score with a smaller id
+        want = reference_scores(theta, head, reps, mode)
 
         ids, scores = zs.candidate_scores(theta, head, reps, mode)
         assert ids == sorted(reps)
@@ -487,7 +495,66 @@ class TestPredict:
         if mode == "multilabel":
             assert got == {c for c, s in want.items() if s > 0.0}
         else:
-            assert got == sorted(want, key=lambda c: (-want[c], c))
+            assert got == ["b999"]
+
+    @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_score_raises_data_error_naming_the_candidate(self, mode, bad):
+        head = self.make_head()
+        reps = {"a": np.array([1.0, 0.0]), "c": np.array([bad, 0.0]), "b": np.array([bad, 1.0])}
+        with pytest.raises(DataError, match="candidate 'b' scores"):
+            zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
+    @pytest.mark.parametrize("shape", [(), (2, 2)], ids=["0-D", "2-D"])
+    def test_theta_must_be_a_vector(self, mode, shape):
+        head = self.make_head()
+        reps = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        for call in (zs.candidate_scores, zs.predict):
+            with pytest.raises(ContractError, match=re.escape(f"got shape {shape}")):
+                call(np.ones(shape), head, reps, mode)
+
+
+@st.composite
+def predict_inputs(draw):
+    """A theta, a head (None for l2), 1-60 candidates and a mode.
+
+    l2 candidates are theta's width or one wider (the bias); with two
+    or more candidates, one may copy another's row for an exact tie.
+    """
+    mode = draw(st.sampled_from(["multiclass", "multilabel", "l2"]))
+    values = st.floats(-4.0, 4.0)
+    theta_dim, phi_dim = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    theta = draw(hnp.arrays(np.float64, theta_dim, elements=values))
+    head = None
+    if mode == "l2":
+        phi_dim = theta_dim + draw(st.integers(0, 1))
+    else:
+        rank = draw(st.integers(1, min(theta_dim, phi_dim)))
+        head = zs.BilinearHead(theta_dim, phi_dim, rank, rng=rng(0))
+        head.b.data = draw(hnp.arrays(np.float64, (theta_dim, rank), elements=values))
+        head.a.data = draw(hnp.arrays(np.float64, (rank, phi_dim), elements=values))
+    n = draw(st.integers(1, 60))
+    rows = draw(hnp.arrays(np.float64, (n, phi_dim), elements=values))
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        rows[dst] = rows[src]
+    return theta, head, {f"c{i:02d}": row for i, row in enumerate(rows)}, mode
+
+
+class TestPredictMatchesTheRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(predict_inputs())
+    def test_prediction_is_the_head_of_the_reference_ranking(self, inputs):
+        theta, head, reps, mode = inputs
+        want = reference_scores(theta, head, reps, mode)
+        ids, scores = zs.candidate_scores(theta, head, reps, mode)
+        assert scores.tobytes() == np.array([want[c] for c in ids]).tobytes()
+        got = zs.predict(theta, head, reps, mode)
+        if mode == "multilabel":
+            assert got == {c for c, s in want.items() if s > 0.0}
+        else:
+            assert got == ranking_reference(theta, head, reps, mode)[:1]
 
 
 class TestClassReps:
@@ -540,12 +607,12 @@ class TestClassReps:
         ]
         for theta in rng(54).normal(size=(5, 3)):
             want_ids, want = zs.candidate_scores(theta, head, reps, mode)
-            ranked = zs.predict(theta, head, reps, mode)
+            predicted = zs.predict(theta, head, reps, mode)
             for form in forms[1:]:
                 ids, scores = zs.candidate_scores(theta, head, form, mode)
                 assert ids == want_ids
                 assert scores.tobytes() == want.tobytes()
-                assert zs.predict(theta, head, form, mode) == ranked
+                assert zs.predict(theta, head, form, mode) == predicted
 
 
 def shared_world(num_classes=6, dim=4, seed=0):
