@@ -28,12 +28,20 @@ like B separate calls.  The per-node ``forward`` is the B = 1 case of
 the same code.
 
 ``gnn_forward`` embeds one root, or a sequence of roots as one forward
-over the union of their sampled DAGs.  It splits the nodes of a level
-that share a member count into slices of at most ``GROUP_ROWS`` and
-makes one call per slice, so a wide eval level never holds the
-intermediates of its whole group at once, and the slices round like
-one call.
+over the union of their sampled DAGs.  A root's walk expands only the
+nodes it first reaches above depth k; those first reached at depth k
+are leaves and are not walked per root.  A node's level-1 key depends
+only on the node and its cut neighbor list, so it is interned once per
+(node, hop limit) per call, and level 0 is read off level 1: its rows
+are the distinct members of level 1's keys.  The build splits the
+nodes of a level that share a member count into slices of at most
+``GROUP_ROWS`` and makes one call per slice, so a wide eval level
+never holds the intermediates of its whole group at once, and the
+slices round like one call.
 """
+
+import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -406,6 +414,10 @@ class GnnStack:
             raise ConfigError(
                 f"{len(layers)} layers but {len(hop_limits)} hop limits"
             )
+        for n in hop_limits:
+            # numpy integers slice like ints; a bool is not a count (as config.is_int)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ConfigError(f"hop limits must be integers, got {n!r}")
         # 0 is a valid cap: nodes first reached at that depth become leaves
         if any(n < 0 for n in hop_limits):
             raise ConfigError(f"hop limits must be >= 0, got {hop_limits}")
@@ -464,6 +476,15 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
     the graph, so each level builds each distinct key once and in eval
     mode every root's row comes out bitwise as from a call of its own.
 
+    A root's walk tracks only the nodes it expands, those first reached
+    above depth k.  key(v, 1) is interned when v's list is first cut for
+    a hop limit and kept beside that list, so each root looks its level-1
+    keys up and builds member tuples only for levels 2 and up.  Level 1's
+    table keeps the roots' order, each root's nodes in walk order, which
+    is the order of train-mode draws.  Level 0 holds the distinct members
+    of level 1's keys, in first-seen order, each read from `features`
+    once: the nodes within k hops of some root.
+
     Args:
         hits: callable node -> HitTable (see sampler.HitSource).
         mode: "train" draws a fresh sequence permutation per DAG node
@@ -483,49 +504,53 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
         raise ContractError("train mode needs an rng for its sequence permutations")
 
     k = stack.depth
-    tables, ranked = {}, {}
     # per level, member keys -> (key, node, its sampled neighbors)
     todo = {level: {} for level in range(1, k + 1)}
-    leaves = {}
+    level1 = todo[1]
+    # node -> its hit table, and (node, hop limit) -> (its cut neighbor
+    # list, key(node, 1)), each made once per call
+    tables, ranked = {}, {}
     tops = {}
     for root in dict.fromkeys(roots):
         # fix each node's truncated neighbor list at the shallowest depth
-        # where this root reaches it; nodes first reached at depth k stay leaves
+        # where this root reaches it; only nodes first reached above depth
+        # k expand, and those first reached at depth k are left to level 0
         sampled = {}
         depth_of = {root: 0}
         frontier = [root]
         for depth, limit in enumerate(stack.hop_limits):
             nxt = []
             for v in frontier:
-                nbrs = ranked.get((v, limit))
-                if nbrs is None:
+                cut = ranked.get((v, limit))
+                if cut is None:
                     if v not in tables:
                         tables[v] = hits(v)
-                    nbrs = ranked[v, limit] = top_n(tables[v], limit)
-                sampled[v] = nbrs
-                for u in nbrs:
-                    if u not in depth_of:
-                        depth_of[u] = depth + 1
-                        if depth + 1 < k:
+                    nbrs = top_n(tables[v], limit)
+                    # key(v, 1) depends only on v and its cut list
+                    key = level1.setdefault((v, *nbrs), (len(level1), v, nbrs))[0]
+                    cut = ranked[v, limit] = (nbrs, key)
+                sampled[v] = cut
+                if depth + 1 < k:
+                    for u in cut[0]:
+                        if u not in depth_of:
+                            depth_of[u] = depth + 1
                             nxt.append(u)
             frontier = nxt
-        leaves.update(depth_of)
         # a node first reached at depth d is needed up to level k - d; its
         # sampled neighbors then always have the level below already keyed
-        below = None
-        for level in todo:
+        below = {v: key for v, (_, key) in sampled.items()}
+        for level in range(2, k + 1):
+            nodes = todo[level]
             keys = {}
-            for v in sampled:
+            for v, (nbrs, _) in sampled.items():
                 if level <= k - depth_of[v]:
-                    if below is None:  # key(v, 0) is v
-                        members = (v, *sampled[v])
-                    else:
-                        members = (below[v], *map(below.__getitem__, sampled[v]))
-                    nodes = todo[level]
-                    keys[v] = nodes.setdefault(members, (len(nodes), v, sampled[v]))[0]
+                    members = (below[v], *map(below.__getitem__, nbrs))
+                    keys[v] = nodes.setdefault(members, (len(nodes), v, nbrs))[0]
             below = keys
         tops[root] = below[root]
 
+    # level 0 holds every member of a level-1 key, each once, in first-seen order
+    leaves = dict.fromkeys(chain.from_iterable(level1))
     prev = ad.constant(np.array([features[v] for v in leaves], dtype=np.float64))
     row_of = {v: i for i, v in enumerate(leaves)}
     for level, nodes in todo.items():
@@ -549,7 +574,8 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
             group = groups[size]
             for start in range(0, len(group), GROUP_ROWS):
                 part = group[start:start + GROUP_ROWS]
-                rows = np.array([[row_of[m] for m in members] for _, members, _ in part])
+                rows = np.fromiter(map(row_of.__getitem__, chain.from_iterable(m for _, m, _ in part)),
+                                   dtype=np.intp, count=len(part) * size).reshape(len(part), size)
                 outs.append(layer.forward_group(prev, rows, [arg for _, _, arg in part]))
                 order += [key for key, _, _ in part]
         prev = outs[0] if len(outs) == 1 else ad.concat(outs)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from kgzsl import autodiff as ad
-from kgzsl.aggregators import TransformerPoolLayer, canonical_rows
+from kgzsl.aggregators import GROUP_ROWS, TransformerPoolLayer, canonical_rows
+from kgzsl.errors import ContractError, UnknownNodeError
+from kgzsl.sampler import top_n
+from kgzsl.seeding import make_rng
 
 
 def markov_hit_table(g, center, steps, restarts):
@@ -51,8 +54,6 @@ def reference_walk_counts(g, center, cfg):
     and steps to neighbors(cur)[int(draw * len(neighbors))], stopping
     at the first dead end; the start is not counted.
     """
-    from kgzsl.seeding import make_rng
-
     counts = {}
     for restart in range(cfg.restarts):
         draws = make_rng("walk", cfg.seed, center, restart).random(cfg.steps)
@@ -89,10 +90,6 @@ def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rn
     level forward can be compared with it byte for byte.  Train-mode
     sequence permutations are drawn from `rng` in that same order.
     """
-    from kgzsl import autodiff as ad
-    from kgzsl.sampler import top_n
-    from kgzsl.seeding import make_rng
-
     k = stack.depth
     sampled = {}
     depth_of = {node: 0}
@@ -130,6 +127,104 @@ def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rn
             else:
                 reps[(level, v)] = layer.forward(prev_self, prev_neighbors)
     return reps[(k, node)]
+
+
+def reference_union_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
+    """The union forward before level 0 was read off level 1's keys.
+
+    `gnn_forward` as it was when every root's walk still visited the
+    nodes first reached at depth k, recorded their depths for the leaf
+    matrix and keyed level 1 per root.  It is the oracle for the build
+    that replaced it: same outputs, gradients and train-mode draw order
+    for any sequence of roots.
+    """
+    roots = [node] if isinstance(node, str) else list(node)
+    if not roots:
+        raise ContractError("no nodes to embed")
+    for r in roots:
+        if r not in graph:
+            raise UnknownNodeError(r)
+    if mode not in ("train", "eval"):
+        raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "train" and rng is None:
+        raise ContractError("train mode needs an rng for its sequence permutations")
+
+    k = stack.depth
+    tables, ranked = {}, {}
+    # per level, member keys -> (key, node, its sampled neighbors)
+    todo = {level: {} for level in range(1, k + 1)}
+    leaves = {}
+    tops = {}
+    for root in dict.fromkeys(roots):
+        # fix each node's truncated neighbor list at the shallowest depth
+        # where this root reaches it; nodes first reached at depth k stay leaves
+        sampled = {}
+        depth_of = {root: 0}
+        frontier = [root]
+        for depth, limit in enumerate(stack.hop_limits):
+            nxt = []
+            for v in frontier:
+                nbrs = ranked.get((v, limit))
+                if nbrs is None:
+                    if v not in tables:
+                        tables[v] = hits(v)
+                    nbrs = ranked[v, limit] = top_n(tables[v], limit)
+                sampled[v] = nbrs
+                for u in nbrs:
+                    if u not in depth_of:
+                        depth_of[u] = depth + 1
+                        if depth + 1 < k:
+                            nxt.append(u)
+            frontier = nxt
+        leaves.update(depth_of)
+        # a node first reached at depth d is needed up to level k - d; its
+        # sampled neighbors then always have the level below already keyed
+        below = None
+        for level in todo:
+            keys = {}
+            for v in sampled:
+                if level <= k - depth_of[v]:
+                    if below is None:  # key(v, 0) is v
+                        members = (v, *sampled[v])
+                    else:
+                        members = (below[v], *map(below.__getitem__, sampled[v]))
+                    nodes = todo[level]
+                    keys[v] = nodes.setdefault(members, (len(nodes), v, sampled[v]))[0]
+            below = keys
+        tops[root] = below[root]
+
+    prev = ad.constant(np.array([features[v] for v in leaves], dtype=np.float64))
+    row_of = {v: i for i, v in enumerate(leaves)}
+    for level, nodes in todo.items():
+        layer = stack.layers[level - 1]
+        # node_args in DAG order, so train-mode permutation draws
+        # come off `rng` in a fixed order
+        if layer.kind == "rgcn":
+            node_args = [[graph.relations_between(v, u) for u in nbrs] for _, v, nbrs in nodes.values()]
+        elif layer.kind == "lstm":
+            node_args = []
+            for _, v, nbrs in nodes.values():
+                perm_rng = rng if mode == "train" else make_rng("lstm-perm", seed, v)
+                node_args.append(list(perm_rng.permutation(len(nbrs) + 1)))
+        else:
+            node_args = [None] * len(nodes)
+        groups = {}
+        for (members, (key, _, _)), arg in zip(nodes.items(), node_args):
+            groups.setdefault(len(members), []).append((key, members, arg))
+        outs, order = [], []
+        for size in sorted(groups):
+            group = groups[size]
+            for start in range(0, len(group), GROUP_ROWS):
+                part = group[start:start + GROUP_ROWS]
+                rows = np.array([[row_of[m] for m in members] for _, members, _ in part])
+                outs.append(layer.forward_group(prev, rows, [arg for _, _, arg in part]))
+                order += [key for key, _, _ in part]
+        prev = outs[0] if len(outs) == 1 else ad.concat(outs)
+        row_of = {key: i for i, key in enumerate(order)}
+
+    if isinstance(node, str):
+        return ad.row(prev, row_of[tops[node]])
+    return ad.gather(prev, np.array([row_of[tops[r]] for r in roots]))
 
 
 def composed_transformer_block(members, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2_b,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +16,7 @@ from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, HitTable, WalkConfig
 from kgzsl.seeding import make_rng
 
-from .helpers import ComposedTransformerLayer, per_node_forward
+from .helpers import ComposedTransformerLayer, per_node_forward, reference_union_forward
 
 
 def rng(seed=0):
@@ -292,6 +295,18 @@ class TestGnnStack:
         l1 = agg.MeanPoolLayer(4, 3, rng=rng(35), name="m")
         stack = agg.GnnStack([l1], [5])
         assert list(stack.parameters()) == ["layer0/m/W"]
+
+    @pytest.mark.parametrize("limit", [1.5, "2", True])
+    def test_hop_limits_must_be_integers(self, limit):
+        # refused when the stack is built: a float would fail only at the
+        # first forward, inside top_n's slice, and True would count as 1
+        l1 = agg.MeanPoolLayer(4, 3, rng=rng(36))
+        with pytest.raises(ConfigError, match=re.escape(repr(limit))):
+            agg.GnnStack([l1], [limit])
+
+    def test_numpy_integer_hop_limits_are_counts(self):
+        l1 = agg.MeanPoolLayer(4, 3, rng=rng(36))
+        assert agg.GnnStack([l1], [np.int64(2)]).hop_limits == [2]
 
 
 def two_hop_fixture(extra_edges=(), seed=0, dim=3):
@@ -639,6 +654,85 @@ class TestSharedEval:
         stack = make_stack(["gcn"], [2], 2, seed=1)
         with pytest.raises(ContractError, match="no nodes"):
             agg.gnn_forward(stack, g, feats, hits, [])
+
+
+class TestUnionBuild:
+    """The union DAG build, against the one it replaced and by what it reads."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_nodes=st.integers(2, 10),
+        dim=st.integers(1, 6),
+        limits=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        others=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
+        picks=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+        mode=st.sampled_from(["eval", "train"]),
+    )
+    @example(seed=3, num_nodes=9, dim=3, limits=[3, 1], others=["gat", "gcn"], picks=[0, 4, 4, 7],
+             mode="train")
+    @example(seed=4, num_nodes=10, dim=2, limits=[2, 0, 1], others=["lstm", "rgcn"], picks=[1, 2, 3, 1],
+             mode="train")
+    @example(seed=5, num_nodes=10, dim=3, limits=[4, 2, 3], others=["lstm", "lstm"], picks=[5, 0, 9, 5],
+             mode="train")
+    @settings(max_examples=15, deadline=None)
+    def test_matches_reference_union_forward_bitwise(self, kind, seed, num_nodes, dim, limits, others,
+                                                     picks, mode):
+        from kgzsl.sampler import top_n
+
+        g, feats, hits = random_world(seed, num_nodes, dim)
+        stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
+        roots = [g.nodes[i % len(g.nodes)] for i in picks]
+        roots += roots[:1] + top_n(hits(roots[0]), limits[0])
+        params = stack.parameters()
+        weights = ad.constant(make_rng("union-weights", seed).normal(size=(len(roots), dim)))
+
+        def run(forward):
+            for t in params.values():
+                t.zero_grad()
+            perm_rng = make_rng("union-perm", seed)
+            out = forward(stack, g, feats, hits, roots, mode=mode, seed=seed, rng=perm_rng)
+            ad.backward(ad.sum(ad.multiply(out, weights)))
+            grads = {name: None if t.grad is None else t.grad.tobytes() for name, t in params.items()}
+            # train-mode permutations came off the stream in the same order
+            return out.data.tobytes(), grads, perm_rng.random()
+
+        assert run(agg.gnn_forward) == run(reference_union_forward)
+
+    @pytest.mark.parametrize("roots, hit, read", [
+        # a path: from p3, p0 and p6 are first reached at depth 3, so
+        # only p0 itself, as a root, expands
+        (["p3", "p0", "p3"], {"p0", "p1", "p2", "p3", "p4", "p5"},
+         {"p0", "p1", "p2", "p3", "p4", "p5", "p6"}),
+        (["p6"], {"p6", "p5", "p4"}, {"p6", "p5", "p4", "p3"}),
+        # a star: the hub keeps its two top-ranked spokes, so s2 is never read
+        (["s3"], {"s3", "hub", "s0", "s1"}, {"s3", "hub", "s0", "s1"}),
+    ])
+    def test_reads_each_node_once_and_walks_no_leaf(self, roots, hit, read):
+        path = [f"p{i}" for i in range(7)]
+        spokes = [f"s{i}" for i in range(4)]
+        g = Graph([("r0", a, b) for a, b in zip(path, path[1:])]
+                  + [("r0", "hub", s) for s in spokes])
+        r = rng(37)
+        feats = FeatureTable(2, {v: r.normal(size=2) for v in g.nodes})
+        hit_calls, reads = Counter(), Counter()
+
+        def hits(v):
+            hit_calls[v] += 1
+            nbrs = g.neighbors(v)
+            return HitTable(v, tuple((u, 1 / len(nbrs)) for u in sorted(nbrs)))
+
+        class CountingFeatures:
+            def __getitem__(self, v):
+                reads[v] += 1
+                return feats[v]
+
+        stack = make_stack(["gcn"] * 3, [2, 2, 2], 2, seed=38)
+        with ad.no_grad():
+            agg.gnn_forward(stack, g, CountingFeatures(), hits, roots)
+        assert dict(hit_calls) == dict.fromkeys(hit, 1)
+        assert dict(reads) == dict.fromkeys(read, 1)
+
 
 # signed zeros and a few repeated values, so rows tie in value but not in bytes, or in both
 ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4, 4, width=64))
