@@ -873,24 +873,31 @@ def grad_check(fn, params, step=1e-4, tol=1e-3):
 # --------------------------------------------------------------- checkpoint
 
 
-def save_checkpoint(params, path):
-    """Write parameters as deterministic JSON: name -> shape + flat data."""
+# the checkpoint entry that holds the hash of the model config it was trained under
+MODEL_HASH = "model_sha256"
+
+
+def save_checkpoint(params, path, model_hash=None):
+    """Write parameters as deterministic JSON: name -> shape + flat data.
+
+    A `model_hash` string is stored beside them under MODEL_HASH.
+    """
     obj = {
         name: {"shape": list(p.data.shape), "data": [float(x) for x in p.data.reshape(-1)]}
         for name, p in params.items()
     }
+    if model_hash is not None:
+        obj[MODEL_HASH] = model_hash
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
 
 
-def load_checkpoint(path):
-    """Read a checkpoint back as {name: ndarray}.
-
-    A file that is not a checkpoint, or a NaN or infinite value, is a DataError.
-    """
+def _read_checkpoint(path):
+    """({name: ndarray}, the stored model hash or None) of a checkpoint file."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+        model_hash = obj.pop(MODEL_HASH, None)
         out = {name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
                for name, rec in obj.items()}
     except (AttributeError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
@@ -898,16 +905,24 @@ def load_checkpoint(path):
     for name, arr in out.items():
         if not np.isfinite(arr).all():
             raise DataError(f"checkpoint parameter {name!r} holds a non-finite value")
-    return out
+    return out, model_hash
+
+
+def load_checkpoint(path):
+    """Read a checkpoint's parameters back as {name: ndarray}.
+
+    A file that is not a checkpoint, or a NaN or infinite value, is a DataError.
+    """
+    return _read_checkpoint(path)[0]
 
 
 def load_into(params, path):
-    """Load a checkpoint into live parameter tensors.
+    """Load a checkpoint into live parameter tensors; returns its model hash, or None.
 
     The checkpoint must hold exactly the model's parameter names, each
     with the live tensor's shape.
     """
-    stored = load_checkpoint(path)
+    stored, model_hash = _read_checkpoint(path)
     extra = sorted(set(stored) - set(params))
     if extra:
         raise ContractError(f"checkpoint has parameters the model lacks: {extra}")
@@ -919,3 +934,4 @@ def load_into(params, path):
                 f"checkpoint parameter {name!r} has shape {stored[name].shape}, want {p.data.shape}"
             )
         p.data = stored[name]
+    return model_hash

@@ -79,12 +79,14 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _json_hash(obj):
+    return hashlib.sha256(cfgmod.canonical_json(obj).encode("utf-8")).hexdigest()
+
+
 def _write_manifest(out_dir, cfg, artifacts):
     manifest = {
         "config": cfg,
-        "config_hash": hashlib.sha256(
-            cfgmod.canonical_json(cfg).encode("utf-8")
-        ).hexdigest(),
+        "config_hash": _json_hash(cfg),
         "seed": cfg["seed"],
         "artifacts": {
             name: _sha256(os.path.join(out_dir, name)) for name in sorted(artifacts)
@@ -449,7 +451,7 @@ def _cmd_train(args, cfg):
             weight_decay=opt["weight_decay"],
         )
     params = model_params(class_enc, encoder, head)
-    save_checkpoint(params, os.path.join(out, "checkpoint.json"))
+    save_checkpoint(params, os.path.join(out, "checkpoint.json"), _json_hash(cfg["model"]))
     _dump_json(result.to_jsonable(), out, "train_log.json")
     _write_manifest(out, cfg, ["checkpoint.json", "train_log.json"])
     last = result.log[-1]
@@ -496,10 +498,16 @@ def _cmd_eval(args, cfg):
                 raise DataError(f"fold {i} tests class {cls!r}, which training saw as a {roles[cls]} class")
     class_enc, encoder, head = _assemble(cfg, graph, features)
     try:
-        load_into(model_params(class_enc, encoder, head), ckpt)
+        trained_under = load_into(model_params(class_enc, encoder, head), ckpt)
     except (ContractError, DataError, ShapeError) as e:
         # a checkpoint from another model config, or a corrupted one, is bad input
         raise DataError(f"checkpoint {ckpt} cannot be loaded: {e}")
+    # parameters that fit in name and shape can still come from another
+    # model block, say another activation
+    if trained_under is None:
+        raise DataError(f"checkpoint {ckpt} stores no model config hash")
+    if trained_under != _json_hash(cfg["model"]):
+        raise DataError(f"checkpoint {ckpt} was trained under another model config than this run's")
     mode = "l2" if cfg["model"]["head"] == "l2" else cfg["model"]["loss_mode"]
     multilabel = cfg["model"]["loss_mode"] == "multilabel"
     fold_predictions = []

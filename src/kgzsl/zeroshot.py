@@ -77,9 +77,9 @@ class BilinearHead:
         return ad.matmul(ad.matmul(theta, self.b), ad.matmul(self.a, phi))
 
     def scores(self, theta, phis):
-        """Score theta against a list of phi tensors, as one (C,) tensor."""
+        """Score theta against the (C, phi_dim) phi matrix (a list is stacked), as one (C,) tensor."""
         left = ad.matmul(theta, self.b)
-        projected = ad.matmul_t(ad.stack(phis), self.a)
+        projected = ad.matmul_t(ad.stack(phis) if isinstance(phis, list) else phis, self.a)
         return ad.matmul(projected, left)
 
     def score_matrix(self):
@@ -149,16 +149,19 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
          epochs, seed, lr, weight_decay):
     """The epoch loop both heads share; returns the TrainResult.
 
-    Each epoch runs one Adam step per batch that `batches()` yields:
-    every seen class is encoded in train mode off the `train-perm`
-    stream, and `batch_loss(reps, batch)` gives the scalar to minimize.
-    The epoch's train loss is the mean of its batch losses.  With dev
-    classes, `dev_loss(reps)` scores their eval-mode encodings, made
-    under no_grad by one `encode(dev)` call, so one forward builds them
-    all.  The selected epoch is the one with the lowest dev loss, or
-    train loss without dev classes, the first winning ties; the live
-    parameters are left at its snapshot.  A non-finite loss raises
-    DivergenceError, since no comparison can rank it.
+    Each epoch runs one Adam step per batch that `batches()` yields.  A
+    step encodes the seen classes with one train-mode `encode(seen)`
+    call off the `train-perm` stream, one forward over the union of
+    their DAGs, as `class_representations` makes in eval mode; then
+    `batch_loss(reps, batch)` gives the scalar to minimize from that
+    (len(seen), d) tensor, whose rows follow `seen`.  The epoch's train
+    loss is the mean of its batch losses.  With dev classes,
+    `dev_loss(reps)` scores the (len(dev), d) tensor of their eval-mode
+    encodings, made under no_grad by one `encode(dev)` call.  The
+    selected epoch is the one with the lowest dev loss, or train loss
+    without dev classes, the first winning ties; the live parameters
+    are left at its snapshot.  A non-finite loss raises DivergenceError,
+    since no comparison can rank it.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
@@ -169,8 +172,7 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
         # a function scope, so this batch's graph is freed before the
         # next batch builds its own
         opt.zero_grad()
-        reps = [class_encoder.encode(c, mode="train", rng=perm_rng) for c in seen]
-        loss = batch_loss(reps, batch)
+        loss = batch_loss(class_encoder.encode(seen, mode="train", rng=perm_rng), batch)
         ad.backward(loss)
         opt.step()
         return float(loss.data)
@@ -182,8 +184,7 @@ def _fit(params, class_encoder, seen, dev, batches, batch_loss, dev_loss,
         held = None
         if dev:
             with ad.no_grad():
-                reps = class_encoder.encode(dev, mode="eval")
-                held = dev_loss([ad.row(reps, i) for i in range(len(dev))])
+                held = dev_loss(class_encoder.encode(dev, mode="eval"))
         for split, loss in (("train", train_loss), ("dev", held)):
             if loss is not None and not np.isfinite(loss):
                 raise DivergenceError(f"{split} loss is {loss!r} in epoch {epoch}")
@@ -270,6 +271,10 @@ def _validate_labels(examples, index, loss_mode, split):
             if label not in index:
                 raise DataError(f"{split} example {i} labeled {label!r}, not a {split} class")
         else:
+            # a str is iterable too, and would train on its characters
+            if isinstance(label, str):
+                raise DataError(f"{split} example {i} has the one label {label!r}; "
+                                "multilabel examples take a list of labels")
             labels = list(label)
             if not labels:
                 raise DataError(f"{split} example {i} has no labels")
@@ -322,14 +327,11 @@ def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=
             raise DataError(f"regression target for class {c!r} has a non-finite value")
         targets[c] = target
 
-    def class_losses(class_ids, reps):
-        return [ad.l2_loss(phi, ad.constant(targets[c])) for c, phi in zip(class_ids, reps)]
-
     def batch_loss(reps, _):
-        return ad.sum(ad.stack(class_losses(classes.seen, reps)))
+        return ad.l2_loss(reps, ad.constant(np.array([targets[c] for c in classes.seen])))
 
     def dev_loss(reps):
-        return float(np.sum([float(loss.data) for loss in class_losses(classes.dev, reps)]))
+        return float(ad.l2_loss(reps, ad.constant(np.array([targets[c] for c in classes.dev]))).data)
 
     return _fit(
         model_params(class_encoder), class_encoder, classes.seen, classes.dev,

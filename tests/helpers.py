@@ -82,13 +82,12 @@ def total_variation(table, exact):
     return 0.5 * sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
 
 
-def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
-    """Reference class encoder: one `layer.forward` call per DAG node.
+def per_root_dag(stack, hits, node):
+    """One root's truncated neighborhood DAG, as (sampled, depth_of).
 
-    The same truncated neighborhood DAG as `gnn_forward`, walked one
-    node at a time in DAG order with per-node tensors, so the batched
-    level forward can be compared with it byte for byte.  Train-mode
-    sequence permutations are drawn from `rng` in that same order.
+    `sampled` maps each node first reached above depth k to its top
+    hop_limits[depth] neighbors, cut at that shallowest depth, in walk
+    order; `depth_of` gives every reached node's depth.
     """
     k = stack.depth
     sampled = {}
@@ -104,7 +103,38 @@ def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rn
                     if depth + 1 < k:
                         nxt.append(u)
         frontier = nxt
+    return sampled, depth_of
 
+
+def union_dag_size(stack, hits, roots):
+    """How many distinct rows the union of the roots' DAGs holds above level 0.
+
+    A node's row at level l is named by its whole structure: key(v, 0)
+    is v, and key(v, l) pairs key(v, l - 1) with the level l - 1 keys of
+    v's sampled neighbors, over each root's own DAG.
+    """
+    k = stack.depth
+    distinct = set()
+    for root in roots:
+        sampled, depth_of = per_root_dag(stack, hits, root)
+        below = {v: v for v in depth_of}
+        for level in range(1, k + 1):
+            below = {v: (below[v], tuple(below[u] for u in nbrs))
+                     for v, nbrs in sampled.items() if level <= k - depth_of[v]}
+            distinct.update((level, key) for key in below.values())
+    return len(distinct)
+
+
+def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
+    """Reference class encoder: one `layer.forward` call per DAG node.
+
+    The same truncated neighborhood DAG as `gnn_forward`, walked one
+    node at a time in DAG order with per-node tensors, so the batched
+    level forward can be compared with it byte for byte.  Train-mode
+    sequence permutations are drawn from `rng` in that same order.
+    """
+    k = stack.depth
+    sampled, depth_of = per_root_dag(stack, hits, node)
     reps = {(0, v): ad.constant(np.asarray(features[v])) for v in depth_of}
     for level in range(1, k + 1):
         layer = stack.layers[level - 1]

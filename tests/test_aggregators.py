@@ -16,7 +16,7 @@ from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, HitTable, WalkConfig
 from kgzsl.seeding import make_rng
 
-from .helpers import ComposedTransformerLayer, per_node_forward, reference_union_forward
+from .helpers import ComposedTransformerLayer, per_node_forward, reference_union_forward, union_dag_size
 
 
 def rng(seed=0):
@@ -732,6 +732,101 @@ class TestUnionBuild:
             agg.gnn_forward(stack, g, CountingFeatures(), hits, roots)
         assert dict(hit_calls) == dict.fromkeys(hit, 1)
         assert dict(reads) == dict.fromkeys(read, 1)
+
+
+ORDER_FREE = ["gcn", "gat", "rgcn", "transformer"]
+
+TRAIN_WORLDS = dict(
+    seed=st.integers(0, 10_000),
+    num_nodes=st.integers(2, 10),
+    dim=st.integers(1, 6),
+    limits=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+)
+
+
+def train_roots(g, hits, limits, picks):
+    # repeats, and roots that are the first root's own sampled neighbors
+    from kgzsl.sampler import top_n
+
+    roots = [g.nodes[i % len(g.nodes)] for i in picks]
+    return roots + roots[:1] + top_n(hits(roots[0]), limits[0])
+
+
+class CountingRng:
+    """A permutation stream that counts its draws."""
+
+    def __init__(self, seed):
+        self.rng = make_rng("union-train-perm", seed)
+        self.draws = 0
+
+    def permutation(self, n):
+        self.draws += 1
+        return self.rng.permutation(n)
+
+
+class TestUnionTrain:
+    """A train step encodes its classes as one union forward, as `_fit` calls it."""
+
+    @pytest.mark.parametrize("kind", ORDER_FREE)
+    @given(others=st.lists(st.sampled_from(ORDER_FREE), min_size=2, max_size=2), **TRAIN_WORLDS)
+    # hop limits that differ by depth, and a repeated root
+    @example(others=["gat", "rgcn"], seed=3, num_nodes=9, dim=3, limits=[3, 1, 2], picks=[0, 4, 4, 7])
+    @settings(max_examples=15, deadline=None)
+    def test_loss_and_gradients_match_stacked_per_root_calls(self, kind, others, seed, num_nodes,
+                                                             dim, limits, picks):
+        g, feats, hits = random_world(seed, num_nodes, dim)
+        stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
+        roots = train_roots(g, hits, limits, picks)
+        params = stack.parameters()
+        weights = make_rng("union-train-weights", seed).normal(size=(len(roots), dim))
+
+        def run(encode):
+            for t in params.values():
+                t.zero_grad()
+            out = encode(make_rng("union-train-perm", seed))
+            loss = ad.sum(ad.multiply(out, ad.constant(weights)))
+            ad.backward(loss)
+            grads = {name: np.zeros(t.shape) if t.grad is None else t.grad.copy()
+                     for name, t in params.items()}
+            return float(loss.data), np.abs(out.data * weights).sum(), grads
+
+        union = run(lambda r: agg.gnn_forward(stack, g, feats, hits, roots, mode="train", seed=seed, rng=r))
+        apart = run(lambda r: ad.stack([agg.gnn_forward(stack, g, feats, hits, v, mode="train", seed=seed,
+                                                        rng=r) for v in roots]))
+        # the loss is compared with the size of its terms, which may cancel
+        assert abs(union[0] - apart[0]) <= 1e-12 * apart[1]
+        # and each gradient with the whole gradient's norm: attention over
+        # near-equal members leaves Wq and Wk gradients that cancel to 1e-6
+        # of it or less, and their rounding is relative to the terms
+        scale = np.sqrt(sum(np.sum(want ** 2) for want in apart[2].values()))
+        for name, want in apart[2].items():
+            err = np.linalg.norm(union[2][name] - want)
+            assert err <= 1e-12 * scale, (name, err)
+
+    @given(**TRAIN_WORLDS)
+    @example(seed=5, num_nodes=10, dim=3, limits=[4, 2, 3], picks=[5, 0, 9, 5])
+    @settings(max_examples=15, deadline=None)
+    def test_lstm_draws_one_permutation_per_union_node_and_reruns_bitwise(self, seed, num_nodes, dim,
+                                                                        limits, picks):
+        g, feats, hits = random_world(seed, num_nodes, dim)
+        stack = make_stack(["lstm"] * len(limits), limits, dim, seed)
+        roots = train_roots(g, hits, limits, picks)
+        params = stack.parameters()
+        weights = ad.constant(make_rng("union-train-weights", seed).normal(size=(len(roots), dim)))
+
+        def run():
+            for t in params.values():
+                t.zero_grad()
+            perm_rng = CountingRng(seed)
+            out = agg.gnn_forward(stack, g, feats, hits, roots, mode="train", seed=seed, rng=perm_rng)
+            ad.backward(ad.sum(ad.multiply(out, weights)))
+            grads = {name: None if t.grad is None else t.grad.tobytes() for name, t in params.items()}
+            return out.data.tobytes(), grads, perm_rng.draws
+
+        first = run()
+        assert run() == first
+        assert first[2] == union_dag_size(stack, hits, roots)
 
 
 # signed zeros and a few repeated values, so rows tie in value but not in bytes, or in both

@@ -795,6 +795,19 @@ class TestCheckpoint:
         obj = json.loads(path.read_text())
         assert obj == {"w": {"shape": [1, 2], "data": [1.0, 2.0]}}
 
+    def test_model_hash_is_stored_beside_the_parameters(self, tmp_path):
+        params = {"w": ad.Tensor([[1.0, 2.0]], requires_grad=True)}
+        path = tmp_path / "c.json"
+        ad.save_checkpoint(params, path, "ab12")
+        assert json.loads(path.read_text()) == {"w": {"shape": [1, 2], "data": [1.0, 2.0]},
+                                                ad.MODEL_HASH: "ab12"}
+        assert set(ad.load_checkpoint(path)) == {"w"}
+        target = {"w": ad.Tensor([[0.0, 0.0]], requires_grad=True)}
+        assert ad.load_into(target, path) == "ab12"
+        np.testing.assert_array_equal(target["w"].data, [[1.0, 2.0]])
+        ad.save_checkpoint(params, path)
+        assert ad.load_into(target, path) is None
+
     def test_load_into_checks_shapes(self, tmp_path):
         path = tmp_path / "c.json"
         ad.save_checkpoint({"w": ad.Tensor([1.0, 2.0], requires_grad=True)}, path)

@@ -4,6 +4,7 @@ main() returns the exit code instead of raising, so each case asserts
 on the code plus the artifacts left in the output directory.
 """
 
+import hashlib
 import json
 import os
 
@@ -11,6 +12,7 @@ import pytest
 
 from kgzsl import autodiff as ad
 from kgzsl import cli
+from kgzsl import config as cfgmod
 from kgzsl.cli import main
 from kgzsl.kg import EmbeddingTable
 
@@ -100,7 +102,7 @@ class TestTrainEval:
         log = json.loads((run_dir / "train_log.json").read_text())
         assert len(log["log"]) == 3
         ckpt = json.loads((run_dir / "checkpoint.json").read_text())
-        assert {name.split("/")[0] for name in ckpt} == {"gnn"}
+        assert {name.split("/")[0] for name in ckpt if name != ad.MODEL_HASH} == {"gnn"}
 
         eval_cfg = write(tmp_path / "eval.json", {
             **base, "paths": {"checkpoint": str(run_dir / "checkpoint.json")},
@@ -239,6 +241,27 @@ class TestBadCheckpoint:
 
     def test_clean_checkpoint_evaluates(self, ckpt, tmp_path):
         assert self._eval(tmp_path, ckpt) == 0
+
+    def test_checkpoint_stores_its_model_block_hash(self, ckpt):
+        manifest = json.loads((ckpt.parent / "manifest.json").read_text())
+        model = cfgmod.canonical_json(manifest["config"]["model"]).encode("utf-8")
+        assert json.loads(ckpt.read_text())[ad.MODEL_HASH] == hashlib.sha256(model).hexdigest()
+
+    def test_checkpoint_of_another_activation(self, ckpt, tmp_path, capsys):
+        # every parameter still fits in name and shape; only the model hash tells
+        assert self._eval(tmp_path, ckpt, {"activation": "tanh"}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err and "another model config" in err
+        assert not (tmp_path / "ev" / "metrics.json").exists()
+
+    def test_checkpoint_without_model_hash(self, ckpt, tmp_path, capsys):
+        obj = json.loads(ckpt.read_text())
+        del obj[ad.MODEL_HASH]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(obj))
+        assert self._eval(tmp_path, bare) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bare) in err and "no model config hash" in err
 
 
 class TestErrors:

@@ -231,6 +231,22 @@ class TestTrainBilinear:
             zs.train_bilinear(multi, [], encoder, class_encoder, head, classes,
                               loss_mode="multilabel", epochs=1)
 
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_multilabel_str_label_rejected(self, split):
+        # classes named by one character: "ab" must not pass as the labels a and b
+        g = Graph([("has", c, f"attr_{c}") for c in "abcd"])
+        features = FeatureTable(3, {v: rng(1).normal(size=3) for v in g.nodes})
+        stack = GnnStack([MeanPoolLayer(3, 3, rng=rng(2))], [2])
+        class_encoder = zs.GnnClassEncoder(stack, g, features, HitSource(g, WalkConfig(seed=0)))
+        classes = zs.ClassSet(seen=("a", "b"), unseen=(), dev=("c", "d"))
+        x = np.ones(3)
+        examples = {"train": [(x, ("a",)), (x, ("a", "b"))], "dev": [(x, ("c",)), (x, ("d",))]}
+        examples[split][1] = (x, "ab" if split == "train" else "cd")
+        with pytest.raises(DataError, match=f"{split} example 1 .*'{examples[split][1][1]}'"):
+            zs.train_bilinear(examples["train"], examples["dev"], VectorEncoder(3), class_encoder,
+                              zs.BilinearHead(3, 3, rank=2, rng=rng(3)), classes,
+                              loss_mode="multilabel", epochs=1)
+
     def test_no_examples_rejected(self):
         encoder, class_encoder, head, classes, _, _ = build_training()
         with pytest.raises(DataError):
@@ -738,6 +754,52 @@ class TestSharedPass:
         assert [list(c) for c, _ in eval_calls] == [list(classes.dev)] * 2
         for _, lookups in eval_calls:
             assert set(lookups.values()) == {1}
+
+    @pytest.mark.parametrize("head", ["bilinear", "l2"])
+    def test_fit_train_step_is_one_union_encode(self, head):
+        enc = shared_world()
+        ids = self.classes(enc)
+        # seen out of sorted order, so the call must keep the given order
+        classes = zs.ClassSet(seen=(ids[5], ids[0], ids[3]), unseen=(), dev=(ids[4], ids[1]),
+                              targets={c: rng(i).normal(size=4) for i, c in enumerate(ids)})
+        calls = []
+        encode = enc.encode
+
+        def spy(c, mode="eval", rng=None):
+            calls.append((list(c), mode))
+            return encode(c, mode=mode, rng=rng)
+
+        enc.encode = spy
+        epochs = 3
+        if head == "l2":
+            zs.train_l2(enc, classes, epochs=epochs, seed=0)
+            steps = 1
+        else:
+            r = rng(7)
+            train = [(r.normal(size=4), classes.seen[i % 3]) for i in range(10)]
+            dev = [(r.normal(size=4), classes.dev[i % 2]) for i in range(4)]
+            zs.train_bilinear(train, dev, VectorEncoder(4), enc, zs.BilinearHead(4, 4, rank=2, rng=rng(8)),
+                              classes, epochs=epochs, batch_size=4)
+            steps = 3
+        # per epoch, one train-mode call per step, then the dev pass
+        step, held = (list(classes.seen), "train"), (list(classes.dev), "eval")
+        assert calls == ([step] * steps + [held]) * epochs
+
+    def test_fit_losses_take_the_class_matrix(self):
+        enc = shared_world()
+        ids = self.classes(enc)
+        targets = {c: rng(i).normal(size=4) for i, c in enumerate(ids)}
+        classes = zs.ClassSet(seen=tuple(ids[:3]), unseen=(), dev=tuple(ids[3:]), targets=targets)
+        result = zs.train_l2(enc, classes, epochs=2, seed=0, lr=0.0)
+        # lr 0 leaves the parameters as built, so each epoch's losses are
+        # the summed squared error of that one encoding
+        with ad.no_grad():
+            for split, losses in (("seen", [e["train_loss"] for e in result.log]),
+                                  ("dev", [e["dev_loss"] for e in result.log])):
+                split_ids = getattr(classes, split)
+                phis = enc.encode(split_ids).data
+                want = sum(float(np.sum((phi - targets[c]) ** 2)) for c, phi in zip(split_ids, phis))
+                np.testing.assert_allclose(losses, [want] * 2, rtol=1e-12)
 
 def _reachable_trainables(obj, seen):
     """Every requires_grad tensor reachable from `obj` through attributes, lists, tuples and dicts."""
