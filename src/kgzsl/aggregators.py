@@ -6,8 +6,10 @@ node's own representation and apply a nonlinearity.  Four of the five
 kinds are order-free over the neighbor multiset; to make that exact at
 the bit level, neighbors are put into a canonical order (sorted by
 their raw bytes) before any float reduction, because float addition
-is not associative.  The sequence aggregator is order-sensitive by
-design and takes an explicit permutation instead.
+is not associative.  A group is ordered by one stable argsort of its
+members' rows viewed as void items, which compare like Python's
+`bytes`.  The sequence aggregator is order-sensitive by design and
+takes an explicit permutation instead.
 
 Every layer has one implementation, the level interface
 ``forward_group(prev, rows, node_args)``, which embeds a group of B
@@ -66,21 +68,34 @@ def _activation(name):
         raise ConfigError(f"unknown activation {name!r}") from None
 
 
-def _row_bytes(data):
-    """A sort key taking a row number i of `data` to the bytes of data[i].
+def _member_order(data, rows):
+    """Per node, the stable order of its neighbors (every column of `rows`
+    but the first) by the bytes of their rows of `data`: a (B, M - 1)
+    index into rows[:, 1:].
 
-    Each key is a slice of one `tobytes()` buffer of the whole array,
-    so no row builds its own.
+    Each member row is viewed as one void item of its full width, which
+    numpy compares like memcmp, the order of Python's `bytes`; the stable
+    sort keeps equal rows in their given order, as `sorted` does.
     """
-    buf = data.tobytes()
-    step = len(buf) // len(data) if len(data) else 0
-    return lambda i: buf[i * step:(i + 1) * step]
+    members = data[rows[:, 1:]]
+    keys = members.view(np.dtype((np.void, members.shape[-1] * members.itemsize)))[..., 0]
+    return keys.argsort(axis=1, kind="stable")
 
 
 def canonical_rows(prev, rows):
-    """`rows` with each node's neighbors (every column but the first) in canonical order."""
-    key = _row_bytes(prev.data)
-    return np.array([[r[0]] + sorted(r[1:], key=key) for r in rows.tolist()])
+    """`rows` with each node's neighbors (every column but the first) in canonical order.
+
+    One stable argsort orders a whole group; with one neighbor or none
+    there is nothing to sort and `rows` comes back as it is.
+    """
+    size = rows.shape[1]
+    if size <= 2:
+        return rows
+    neighbors = rows[:, 1:].ravel()
+    order = _member_order(prev.data, rows) + np.arange(0, neighbors.size, size - 1)[:, None]
+    out = rows.copy()
+    out[:, 1:] = neighbors[order]
+    return out
 
 
 def _forward_one(layer, members, node_args=None):
@@ -198,15 +213,13 @@ class RelationalMeanLayer:
         """Each node's neighbors in canonical order, as in canonical_rows, as
         a (B, M - 1) index into `data`, and per relation a {0, 1} mask over
         them, (R, B, M - 1, 1)."""
-        key = _row_bytes(data)
         count, size = rows.shape
-        index = np.empty((count, size - 1), dtype=np.intp)
+        order = _member_order(data, rows)
+        index = np.take_along_axis(rows[:, 1:], order, axis=1)
         masks = np.zeros((len(self.relations), count, size - 1, 1))
-        for node, (r, relations) in enumerate(zip(rows.tolist(), node_args)):
-            ranked = sorted(zip(r[1:], relations), key=lambda pair: key(pair[0]))
-            for k, (u, rels) in enumerate(ranked):
-                index[node, k] = u
-                for rel in rels:
+        for node, (ranked, relations) in enumerate(zip(order.tolist(), node_args)):
+            for k, j in enumerate(ranked):
+                for rel in relations[j]:
                     if rel not in self._rel_index:
                         raise UnknownRelationError(rel)
                     masks[self._rel_index[rel], node, k] = 1.0

@@ -265,8 +265,8 @@ def dot_rows(x, v):
     """x_i . v for every trailing vector x_i of x: (..., n) and (n,) -> (...).
 
     Each entry is one dot product, rounded like matmul(v, x_i) of two
-    1-D tensors; x @ v or an elementwise product and sum round
-    differently.
+    1-D tensors: one `np.vecdot` runs that 1-D x 1-D product's kernel
+    per row.  x @ v or an elementwise product and sum round differently.
     """
     if v.data.ndim != 1 or x.data.ndim < 1 or x.shape[-1] != v.shape[0]:
         raise _shape_err("dot_rows", x, v)
@@ -280,8 +280,9 @@ def dot_rows(x, v):
 
 
 def _dot_rows(x, v):
-    """dot_rows' forward on arrays: x_i . v for every trailing vector x_i of x."""
-    return (x[..., None, :] @ v[:, None])[..., 0, 0]
+    """dot_rows' forward on arrays: x_i . v for every trailing vector x_i of x,
+    each rounded like the 1-D product x_i @ v."""
+    return np.vecdot(x, v)
 
 
 # ------------------------------------------------------------ restructuring
@@ -774,7 +775,15 @@ class Adam:
 
     `params` maps names to tensors.  Decay is applied directly to the
     weights, scaled by lr, outside the adaptive moment update.
-    Parameters with no gradient are skipped.
+    Parameters with no gradient are skipped, and their moments keep
+    their values.
+
+    Both moments live in one flat buffer each, in `params` order.  A step
+    concatenates the live gradients once and runs the elementwise update
+    over them in one pass, so each weight rounds exactly as a step over
+    that tensor alone would.  The parameters stay arrays of their own:
+    callers may assign `p.data` (as `zeroshot._fit` restores its best
+    epoch), which would cut views into a shared buffer.
     """
 
     BETAS = (0.9, 0.999)
@@ -784,8 +793,10 @@ class Adam:
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        sizes = [p.data.size for p in self.params.values()]
+        self._bounds = np.cumsum([0] + sizes)
+        self._m = np.zeros(self._bounds[-1])
+        self._v = np.zeros(self._bounds[-1])
         self._t = 0
 
     def zero_grad(self):
@@ -795,23 +806,30 @@ class Adam:
     def step(self):
         self._t += 1
         b1, b2 = self.BETAS
-        for key, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self._m[key]
-            v = self._v[key]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self._t)
-            vhat = v / (1 - b2 ** self._t)
-            update = mhat / (np.sqrt(vhat) + self.EPS)
-            if self.weight_decay:
-                # decoupled: decay the pre-step weight, outside the moments
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
+        live = [(i, p) for i, p in enumerate(self.params.values()) if p.grad is not None]
+        if not live:
+            return
+        g = np.concatenate([p.grad.ravel() for _, p in live])
+        # the live parameters' span of the moment buffers
+        if len(live) == len(self.params):
+            span = slice(None)
+        else:
+            span = np.concatenate([np.arange(self._bounds[i], self._bounds[i + 1]) for i, _ in live])
+        m = self._m[span] * b1 + (1 - b1) * g
+        v = self._v[span] * b2 + (1 - b2) * g * g
+        self._m[span] = m
+        self._v[span] = v
+        mhat = m / (1 - b1 ** self._t)
+        vhat = v / (1 - b2 ** self._t)
+        update = mhat / (np.sqrt(vhat) + self.EPS)
+        if self.weight_decay:
+            # decoupled: decay the pre-step weight, outside the moments
+            update = update + self.weight_decay * np.concatenate([p.data.ravel() for _, p in live])
+        update *= self.lr
+        start = 0
+        for _, p in live:
+            p.data -= update[start:start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
 
 
 # ---------------------------------------------------------------- grad check

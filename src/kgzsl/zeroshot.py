@@ -8,6 +8,7 @@ per-class binary cross entropy, and a regression head that pulls phi(y)
 toward fixed target vectors and picks the highest dot product at test time.
 """
 
+import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -381,9 +382,10 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
     """The sorted candidate ids and their scores, as `predict` reads them.
 
     Every candidate is scored against the one vector theta B A (theta
-    for "l2") in a single stacked product, which rounds exactly like
-    scoring each candidate on its own.  Arguments are as for `predict`;
-    theta must be a vector in every mode.
+    for "l2") by one `ad._dot_rows` call, a row-wise `np.vecdot`, which
+    rounds exactly like scoring each candidate on its own.  Arguments
+    are as for `predict`; theta must be a vector in every mode.  Scores
+    are not checked for being finite here; `predict` does that.
     """
     if not class_reps:
         raise ContractError("no candidate classes")
@@ -425,17 +427,20 @@ def predict(theta, head, class_reps, mode="multiclass"):
             returns [best] by dot product, appending a bias 1 to theta
             when phi carries one extra dimension.
 
-    A NaN or infinite score raises DataError naming its candidate.
+    A NaN or infinite score raises DataError naming the first such
+    candidate in id order.
     """
     ids, scores = candidate_scores(theta, head, class_reps, mode)
-    finite = np.isfinite(scores)
-    if not finite.all():
-        i = int(finite.argmin())
+    # argmax stops at the first NaN or finds +inf, and min gives NaN or -inf
+    # if there is one; only then is the first non-finite candidate looked up
+    best = int(scores.argmax())
+    if not (math.isfinite(scores[best]) and math.isfinite(scores.min())):
+        i = int(np.isfinite(scores).argmin())
         raise DataError(f"candidate {ids[i]!r} scores {float(scores[i])!r}")
     if mode == "multilabel":
         return {ids[i] for i in np.flatnonzero(scores > 0.0).tolist()}
     # ids are sorted and argmax takes the first maximum, so ties go to the smaller id
-    return [ids[int(scores.argmax())]]
+    return [ids[best]]
 
 
 def class_representations(class_encoder, class_ids, mode="eval"):

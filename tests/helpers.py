@@ -377,3 +377,40 @@ def ranking_reference(theta, head, reps, mode):
     head is the multiclass and l2 prediction."""
     scores = reference_scores(theta, head, reps, mode)
     return sorted(scores, key=lambda c: (-scores[c], c))
+
+
+class ReferenceAdam:
+    """`ad.Adam` as it was with one moment array per parameter: the
+    bitwise oracle for the flat-buffer step.  `_m` and `_v` map names to
+    arrays shaped like the parameters."""
+
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
+    def __init__(self, params, lr=0.001, weight_decay=0.0):
+        self.params = dict(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._t = 0
+
+    def step(self):
+        self._t += 1
+        b1, b2 = self.BETAS
+        for key, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            m = self._m[key]
+            v = self._v[key]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1 ** self._t)
+            vhat = v / (1 - b2 ** self._t)
+            update = mhat / (np.sqrt(vhat) + self.EPS)
+            if self.weight_decay:
+                update = update + self.weight_decay * p.data
+            p.data -= self.lr * update

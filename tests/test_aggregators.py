@@ -829,33 +829,48 @@ class TestUnionTrain:
         assert first[2] == union_dag_size(stack, hits, roots)
 
 
-# signed zeros and a few repeated values, so rows tie in value but not in bytes, or in both
-ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4, 4, width=64))
+# signed zeros, NaNs with two payloads and a few repeated values, so rows
+# tie in value but not in bytes, or in both
+NAN_PAYLOADS = [float(np.frombuffer(np.uint64(bits).tobytes())[0])
+                for bits in (0x7FF8000000000000, 0xFFF8000000000001)]
+ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, *NAN_PAYLOADS]), st.floats(-4, 4, width=64))
+# past GROUP_ROWS, and member counts from 1 (no neighbor) to 24, past the
+# 16 items below which numpy sorts by insertion, which is stable anyway
+CANONICAL_GROUPS = dict(data=st.data(), num_rows=st.integers(1, 6), dim=st.integers(1, 3),
+                        batch=st.integers(1, 70), size=st.integers(1, 24))
 
 
 def reference_canonical_rows(data, rows):
     return [[r[0]] + sorted(r[1:], key=lambda i: data[i].tobytes()) for r in rows]
 
 
+def draw_level(data, num_rows, dim):
+    """A (num_rows, dim) level below, now and then a column slice of a
+    wider array, which is not contiguous."""
+    wide = data.draw(hnp.arrays(np.float64, (num_rows, 2 * dim), elements=ROW_VALUES))
+    return wide[:, ::2] if data.draw(st.booleans()) else np.ascontiguousarray(wide[:, :dim])
+
+
 class TestCanonicalOrder:
-    @given(st.data(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 6))
+    @given(**CANONICAL_GROUPS)
     @settings(max_examples=100, deadline=None)
     def test_canonical_rows_sorts_by_row_bytes(self, data, num_rows, dim, batch, size):
-        prev = ad.constant(data.draw(hnp.arrays(np.float64, (num_rows, dim), elements=ROW_VALUES)))
+        prev = ad.constant(draw_level(data, num_rows, dim))
         rows = data.draw(hnp.arrays(np.intp, (batch, size), elements=st.integers(0, num_rows - 1)))
         got = agg.canonical_rows(prev, rows)
         assert got.dtype.kind == "i" and got.shape == rows.shape
         assert got.tolist() == reference_canonical_rows(prev.data, rows)
 
-    @given(st.data(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 6))
+    @given(**CANONICAL_GROUPS)
     @settings(max_examples=100, deadline=None)
     def test_rgcn_order_and_masks_match_byte_sort(self, data, num_rows, dim, batch, size):
         # equal rows that carry different relations keep their given order
         layer = agg.RelationalMeanLayer(dim, 2, relations=RELATIONS, rng=rng(56))
-        values = data.draw(hnp.arrays(np.float64, (num_rows, dim), elements=ROW_VALUES))
+        values = draw_level(data, num_rows, dim)
         rows = data.draw(hnp.arrays(np.intp, (batch, size), elements=st.integers(0, num_rows - 1)))
-        subsets = st.lists(st.sampled_from(RELATIONS), min_size=1, max_size=2, unique=True).map(tuple)
-        node_args = [[data.draw(subsets) for _ in range(size - 1)] for _ in range(batch)]
+        subsets = [("r0",), ("r1",), ("r0", "r1"), ("r1", "r0")]
+        picks = data.draw(hnp.arrays(np.intp, (batch, size - 1), elements=st.integers(0, len(subsets) - 1)))
+        node_args = [[subsets[i] for i in row] for row in picks.tolist()]
         index, masks = layer._canonical_members(values, rows, node_args)
         want_masks = np.zeros_like(masks)
         for b, (r, relations) in enumerate(zip(rows, node_args)):
@@ -864,7 +879,14 @@ class TestCanonicalOrder:
             for k, (_, rels) in enumerate(ranked):
                 for rel in rels:
                     want_masks[RELATIONS.index(rel), b, k] = 1.0
+        assert index.shape == (batch, size - 1)
         assert masks.tobytes() == want_masks.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_one_neighbor_or_none_is_already_canonical(self, size):
+        prev = ad.constant(np.array([[2.0], [-0.0], [0.0]]))
+        rows = np.array([[0, 2, 1][:size], [1, 0, 2][:size]], dtype=np.intp)
+        assert agg.canonical_rows(prev, rows).tolist() == reference_canonical_rows(prev.data, rows)
 
 
 class TestMakeLayer:

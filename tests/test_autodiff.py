@@ -12,7 +12,7 @@ from kgzsl import autodiff as ad
 from kgzsl.aggregators import ACTIVATIONS, TransformerPoolLayer
 from kgzsl.errors import ContractError, DataError, ShapeError
 
-from .helpers import ComposedTransformerLayer, layer_norm_reference
+from .helpers import ComposedTransformerLayer, ReferenceAdam, layer_norm_reference
 
 
 def rng():
@@ -67,6 +67,16 @@ class TestForwardValues:
                 row = ad.Tensor(x.data[i, j])
                 assert ad.matvec(w, x).data[i, j].tobytes() == ad.matmul(w, row).data.tobytes()
                 assert ad.dot_rows(x, v).data[i, j].tobytes() == ad.matmul(v, row).data.tobytes()
+
+    @given(hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+           st.one_of(st.integers(1, 64), st.just(300)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_dot_rows_equals_per_row_products_bitwise(self, lead, width, seed):
+        r = np.random.default_rng(seed)
+        x, v = r.normal(size=lead + (width,)), r.normal(size=width)
+        want = np.array([xi @ v for xi in x.reshape(-1, width)]).reshape(lead)
+        assert ad._dot_rows(x, v).tobytes() == want.tobytes()
+        assert ad.dot_rows(ad.Tensor(x), ad.Tensor(v)).data.tobytes() == want.tobytes()
 
     def test_stacked_shape_errors(self):
         r = rng()
@@ -759,6 +769,33 @@ class TestAdam:
         # decay moves the weight by exactly lr * wd * w on top of the
         # adaptive step, independent of the gradient magnitude
         np.testing.assert_allclose(w1.data[0] - w2.data[0], 0.01 * 0.1 * 2.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_step_matches_per_parameter_reference_bitwise(self, weight_decay):
+        r = np.random.default_rng(7)
+        shapes = {"w": (3, 4), "b": (5,), "s": (), "t": (2, 3, 2)}
+        init = {k: r.normal(size=shape) for k, shape in shapes.items()}
+        params = {k: ad.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        ref_params = {k: ad.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        opt = ad.Adam(params, lr=0.01, weight_decay=weight_decay)
+        ref = ReferenceAdam(ref_params, lr=0.01, weight_decay=weight_decay)
+        for step in range(300):
+            # some parameters get no gradient on some steps, and every 50th
+            # step none does
+            live = r.random(len(shapes)) < 0.7 if step % 50 else np.zeros(len(shapes), dtype=bool)
+            for (k, shape), has_grad in zip(shapes.items(), live):
+                g = r.normal(size=shape) * 10.0 ** r.integers(-6, 3) if has_grad else None
+                params[k].grad = ref_params[k].grad = g
+            if step == 150:
+                # a restore assigns new arrays, as `_fit` does
+                for k in shapes:
+                    params[k].data = params[k].data.copy()
+            opt.step()
+            ref.step()
+        for k in shapes:
+            assert params[k].data.tobytes() == ref_params[k].data.tobytes()
+        assert opt._m.tobytes() == np.concatenate([ref._m[k].ravel() for k in shapes]).tobytes()
+        assert opt._v.tobytes() == np.concatenate([ref._v[k].ravel() for k in shapes]).tobytes()
 
     def test_skips_parameters_without_grad(self):
         w = ad.Tensor([1.0], requires_grad=True)

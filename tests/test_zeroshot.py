@@ -514,11 +514,18 @@ class TestPredict:
             assert got == ["b999"]
 
     @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_score_raises_data_error_naming_the_candidate(self, mode, bad):
+    @pytest.mark.parametrize("scores, first", [
+        *(pytest.param({"a": 1.0, "c": bad, "b": bad}, "b", id=str(bad)) for bad in (np.inf, -np.inf, np.nan)),
+        # the argmax lands on a finite top score, and only the min sees it
+        pytest.param({"a": 1.0, "b": 3.0, "c": 2.0, "d": -np.inf}, "d", id="lone--inf-last"),
+        pytest.param({"a": 1.0, "b": np.nan, "c": 0.5, "d": -np.inf}, "b", id="nan-at-argmax"),
+        pytest.param({"a": 1.0, "b": 2.0, "c": np.inf, "d": 0.5}, "c", id="only-+inf"),
+    ])
+    def test_non_finite_score_raises_data_error_naming_the_candidate(self, mode, scores, first):
+        # theta [1, 0] through identity B and A scores each phi by its first entry
         head = self.make_head()
-        reps = {"a": np.array([1.0, 0.0]), "c": np.array([bad, 0.0]), "b": np.array([bad, 1.0])}
-        with pytest.raises(DataError, match="candidate 'b' scores"):
+        reps = {c: np.array([s, 0.0]) for c, s in scores.items()}
+        with pytest.raises(DataError, match=f"candidate '{first}' scores {scores[first]!r}"):
             zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode)
 
     @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
