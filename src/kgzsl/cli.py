@@ -369,6 +369,8 @@ def _cmd_sample(args, cfg):
     wc = _walk_config(cfg)
     source = HitSource(g, wc)
     tables = {node: source(node).to_jsonable() for node in sorted(g.nodes)}
+    log.info("hit source: %d kernel runs sampled %d tables",
+             source.kernel_runs, source.tables_sampled)
     _dump_json(
         {"walk": {"steps": wc.steps, "restarts": wc.restarts}, "tables": tables},
         out, "hits.json",

@@ -320,10 +320,7 @@ def load_config(path, seed_override=None):
     `seed_override` replaces the config seed before expansion is
     echoed anywhere, so the manifest always shows the effective seed.
     """
-    try:
-        raw = read_json(path, ConfigError, "config file")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    raw = read_json(path, ConfigError, "config file")
     if seed_override is not None:
         raw = dict(raw)
         raw["seed"] = seed_override
@@ -333,12 +330,14 @@ def load_config(path, seed_override=None):
 def read_json(path, error, what):
     """Parse a JSON file.
 
-    A directory, bytes that are not UTF-8 or text that is not JSON raise
-    `error` naming the file.
+    A missing path, a directory, bytes that are not UTF-8 or text that
+    is not JSON raise `error` naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{what} {path} not found") from None
     except IsADirectoryError:
         raise error(f"{what} {path} is a directory, not a file") from None
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike

@@ -31,7 +31,8 @@ class Graph:
 
     Nodes, relations and edges keep first-seen order so that any
     iteration over them is reproducible across processes.  The adjacency
-    is held once, as the `Csr` built at construction.
+    is held once, as the `Csr` built at construction; the map of
+    relations per node pair waits for the first `relations_between`.
     """
 
     __slots__ = ("_nodes", "_edges", "_relations", "_rels_between", "_csr")
@@ -45,7 +46,9 @@ class Graph:
             extra_nodes: node ids to intern before the edge endpoints,
                 letting isolated nodes exist.
         """
-        self._edges = tuple(dict.fromkeys((rel, head, tail) for rel, head, tail in edges))
+        # tuple() hands a tuple edge back as it is; unpacking each edge for
+        # its relation rejects one of the wrong length
+        self._edges = tuple(dict.fromkeys(map(tuple, edges)))
         self._relations = tuple(dict.fromkeys(rel for rel, _, _ in self._edges))
         first_seen = {}
         for v in extra_nodes:
@@ -53,20 +56,7 @@ class Graph:
         ends = [first_seen.setdefault(v, len(first_seen)) for _, head, tail in self._edges
                 for v in (head, tail)]
         self._nodes = tuple(first_seen)
-
-        rels_between, several = {}, {}
-        for rel, head, tail in self._edges:
-            key = (head, tail) if head <= tail else (tail, head)
-            rels = rels_between.setdefault(key, (rel,))
-            if rel not in rels:
-                rels_between[key] = rels + (rel,)
-                several[key] = None
-        # a pair's relations come in edge order; only a pair with two or
-        # more needs sorting into the relations' first-seen order
-        rel_order = {r: i for i, r in enumerate(self._relations)}
-        for key in several:
-            rels_between[key] = tuple(sorted(rels_between[key], key=rel_order.__getitem__))
-        self._rels_between = rels_between
+        self._rels_between = None  # built by the first relations_between call
 
         # number nodes in sorted-id order, then sort both directions of every
         # non-loop edge by (row, column) and keep the first of each repeat
@@ -130,8 +120,26 @@ class Graph:
         """Relations on any edge joining u and v, in either direction."""
         self._position(u)
         self._position(v)
+        if self._rels_between is None:
+            self._rels_between = self._relation_map()
         key = (u, v) if u <= v else (v, u)
         return self._rels_between.get(key, ())
+
+    def _relation_map(self):
+        """{(u, v) with u <= v: the pair's relations in first-seen order}."""
+        rels_between, several = {}, {}
+        for rel, head, tail in self._edges:
+            key = (head, tail) if head <= tail else (tail, head)
+            rels = rels_between.setdefault(key, (rel,))
+            if rel not in rels:
+                rels_between[key] = rels + (rel,)
+                several[key] = None
+        # a pair's relations come in edge order; only a pair with two or
+        # more needs sorting into the relations' first-seen order
+        rel_order = {r: i for i, r in enumerate(self._relations)}
+        for key in several:
+            rels_between[key] = tuple(sorted(rels_between[key], key=rel_order.__getitem__))
+        return rels_between
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -159,7 +167,8 @@ def ingest(path, lang_filter=None):
 
     Raises:
         ParseError: wrong column count or empty field, with line number;
-            a directory or bytes that are not UTF-8, with the path.
+            a missing path, a directory or bytes that are not UTF-8, with
+            the path.
     """
     edges = []
     # text mode reads "\r\n" and "\r" as "\n", and stripping a field drops
@@ -183,10 +192,13 @@ def ingest(path, lang_filter=None):
 def _numbered_lines(path, what):
     """(1-based line number, line) pairs of a UTF-8 text file.
 
-    A directory, or bytes that are not UTF-8, are a ParseError naming it.
+    A missing path, a directory, or bytes that are not UTF-8, are a
+    ParseError naming it.
     """
     try:
         fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"{what} {path} not found") from None
     except IsADirectoryError:
         raise ParseError(f"{what} {path} is a directory, not a file") from None
     with fh:

@@ -105,12 +105,14 @@ class HitTable:
 
     def __post_init__(self):
         if self.entries:
-            # written as negations so that NaN fails them too
-            _, probs = zip(*self.entries)
+            # written as negations so that NaN fails them too; a NaN or an
+            # infinity makes the sum non-finite, so past the sum check
+            # `min` compares only finite values
+            probs = [p for _, p in self.entries]
             total = sum(probs)
             if not abs(total - 1.0) <= 1e-9:
                 raise ContractError(f"hit probabilities sum to {total!r}, want 1")
-            if not all(p > 0 for p in probs):
+            if not min(probs) > 0:
                 raise ContractError("hit probabilities must be strictly positive")
 
     def to_jsonable(self):
@@ -145,12 +147,12 @@ def _ranked(csr, centers, slot, nbr, counts):
     order = np.lexsort((-smoothed, slot))
     denom = np.bincount(slot, weights=smoothed, minlength=len(centers))
     probs = (smoothed / denom[slot])[order].tolist()
-    ids = [csr.ids[v] for v in nbr[order].tolist()]
+    entries = list(zip(map(csr.ids.__getitem__, nbr[order].tolist()), probs))
     ends = np.cumsum(np.bincount(slot, minlength=len(centers))).tolist()
     tables = []
     begin = 0
     for center, end in zip(centers, ends):
-        tables.append(HitTable(center, tuple(zip(ids[begin:end], probs[begin:end]))))
+        tables.append(HitTable(center, tuple(entries[begin:end])))
         begin = end
     return tables
 
@@ -192,11 +194,16 @@ class HitSource:
     for.  Because streams are keyed by (seed, center, restart), the
     result for a node does not depend on which other nodes were queried
     first.
+
+    `kernel_runs` counts the misses, each one run of the walk kernel,
+    and `tables_sampled` the tables those runs computed.
     """
 
     def __init__(self, graph, cfg):
         self.graph = graph
         self.cfg = cfg
+        self.kernel_runs = 0
+        self.tables_sampled = 0
         self._cache = {}
         self._next = None  # sorted position right after the last sampled run
 
@@ -211,5 +218,7 @@ class HitSource:
             self._next = first + run
             todo = [v for v in csr.ids[first:self._next] if v not in self._cache]
             self._cache.update(zip(todo, _sample(self.graph, todo, self.cfg)))
+            self.kernel_runs += 1
+            self.tables_sampled += len(todo)
             table = self._cache[node]
         return table

@@ -6,6 +6,7 @@ on the code plus the artifacts left in the output directory.
 
 import hashlib
 import json
+import logging
 import os
 
 import pytest
@@ -373,6 +374,15 @@ class TestGraphCommands:
         assert run("sample", "--config", toy, "--out", str(out)) == 0
         hits = json.loads((out / "hits.json").read_text())
         assert sorted(hits["tables"]) == ["animal", "bone", "cat", "dog"]
+
+    def test_sample_logs_its_kernel_runs_outside_its_outputs(self, toy, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("KGZSL_LOG", "info")
+        caplog.set_level(logging.INFO, logger="kgzsl.cli")
+        out = tmp_path / "smp"
+        assert run("sample", "--config", toy, "--out", str(out)) == 0
+        # animal alone, then bone starts a sweep over the other three
+        assert "hit source: 2 kernel runs sampled 4 tables" in caplog.messages
+        assert set(json.loads((out / "hits.json").read_text())) == {"walk", "tables"}
 
     def test_sample_seed_changes_tables(self, toy, tmp_path):
         run("sample", "--config", toy, "--out", str(tmp_path / "a"))

@@ -6,9 +6,9 @@ import re
 import pytest
 
 from kgzsl.config import (
-    PROFILES, canonical_json, encoder_output_dim, expand, load_config,
+    PROFILES, canonical_json, encoder_output_dim, expand, load_config, read_json,
 )
-from kgzsl.errors import ConfigError
+from kgzsl.errors import ConfigError, ParseError
 
 
 class TestExpand:
@@ -224,6 +224,11 @@ class TestLoadConfig:
     def test_directory_is_config_error_naming_path(self, tmp_path):
         with pytest.raises(ConfigError, match=f"config file {re.escape(str(tmp_path))} is a directory"):
             load_config(str(tmp_path))
+
+    def test_read_json_raises_the_callers_error_for_a_missing_file(self, tmp_path):
+        path = tmp_path / "gone.json"
+        with pytest.raises(ParseError, match=f"^examples file {re.escape(str(path))} not found$"):
+            read_json(path, ParseError, "examples file")
 
     def test_infinity_literal_is_config_error(self, tmp_path):
         # json.load reads Infinity, so the check lives in validate

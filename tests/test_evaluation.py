@@ -138,6 +138,11 @@ class TestFoldSpec:
         with pytest.raises(ParseError, match=f"fold spec {re.escape(str(tmp_path))} is a directory"):
             ev.FoldSpec.load(tmp_path)
 
+    def test_missing_file_is_parse_error_naming_path(self, tmp_path):
+        path = tmp_path / "gone.json"
+        with pytest.raises(ParseError, match=f"fold spec {re.escape(str(path))} not found"):
+            ev.FoldSpec.load(path)
+
     def test_needs_folds(self):
         with pytest.raises(ContractError):
             ev.FoldSpec(folds=())

@@ -102,6 +102,11 @@ class TestIngest:
         with pytest.raises(ParseError, match=f"graph file {re.escape(str(tmp_path))} is a directory"):
             kg.ingest(tmp_path)
 
+    def test_missing_file_is_parse_error_naming_path(self, tmp_path):
+        path = tmp_path / "gone.tsv"
+        with pytest.raises(ParseError, match=f"graph file {re.escape(str(path))} not found"):
+            kg.ingest(path)
+
 
 class TestGraph:
     def test_neighbors_sorted_and_undirected(self):
@@ -148,6 +153,54 @@ class TestGraph:
             assert tuple(csr.ids[j] for j in row) == g.neighbors(v)
         assert csr.indptr.tolist() == [0, 1, 3, 3, 4, 4]
         assert g.csr() is csr
+
+
+class TestEdgeForms:
+    @pytest.mark.parametrize("edge", [("r", "a"), ("r", "a", "b", "en")], ids=["2-field", "4-field"])
+    def test_edge_of_wrong_length_is_value_error(self, edge):
+        with pytest.raises(ValueError):
+            kg.Graph([("r", "a", "b"), edge])
+
+    def test_non_iterable_edge_is_type_error(self):
+        with pytest.raises(TypeError):
+            kg.Graph([("r", "a", "b"), 7])
+
+    def test_list_edge_builds_the_tuple_graph(self):
+        triples = [("r", "b", "a"), ("s", "a", "c"), ("r", "c", "b")]
+        from_lists = kg.Graph([list(t) for t in triples])
+        from_tuples = kg.Graph(triples)
+        assert from_lists == from_tuples
+        assert from_lists.edges == tuple(triples)
+        for got, want in zip(from_lists.csr(), from_tuples.csr()):
+            np.testing.assert_array_equal(got, want)
+
+    def test_tuple_edges_are_kept_as_given(self):
+        triples = [("r", "a", "b"), ("s", "b", "c"), ("r", "a", "b")]
+        g = kg.Graph(triples)
+        assert len(g.edges) == 2
+        assert g.edges[0] is triples[0] and g.edges[1] is triples[1]
+
+    def test_relations_between_unknown_node_on_a_fresh_graph(self):
+        with pytest.raises(UnknownNodeError):
+            kg.Graph([("r", "a", "b")]).relations_between("a", "zzz")
+
+    def test_relations_between_does_not_depend_on_earlier_calls(self):
+        edges = [("s", "x", "y"), ("r", "a", "b"), ("t", "y", "x"), ("s", "b", "a"),
+                 ("r", "c", "a"), ("t", "a", "b"), ("r", "y", "c")]
+        warmups = [
+            lambda g: None,
+            lambda g: g.csr(),
+            lambda g: [g.neighbors(v) for v in g.nodes],
+            lambda g: [HitSource(g, WalkConfig(steps=3, restarts=2))(v) for v in sorted(g.nodes)],
+        ]
+        answers = []
+        for warm in warmups:
+            g = kg.Graph(edges)
+            warm(g)
+            answers.append({(u, v): g.relations_between(u, v) for u in g.nodes for v in g.nodes})
+        assert answers[0][("b", "a")] == ("s", "r", "t")
+        assert answers[0][("x", "a")] == ()
+        assert all(a == answers[0] for a in answers[1:])
 
 
 _ids = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
@@ -318,6 +371,11 @@ class TestEmbeddingTable:
     def test_directory_is_parse_error_naming_path(self, tmp_path):
         with pytest.raises(ParseError, match=f"embeddings file {re.escape(str(tmp_path))} is a directory"):
             kg.EmbeddingTable.from_file(tmp_path)
+
+    def test_missing_file_is_parse_error_naming_path(self, tmp_path):
+        path = tmp_path / "gone.txt"
+        with pytest.raises(ParseError, match=f"embeddings file {re.escape(str(path))} not found"):
+            kg.EmbeddingTable.from_file(path)
 
 
 class TestInitFeatures:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -155,7 +156,12 @@ class TestHitProbabilities:
         (("b", 0.5), ("c", float("nan"))),
         (("b", float("inf")), ("c", 0.5)),
         (("b", 1.5), ("c", -0.5)),
-    ], ids=["nan-first", "nan-last", "inf", "negative"])
+        (("b", 1.0), ("c", 0.0)),
+        (("b", 1.0), ("c", -0.0)),
+        (("b", 1.0), ("c", float("-inf"))),
+        (("b", float("inf")), ("c", float("-inf"))),
+    ], ids=["nan-first", "nan-last", "inf", "negative", "zero", "negative-zero", "minus-inf",
+            "inf-and-minus-inf"])
     def test_invalid_probability_rejected(self, entries):
         with pytest.raises(ContractError):
             sampler.HitTable("a", entries)
@@ -385,22 +391,36 @@ class TestHitSourceChunks:
         with pytest.raises(UnknownNodeError):
             sampler.HitSource(g, cfg)("nope")
 
-    def test_sweep_over_several_runs_equals_one_node_sampling(self, monkeypatch):
+    def test_sweep_over_several_runs_equals_one_node_sampling(self):
         # 300 nodes, 64 to a run: n000 alone, then five sweep runs of the kernel
         ids = [f"n{i:03d}" for i in range(300)]
         g = Graph([("r", ids[i], ids[(i + 1) % 300]) for i in range(300)]
                   + [("s", ids[i], ids[i * 7 % 300]) for i in range(0, 300, 3)])
         cfg = sampler.WalkConfig(steps=5, restarts=sampler.CHUNK_STREAMS // 64, seed=9)
-        runs = []
-
-        def counted(graph, centers, walk):
-            runs.append(len(centers))
-            return sample(graph, centers, walk)
-
-        sample = sampler._sample
-        monkeypatch.setattr(sampler, "_sample", counted)
         source = sampler.HitSource(g, cfg)
         swept = {node: source(node) for node in sorted(g.nodes)}
-        assert runs == [1, 64, 64, 64, 64, 43]
+        assert (source.kernel_runs, source.tables_sampled) == (6, 300)
         for node in sorted(g.nodes)[::50]:
             assert swept[node] == sampler.sample_neighborhood(g, node, cfg)
+
+    @pytest.mark.parametrize("n,restarts", [(1, 10), (5, 10), (820, 10), (821, 10), (9, 3000),
+                                            (5, sampler.CHUNK_STREAMS // 2), (4, 9000)])
+    def test_cold_sorted_sweep_counts_its_runs(self, n, restarts):
+        g = path_graph([f"n{i:03d}" for i in range(n)]) if n > 1 else Graph([], extra_nodes=["n0"])
+        source = sampler.HitSource(g, sampler.WalkConfig(steps=2, restarts=restarts))
+        for node in sorted(g.nodes):
+            source(node)
+        # the first node alone, then sweep runs of per_run nodes each
+        per_run = max(1, sampler.CHUNK_STREAMS // restarts)
+        expected = (1 + math.ceil((n - 1) / per_run), n)
+        assert (source.kernel_runs, source.tables_sampled) == expected
+        for node in sorted(g.nodes):
+            source(node)
+        assert (source.kernel_runs, source.tables_sampled) == expected
+
+    def test_each_sparse_miss_is_one_run(self):
+        g, cfg = self.two_chunk_graph()
+        source = sampler.HitSource(g, cfg)
+        for node in ("d", "a", "c", "e", "a", "d"):
+            source(node)
+        assert (source.kernel_runs, source.tables_sampled) == (4, 4)
