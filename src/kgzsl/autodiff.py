@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import read_json
 from .errors import ContractError, DataError, ShapeError
 
 _grad_enabled = True
@@ -911,27 +912,21 @@ def save_checkpoint(params, path, model_hash=None):
 
 
 def _read_checkpoint(path):
-    """({name: ndarray}, the stored model hash or None) of a checkpoint file."""
+    """({name: ndarray}, the stored model hash or None) of a checkpoint file.
+
+    A file that is not a checkpoint, or a NaN or infinite value, is a DataError naming it.
+    """
+    obj = read_json(path, DataError, "checkpoint")
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
         model_hash = obj.pop(MODEL_HASH, None)
         out = {name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
                for name, rec in obj.items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
-        raise DataError(f"malformed checkpoint: {type(e).__name__}: {e}")
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed checkpoint {path}: {type(e).__name__}: {e}")
     for name, arr in out.items():
         if not np.isfinite(arr).all():
-            raise DataError(f"checkpoint parameter {name!r} holds a non-finite value")
+            raise DataError(f"checkpoint {path} parameter {name!r} holds a non-finite value")
     return out, model_hash
-
-
-def load_checkpoint(path):
-    """Read a checkpoint's parameters back as {name: ndarray}.
-
-    A file that is not a checkpoint, or a NaN or infinite value, is a DataError.
-    """
-    return _read_checkpoint(path)[0]
 
 
 def load_into(params, path):

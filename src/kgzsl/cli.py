@@ -64,10 +64,6 @@ def _require_file(cfg, role):
     path = cfg["paths"].get(role)
     if not path:
         raise ConfigError(f"this run needs paths.{role} in the config")
-    if not os.path.exists(path):
-        raise ConfigError(f"paths.{role} file not found: {path}")
-    if os.path.isdir(path):
-        raise ConfigError(f"paths.{role} is a directory, not a file: {path}")
     return path
 
 
@@ -102,7 +98,12 @@ def _write_manifest(out_dir, cfg, artifacts):
 
 def _out_dir(args, cfg):
     out = args.out or cfg["paths"].get("checkpoint_dir") or "kgzsl_out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
+        source = "--out" if args.out else "paths.checkpoint_dir"
+        reason = getattr(e, "strerror", None) or e
+        raise ConfigError(f"{source} {out} cannot be made a directory: {reason}") from None
     return out
 
 
@@ -501,8 +502,9 @@ def _cmd_eval(args, cfg):
     class_enc, encoder, head = _assemble(cfg, graph, features)
     try:
         trained_under = load_into(model_params(class_enc, encoder, head), ckpt)
-    except (ContractError, DataError, ShapeError) as e:
-        # a checkpoint from another model config, or a corrupted one, is bad input
+    except (ContractError, ShapeError) as e:
+        # a checkpoint from another model config is bad input; an unreadable
+        # or corrupted one is already a DataError naming it
         raise DataError(f"checkpoint {ckpt} cannot be loaded: {e}")
     # parameters that fit in name and shape can still come from another
     # model block, say another activation

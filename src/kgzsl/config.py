@@ -7,6 +7,7 @@ Silent defaults are a reproducibility hazard: the expanded config is
 echoed into the manifest verbatim.
 """
 
+import contextlib
 import copy
 import json
 import sys
@@ -327,21 +328,37 @@ def load_config(path, seed_override=None):
     return expand(raw)
 
 
-def read_json(path, error, what):
-    """Parse a JSON file.
+@contextlib.contextmanager
+def open_input(path, role, error):
+    """Open an input file as text, decoded as UTF-8 with a leading BOM dropped.
 
-    A missing path, a directory, bytes that are not UTF-8 or text that
-    is not JSON raise `error` naming the file.
+    A path that cannot be opened, or bytes that are not UTF-8, raise
+    `error` naming the role and the path.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        fh = open(path, encoding="utf-8-sig")
     except FileNotFoundError:
-        raise error(f"{what} {path} not found") from None
+        raise error(f"{role} {path} not found") from None
     except IsADirectoryError:
-        raise error(f"{what} {path} is a directory, not a file") from None
-    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
-        raise error(f"{what} {path} is not valid JSON: {e}") from None
+        raise error(f"{role} {path} is a directory, not a file") from None
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
+        reason = getattr(e, "strerror", None) or e
+        raise error(f"{role} {path} cannot be opened: {reason}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise error(f"{role} {path} is not UTF-8: {e}") from None
+
+
+def read_json(path, error, role):
+    """Parse a JSON input file; text that is not JSON raises `error` naming it."""
+    with open_input(path, role, error) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # RecursionError: nesting too deep to parse
+        raise error(f"{role} {path} is not valid JSON: {e}") from None
 
 
 def canonical_json(obj):

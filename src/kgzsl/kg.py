@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import open_input
 from .errors import EmptyNameError, ParseError, UnknownNodeError
 from .seeding import make_rng
 
@@ -167,45 +168,27 @@ def ingest(path, lang_filter=None):
 
     Raises:
         ParseError: wrong column count or empty field, with line number;
-            a missing path, a directory or bytes that are not UTF-8, with
+            a path that cannot be opened or bytes that are not UTF-8, with
             the path.
     """
     edges = []
     # text mode reads "\r\n" and "\r" as "\n", and stripping a field drops
     # the line's "\n", so only the fields a row uses are ever stripped
-    for lineno, raw in _numbered_lines(path, "graph file"):
-        text = raw.lstrip()
-        if not text or text[0] == "#":
-            continue
-        fields = raw.split("\t")
-        count = len(fields)
-        if count != 3 and count != 4:
-            raise ParseError(f"expected 3 or 4 tab-separated fields, got {count}", line=lineno)
-        rel, head, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
-        if not (rel and head and tail):
-            raise ParseError("empty relation or node id", line=lineno)
-        if lang_filter is None or (count == 4 and fields[3].strip() == lang_filter):
-            edges.append((rel, head, tail))
+    with open_input(path, "graph file", ParseError) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.lstrip()
+            if not text or text[0] == "#":
+                continue
+            fields = raw.split("\t")
+            count = len(fields)
+            if count != 3 and count != 4:
+                raise ParseError(f"expected 3 or 4 tab-separated fields, got {count}", line=lineno)
+            rel, head, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+            if not (rel and head and tail):
+                raise ParseError("empty relation or node id", line=lineno)
+            if lang_filter is None or (count == 4 and fields[3].strip() == lang_filter):
+                edges.append((rel, head, tail))
     return Graph(edges)
-
-
-def _numbered_lines(path, what):
-    """(1-based line number, line) pairs of a UTF-8 text file.
-
-    A missing path, a directory, or bytes that are not UTF-8, are a
-    ParseError naming it.
-    """
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        raise ParseError(f"{what} {path} not found") from None
-    except IsADirectoryError:
-        raise ParseError(f"{what} {path} is a directory, not a file") from None
-    with fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as e:
-            raise ParseError(f"{what} {path} is not UTF-8: {e}") from None
 
 
 def serialize(g, path):
@@ -262,30 +245,31 @@ class EmbeddingTable:
         entries = {}
         first_line = {}
         dim = None
-        for lineno, raw in _numbered_lines(path, "embeddings file"):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if dim is None:
-                if len(parts) < 2:
-                    raise ParseError("embedding line needs a token and at least one value", line=lineno)
-                dim = len(parts) - 1
-            if len(parts) != dim + 1:
-                raise ParseError(
-                    f"expected {dim} values, got {len(parts) - 1}", line=lineno
-                )
-            try:
-                vec = [float(x) for x in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            token = parts[0]
-            if token in first_line:
-                raise ParseError(
-                    f"embedding token {token!r} repeats line {first_line[token]}", line=lineno
-                )
-            first_line[token] = lineno
-            entries[token] = vec
+        with open_input(path, "embeddings file", ParseError) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if dim is None:
+                    if len(parts) < 2:
+                        raise ParseError("embedding line needs a token and at least one value", line=lineno)
+                    dim = len(parts) - 1
+                if len(parts) != dim + 1:
+                    raise ParseError(
+                        f"expected {dim} values, got {len(parts) - 1}", line=lineno
+                    )
+                try:
+                    vec = [float(x) for x in parts[1:]]
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=lineno) from exc
+                token = parts[0]
+                if token in first_line:
+                    raise ParseError(
+                        f"embedding token {token!r} repeats line {first_line[token]}", line=lineno
+                    )
+                first_line[token] = lineno
+                entries[token] = vec
         if dim is None:
             raise ParseError("empty embedding file")
         return cls(entries, dimension=dim)

@@ -67,6 +67,18 @@ class TestSynth:
         assert manifest["seed"] == 9
         assert manifest["config"]["seed"] == 9
 
+    @pytest.mark.parametrize("source", ["--out", "paths.checkpoint_dir"])
+    def test_output_dir_that_is_a_file_names_source(self, tmp_path, capsys, source):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        cfg = {"profile": "synthetic", "synth": {"examples_per_class": 20}}
+        argv = ["--out", str(plain)] if source == "--out" else []
+        if source == "paths.checkpoint_dir":
+            cfg["paths"] = {"checkpoint_dir": str(plain)}
+        assert run("synth", "--config", write(tmp_path / "cfg.json", cfg), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{source} {plain} cannot be made a directory" in err
+
 
 class TestTrainEval:
     def test_train_then_eval_round_trip(self, synth_cfg, tmp_path):
@@ -506,16 +518,24 @@ class TestExamplesFile:
         assert "internal error" not in err
         assert f"{world / 'ex.json'}{where}" in err
 
-    # each input file a run reads, with bytes that are not UTF-8 or text that is not JSON
-    @pytest.mark.parametrize("name,data", [
-        ("cfg.json", b'{"profile": "synthetic", "seed": 1\xff}'),
-        ("g.tsv", b"has\tcls/alpha\tattr/red\nhas\tcls/beta\tattr/bl\xffue\n"),
-        ("emb.txt", b"alpha 1 0 0 0\nbeta 0 1 0 0\n\xff 0 0 1 0\n"),
-        ("ex.json", b'{"train": [{"vector": [1, 0, 0, 0], "label": "cls/\xffalpha"}]}'),
-        ("folds.json", b'{"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"]}'),
-        ("folds.json", b'{"folds": [{"train": ["cls/\xffalpha"], "test": ["cls/gamma"]}]}'),
-    ], ids=["config", "graph", "embeddings", "examples", "fold_spec-json", "fold_spec-utf8"])
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    # each input file a run reads, with bytes that are not UTF-8 or text that is not JSON;
+    # only eval reads the checkpoint
+    @pytest.mark.parametrize("name,data,command", [
+        pytest.param(name, data, command, id=f"{command}-{case}")
+        for case, name, data in (
+            ("config", "cfg.json", b'{"profile": "synthetic", "seed": 1\xff}'),
+            ("graph", "g.tsv", b"has\tcls/alpha\tattr/red\nhas\tcls/beta\tattr/bl\xffue\n"),
+            ("embeddings", "emb.txt", b"alpha 1 0 0 0\nbeta 0 1 0 0\n\xff 0 0 1 0\n"),
+            ("examples", "ex.json", b'{"train": [{"vector": [1, 0, 0, 0], "label": "cls/\xffalpha"}]}'),
+            ("fold_spec-json", "folds.json", b'{"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"]}'),
+            ("fold_spec-utf8", "folds.json",
+             b'{"folds": [{"train": ["cls/\xffalpha"], "test": ["cls/gamma"]}]}'),
+            ("config-deep", "cfg.json", b"[" * 100_000),
+            ("checkpoint", "ckpt.json", b'{"w": {"shape": [1], "data": [1.0]}, "\xff": 1}'),
+        )
+        for command in ("train", "eval")
+        if case != "checkpoint" or command == "eval"
+    ])
     def test_unreadable_input_names_file(self, world, tmp_path, capsys, name, data, command):
         good = {"vector": VEC, "label": "cls/alpha"}
         cfg = self.config(world, {"train": [good], "test": [good]})
@@ -525,25 +545,44 @@ class TestExamplesFile:
         assert "internal error" not in err
         assert str(world / name) in err
 
-    # each input path a run reads, made a directory; only eval reads the checkpoint
-    @pytest.mark.parametrize("command,role,name", [
-        (command, role, name)
+    ROLE_WORDS = {"config": "config file", "graph": "graph file", "embeddings": "embeddings file",
+                  "examples": "examples file", "fold_spec": "fold spec", "checkpoint": "checkpoint"}
+    KIND_WORDS = {"directory": "is a directory", "missing": "not found", "under-file": "cannot be opened"}
+
+    # each input path a run reads, made a directory, removed, or put under a regular file;
+    # only eval reads the checkpoint. The directory cases keep their ids from before the
+    # other kinds.
+    @pytest.mark.parametrize("command,role,name,kind", [
+        pytest.param(command, role, name, kind,
+                     id=f"{command}-{role}-{name}" + ("" if kind == "directory" else f"-{kind}"))
+        for kind in ("directory", "missing", "under-file")
         for command in ("train", "eval")
         for role, name in (("config", "cfg.json"), ("graph", "g.tsv"), ("embeddings", "emb.txt"),
                            ("examples", "ex.json"), ("fold_spec", "folds.json"),
                            ("checkpoint", "ckpt.json"))
         if role != "checkpoint" or command == "eval"
     ])
-    def test_directory_input_names_role_and_path(self, world, tmp_path, capsys, command, role, name):
+    def test_directory_input_names_role_and_path(self, world, tmp_path, capsys, command, role, name,
+                                                 kind):
         good = {"vector": VEC, "label": "cls/alpha"}
         cfg = self.config(world, {"train": [good], "test": [good]})
-        (world / name).unlink()
-        (world / name).mkdir()
+        path = world / name
+        if kind == "under-file":
+            path = path / "x"
+            if role == "config":
+                cfg = str(path)
+            else:
+                obj = json.loads((world / "cfg.json").read_text())
+                obj["paths"][role] = str(path)
+                write(world / "cfg.json", obj)
+        else:
+            path.unlink()
+            if kind == "directory":
+                path.mkdir()
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert "internal error" not in err
-        assert "directory" in err and str(world / name) in err
-        assert ("config file" if role == "config" else f"paths.{role}") in err
+        assert f"{self.ROLE_WORDS[role]} {path} {self.KIND_WORDS[kind]}" in err
 
     @pytest.mark.parametrize("folds,where", [
         ({"folds": {"a": 1}}, "'folds'"),

@@ -1,14 +1,20 @@
 """Profile expansion and config validation."""
 
+import ast
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+import kgzsl
+from kgzsl import autodiff as ad
+from kgzsl import kg
 from kgzsl.config import (
     PROFILES, canonical_json, encoder_output_dim, expand, load_config, read_json,
 )
-from kgzsl.errors import ConfigError, ParseError
+from kgzsl.errors import ConfigError, DataError, ParseError
+from kgzsl.evaluation import FoldSpec
 
 
 class TestExpand:
@@ -247,3 +253,99 @@ class TestLoadConfig:
         a = canonical_json({"b": 1, "a": [1, 2]})
         b = canonical_json({"a": [1, 2], "b": 1})
         assert a == b == '{"a":[1,2],"b":1}'
+
+
+def _load_checkpoint(path):
+    """The stored hash and parameters of a one-parameter checkpoint, read by `load_into`."""
+    params = {"w": ad.Tensor([0.0], requires_grad=True)}
+    model_hash = ad.load_into(params, path)
+    return model_hash, params["w"].data.tolist()
+
+
+def _embeddings(path):
+    emb = kg.EmbeddingTable.from_file(path)
+    return emb.dimension, [emb.lookup(t).tolist() for t in ("alpha", "beta")]
+
+
+# each input role: its reader, the error it raises, the role word its messages
+# start with, and a file it reads
+READERS = {
+    "config": (load_config, ConfigError, "config file", '{"profile": "synthetic", "seed": 1}'),
+    "graph": (kg.ingest, ParseError, "graph file", "has\tcls/alpha\tattr/red\n"),
+    "embeddings": (_embeddings, ParseError, "embeddings file", "alpha 1 0\nbeta 0 1\n"),
+    "examples": (lambda path: read_json(path, ParseError, "examples file"), ParseError, "examples file",
+                 '{"train": [{"vector": [1, 0], "label": "cls/alpha"}]}'),
+    "fold_spec": (FoldSpec.load, ParseError, "fold spec",
+                  '{"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"]}]}'),
+    "checkpoint": (_load_checkpoint, DataError, "checkpoint",
+                   '{"model_sha256": "ab", "w": {"data": [2.0], "shape": [1]}}'),
+}
+
+
+class TestOpenInput:
+    """Every input role is opened by `open_input`, and fails the same ways."""
+
+    # each way an input can be unusable, and the words its error says it with
+    KIND_WORDS = {
+        "missing": "not found",
+        "directory": "is a directory, not a file",
+        "under-file": "cannot be opened",
+        "nul": "cannot be opened",
+        "long-name": "cannot be opened",
+        "not-utf8": "is not UTF-8",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KIND_WORDS))
+    @pytest.mark.parametrize("role", sorted(READERS))
+    def test_unusable_input_names_role_and_path(self, tmp_path, role, kind):
+        read, error, what, text = READERS[role]
+        (tmp_path / "plain.txt").write_text(text)
+        path = {
+            "missing": tmp_path / "gone",
+            "directory": tmp_path,
+            "under-file": tmp_path / "plain.txt" / "x",
+            "nul": f"{tmp_path}/a\0b",
+            "long-name": tmp_path / ("n" * 300),
+            "not-utf8": tmp_path / "bad",
+        }[kind]
+        if kind == "not-utf8":
+            path.write_bytes(text.encode("utf-8") + b"\xff")
+        with pytest.raises(error) as err:
+            read(path)
+        assert f"{what} {path} {self.KIND_WORDS[kind]}" in str(err.value)
+
+    @pytest.mark.parametrize("role", sorted(READERS))
+    def test_leading_bom_reads_as_without(self, tmp_path, role):
+        read, _, _, text = READERS[role]
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert read(bom) == read(plain)
+
+    def test_open_input_is_the_only_reader(self):
+        """No module opens a file for reading but `open_input`, bar the manifest's hashing
+        of a run's own artifacts; a write-mode open is no reader."""
+        readers, strays = [], []
+        for path in sorted(Path(kgzsl.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name not in ("open", "read_text", "read_bytes", "fromfile", "loadtxt", "genfromtxt"):
+                    continue
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                if name == "open" and isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax"):
+                    continue
+                func = node
+                while not isinstance(func, (ast.FunctionDef, ast.Module)):
+                    func = parents[func]
+                where = (path.name, getattr(func, "name", None))
+                if where == ("cli.py", "_sha256"):
+                    continue
+                (readers if where == ("config.py", "open_input") else strays).append(
+                    f"{path.name}:{node.lineno} in {where[1]}")
+        assert strays == []
+        assert len(readers) == 1
