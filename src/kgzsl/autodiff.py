@@ -20,13 +20,12 @@ stacked item, with the shapes a single item would use), so a stacked
 result is bitwise the result of running the items one at a time.
 """
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import read_json
+from .config import canonical_json, read_json, write_output
 from .errors import ContractError, DataError, ShapeError
 
 _grad_enabled = True
@@ -899,7 +898,8 @@ MODEL_HASH = "model_sha256"
 def save_checkpoint(params, path, model_hash=None):
     """Write parameters as deterministic JSON: name -> shape + flat data.
 
-    A `model_hash` string is stored beside them under MODEL_HASH.
+    A `model_hash` string is stored beside them under MODEL_HASH.  Returns
+    the file's sha256.
     """
     obj = {
         name: {"shape": list(p.data.shape), "data": [float(x) for x in p.data.reshape(-1)]}
@@ -907,8 +907,7 @@ def save_checkpoint(params, path, model_hash=None):
     }
     if model_hash is not None:
         obj[MODEL_HASH] = model_hash
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+    return write_output(path, canonical_json(obj))
 
 
 def _read_checkpoint(path):

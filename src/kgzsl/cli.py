@@ -67,33 +67,16 @@ def _require_file(cfg, role):
     return path
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _json_hash(obj):
     return hashlib.sha256(cfgmod.canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def _write_manifest(out_dir, cfg, artifacts):
-    manifest = {
-        "config": cfg,
-        "config_hash": _json_hash(cfg),
-        "seed": cfg["seed"],
-        "artifacts": {
-            name: _sha256(os.path.join(out_dir, name)) for name in sorted(artifacts)
-        },
-    }
+def _write_manifest(out_dir, cfg, digests):
+    """Write manifest.json: the expanded config and the digest of each artifact by name."""
+    manifest = {"config": cfg, "config_hash": _json_hash(cfg), "seed": cfg["seed"], "artifacts": digests}
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    cfgmod.write_output(path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     log.info("manifest written to %s", path)
-    return manifest
 
 
 def _out_dir(args, cfg):
@@ -108,9 +91,7 @@ def _out_dir(args, cfg):
 
 
 def _dump_json(obj, out_dir, name):
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    return cfgmod.write_output(os.path.join(out_dir, name), cfgmod.canonical_json(obj) + "\n")
 
 
 # ------------------------------------------------------------- model assembly
@@ -358,8 +339,7 @@ def _synth_l2_targets(cfg, data, classes):
 def _cmd_ingest(args, cfg):
     out = _out_dir(args, cfg)
     g = _load_graph(cfg)
-    serialize(g, os.path.join(out, "graph.tsv"))
-    _write_manifest(out, cfg, ["graph.tsv"])
+    _write_manifest(out, cfg, {"graph.tsv": serialize(g, os.path.join(out, "graph.tsv"))})
     print(f"ingested {g.num_nodes} nodes, {g.num_edges} edges -> {out}/graph.tsv")
     return 0
 
@@ -372,11 +352,11 @@ def _cmd_sample(args, cfg):
     tables = {node: source(node).to_jsonable() for node in sorted(g.nodes)}
     log.info("hit source: %d kernel runs sampled %d tables",
              source.kernel_runs, source.tables_sampled)
-    _dump_json(
+    digest = _dump_json(
         {"walk": {"steps": wc.steps, "restarts": wc.restarts}, "tables": tables},
         out, "hits.json",
     )
-    _write_manifest(out, cfg, ["hits.json"])
+    _write_manifest(out, cfg, {"hits.json": digest})
     print(f"sampled hit tables for {len(tables)} nodes -> {out}/hits.json")
     return 0
 
@@ -384,29 +364,25 @@ def _cmd_sample(args, cfg):
 def _cmd_synth(args, cfg):
     out = _out_dir(args, cfg)
     data = _synth_world(cfg)
-    serialize(data.graph, os.path.join(out, "graph.tsv"))
-    _dump_json(data.features.to_jsonable(), out, "features.json")
     examples = {
         cls: [[float(x) for x in row] for row in rows]
         for cls, rows in sorted(data.examples.items())
     }
-    _dump_json(examples, out, "examples.json")
-    data.fold_spec.save(os.path.join(out, "fold_spec.json"))
     oracle = oracle_accuracy(data)
-    _dump_json(
-        {
-            "oracle_accuracy": oracle,
-            "seen": list(data.classes.seen),
-            "dev": list(data.classes.dev),
-            "unseen": list(data.classes.unseen),
-        },
-        out, "summary.json",
-    )
-    _write_manifest(
-        out, cfg,
-        ["graph.tsv", "features.json", "examples.json", "fold_spec.json",
-         "summary.json"],
-    )
+    summary = {
+        "oracle_accuracy": oracle,
+        "seen": list(data.classes.seen),
+        "dev": list(data.classes.dev),
+        "unseen": list(data.classes.unseen),
+    }
+    _write_manifest(out, cfg, {
+        "graph.tsv": serialize(data.graph, os.path.join(out, "graph.tsv")),
+        "features.json": _dump_json(data.features.to_jsonable(), out, "features.json"),
+        "examples.json": _dump_json(examples, out, "examples.json"),
+        "fold_spec.json": cfgmod.write_output(
+            os.path.join(out, "fold_spec.json"), cfgmod.canonical_json(data.fold_spec.to_jsonable())),
+        "summary.json": _dump_json(summary, out, "summary.json"),
+    })
     print(
         f"generated world: {data.graph.num_nodes} nodes, oracle accuracy "
         f"{oracle:.4f} -> {out}"
@@ -454,9 +430,11 @@ def _cmd_train(args, cfg):
             weight_decay=opt["weight_decay"],
         )
     params = model_params(class_enc, encoder, head)
-    save_checkpoint(params, os.path.join(out, "checkpoint.json"), _json_hash(cfg["model"]))
-    _dump_json(result.to_jsonable(), out, "train_log.json")
-    _write_manifest(out, cfg, ["checkpoint.json", "train_log.json"])
+    _write_manifest(out, cfg, {
+        "checkpoint.json": save_checkpoint(
+            params, os.path.join(out, "checkpoint.json"), _json_hash(cfg["model"])),
+        "train_log.json": _dump_json(result.to_jsonable(), out, "train_log.json"),
+    })
     last = result.log[-1]
     print(
         f"trained {len(result.log)} epochs, final train loss "
@@ -530,8 +508,8 @@ def _cmd_eval(args, cfg):
             raise DataError(f"no test examples fall in fold {i}")
         fold_predictions.append(pairs)
     result = fold_metrics(fold_predictions)
-    result.save(os.path.join(out, "metrics.json"))
-    _write_manifest(out, cfg, ["metrics.json"])
+    digest = cfgmod.write_output(os.path.join(out, "metrics.json"), cfgmod.canonical_json(result.to_jsonable()))
+    _write_manifest(out, cfg, {"metrics.json": digest})
     print(
         f"evaluated {sum(f.n for f in result.per_fold)} examples: "
         f"micro {result.micro:.4f}, macro {result.macro:.4f} -> {out}/metrics.json"
@@ -575,8 +553,7 @@ def _cmd_gradcheck(args, cfg):
         report[kind] = {"passed": rep.passed, "max_rel_err": rep.worst()}
         ok = ok and rep.passed
         log.info("gradcheck %s: passed=%s worst=%.3g", kind, rep.passed, rep.worst())
-    _dump_json(report, out, "gradcheck.json")
-    _write_manifest(out, cfg, ["gradcheck.json"])
+    _write_manifest(out, cfg, {"gradcheck.json": _dump_json(report, out, "gradcheck.json")})
     for kind in sorted(report):
         r = report[kind]
         status = "pass" if r["passed"] else "FAIL"

@@ -9,10 +9,11 @@ echoed into the manifest verbatim.
 
 import contextlib
 import copy
+import hashlib
 import json
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 # per-task defaults; every leaf a run can depend on appears here, so
 # expansion always yields a complete config
@@ -333,7 +334,8 @@ def open_input(path, role, error):
     """Open an input file as text, decoded as UTF-8 with a leading BOM dropped.
 
     A path that cannot be opened, or bytes that are not UTF-8, raise
-    `error` naming the role and the path.
+    `error` naming the role and the path; a ParseError with a line number
+    raised in the block gets the role and the path put before its line.
     """
     try:
         fh = open(path, encoding="utf-8-sig")
@@ -349,6 +351,27 @@ def open_input(path, role, error):
             yield fh
         except UnicodeDecodeError as e:
             raise error(f"{role} {path} is not UTF-8: {e}") from None
+        except ParseError as e:
+            if e.line is not None:  # a row error names its file as well as its line
+                e.args = (f"{role} {path}: {e}",)
+            raise
+
+
+def write_output(path, text):
+    """Write an artifact as UTF-8 bytes; returns the sha256 hex digest of those bytes.
+
+    A path that cannot be written raises ConfigError naming it.
+    """
+    data = text.encode("utf-8")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except IsADirectoryError:
+        raise ConfigError(f"output {path} is a directory, not a file") from None
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
+        reason = getattr(e, "strerror", None) or e
+        raise ConfigError(f"output {path} cannot be written: {reason}") from None
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_json(path, error, role):
@@ -362,5 +385,5 @@ def read_json(path, error, role):
 
 
 def canonical_json(obj):
-    """Stable serialization used for hashing and echoing configs."""
+    """Stable serialization used for hashing, echoing configs and writing JSON artifacts."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -6,7 +6,6 @@ macro averages the per-fold accuracies, weighting folds equally no
 matter their size.
 """
 
-import json
 from dataclasses import dataclass
 
 from .config import read_json
@@ -91,10 +90,6 @@ class FoldSpec:
     def load(cls, path):
         return cls.from_jsonable(read_json(path, ParseError, "fold spec"), source=f"fold spec {path}")
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_jsonable(), fh, sort_keys=True, separators=(",", ":"))
-
 
 def strict_match(predicted, gold):
     """Exact set equality between predicted and gold labels."""
@@ -126,10 +121,6 @@ class EvalResult:
             "micro": round(self.micro, 4),
             "macro": round(self.macro, 4),
         }
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_jsonable(), fh, sort_keys=True, separators=(",", ":"))
 
 
 def fold_metrics(fold_predictions):

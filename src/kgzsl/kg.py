@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import open_input
+from .config import open_input, write_output
 from .errors import EmptyNameError, ParseError, UnknownNodeError
 from .seeding import make_rng
 
@@ -167,7 +167,7 @@ def ingest(path, lang_filter=None):
     that language tag are kept; untagged rows do not match.
 
     Raises:
-        ParseError: wrong column count or empty field, with line number;
+        ParseError: wrong column count or empty field, with the path and line number;
             a path that cannot be opened or bytes that are not UTF-8, with
             the path.
     """
@@ -196,11 +196,9 @@ def serialize(g, path):
 
     Only edges are written, so a node with no edges is not representable;
     ingested graphs never contain one.  `ingest(serialize(g))` returns an
-    equal graph for any edge-covered graph.
+    equal graph for any edge-covered graph.  Returns the file's sha256.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for rel, head, tail in g.edges:
-            fh.write(f"{rel}\t{head}\t{tail}\n")
+    return write_output(path, "".join(f"{rel}\t{head}\t{tail}\n" for rel, head, tail in g.edges))
 
 
 def default_tokenizer(node_id):

@@ -756,3 +756,55 @@ class TestSentenceProfile:
         parsed.clear()
         assert run("eval", "--config", self.eval_config(world, run_dir), "--out", str(world / "ev")) == 0
         assert parsed == [str(world / "emb.txt")]
+
+
+class TestArtifacts:
+    """Every artifact goes through one writer: an unwritable one is bad input, and the
+    manifest holds the digest of each file as it lies on disk."""
+
+    BASE = {"profile": "synthetic", "optimizer": {"epochs": 1}, "synth": {"examples_per_class": 10}}
+    # the artifacts each command writes beside manifest.json
+    WRITES = {
+        "ingest": ["graph.tsv"],
+        "sample": ["hits.json"],
+        "synth": ["examples.json", "features.json", "fold_spec.json", "graph.tsv", "summary.json"],
+        "train": ["checkpoint.json", "train_log.json"],
+        "eval": ["metrics.json"],
+        "gradcheck": ["gradcheck.json"],
+    }
+
+    @pytest.fixture(scope="class")
+    def configs(self, tmp_path_factory):
+        """A config for each command; eval's reads a checkpoint trained once."""
+        d = tmp_path_factory.mktemp("cfg")
+        (d / "toy.tsv").write_text("related_to\tcat\tdog\nrelated_to\tdog\tbone\nis_a\tcat\tanimal\n")
+        graph = write(d / "kg.json", {
+            "profile": "intent", "paths": {"graph": str(d / "toy.tsv")},
+            "sampler": {"steps": 5, "restarts": 4},
+        })
+        synth = write(d / "synth.json", self.BASE)
+        assert run("train", "--config", synth, "--out", str(d / "run")) == 0
+        ev = write(d / "eval.json", {**self.BASE, "paths": {"checkpoint": str(d / "run" / "checkpoint.json")}})
+        return {"ingest": graph, "sample": graph, "synth": synth, "train": synth, "eval": ev, "gradcheck": synth}
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, names in WRITES.items() for name in [*names, "manifest.json"]
+    ])
+    def test_unwritable_artifact_names_path(self, configs, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run(command, "--config", configs[command], "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"output {out / name} is a directory, not a file" in err
+        assert not any(line.startswith("internal error") for line in err.splitlines())
+
+    @pytest.mark.parametrize("command", sorted(WRITES))
+    def test_manifest_hashes_the_bytes_on_disk(self, configs, tmp_path, command):
+        out = tmp_path / "out"
+        assert run(command, "--config", configs[command], "--out", str(out)) == 0
+        on_disk = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir() if p.name != "manifest.json"
+        }
+        assert sorted(on_disk) == self.WRITES[command]
+        assert json.loads((out / "manifest.json").read_text())["artifacts"] == on_disk

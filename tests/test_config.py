@@ -1,6 +1,7 @@
 """Profile expansion and config validation."""
 
 import ast
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ import kgzsl
 from kgzsl import autodiff as ad
 from kgzsl import kg
 from kgzsl.config import (
-    PROFILES, canonical_json, encoder_output_dim, expand, load_config, read_json,
+    PROFILES, canonical_json, encoder_output_dim, expand, load_config, read_json, write_output,
 )
 from kgzsl.errors import ConfigError, DataError, ParseError
 from kgzsl.evaluation import FoldSpec
@@ -282,6 +283,27 @@ READERS = {
 }
 
 
+def _file_calls(names):
+    """(callee, whether its mode writes, (module, enclosing function), line) of each
+    call by one of `names` in the package's modules."""
+    for path in sorted(Path(kgzsl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name not in names:
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            writes = isinstance(mode, ast.Constant) and bool(set(str(mode.value)) & set("wax+"))
+            func = node
+            while not isinstance(func, (ast.FunctionDef, ast.Module)):
+                func = parents[func]
+            yield name, writes, (path.name, getattr(func, "name", None)), node.lineno
+
+
 class TestOpenInput:
     """Every input role is opened by `open_input`, and fails the same ways."""
 
@@ -323,29 +345,65 @@ class TestOpenInput:
         assert read(bom) == read(plain)
 
     def test_open_input_is_the_only_reader(self):
-        """No module opens a file for reading but `open_input`, bar the manifest's hashing
-        of a run's own artifacts; a write-mode open is no reader."""
+        """No module opens a file for reading but `open_input`; a write-mode open is no reader."""
         readers, strays = [], []
-        for path in sorted(Path(kgzsl.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name not in ("open", "read_text", "read_bytes", "fromfile", "loadtxt", "genfromtxt"):
-                    continue
-                mode = node.args[1] if len(node.args) > 1 else next(
-                    (k.value for k in node.keywords if k.arg == "mode"), None)
-                if name == "open" and isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax"):
-                    continue
-                func = node
-                while not isinstance(func, (ast.FunctionDef, ast.Module)):
-                    func = parents[func]
-                where = (path.name, getattr(func, "name", None))
-                if where == ("cli.py", "_sha256"):
-                    continue
-                (readers if where == ("config.py", "open_input") else strays).append(
-                    f"{path.name}:{node.lineno} in {where[1]}")
+        for name, writes, where, line in _file_calls(
+                ("open", "read_text", "read_bytes", "fromfile", "loadtxt", "genfromtxt")):
+            if name == "open" and writes:
+                continue
+            (readers if where == ("config.py", "open_input") else strays).append(f"{where[0]}:{line} in {where[1]}")
         assert strays == []
         assert len(readers) == 1
+
+
+# each artifact writer, called on one path
+WRITERS = {
+    "write_output": lambda path: write_output(path, "x\n"),
+    "serialize": lambda path: kg.serialize(kg.Graph([("r", "a", "b")]), path),
+    "save_checkpoint": lambda path: ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True)}, path),
+}
+
+
+class TestWriteOutput:
+    """Every artifact is written by `write_output`, and fails the same ways."""
+
+    # each way an output path can be unwritable, and the words its error says it with
+    KIND_WORDS = {
+        "directory": "is a directory, not a file",
+        "under-file": "cannot be written",
+        "nul": "cannot be written",
+        "long-name": "cannot be written",
+        "missing-parent": "cannot be written",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KIND_WORDS))
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_unwritable_output_names_path(self, tmp_path, writer, kind):
+        (tmp_path / "plain.txt").write_text("")
+        path = {
+            "directory": tmp_path,
+            "under-file": tmp_path / "plain.txt" / "x",
+            "nul": f"{tmp_path}/a\0b",
+            "long-name": tmp_path / ("n" * 300),
+            "missing-parent": tmp_path / "gone" / "x",
+        }[kind]
+        with pytest.raises(ConfigError) as err:
+            WRITERS[writer](path)
+        assert f"output {path} {self.KIND_WORDS[kind]}" in str(err.value)
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_returns_the_sha256_of_the_bytes_written(self, tmp_path, writer):
+        path = tmp_path / "out"
+        assert WRITERS[writer](path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_text_is_written_as_utf8_without_newline_translation(self, tmp_path):
+        path = tmp_path / "out"
+        write_output(path, "f\u00eate\r\nno\u00ebl\n")
+        assert path.read_bytes() == "f\u00eate\r\nno\u00ebl\n".encode("utf-8")
+
+    def test_write_output_is_the_only_writer(self):
+        """No module opens a file in a write mode, or writes one another way, but `write_output`."""
+        writers = [(where, line) for name, writes, where, line
+                   in _file_calls(("open", "write_text", "write_bytes", "tofile", "savetxt"))
+                   if writes or name != "open"]
+        assert [where for where, _ in writers] == [("config.py", "write_output")], writers

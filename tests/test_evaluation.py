@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgzsl import evaluation as ev
+from kgzsl.config import canonical_json, write_output
 from kgzsl.errors import ContractError, ParseError
 from kgzsl.zeroshot import ClassSet
 
@@ -66,14 +67,14 @@ class TestFoldMetrics:
             "macro": 0.3333,
         }
         path = tmp_path / "metrics.json"
-        result.save(path)
+        write_output(path, canonical_json(result.to_jsonable()))
         assert json.loads(path.read_text()) == obj
 
     def test_metrics_json_byte_stable(self, tmp_path):
         result = ev.fold_metrics([[(["a"], ["a"])]])
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        result.save(p1)
-        result.save(p2)
+        write_output(p1, canonical_json(result.to_jsonable()))
+        write_output(p2, canonical_json(result.to_jsonable()))
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -96,7 +97,7 @@ class TestFoldSpec:
             )
         )
         path = tmp_path / "folds.json"
-        spec.save(path)
+        write_output(path, canonical_json(spec.to_jsonable()))
         loaded = ev.FoldSpec.load(path)
         assert loaded == spec
 

@@ -46,6 +46,7 @@ class TestIngest:
             kg.ingest(p)
         assert err.value.line == 2
         assert "line 2" in str(err.value)
+        assert str(err.value).startswith(f"graph file {p}: line 2: expected 3 or 4")
 
     def test_empty_field_is_parse_error(self, tmp_path):
         p = write(tmp_path, "r\t\tb\n")
@@ -92,6 +93,7 @@ class TestIngest:
         with pytest.raises(ParseError, match=message) as err:
             kg.ingest(p)
         assert err.value.line == 6
+        assert str(err.value).startswith(f"graph file {p}: line 6: ")
 
     def test_utf8_ids(self, tmp_path):
         p = write(tmp_path, "r\t/c/fr/fête\t/c/fr/noël\n")
@@ -319,6 +321,7 @@ class TestEmbeddingTable:
         with pytest.raises(ParseError) as err:
             kg.EmbeddingTable.from_file(p)
         assert err.value.line == 2
+        assert str(err.value).startswith(f"embeddings file {p}: line 2: expected 2 values")
 
     def test_case_insensitive_fallback(self, tmp_path):
         p = write(tmp_path, "dog 1.0 2.0\n", name="emb.txt")
@@ -360,6 +363,7 @@ class TestEmbeddingTable:
         with pytest.raises(ParseError, match="line 4: embedding token 'dog' repeats line 1") as err:
             kg.EmbeddingTable.from_file(p)
         assert err.value.line == 4
+        assert str(err.value).startswith(f"embeddings file {p}: line 4: ")
 
     def test_tokens_differing_in_case_are_distinct(self, tmp_path):
         p = write(tmp_path, "Dog 1.0 2.0\ndog 3.0 4.0\n", name="emb.txt")
