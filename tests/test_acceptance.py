@@ -12,18 +12,17 @@ import numpy as np
 import pytest
 
 from kgzsl import autodiff as ad
-from kgzsl.aggregators import GnnStack, make_layer
+from kgzsl import config, pipeline
+from kgzsl.aggregators import make_layer
 from kgzsl.autodiff import grad_check
 from kgzsl.cli import main as cli_main
-from kgzsl.encoders import MentionEncoder, MentionInput, SentenceEncoder, VectorEncoder
+from kgzsl.encoders import MentionEncoder, MentionInput, SentenceEncoder
 from kgzsl.evaluation import fold_metrics
 from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, WalkConfig, sample_neighborhood
 from kgzsl.seeding import make_rng
-from kgzsl.synth import SynthSpec, generate_synthetic, oracle_accuracy
-from kgzsl.zeroshot import (
-    BilinearHead, GnnClassEncoder, class_representations, predict, train_bilinear,
-)
+from kgzsl.synth import oracle_accuracy
+from kgzsl.zeroshot import BilinearHead
 
 from .helpers import markov_hit_table, total_variation
 
@@ -184,26 +183,6 @@ def _op_cases(rng):
     ]
 
 
-def _layer_case(kind, seed):
-    rng = make_rng("acc-grad-data", seed, kind)
-    kwargs = {"relations": ["r0", "r1"], "num_bases": 2} if kind == "rgcn" else {}
-    layer = make_layer(kind, 5, 4, activation="tanh",
-                       rng=make_rng("acc-grad-init", seed, kind), **kwargs)
-    self_feat = ad.constant(rng.standard_normal(5))
-    neigh = [ad.constant(rng.standard_normal(5)) for _ in range(3)]
-
-    def loss():
-        if kind == "rgcn":
-            h = layer.forward(self_feat, [("r0", neigh[0]), ("r1", neigh[1]), ("r0", neigh[2])])
-        elif kind == "lstm":
-            h = layer.forward(self_feat, neigh, permutation=[1, 3, 0, 2])
-        else:
-            h = layer.forward(self_feat, neigh)
-        return ad.sum(ad.multiply(h, h))
-
-    return loss, layer.parameters()
-
-
 def _encoder_cases(seed):
     rng = make_rng("acc-grad-enc", seed)
     sent = SentenceEncoder(input_dim=4, hidden_dim=3, attn_dim=2,
@@ -256,7 +235,8 @@ def test_criterion_1_gradient_suite():
     for seed in range(3):
         rng = make_rng("acc-grad-ops", seed)
         cases = _op_cases(rng)
-        cases += [(k, _layer_case(k, seed))
+        cases += [(k, pipeline.layer_probe(k, make_rng("acc-grad-data", seed, k),
+                                           make_rng("acc-grad-init", seed, k), 2))
                   for k in ("gcn", "gat", "rgcn", "lstm", "transformer")]
         cases += _encoder_cases(seed)
         cases += _head_cases(seed)
@@ -366,48 +346,21 @@ def test_criterion_4_metrics_oracle():
 
 # --------------------------------------------------- 5: synthetic zero-shot
 
-def _train_default_model(data, seed, epochs=25, lr=0.01, kind="transformer"):
-    """The acceptance recipe: train on the seen-only graph, then rebind."""
-    d = data.spec.feature_dim
-    hits = HitSource(data.train_graph, WalkConfig(steps=20, restarts=10, seed=seed))
-    layers = [
-        make_layer(kind, d, d, activation="relu", rng=make_rng("gnn-init", seed, i))
-        for i in range(2)
-    ]
-    stack = GnnStack(layers, [8, 8])
-    class_enc = GnnClassEncoder(stack, data.train_graph, data.features, hits, seed=seed)
-    encoder = VectorEncoder(d)
-    head = BilinearHead(d, d, 8, rng=make_rng("head-init", seed))
-    train_bilinear(
-        data.train_pairs(), data.dev_pairs(), encoder, class_enc, head,
-        data.classes, epochs=epochs, seed=seed, lr=lr, batch_size=32,
-    )
-    return class_enc, encoder, head
-
-
-def _unseen_accuracy(data, class_enc, encoder, head, seed):
-    full_hits = HitSource(data.graph, WalkConfig(steps=20, restarts=10, seed=seed))
-    bound = class_enc.rebind(data.graph, data.features, full_hits)
-    unseen = sorted(data.classes.unseen)
-    reps = class_representations(bound, unseen, mode="eval")
-    hits = total = 0
-    for cls in unseen:
-        for x in data.examples[cls]:
-            total += 1
-            hits += predict(encoder.encode(x), head, reps, "multiclass")[0] == cls
-    return hits / total
+def _unseen_top1(cfg):
+    """Unrounded micro top-1 of `cfg`'s model, trained and scored through
+    the functions `kgzsl train` and `kgzsl eval` run."""
+    model, _ = pipeline.train(cfg)
+    return pipeline.evaluate(cfg, model, pipeline.eval_world(cfg)).micro
 
 
 def test_criterion_5_synthetic_zero_shot():
     t0 = time.monotonic()
     accs = []
     for seed in range(3):
-        data = generate_synthetic(SynthSpec(seed=seed))
-        oracle = oracle_accuracy(data)
+        cfg = config.expand({"profile": "synthetic", "seed": seed})
+        oracle = oracle_accuracy(pipeline.synth_world(cfg))
         assert oracle >= 0.95, f"seed {seed}: oracle {oracle:.4f} below 0.95"
-        model = _train_default_model(data, seed)
-        acc = _unseen_accuracy(data, *model, seed)
-        accs.append(acc)
+        accs.append(_unseen_top1(cfg))
     mean = float(np.mean(accs))
     assert mean >= 0.90, (
         f"unseen top-1 mean {mean:.4f} < 0.90 over 3 seeds (per-seed: "
@@ -424,9 +377,10 @@ def test_criterion_6_transformer_beats_gcn_on_relation_task():
     for kind in ("transformer", "gcn"):
         accs = []
         for seed in range(5):
-            data = generate_synthetic(SynthSpec(relation_structure=True, seed=seed))
-            model = _train_default_model(data, seed, kind=kind)
-            accs.append(_unseen_accuracy(data, *model, seed))
+            accs.append(_unseen_top1(config.expand({
+                "profile": "synthetic", "seed": seed,
+                "model": {"aggregator": kind}, "synth": {"relation_structure": True},
+            })))
         means[kind] = float(np.mean(accs))
     gap = means["transformer"] - means["gcn"]
     assert gap >= 0.05, (
@@ -440,8 +394,9 @@ def test_criterion_6_transformer_beats_gcn_on_relation_task():
 
 def test_criterion_7_inductive_rebind_and_locality():
     t0 = time.monotonic()
-    data = generate_synthetic(SynthSpec(seed=0))
-    class_enc, encoder, head = _train_default_model(data, 0, epochs=2)
+    cfg = config.expand({"profile": "synthetic", "seed": 0, "optimizer": {"epochs": 2}})
+    data = pipeline.synth_world(cfg)
+    (class_enc, _, _), _ = pipeline.train(cfg)
 
     # G2: same topology, disjoint ids, plus extra structure; built by hand
     rename = lambda n: f"g2/{n}"

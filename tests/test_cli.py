@@ -12,8 +12,8 @@ import os
 import pytest
 
 from kgzsl import autodiff as ad
-from kgzsl import cli
 from kgzsl import config as cfgmod
+from kgzsl import pipeline
 from kgzsl.cli import main
 from kgzsl.kg import EmbeddingTable
 
@@ -135,8 +135,8 @@ class TestTrainEval:
             grad_enabled.append(ad._grad_enabled)
             return predict(*args, **kwargs)
 
-        predict = cli.predict
-        monkeypatch.setattr(cli, "predict", recording_predict)
+        predict = pipeline.predict
+        monkeypatch.setattr(pipeline, "predict", recording_predict)
         eval_cfg = write(tmp_path / "eval.json", {
             "profile": "synthetic",
             "seed": 3,
@@ -210,6 +210,37 @@ class TestTrainEval:
             "paths": {"checkpoint": str(ckpt), "fold_spec": fold},
         })
         assert run("eval", "--config", cfg, "--out", str(tmp_path / "x")) == 1
+
+
+class TestGoldenDigests:
+    """`train` + `eval` write the same bytes as they did when these digests were taken,
+    so a change that moves any of them names itself here."""
+
+    # model overrides, and the sha256 of each artifact at seed 0, 2 epochs, 20 examples per class
+    RUNS = {
+        "bilinear": ({}, {
+            "checkpoint.json": "5055bdfc37d561d067517030abfd27b3609fbafcbcdee5316b71d15175f70217",
+            "train_log.json": "ff586f9aaaad5bd3c6cf916aca886c161a669196a6c435f79689c2a03436f95b",
+            "metrics.json": "1bf76ca4329825e28d970c62a9074e16a6489ebb307a4cfbc1b290b113dae343",
+        }),
+        "l2": ({"head": "l2", "dims": [16, 17]}, {
+            "checkpoint.json": "b8fd0bfc8f03b1fab26282d7085c7c096fa976900fcf1b4acc96d70a14da4cf8",
+            "train_log.json": "c28cf56edd243adad384c7597de860f756907efeedcb0cb7ad3f649427039c4a",
+            "metrics.json": "c02c562fd091f1f8ca3ef9dbe811d7039652e9a92da1bb94944ddcf7377a9b81",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_train_and_eval_bytes(self, tmp_path, name):
+        model, digests = self.RUNS[name]
+        base = {"profile": "synthetic", "seed": 0, "model": model,
+                "optimizer": {"epochs": 2}, "synth": {"examples_per_class": 20}}
+        run_dir = tmp_path / "run"
+        assert run("train", "--config", write(tmp_path / "train.json", base), "--out", str(run_dir)) == 0
+        eval_cfg = write(tmp_path / "eval.json", {**base, "paths": {"checkpoint": str(run_dir / "checkpoint.json")}})
+        assert run("eval", "--config", eval_cfg, "--out", str(run_dir)) == 0
+        got = {n: hashlib.sha256((run_dir / n).read_bytes()).hexdigest() for n in digests}
+        assert got == digests
 
 
 class TestBadCheckpoint:

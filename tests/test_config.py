@@ -283,10 +283,13 @@ READERS = {
 }
 
 
-def _file_calls(names):
+PACKAGE = sorted(Path(kgzsl.__file__).parent.glob("*.py"))
+
+
+def _file_calls(names, paths):
     """(callee, whether its mode writes, (module, enclosing function), line) of each
-    call by one of `names` in the package's modules."""
-    for path in sorted(Path(kgzsl.__file__).parent.glob("*.py")):
+    call by one of `names` in the given Python files."""
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
@@ -348,7 +351,7 @@ class TestOpenInput:
         """No module opens a file for reading but `open_input`; a write-mode open is no reader."""
         readers, strays = [], []
         for name, writes, where, line in _file_calls(
-                ("open", "read_text", "read_bytes", "fromfile", "loadtxt", "genfromtxt")):
+                ("open", "read_text", "read_bytes", "fromfile", "loadtxt", "genfromtxt"), PACKAGE):
             if name == "open" and writes:
                 continue
             (readers if where == ("config.py", "open_input") else strays).append(f"{where[0]}:{line} in {where[1]}")
@@ -404,6 +407,27 @@ class TestWriteOutput:
     def test_write_output_is_the_only_writer(self):
         """No module opens a file in a write mode, or writes one another way, but `write_output`."""
         writers = [(where, line) for name, writes, where, line
-                   in _file_calls(("open", "write_text", "write_bytes", "tofile", "savetxt"))
+                   in _file_calls(("open", "write_text", "write_bytes", "tofile", "savetxt"), PACKAGE)
                    if writes or name != "open"]
         assert [where for where, _ in writers] == [("config.py", "write_output")], writers
+
+
+class TestPipelineIsTheOnlyPath:
+    """Models are built, trained and scored in `pipeline.py`, which the acceptance suite runs."""
+
+    BUILDS = ("GnnStack", "BilinearHead", "VectorEncoder", "SentenceEncoder", "MentionEncoder")
+    RUNS = ("train_bilinear", "train_l2", "predict", "class_representations")
+
+    def test_only_pipeline_builds_and_runs_models(self):
+        found, strays = set(), []
+        for name, _, where, line in _file_calls(self.BUILDS + self.RUNS, PACKAGE):
+            found.add(name)
+            if where[0] != "pipeline.py":
+                strays.append(f"{where[0]}:{line} calls {name}")
+        assert strays == []
+        # the sentence and mention encoders are built through one name
+        assert found == set(self.BUILDS + self.RUNS) - {"SentenceEncoder", "MentionEncoder"}
+
+    def test_acceptance_suite_runs_no_copy(self):
+        acceptance = Path(__file__).with_name("test_acceptance.py")
+        assert [f"line {line} calls {name}" for name, _, _, line in _file_calls(self.RUNS, [acceptance])] == []
