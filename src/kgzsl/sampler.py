@@ -13,7 +13,10 @@ CHUNK_STREAMS at a time, draw together through
 `seeding.uniform_blocks`, which equals numpy's PCG64 bit for bit, and
 step in lockstep over the graph's CSR arrays: a walk at node v takes
 draw t to neighbor floor(draw_t * deg(v)) of v in sorted-id order, and
-stops at its first dead end.
+stops at its first dead end.  A chunk's landings are sorted once and
+counted per center-neighbor pair by binary search; the run's tables
+are ranked, checked and cut from flat arrays, and each `HitTable`
+holds its neighbor ids and probabilities as two parallel tuples.
 """
 
 from dataclasses import dataclass
@@ -55,14 +58,14 @@ def _positions(csr, centers):
 
 
 def _walk_steps(csr, centers, cfg):
-    """Yield slot * N + node for every step that lands, a draw block at a time.
+    """Yield slot * N + node for every step that lands, a stream chunk at a time.
 
     `slot` is the position of the walk's center in `centers` and N the
     node count, so the keys of one center sort together.  The starting
-    occupation of a center is not a step.  Streams walk in groups of at
-    most CHUNK_STREAMS, one step of all of a group's walks at a time,
-    and each yield holds the landings of one `uniform_blocks` block, so
-    memory stays a few arrays of one block's size.
+    occupation of a center is not a step.  Streams walk in chunks of at
+    most CHUNK_STREAMS, one step of all of a chunk's walks at a time,
+    and each yield holds the landings of one chunk, so memory stays a
+    few arrays of CHUNK_STREAMS * steps keys.
     """
     indptr, indices = csr.indptr, csr.indices
     degree = np.diff(indptr)
@@ -74,8 +77,8 @@ def _walk_steps(csr, centers, cfg):
         cur = start[lo:lo + CHUNK_STREAMS]
         key_base = base[lo:lo + CHUNK_STREAMS]
         rows = np.arange(len(cur))
+        landed = [key_base[:0]]
         for block in uniform_blocks(seeds[lo:lo + CHUNK_STREAMS], cfg.steps):
-            landed = []
             for draw in block.T:
                 deg = degree[cur]
                 alive = deg > 0
@@ -85,40 +88,74 @@ def _walk_steps(csr, centers, cfg):
                         break
                 cur = indices[indptr[cur] + (draw[rows] * deg).astype(np.int64)]
                 landed.append(key_base + cur)
-            yield np.concatenate([key_base[:0], *landed])
             if not rows.size:
                 break
+        yield np.concatenate(landed)
 
 
-@dataclass(frozen=True)
+def _check_probs(probs, starts):
+    """Raise for the first table whose probabilities are no distribution.
+
+    `probs` holds tables back to back and `starts` the offset of each
+    non-empty one, in order.  A table must sum to 1 within 1e-9 and
+    have a strictly positive least entry.  The tests are negations so
+    that NaN fails them too; a NaN or an infinity fails the sum.
+    """
+    if not len(starts):
+        return
+    with np.errstate(invalid="ignore", over="ignore"):
+        totals = np.add.reduceat(probs, starts)
+    bad_sum = ~(np.abs(totals - 1.0) <= 1e-9)
+    bad = bad_sum | ~(np.minimum.reduceat(probs, starts) > 0)
+    if bad.any():
+        first = bad.argmax()
+        if bad_sum[first]:
+            raise ContractError(f"hit probabilities sum to {float(totals[first])!r}, want 1")
+        raise ContractError("hit probabilities must be strictly positive")
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class HitTable:
     """Smoothed hit probabilities over one center's immediate neighbors.
 
-    `entries` is a tuple of (neighbor id, probability), sorted by
-    probability descending with ties broken by id ascending.  The
+    `HitTable(center, entries)` takes (neighbor id, probability) pairs,
+    sorted by probability descending with ties broken by id ascending,
+    and keeps them as the parallel tuples `ids` and `probs`.  The
     probabilities are strictly positive and sum to 1 unless the center
     has no neighbors at all.
     """
 
     center: str
-    entries: tuple
+    ids: tuple
+    probs: tuple
 
-    def __post_init__(self):
-        if self.entries:
-            # written as negations so that NaN fails them too; a NaN or an
-            # infinity makes the sum non-finite, so past the sum check
-            # `min` compares only finite values
-            probs = [p for _, p in self.entries]
-            total = sum(probs)
-            if not abs(total - 1.0) <= 1e-9:
-                raise ContractError(f"hit probabilities sum to {total!r}, want 1")
-            if not min(probs) > 0:
-                raise ContractError("hit probabilities must be strictly positive")
+    def __init__(self, center, entries):
+        ids = tuple(n for n, _ in entries)
+        probs = tuple(p for _, p in entries)
+        _check_probs(np.array(probs, dtype=np.float64), [0] if probs else [])
+        self._fill(center, ids, probs)
+
+    @classmethod
+    def _checked(cls, center, ids, probs):
+        """A table from parallel tuples that `_check_probs` has passed."""
+        table = object.__new__(cls)
+        table._fill(center, ids, probs)
+        return table
+
+    def _fill(self, center, ids, probs):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def entries(self):
+        """(neighbor id, probability) pairs, in table order."""
+        return tuple(zip(self.ids, self.probs))
 
     def to_jsonable(self):
         return {
             "center": self.center,
-            "neighbors": [{"id": n, "p": p} for n, p in self.entries],
+            "neighbors": [{"id": n, "p": p} for n, p in zip(self.ids, self.probs)],
         }
 
 
@@ -142,31 +179,47 @@ def _ranked(csr, centers, slot, nbr, counts):
     Every neighbor gets (count + 1) / sum over its center's neighbors
     of (count + 1).  The order sorts on the integer counts, not the
     float probabilities, so ties are exact and keep the rows' id order.
+    The run's tables are checked together, then cut from its flat lists.
     """
     smoothed = counts + 1
     order = np.lexsort((-smoothed, slot))
     denom = np.bincount(slot, weights=smoothed, minlength=len(centers))
-    probs = (smoothed / denom[slot])[order].tolist()
-    entries = list(zip(map(csr.ids.__getitem__, nbr[order].tolist()), probs))
-    ends = np.cumsum(np.bincount(slot, minlength=len(centers))).tolist()
+    probs = (smoothed / denom[slot])[order]
+    lens = np.bincount(slot, minlength=len(centers))
+    ends = np.cumsum(lens)
+    _check_probs(probs, (ends - lens)[lens > 0])
+    probs = probs.tolist()
+    ids = list(map(csr.ids.__getitem__, nbr[order].tolist()))
     tables = []
     begin = 0
-    for center, end in zip(centers, ends):
-        tables.append(HitTable(center, tuple(entries[begin:end])))
+    for center, end in zip(centers, ends.tolist()):
+        tables.append(HitTable._checked(center, tuple(ids[begin:end]), tuple(probs[begin:end])))
         begin = end
     return tables
 
 
+def _landing_counts(csr, centers, cfg, pair_keys):
+    """How many walk steps of `centers` land on each of the ascending `pair_keys`.
+
+    Each stream chunk's landing keys are sorted once, and a key's count
+    is the width of its run in them, found by two binary searches.
+    """
+    counts = np.zeros(len(pair_keys), dtype=np.int64)
+    for landed in _walk_steps(csr, centers, cfg):
+        landed.sort()
+        counts += np.searchsorted(landed, pair_keys, "right")
+        counts -= np.searchsorted(landed, pair_keys, "left")
+    return counts
+
+
 def _sample(g, centers, cfg):
-    """HitTables of `centers`, in order, from one run of the walk kernel."""
+    """HitTables of `centers`, in order, from one run of the walk kernel.
+
+    Counting holds one stream chunk's landings at a time, sorted once.
+    """
     csr = g.csr()
     slot, nbr = _neighbor_rows(csr, centers)
-    pair_keys = slot * len(csr.ids) + nbr
-    counts = np.zeros(len(pair_keys), dtype=np.int64)
-    # a walk lands only if some center has a neighbor, so pair_keys is not empty
-    for keys in _walk_steps(csr, centers, cfg):
-        at = np.minimum(np.searchsorted(pair_keys, keys), len(pair_keys) - 1)
-        counts += np.bincount(at[pair_keys[at] == keys], minlength=len(pair_keys))
+    counts = _landing_counts(csr, centers, cfg, slot * len(csr.ids) + nbr)
     return _ranked(csr, centers, slot, nbr, counts)
 
 
@@ -179,7 +232,7 @@ def top_n(table, n):
     """Ids of the n most probable neighbors, in table order; 0 is allowed."""
     if n < 0:
         raise ContractError(f"n must be >= 0, got {n}")
-    return [node for node, _ in table.entries[:n]]
+    return list(table.ids[:n])
 
 
 class HitSource:

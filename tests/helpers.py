@@ -75,6 +75,41 @@ def reference_hit_entries(g, center, counts):
     return tuple((n, c / denom) for n, c in ranked)
 
 
+def searchsorted_landing_counts(pair_keys, key_blocks):
+    """Landings per pair key, one `searchsorted` of each landing into `pair_keys`.
+
+    The counter that sorting each stream chunk's landings replaced:
+    `pair_keys` ascend, and a landing whose key is no pair key counts
+    for nothing.
+    """
+    counts = np.zeros(len(pair_keys), dtype=np.int64)
+    for keys in key_blocks:
+        at = np.minimum(np.searchsorted(pair_keys, keys), len(pair_keys) - 1)
+        counts += np.bincount(at[pair_keys[at] == keys], minlength=len(pair_keys))
+    return counts
+
+
+def entry_tuple_tables(csr, centers, slot, nbr, counts):
+    """[(center, ((id, p), ...))] from walk counts, one (id, p) tuple per neighbor.
+
+    The ranking that parallel `ids` and `probs` tuples replaced:
+    (count + 1) / the center's total, ordered by the integer counts
+    descending and then by the rows' id order.
+    """
+    smoothed = counts + 1
+    order = np.lexsort((-smoothed, slot))
+    denom = np.bincount(slot, weights=smoothed, minlength=len(centers))
+    probs = (smoothed / denom[slot])[order].tolist()
+    entries = list(zip(map(csr.ids.__getitem__, nbr[order].tolist()), probs))
+    ends = np.cumsum(np.bincount(slot, minlength=len(centers))).tolist()
+    tables = []
+    begin = 0
+    for center, end in zip(centers, ends):
+        tables.append((center, tuple(entries[begin:end])))
+        begin = end
+    return tables
+
+
 def total_variation(table, exact):
     """TV distance between a HitTable and an exact {node: p} map."""
     empirical = {node: p for node, p in table.entries}

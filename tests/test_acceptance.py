@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from kgzsl import autodiff as ad
 from kgzsl import config, pipeline

@@ -7,7 +7,6 @@ on the code plus the artifacts left in the output directory.
 import hashlib
 import json
 import logging
-import os
 
 import pytest
 

@@ -307,6 +307,24 @@ def _file_calls(names, paths):
             yield name, writes, (path.name, getattr(func, "name", None)), node.lineno
 
 
+class TestNoUnusedImports:
+    def test_every_import_is_used(self):
+        """Each name a package or test module imports is read somewhere in that module."""
+        unused = []
+        for path in PACKAGE + sorted(Path(__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [a.asname or a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+        assert unused == []
+
+
 class TestOpenInput:
     """Every input role is opened by `open_input`, and fails the same ways."""
 

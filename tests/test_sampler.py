@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgzsl import sampler
@@ -16,7 +16,8 @@ from kgzsl.seeding import derive_seed, derive_seeds, uniform_blocks
 from kgzsl.synth import SynthSpec, generate_synthetic
 
 from .helpers import (
-    markov_hit_table, reference_hit_entries, reference_walk_counts, total_variation,
+    entry_tuple_tables, markov_hit_table, reference_hit_entries, reference_walk_counts,
+    searchsorted_landing_counts, total_variation,
 )
 
 
@@ -83,6 +84,10 @@ class TestSimulateWalks:
         tables = sampler._sample(g, centers, cfg)
         assert tables[1].entries == ()
         assert [t.entries for t in tables] == [reference_table(g, c, cfg) for c in centers]
+
+    def test_no_centers_no_tables(self):
+        g = Graph([("r", "a", "b")])
+        assert sampler._sample(g, [], sampler.WalkConfig()) == []
 
     def test_unknown_center(self):
         g = Graph([("r", "a", "b")])
@@ -165,6 +170,45 @@ class TestHitProbabilities:
     def test_invalid_probability_rejected(self, entries):
         with pytest.raises(ContractError):
             sampler.HitTable("a", entries)
+
+    RUN_CASES = [
+        (("b", 0.7), ("c", 0.2)),
+        (("b", 0.5), ("c", 0.25), ("d", 0.25 + 2e-9)),
+        (("b", float("nan")), ("c", 0.5)),
+        (("b", 0.5), ("c", float("nan"))),
+        (("b", float("inf")), ("c", 0.5)),
+        (("b", 1.0), ("c", float("-inf"))),
+        (("b", float("inf")), ("c", float("-inf"))),
+        (("b", 1.5), ("c", -0.5)),
+        (("b", 1.0), ("c", 0.0)),
+        (("b", 1.0), ("c", -0.0)),
+    ]
+
+    @pytest.mark.parametrize("entries", RUN_CASES, ids=[
+        "sum-low", "sum-high", "nan-first", "nan-last", "inf", "minus-inf", "inf-and-minus-inf",
+        "negative", "zero", "negative-zero"])
+    def test_run_check_matches_table_check(self, entries):
+        # the bad table sits between valid ones, at a nonzero offset
+        with pytest.raises(ContractError) as own:
+            sampler.HitTable("a", entries)
+        valid = [0.5, 0.25, 0.25]
+        probs = np.array(valid + [p for _, p in entries] + valid + [1.0])
+        starts = np.array([0, 3, 3 + len(entries), 6 + len(entries)])
+        with pytest.raises(ContractError) as run:
+            sampler._check_probs(probs, starts)
+        assert str(run.value) == str(own.value)
+
+    def test_run_check_raises_for_the_first_bad_table(self):
+        # a positivity failure ahead of a sum failure is the one reported
+        probs = np.array([1.0, 1.5, -0.5, 0.7, 0.2])
+        with pytest.raises(ContractError, match="strictly positive"):
+            sampler._check_probs(probs, np.array([0, 1, 3]))
+        with pytest.raises(ContractError, match="sum to 0.8999999999999999"):
+            sampler._check_probs(probs[3:], np.array([0]))
+
+    def test_run_check_passes_valid_and_empty_runs(self):
+        sampler._check_probs(np.array([0.5, 0.5, 1.0]), np.array([0, 2]))
+        sampler._check_probs(np.zeros(0), np.zeros(0, dtype=np.intp))
 
     @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -275,6 +319,33 @@ class TestAgainstReferenceWalks:
         rnd.shuffle(order)
         for node in order:
             assert source(node).entries == reference_table(g, node, cfg)
+
+    @given(
+        small_graphs(),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2 ** 64 - 1),
+    )
+    @example(Graph([("r", "a", "b"), ("r", "b", "c")], extra_nodes=["z"]), 5,
+             sampler.CHUNK_STREAMS // 2 + 1, 3)
+    @settings(max_examples=30, deadline=None)
+    def test_run_equals_old_path(self, g, steps, restarts, seed):
+        # every node in one run: isolated centers, and at 4 centers and the
+        # example's restarts the run spans three stream chunks
+        cfg = sampler.WalkConfig(steps=steps, restarts=restarts, seed=seed)
+        csr = g.csr()
+        centers = list(csr.ids)
+        slot, nbr = sampler._neighbor_rows(csr, centers)
+        pair_keys = slot * len(csr.ids) + nbr
+        counts = sampler._landing_counts(csr, centers, cfg, pair_keys)
+        old = searchsorted_landing_counts(pair_keys, sampler._walk_steps(csr, centers, cfg))
+        assert counts.tolist() == old.tolist()
+        tables = sampler._sample(g, centers, cfg)
+        want = entry_tuple_tables(csr, centers, slot, nbr, old)
+        assert [(t.center, t.entries) for t in tables] == want
+        assert [t.to_jsonable() for t in tables] == [
+            {"center": c, "neighbors": [{"id": n, "p": p} for n, p in entries]} for c, entries in want
+        ]
 
     def test_edge_free_graph(self):
         g = Graph([], extra_nodes=["a", "b"])
