@@ -30,19 +30,26 @@ like B separate calls.  The per-node ``forward`` is the B = 1 case of
 the same code.
 
 ``gnn_forward`` embeds one root, or a sequence of roots as one forward
-over the union of their sampled DAGs.  A root's walk expands only the
+over the union of their sampled DAGs, in two parts.  ``plan_forward``
+fixes everything the parameters cannot change, as a ``ForwardPlan`` of
+ids and integer arrays: the walk, the keys, the leaves, each level's
+calls and their fixed node_args.  ``run_forward`` reads the leaves'
+features and makes the layer calls, drawing train-mode permutations as
+it goes; a binding that keeps its plans (``zeroshot.GnnClassEncoder``)
+runs a plan again without walking.  A root's walk expands only the
 nodes it first reaches above depth k; those first reached at depth k
 are leaves and are not walked per root.  A node's level-1 key depends
 only on the node and its cut neighbor list, so it is interned once per
-(node, hop limit) per call, and level 0 is read off level 1: its rows
-are the distinct members of level 1's keys.  The build splits the
-nodes of a level that share a member count into slices of at most
-``GROUP_ROWS`` and makes one call per slice, so a wide eval level
-never holds the intermediates of its whole group at once, and the
-slices round like one call.
+(node, hop limit) per plan, and level 0 is read off level 1: its rows
+are the distinct members of level 1's keys.  The plan splits the nodes
+of a level that share a member count into slices of at most
+``GROUP_ROWS`` and the run makes one call per slice, so a wide eval
+level never holds the intermediates of its whole group at once, and
+the slices round like one call.
 """
 
 import numbers
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -466,45 +473,48 @@ class GnnStack:
 GROUP_ROWS = 64
 
 
-def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
-    """Embed `node`, or each node of a sequence of them, from its truncated k-hop neighborhood.
+@dataclass(frozen=True)
+class GroupSlice:
+    """One `forward_group` call of a plan: at most GROUP_ROWS nodes of a
+    level with one member count.
 
-    The sampled neighborhood is fixed per root at the shallowest depth
-    where the root reaches each node: top hop_limits[d] neighbors by hit
-    probability.  Representation levels are then evaluated bottom-up
-    over that DAG, so the output depends only on the truncated k-hop
-    neighborhood.  Each level is one `forward_group` call per slice of
-    at most GROUP_ROWS nodes with the same member count.
-
-    `node` is one node id, which gives its (out_dim,) row, or a sequence
-    of ids, which gives a (len, out_dim) tensor whose rows follow that
-    order, repeats included.  The roots of a sequence are encoded as one
-    forward over the union of their DAGs.  Each root's DAG is sampled on
-    its own, reading each node's hit table once per call, and a node's
-    row at level l is keyed by hash-consing: key(v, 0) = v, and
-    key(v, l) interns (key(v, l - 1), the level l - 1 keys of v's
-    sampled neighbors) in level l's table, as its position there.  A key
-    fixes its row for any hop limits, since lstm's eval permutation
-    depends only on (seed, v, member count) and rgcn's relations only on
-    the graph, so each level builds each distinct key once and in eval
-    mode every root's row comes out bitwise as from a call of its own.
-
-    A root's walk tracks only the nodes it expands, those first reached
-    above depth k.  key(v, 1) is interned when v's list is first cut for
-    a hop limit and kept beside that list, so each root looks its level-1
-    keys up and builds member tuples only for levels 2 and up.  Level 1's
-    table keeps the roots' order, each root's nodes in walk order, which
-    is the order of train-mode draws.  Level 0 holds the distinct members
-    of level 1's keys, in first-seen order, each read from `features`
-    once: the nodes within k hops of some root.
-
-    Args:
-        hits: callable node -> HitTable (see sampler.HitSource).
-        mode: "train" draws a fresh sequence permutation per DAG node
-            from `rng`, which it requires; "eval" derives it from (seed,
-            node id) so repeated evaluation is bitwise stable.
-        rng: the train-mode permutation stream.
+    `rows` is the (B, M) intp array of rows of the level below,
+    `positions` the (B,) intp positions of the nodes in their level's
+    DAG order, and `args` the call's fixed node_args, one per node:
+    rgcn's relations, lstm's eval-mode permutation, or None.
     """
+
+    rows: np.ndarray
+    positions: np.ndarray
+    args: tuple
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """One level's calls, plus its nodes' member counts in DAG order,
+    from which train mode draws its lstm permutations."""
+
+    sizes: np.ndarray
+    slices: tuple
+
+
+@dataclass(frozen=True)
+class ForwardPlan:
+    """What `gnn_forward` fixes before its first layer call: structure only.
+
+    `leaves` are level 0's node ids, each read from `features` per run;
+    `levels` holds one LevelPlan per layer, input side first; `index`
+    holds the top level's row of each root, in the roots' order.  It
+    holds ids and integer arrays, and no float.
+    """
+
+    leaves: tuple
+    levels: tuple
+    index: np.ndarray
+
+
+def forward_roots(graph, node, mode, rng):
+    """`node` as a list of roots, after the checks every forward makes."""
     roots = [node] if isinstance(node, str) else list(node)
     if not roots:
         raise ContractError("no nodes to embed")
@@ -515,13 +525,42 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and rng is None:
         raise ContractError("train mode needs an rng for its sequence permutations")
+    return roots
 
+
+def plan_forward(stack, graph, hits, roots, seed=0):
+    """The ForwardPlan of the union of the roots' sampled DAGs.
+
+    Each root's DAG is sampled on its own, reading each node's hit table
+    once per plan, and a node's row at level l is keyed by hash-consing:
+    key(v, 0) = v, and key(v, l) interns (key(v, l - 1), the level l - 1
+    keys of v's sampled neighbors) in level l's table, as its position
+    there.  A key fixes its row for any hop limits, since lstm's eval
+    permutation depends only on (seed, v, member count) and rgcn's
+    relations only on the graph, so each level builds each distinct key
+    once and in eval mode every root's row comes out bitwise as from a
+    call of its own.
+
+    A root's walk tracks only the nodes it expands, those first reached
+    above depth k.  key(v, 1) is interned when v's list is first cut for
+    a hop limit and kept beside that list, so each root looks its level-1
+    keys up and builds member tuples only for levels 2 and up.  Level 1's
+    table keeps the roots' order, each root's nodes in walk order, which
+    is the DAG order of train-mode draws.  Level 0 holds the distinct
+    members of level 1's keys, in first-seen order: the nodes within k
+    hops of some root.
+
+    Args:
+        hits: callable node -> HitTable (see sampler.HitSource).
+        seed: fixes the eval-mode lstm permutations, one
+            make_rng("lstm-perm", seed, v) per DAG node.
+    """
     k = stack.depth
     # per level, member keys -> (key, node, its sampled neighbors)
     todo = {level: {} for level in range(1, k + 1)}
     level1 = todo[1]
     # node -> its hit table, and (node, hop limit) -> (its cut neighbor
-    # list, key(node, 1)), each made once per call
+    # list, key(node, 1)), each made once per plan
     tables, ranked = {}, {}
     tops = {}
     for root in dict.fromkeys(roots):
@@ -563,37 +602,88 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
         tops[root] = below[root]
 
     # level 0 holds every member of a level-1 key, each once, in first-seen order
-    leaves = dict.fromkeys(chain.from_iterable(level1))
-    prev = ad.constant(np.array([features[v] for v in leaves], dtype=np.float64))
+    leaves = tuple(dict.fromkeys(chain.from_iterable(level1)))
     row_of = {v: i for i, v in enumerate(leaves)}
+    levels = []
     for level, nodes in todo.items():
-        layer = stack.layers[level - 1]
-        # node_args in DAG order, so train-mode permutation draws
-        # come off `rng` in a fixed order
-        if layer.kind == "rgcn":
+        kind = stack.layers[level - 1].kind
+        if kind == "rgcn":
             node_args = [[graph.relations_between(v, u) for u in nbrs] for _, v, nbrs in nodes.values()]
-        elif layer.kind == "lstm":
-            node_args = []
-            for _, v, nbrs in nodes.values():
-                perm_rng = rng if mode == "train" else make_rng("lstm-perm", seed, v)
-                node_args.append(list(perm_rng.permutation(len(nbrs) + 1)))
+        elif kind == "lstm":
+            node_args = [make_rng("lstm-perm", seed, v).permutation(len(nbrs) + 1)
+                         for _, v, nbrs in nodes.values()]
         else:
             node_args = [None] * len(nodes)
         groups = {}
         for (members, (key, _, _)), arg in zip(nodes.items(), node_args):
             groups.setdefault(len(members), []).append((key, members, arg))
-        outs, order = [], []
+        slices, order = [], []
         for size in sorted(groups):
             group = groups[size]
             for start in range(0, len(group), GROUP_ROWS):
                 part = group[start:start + GROUP_ROWS]
                 rows = np.fromiter(map(row_of.__getitem__, chain.from_iterable(m for _, m, _ in part)),
                                    dtype=np.intp, count=len(part) * size).reshape(len(part), size)
-                outs.append(layer.forward_group(prev, rows, [arg for _, _, arg in part]))
-                order += [key for key, _, _ in part]
-        prev = outs[0] if len(outs) == 1 else ad.concat(outs)
+                keys = [key for key, _, _ in part]
+                positions = np.array(keys, dtype=np.intp)
+                slices.append(GroupSlice(rows, positions, tuple(arg for _, _, arg in part)))
+                order += keys
+        sizes = np.fromiter(map(len, nodes), dtype=np.intp, count=len(nodes))
+        levels.append(LevelPlan(sizes, tuple(slices)))
         row_of = {key: i for i, key in enumerate(order)}
+    index = np.array([row_of[tops[r]] for r in roots], dtype=np.intp)
+    return ForwardPlan(leaves, tuple(levels), index)
 
+
+def run_forward(stack, features, plan, node, mode="eval", rng=None):
+    """The forward pass a ForwardPlan fixes, from `features` and the live parameters.
+
+    Level 0 reads each of the plan's leaves from `features`; each level
+    is then one `forward_group` call per slice, in the plan's order.  In
+    train mode an lstm level draws one permutation per DAG node from
+    `rng`, in DAG order, before its calls.  `node` is what was passed
+    to `gnn_forward`: one id gives an (out_dim,) row, a sequence a
+    (len, out_dim) tensor.
+    """
+    prev = ad.constant(np.array([features[v] for v in plan.leaves], dtype=np.float64))
+    for layer, level in zip(stack.layers, plan.levels):
+        if mode == "train" and layer.kind == "lstm":
+            perms = [rng.permutation(n) for n in level.sizes.tolist()]
+            node_args = [[perms[p] for p in part.positions.tolist()] for part in level.slices]
+        else:
+            node_args = [part.args for part in level.slices]
+        outs = [layer.forward_group(prev, part.rows, args) for part, args in zip(level.slices, node_args)]
+        prev = outs[0] if len(outs) == 1 else ad.concat(outs)
     if isinstance(node, str):
-        return ad.row(prev, row_of[tops[node]])
-    return ad.gather(prev, np.array([row_of[tops[r]] for r in roots]))
+        return ad.row(prev, plan.index[0])
+    return ad.gather(prev, plan.index)
+
+
+def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
+    """Embed `node`, or each node of a sequence of them, from its truncated k-hop neighborhood.
+
+    The sampled neighborhood is fixed per root at the shallowest depth
+    where the root reaches each node: top hop_limits[d] neighbors by hit
+    probability.  Representation levels are then evaluated bottom-up
+    over that DAG, so the output depends only on the truncated k-hop
+    neighborhood.  Each level is one `forward_group` call per slice of
+    at most GROUP_ROWS nodes with the same member count.
+
+    `node` is one node id, which gives its (out_dim,) row, or a sequence
+    of ids, which gives a (len, out_dim) tensor whose rows follow that
+    order, repeats included.  The roots of a sequence are encoded as one
+    forward over the union of their DAGs.
+
+    A call checks its arguments, builds the union's ForwardPlan
+    (`plan_forward`) and runs it (`run_forward`); `GnnClassEncoder`
+    keeps its plans and only runs them again.
+
+    Args:
+        hits: callable node -> HitTable (see sampler.HitSource).
+        mode: "train" draws a fresh sequence permutation per DAG node
+            from `rng`, which it requires; "eval" derives it from (seed,
+            node id) so repeated evaluation is bitwise stable.
+        rng: the train-mode permutation stream.
+    """
+    roots = forward_roots(graph, node, mode, rng)
+    return run_forward(stack, features, plan_forward(stack, graph, hits, roots, seed), node, mode, rng)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .aggregators import gnn_forward
+from .aggregators import forward_roots, plan_forward, run_forward
 from .errors import ConfigError, ContractError, DataError, DivergenceError
 from .seeding import make_rng
 
@@ -92,7 +92,10 @@ class GnnClassEncoder:
     """Binds an aggregator stack to one graph context.
 
     The same stack can be re-bound to a different graph for inductive
-    evaluation; parameters live on the stack, not the binding.
+    evaluation; parameters live on the stack, not the binding.  A
+    binding keeps the ForwardPlan of each root sequence it encodes: the
+    graph, hit tables and seed it binds fix a plan, and the parameters
+    never change it.
     """
 
     def __init__(self, stack, graph, features, hits, seed=0):
@@ -105,6 +108,8 @@ class GnnClassEncoder:
         self.features = features
         self.hits = hits
         self.seed = seed
+        # (roots, hop limits) -> ForwardPlan, for this binding only
+        self._plans = {}
 
     def rebind(self, graph, features, hits):
         return GnnClassEncoder(self.stack, graph, features, hits, seed=self.seed)
@@ -115,11 +120,23 @@ class GnnClassEncoder:
     def encode(self, class_node, mode="eval", rng=None):
         """phi of one class id as an (out_dim,) tensor, or of a sequence of
         ids as one (len, out_dim) tensor in that order, built by one
-        forward over the union of their neighborhoods (see `gnn_forward`)."""
-        return gnn_forward(
-            self.stack, self.graph, self.features, self.hits, class_node,
-            mode=mode, seed=self.seed, rng=rng,
-        )
+        forward over the union of their neighborhoods (see `gnn_forward`).
+
+        The first call for a root sequence under the stack's hop limits
+        plans that forward; later calls run the kept plan, which reads
+        the features again but no hit table, and give the bits a fresh
+        `gnn_forward` call gives.  Only repeated encodes of one root
+        sequence gain: `_fit` re-encodes `seen` every step and `dev`
+        every epoch, while `kgzsl eval` encodes each fold's classes once,
+        so each of its plans is built, run once and kept until the
+        binding goes.
+        """
+        roots = forward_roots(self.graph, class_node, mode, rng)
+        key = (tuple(roots), tuple(self.stack.hop_limits))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = plan_forward(self.stack, self.graph, self.hits, roots, self.seed)
+        return run_forward(self.stack, self.features, plan, class_node, mode, rng)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import Counter
 
@@ -11,10 +12,12 @@ from hypothesis.extra import numpy as hnp
 
 from kgzsl import aggregators as agg
 from kgzsl import autodiff as ad
+from kgzsl import zeroshot
 from kgzsl.errors import ConfigError, ContractError, UnknownNodeError, UnknownRelationError
 from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, HitTable, WalkConfig
 from kgzsl.seeding import make_rng
+from kgzsl.zeroshot import GnnClassEncoder
 
 from .helpers import ComposedTransformerLayer, per_node_forward, reference_union_forward, union_dag_size
 
@@ -827,6 +830,134 @@ class TestUnionTrain:
         first = run()
         assert run() == first
         assert first[2] == union_dag_size(stack, hits, roots)
+
+
+def plan_arrays(obj):
+    """Every ndarray a ForwardPlan holds, through its dataclasses, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from plan_arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from plan_arrays(item)
+
+
+class TestPlanReuse:
+    """`GnnClassEncoder.encode` plans a root sequence once per binding and runs that plan again."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(others=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
+           mode=st.sampled_from(["eval", "train"]), single=st.booleans(), calls=st.integers(2, 3),
+           **TRAIN_WORLDS)
+    @example(others=["lstm", "rgcn"], mode="train", single=False, calls=3, seed=4, num_nodes=10, dim=2,
+             limits=[2, 0, 1], picks=[1, 2, 3, 1])
+    @settings(max_examples=10, deadline=None)
+    def test_kept_plans_match_fresh_reference_bitwise(self, kind, others, mode, single, calls, seed,
+                                                     num_nodes, dim, limits, picks):
+        g, feats, hits = random_world(seed, num_nodes, dim)
+        stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
+        roots = g.nodes[picks[0] % len(g.nodes)] if single else train_roots(g, hits, limits, picks)
+        enc = GnnClassEncoder(stack, g, feats, hits, seed=seed)
+        params = stack.parameters()
+        shape = (dim,) if single else (len(roots), dim)
+        weights = ad.constant(make_rng("plan-weights", seed).normal(size=shape))
+
+        def run(forward, perm_rng):
+            for t in params.values():
+                t.zero_grad()
+            out = forward(roots, mode=mode, rng=perm_rng)
+            ad.backward(ad.sum(ad.multiply(out, weights)))
+            grads = {name: None if t.grad is None else t.grad.tobytes() for name, t in params.items()}
+            # train-mode permutations came off the stream in the same order
+            return out.data.shape, out.data.tobytes(), grads, perm_rng.bit_generator.state
+
+        def fresh(roots, mode, rng):
+            return reference_union_forward(stack, g, feats, hits, roots, mode=mode, seed=seed, rng=rng)
+
+        kept_rng, fresh_rng = make_rng("plan-perm", seed), make_rng("plan-perm", seed)
+        for _ in range(calls):
+            assert run(enc.encode, kept_rng) == run(fresh, fresh_rng)
+
+    def test_second_encode_reads_features_but_no_hit_table(self, monkeypatch):
+        g, feats, source = random_world(17, 9, 3)
+        hit_calls, reads, plans = Counter(), Counter(), []
+
+        def hits(v):
+            hit_calls[v] += 1
+            return source(v)
+
+        class CountingFeatures:
+            dimension = 3
+
+            def __getitem__(self, v):
+                reads[v] += 1
+                return feats[v]
+
+        def counting_plan(*args):
+            plans.append(args)
+            return agg.plan_forward(*args)
+
+        monkeypatch.setattr(zeroshot, "plan_forward", counting_plan)
+        stack = make_stack(["lstm", "rgcn"], [3, 2], 3, seed=18)
+        enc = GnnClassEncoder(stack, g, CountingFeatures(), hits, seed=4)
+        roots = ["n0", "n5", "n0"]
+        with ad.no_grad():
+            first = enc.encode(roots).data.tobytes()
+            first_hits, first_reads = Counter(hit_calls), Counter(reads)
+            hit_calls.clear()
+            reads.clear()
+            assert enc.encode(roots).data.tobytes() == first
+        assert len(plans) == 1
+        assert not hit_calls
+        # each leaf is read again, and once
+        assert reads == first_reads and set(reads.values()) == {1}
+
+        def planned_afresh(encode, roots):
+            hit_calls.clear()
+            with ad.no_grad():
+                got = encode(roots).data.tobytes()
+                want = agg.gnn_forward(stack, g, feats, source, roots, seed=4).data.tobytes()
+            assert got == want
+            return Counter(hit_calls)
+
+        # a new binding plans again, reading each hit table once
+        assert planned_afresh(enc.rebind(g, CountingFeatures(), hits).encode, roots) == first_hits
+        assert len(plans) == 2
+        # other roots, and the same roots under other hop limits, get plans of their own
+        assert planned_afresh(enc.encode, ["n0", "n5"])
+        stack.hop_limits[0] = 1
+        assert planned_afresh(enc.encode, roots)
+        assert len(plans) == 4
+        assert planned_afresh(enc.encode, roots) == Counter()
+        assert len(plans) == 4
+
+    def test_checks_run_on_a_binding_that_holds_a_plan(self):
+        g, feats, hits = random_world(19, 6, 2)
+        enc = GnnClassEncoder(make_stack(["lstm"], [2], 2, seed=20), g, feats, hits)
+        with ad.no_grad():
+            enc.encode(["n0", "n1"])
+            enc.encode(["n0", "n1"], mode="train", rng=rng(1))
+        with pytest.raises(UnknownNodeError, match="nowhere"):
+            enc.encode(["n0", "nowhere"])
+        with pytest.raises(ContractError, match="mode must be"):
+            enc.encode(["n0", "n1"], mode="test")
+        with pytest.raises(ContractError, match="needs an rng"):
+            enc.encode(["n0", "n1"], mode="train")
+        with pytest.raises(ContractError, match="no nodes"):
+            enc.encode([])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_plan_holds_integer_arrays_only(self, kind):
+        g, feats, hits = random_world(23, 10, 3)
+        stack = make_stack([kind, kind], [3, 2], 3, seed=24)
+        plan = agg.plan_forward(stack, g, hits, list(g.nodes), seed=5)
+        arrays = list(plan_arrays(plan))
+        # the leaf index, and per slice its rows and positions at least
+        assert len(arrays) >= 1 + 2 * 2
+        assert all(a.dtype.kind == "i" for a in arrays), [a.dtype for a in arrays]
+        assert not any(isinstance(v, float) for v in plan.leaves)
 
 
 # signed zeros, NaNs with two payloads and a few repeated values, so rows
