@@ -5,12 +5,13 @@ tail) with string ids; traversal is undirected because neighborhood
 sampling and aggregation do not distinguish edge direction.
 """
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import open_input, write_output
-from .errors import EmptyNameError, ParseError, UnknownNodeError
+from .errors import ContractError, EmptyNameError, ParseError, UnknownNodeError
 from .seeding import make_rng
 
 
@@ -31,12 +32,16 @@ class Graph:
     """Immutable multi-relational graph over string node ids.
 
     Nodes, relations and edges keep first-seen order so that any
-    iteration over them is reproducible across processes.  The adjacency
-    is held once, as the `Csr` built at construction; the map of
-    relations per node pair waits for the first `relations_between`.
+    iteration over them is reproducible across processes.  Each distinct
+    triple is held as one int64 code, (relation * N + head) * N + tail,
+    over relation positions and sorted-id node positions, and the
+    adjacency as the `Csr` built at construction.  The edge tuples of a
+    graph built from columns wait for the first read of `edges`; a graph
+    built from tuples keeps the ones it was given.  The map of relations
+    per node pair waits for the first `relations_between`.
     """
 
-    __slots__ = ("_nodes", "_edges", "_relations", "_rels_between", "_csr")
+    __slots__ = ("_nodes", "_edges", "_relations", "_codes", "_rels_between", "_csr")
 
     def __init__(self, edges, extra_nodes=()):
         """Build a graph from (relation, head, tail) triples.
@@ -47,36 +52,63 @@ class Graph:
             extra_nodes: node ids to intern before the edge endpoints,
                 letting isolated nodes exist.
         """
-        # tuple() hands a tuple edge back as it is; unpacking each edge for
-        # its relation rejects one of the wrong length
-        self._edges = tuple(dict.fromkeys(map(tuple, edges)))
-        self._relations = tuple(dict.fromkeys(rel for rel, _, _ in self._edges))
-        first_seen = {}
-        for v in extra_nodes:
-            first_seen.setdefault(v, len(first_seen))
-        ends = [first_seen.setdefault(v, len(first_seen)) for _, head, tail in self._edges
-                for v in (head, tail)]
-        self._nodes = tuple(first_seen)
-        self._rels_between = None  # built by the first relations_between call
+        # tuple() hands a tuple edge back as it is, so the kept edges are the given ones
+        edges = list(map(tuple, edges))
+        if any(len(edge) != 3 for edge in edges):
+            raise ValueError("an edge must be a (relation, head, tail) triple")
+        keep = self._build(*(tuple(zip(*edges)) or ((), (), ())), extra_nodes)
+        self._edges = tuple(map(edges.__getitem__, keep.tolist()))
 
-        # number nodes in sorted-id order, then sort both directions of every
-        # non-loop edge by (row, column) and keep the first of each repeat
+    @classmethod
+    def from_columns(cls, rels, heads, tails, extra_nodes=()):
+        """A graph from the parallel id sequences of its triples' three fields.
+
+        Equal to `Graph(zip(rels, heads, tails), extra_nodes)`, but no edge
+        tuple is built until `edges` is read.
+        """
+        if not len(rels) == len(heads) == len(tails):
+            raise ValueError(f"edge columns differ in length: {len(rels)}, {len(heads)}, {len(tails)}")
+        g = object.__new__(cls)
+        g._build(rels, heads, tails, extra_nodes)
+        g._edges = None
+        return g
+
+    def _build(self, rels, heads, tails, extra_nodes):
+        """Set every field but `_edges`; return the positions of the kept triples, ascending."""
+        m = len(rels)
+        ends = [None] * (2 * m)
+        ends[0::2] = heads
+        ends[1::2] = tails
+        self._nodes = tuple(dict.fromkeys(chain(extra_nodes, ends)))
+        self._relations = tuple(dict.fromkeys(rels))
+        self._rels_between = None  # built by the first relations_between call
         n = len(self._nodes)
-        order = sorted(range(n), key=self._nodes.__getitem__)
-        ids = tuple(self._nodes[i] for i in order)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n, dtype=np.int64)
-        pairs = rank[np.array(ends, dtype=np.int64).reshape(-1, 2)]
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
-        by_pair = np.lexsort((cols, rows))
-        rows, cols = rows[by_pair], cols[by_pair]
-        keys = rows * n + cols
+        if len(self._relations) * n * n > 2 ** 63:
+            raise ContractError(f"{len(self._relations)} relations over {n} nodes overflow an int64 triple code")
+
+        # number nodes in sorted-id order; a triple's code orders it by
+        # (relation, head, tail), and the first of each repeat is kept
+        ids = tuple(sorted(self._nodes))
+        index = dict(zip(ids, range(n)))
+        ranks = np.fromiter(map(index.__getitem__, ends), np.int64, 2 * m)
+        h, t = ranks[0::2], ranks[1::2]
+        rel_position = dict(zip(self._relations, range(len(self._relations))))
+        codes = (np.fromiter(map(rel_position.__getitem__, rels), np.int64, m) * n + h) * n + t
+        keep = np.sort(np.unique(codes, return_index=True)[1])
+        self._codes = codes[keep]
+
+        # both directions of every non-loop edge as row * N + column keys,
+        # sorted once, with the first of each repeat kept
+        link = h != t
+        h, t = h[link], t[link]
+        keys = np.concatenate([h * n + t, t * n + h])
+        keys.sort()
         fresh = np.ones(len(keys), dtype=bool)
         fresh[1:] = keys[1:] > keys[:-1]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[fresh], minlength=n), out=indptr[1:])
-        self._csr = Csr(ids, dict(zip(ids, range(n))), indptr, cols[fresh])
+        keys = keys[fresh]
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int64)
+        self._csr = Csr(ids, index, indptr, keys % n)
+        return keep
 
     @property
     def nodes(self):
@@ -84,6 +116,17 @@ class Graph:
 
     @property
     def edges(self):
+        """(relation, head, tail) tuples, built on the first read of a graph from columns."""
+        if self._edges is None:
+            n = len(self._nodes)
+            rel_head, tail = np.divmod(self._codes, n)
+            rel, head = np.divmod(rel_head, n)
+            ids = self._csr.ids
+            self._edges = tuple(zip(
+                map(self._relations.__getitem__, rel.tolist()),
+                map(ids.__getitem__, head.tolist()),
+                map(ids.__getitem__, tail.tolist()),
+            ))
         return self._edges
 
     @property
@@ -96,7 +139,7 @@ class Graph:
 
     @property
     def num_edges(self):
-        return len(self._edges)
+        return len(self._codes)
 
     def __contains__(self, node):
         return node in self._csr.index
@@ -129,7 +172,7 @@ class Graph:
     def _relation_map(self):
         """{(u, v) with u <= v: the pair's relations in first-seen order}."""
         rels_between, several = {}, {}
-        for rel, head, tail in self._edges:
+        for rel, head, tail in self.edges:
             key = (head, tail) if head <= tail else (tail, head)
             rels = rels_between.setdefault(key, (rel,))
             if rel not in rels:
@@ -143,16 +186,17 @@ class Graph:
         return rels_between
 
     def __eq__(self, other):
+        # with equal nodes and relations, equal codes are equal edges
         if not isinstance(other, Graph):
             return NotImplemented
         return (
             self._nodes == other._nodes
-            and self._edges == other._edges
             and self._relations == other._relations
+            and np.array_equal(self._codes, other._codes)
         )
 
     def __hash__(self):
-        return hash((self._nodes, self._edges))
+        return hash((self._nodes, self._codes.tobytes()))
 
     def __repr__(self):
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges}, relations={len(self._relations)})"
@@ -171,7 +215,7 @@ def ingest(path, lang_filter=None):
             a path that cannot be opened or bytes that are not UTF-8, with
             the path.
     """
-    edges = []
+    rels, heads, tails = [], [], []
     # text mode reads "\r\n" and "\r" as "\n", and stripping a field drops
     # the line's "\n", so only the fields a row uses are ever stripped
     with open_input(path, "graph file", ParseError) as fh:
@@ -187,8 +231,10 @@ def ingest(path, lang_filter=None):
             if not (rel and head and tail):
                 raise ParseError("empty relation or node id", line=lineno)
             if lang_filter is None or (count == 4 and fields[3].strip() == lang_filter):
-                edges.append((rel, head, tail))
-    return Graph(edges)
+                rels.append(rel)
+                heads.append(head)
+                tails.append(tail)
+    return Graph.from_columns(rels, heads, tails)
 
 
 def serialize(g, path):

@@ -57,38 +57,42 @@ def _positions(csr, centers):
         raise UnknownNodeError(exc.args[0]) from None
 
 
-def _walk_steps(csr, centers, cfg):
+def _walk_steps(csr, centers, cidx, cfg):
     """Yield slot * N + node for every step that lands, a stream chunk at a time.
 
-    `slot` is the position of the walk's center in `centers` and N the
-    node count, so the keys of one center sort together.  The starting
-    occupation of a center is not a step.  Streams walk in chunks of at
-    most CHUNK_STREAMS, one step of all of a chunk's walks at a time,
-    and each yield holds the landings of one chunk, so memory stays a
-    few arrays of CHUNK_STREAMS * steps keys.
+    `cidx` holds the sorted-order positions of `centers`, `slot` is the
+    position of the walk's center in `centers` and N the node count, so
+    the keys of one center sort together.  The starting occupation of a
+    center is not a step.  Streams walk in chunks of at most
+    CHUNK_STREAMS, one step of all of a chunk's walks at a time, and
+    each yield holds the landings of one chunk, so memory stays a few
+    arrays of CHUNK_STREAMS * steps keys.
     """
     indptr, indices = csr.indptr, csr.indices
     degree = np.diff(indptr)
     restarts = cfg.restarts
-    start = np.repeat(_positions(csr, centers), restarts)
+    start = np.repeat(cidx, restarts)
     base = np.repeat(np.arange(len(centers), dtype=np.int64) * len(csr.ids), restarts)
     seeds = derive_seeds([("walk", cfg.seed, c) for c in centers], range(restarts))
     for lo in range(0, len(seeds), CHUNK_STREAMS):
         cur = start[lo:lo + CHUNK_STREAMS]
         key_base = base[lo:lo + CHUNK_STREAMS]
-        rows = np.arange(len(cur))
+        rows = None  # the chunk rows of the live walks, once one has stopped
         landed = [key_base[:0]]
         for block in uniform_blocks(seeds[lo:lo + CHUNK_STREAMS], cfg.steps):
             for draw in block.T:
                 deg = degree[cur]
                 alive = deg > 0
                 if not alive.all():
-                    rows, cur, deg, key_base = rows[alive], cur[alive], deg[alive], key_base[alive]
+                    rows = alive.nonzero()[0] if rows is None else rows[alive]
+                    cur, deg, key_base = cur[alive], deg[alive], key_base[alive]
                     if not rows.size:
                         break
-                cur = indices[indptr[cur] + (draw[rows] * deg).astype(np.int64)]
+                if rows is not None:
+                    draw = draw[rows]
+                cur = indices[indptr[cur] + (draw * deg).astype(np.int64)]
                 landed.append(key_base + cur)
-            if not rows.size:
+            if rows is not None and not rows.size:
                 break
         yield np.concatenate(landed)
 
@@ -159,13 +163,12 @@ class HitTable:
         }
 
 
-def _neighbor_rows(csr, centers):
-    """(slot, node) of every center-neighbor pair, centers' rows concatenated.
+def _neighbor_rows(csr, cidx):
+    """(slot, node) of every center-neighbor pair, the rows of `cidx` concatenated.
 
-    Slots ascend, and nodes ascend within a slot, so slot * N + node is
-    strictly increasing.
+    `cidx` holds sorted-order positions.  Slots ascend, and nodes ascend
+    within a slot, so slot * N + node is strictly increasing.
     """
-    cidx = _positions(csr, centers)
     starts = csr.indptr[cidx]
     lens = csr.indptr[cidx + 1] - starts
     slot = np.repeat(np.arange(len(cidx), dtype=np.int64), lens)
@@ -173,39 +176,57 @@ def _neighbor_rows(csr, centers):
     return slot, csr.indices[pos]
 
 
-def _ranked(csr, centers, slot, nbr, counts):
+def _rank_order(slot, smoothed, slots, top):
+    """The permutation that orders rows by slot, then by `smoothed` descending.
+
+    Ties keep row order: one stable sort of the int64 keys
+    slot * top + (top - smoothed), which ascend with slot and fall with
+    `smoothed`.  They fit while every slot is below `slots`, every
+    smoothed count is in [1, top], and slots * top <= 2 ** 63.
+
+    Raises:
+        ContractError: slots * top exceeds the int64 keys.
+    """
+    if slots * top > 2 ** 63:
+        raise ContractError(f"{slots} slots with counts up to {top} overflow an int64 sort key")
+    return np.argsort(slot * top + (top - smoothed), kind="stable")
+
+
+def _ranked(csr, centers, slot, nbr, counts, top):
     """HitTables of `centers` from the walk counts of their `_neighbor_rows`.
 
     Every neighbor gets (count + 1) / sum over its center's neighbors
-    of (count + 1).  The order sorts on the integer counts, not the
-    float probabilities, so ties are exact and keep the rows' id order.
-    The run's tables are checked together, then cut from its flat lists.
+    of (count + 1), and no count + 1 exceeds `top`.  The order sorts on
+    the integer counts, not the float probabilities, so ties are exact
+    and keep the rows' id order.  The run's tables are checked
+    together, then cut from one run-wide tuple of ids and one of
+    probabilities.
     """
     smoothed = counts + 1
-    order = np.lexsort((-smoothed, slot))
+    order = _rank_order(slot, smoothed, len(centers), top)
     denom = np.bincount(slot, weights=smoothed, minlength=len(centers))
     probs = (smoothed / denom[slot])[order]
     lens = np.bincount(slot, minlength=len(centers))
     ends = np.cumsum(lens)
     _check_probs(probs, (ends - lens)[lens > 0])
-    probs = probs.tolist()
-    ids = list(map(csr.ids.__getitem__, nbr[order].tolist()))
+    probs = tuple(probs.tolist())
+    ids = tuple(map(csr.ids.__getitem__, nbr[order].tolist()))
     tables = []
     begin = 0
     for center, end in zip(centers, ends.tolist()):
-        tables.append(HitTable._checked(center, tuple(ids[begin:end]), tuple(probs[begin:end])))
+        tables.append(HitTable._checked(center, ids[begin:end], probs[begin:end]))
         begin = end
     return tables
 
 
-def _landing_counts(csr, centers, cfg, pair_keys):
+def _landing_counts(csr, centers, cidx, cfg, pair_keys):
     """How many walk steps of `centers` land on each of the ascending `pair_keys`.
 
     Each stream chunk's landing keys are sorted once, and a key's count
     is the width of its run in them, found by two binary searches.
     """
     counts = np.zeros(len(pair_keys), dtype=np.int64)
-    for landed in _walk_steps(csr, centers, cfg):
+    for landed in _walk_steps(csr, centers, cidx, cfg):
         landed.sort()
         counts += np.searchsorted(landed, pair_keys, "right")
         counts -= np.searchsorted(landed, pair_keys, "left")
@@ -216,11 +237,14 @@ def _sample(g, centers, cfg):
     """HitTables of `centers`, in order, from one run of the walk kernel.
 
     Counting holds one stream chunk's landings at a time, sorted once.
+    A neighbor's count is at most steps * restarts, one per step, so
+    count + 1 is at most steps * restarts + 1.
     """
     csr = g.csr()
-    slot, nbr = _neighbor_rows(csr, centers)
-    counts = _landing_counts(csr, centers, cfg, slot * len(csr.ids) + nbr)
-    return _ranked(csr, centers, slot, nbr, counts)
+    cidx = _positions(csr, centers)
+    slot, nbr = _neighbor_rows(csr, cidx)
+    counts = _landing_counts(csr, centers, cidx, cfg, slot * len(csr.ids) + nbr)
+    return _ranked(csr, centers, slot, nbr, counts, cfg.steps * cfg.restarts + 1)
 
 
 def sample_neighborhood(g, center, cfg):

@@ -25,26 +25,30 @@ def derive_seed(*parts) -> int:
 def derive_seeds(prefixes, lasts):
     """derive_seed(*p, x) for each p in `prefixes`, then each x in `lasts`.
 
-    Prefixes must be non-empty tuples.  Each prefix and each tail is
-    joined and encoded once, so a run of related streams costs one
-    sha256 apiece and no int parsing.  The UTF-8 encoding of a joined
-    label is the concatenation of its parts' encodings.
+    Prefixes must be non-empty tuples.  Each prefix label is hashed
+    once, and each of its streams copies that sha256 state and feeds it
+    the tail, so a run of related streams costs one hash object apiece
+    and no int parsing.  The UTF-8 encoding of a joined label is the
+    concatenation of its parts' encodings.
 
     Returns:
         (len(prefixes) * len(lasts),) uint64 array, prefix-major.
     """
     tails = [("\x1f" + str(x)).encode("utf-8") for x in lasts]
     sha256 = hashlib.sha256
-    digests = b"".join([
-        sha256(head + tail).digest()[:8]
-        for head in [_label(p).encode("utf-8") for p in prefixes]
-        for tail in tails
-    ])
-    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    digests = []
+    for prefix in prefixes:
+        head = sha256(_label(prefix).encode("utf-8"))
+        for tail in tails:
+            stream = head.copy()
+            stream.update(tail)
+            digests.append(stream.digest())
+    # a seed is the first big-endian 8 bytes of its 32-byte digest
+    return np.frombuffer(b"".join(digests), dtype=">u8")[::4].astype(np.uint64)
 
 
 def _label(parts):
-    return "\x1f".join(str(p) for p in parts)
+    return "\x1f".join(map(str, parts))
 
 
 def make_rng(*parts) -> np.random.Generator:

@@ -25,6 +25,7 @@ built-in bias term for bilinear scoring.
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -265,14 +266,15 @@ def generate_synthetic(spec):
     attrs_of = _deal_attrs(spec)
     attr_feats = _attr_features(spec, attrs_of, seen_idx)
 
-    edges = []
+    rels, heads, tails = [], [], []
     for i in range(spec.num_classes):
         for k in attrs_of[i]:
-            rel = LACKS_ATTRIBUTE if attr_feats[k][-1] < 0 else HAS_ATTRIBUTE
-            edges.append((rel, _class_node(i, cw), _attr_node(k, aw)))
+            rels.append(LACKS_ATTRIBUTE if attr_feats[k][-1] < 0 else HAS_ATTRIBUTE)
+            heads.append(_class_node(i, cw))
+            tails.append(_attr_node(k, aw))
     nodes = [_class_node(i, cw) for i in range(spec.num_classes)]
     nodes += [_attr_node(k, aw) for k in range(spec.attribute_pool)]
-    graph = Graph(edges, extra_nodes=nodes)
+    graph = Graph.from_columns(rels, heads, tails, extra_nodes=nodes)
 
     table = {}
     for i in range(spec.num_classes):
@@ -314,9 +316,10 @@ def generate_synthetic(spec):
     # training-time graph: unseen class ids must not be reachable by any
     # query during training, so they are cut out entirely, not just unlabeled
     visible = set(seen) | set(dev)
-    train_edges = [e for e in edges if e[1] in visible]
+    shown = [head in visible for head in heads]
     train_nodes = sorted(visible) + [_attr_node(k, aw) for k in range(spec.attribute_pool)]
-    train_graph = Graph(train_edges, extra_nodes=train_nodes)
+    train_graph = Graph.from_columns(
+        *(list(compress(column, shown)) for column in (rels, heads, tails)), extra_nodes=train_nodes)
 
     return SynthData(
         spec=spec,

@@ -392,6 +392,67 @@ def reference_graph(edges, extra_nodes=()):
     }
 
 
+def lexsort_graph(edges, extra_nodes=()):
+    """What `kg.Graph` held when it was built from tuples alone.
+
+    The bitwise oracle for the column build: triples deduplicated by a
+    dict, first occurrence winning; nodes numbered in first-seen order
+    by `setdefault`; and the CSR from both directions of every non-loop
+    edge, sorted by (row, column) with `np.lexsort`, the first of each
+    repeat kept.  Returns a dict of the first-seen `nodes`, `edges` and
+    `relations`, `neighbors` read from the CSR rows, `relations_between`
+    ((u, v) with u <= v -> relations in first-seen order) and the `Csr`
+    fields `ids`, `index`, `indptr` and `indices`.
+    """
+    edges = tuple(dict.fromkeys(map(tuple, edges)))
+    relations = tuple(dict.fromkeys(rel for rel, _, _ in edges))
+    first_seen = {}
+    for v in extra_nodes:
+        first_seen.setdefault(v, len(first_seen))
+    ends = [first_seen.setdefault(v, len(first_seen)) for _, head, tail in edges for v in (head, tail)]
+    nodes = tuple(first_seen)
+    n = len(nodes)
+    order = sorted(range(n), key=nodes.__getitem__)
+    ids = tuple(nodes[i] for i in order)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    pairs = rank[np.array(ends, dtype=np.int64).reshape(-1, 2)]
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+    by_pair = np.lexsort((cols, rows))
+    rows, cols = rows[by_pair], cols[by_pair]
+    keys = rows * n + cols
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] > keys[:-1]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[fresh], minlength=n), out=indptr[1:])
+    indices = cols[fresh]
+    rels_between = {}
+    for rel, head, tail in edges:
+        rels_between.setdefault((head, tail) if head <= tail else (tail, head), set()).add(rel)
+    return {
+        "nodes": nodes,
+        "edges": edges,
+        "relations": relations,
+        "neighbors": {
+            v: tuple(ids[j] for j in indices[indptr[i]:indptr[i + 1]].tolist()) for i, v in enumerate(ids)
+        },
+        "relations_between": {
+            k: tuple(r for r in relations if r in rs) for k, rs in rels_between.items()
+        },
+        "ids": ids,
+        "index": {v: i for i, v in enumerate(ids)},
+        "indptr": indptr,
+        "indices": indices,
+    }
+
+
+def lexsort_rank_order(slot, smoothed):
+    """Rows by slot, then by `smoothed` descending, ties in row order:
+    the `np.lexsort` that one stable sort of composite keys replaced."""
+    return np.lexsort((-smoothed, slot))
+
+
 def reference_scores(theta, head, reps, mode):
     """{class id: score}, one `vec @ phi` per candidate.
 

@@ -212,8 +212,8 @@ class TestTrainEval:
 
 
 class TestGoldenDigests:
-    """`train` + `eval` write the same bytes as they did when these digests were taken,
-    so a change that moves any of them names itself here."""
+    """`train` + `eval`, and `synth`, `ingest` + `sample`, write the same bytes as they did
+    when these digests were taken, so a change that moves any of them names itself here."""
 
     # model overrides, and the sha256 of each artifact at seed 0, 2 epochs, 20 examples per class
     RUNS = {
@@ -240,6 +240,31 @@ class TestGoldenDigests:
         assert run("eval", "--config", eval_cfg, "--out", str(run_dir)) == 0
         got = {n: hashlib.sha256((run_dir / n).read_bytes()).hexdigest() for n in digests}
         assert got == digests
+
+    # the sha256 of each artifact at seed 0 of synth, then of ingest and sample over synth's graph.tsv
+    SAMPLING = {
+        "synth": {
+            "examples.json": "2e65eeec2af6793ec014d58c07074504c9a6989d6d28e0026149af3b8f0b35cf",
+            "features.json": "7eb3ced43ed5e6b614d30b2773287d8c97ef6c7ce636b0a520e28203ed584548",
+            "fold_spec.json": "ba46324685fa53d0a8f58320cd115918626ce01d0be65b6700b8ea1d96a1c4ef",
+            "graph.tsv": "abbacb4e6c012c438826c00012e78cce307902a58c2e16b59579486bbfc202a1",
+            "summary.json": "568aab488c713248db923dc16c0041b0f10fd98676c383b21a808d1b0ba43ffd",
+        },
+        "ingest": {"graph.tsv": "abbacb4e6c012c438826c00012e78cce307902a58c2e16b59579486bbfc202a1"},
+        "sample": {"hits.json": "526cdb25bca3ce9dddc4f8e21be4978792fbdc8e847ea614a80b8e35d6f107f7"},
+    }
+
+    def test_synth_ingest_and_sample_bytes(self, tmp_path):
+        base = {"profile": "synthetic", "seed": 0}
+        assert run("synth", "--config", write(tmp_path / "synth.json", base), "--out", str(tmp_path / "synth")) == 0
+        graph = write(tmp_path / "graph.json", {**base, "paths": {"graph": str(tmp_path / "synth" / "graph.tsv")}})
+        for command in ("ingest", "sample"):
+            assert run(command, "--config", graph, "--out", str(tmp_path / command)) == 0
+        got = {
+            command: {n: hashlib.sha256((tmp_path / command / n).read_bytes()).hexdigest() for n in names}
+            for command, names in self.SAMPLING.items()
+        }
+        assert got == self.SAMPLING
 
 
 class TestBadCheckpoint:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import re
 import warnings
 
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgzsl import kg
+from kgzsl import config, kg, pipeline
 from kgzsl.errors import EmptyNameError, ParseError, UnknownNodeError
 from kgzsl.sampler import HitSource, WalkConfig
 from kgzsl.seeding import make_rng
+from kgzsl.synth import SynthSpec, generate_synthetic
 
-from .helpers import reference_graph
+from .helpers import lexsort_graph, reference_graph
 
 
 def write(tmp_path, text, name="graph.tsv"):
@@ -282,6 +284,91 @@ class TestGraphMatchesReference:
             assert g.nodes == () and g.edges == ()
             csr = g.csr()
             assert csr.indptr.tolist() == [0] and csr.indices.tolist() == []
+
+
+# ids that survive a TSV round trip; "x" and "y" only ever come in as extra nodes
+_tsv_ids = st.sampled_from(["a", "b", "c", "d", "/c/en/ü", "日本"])
+
+
+@st.composite
+def _edge_lists(draw):
+    """Triples with repeats, self-loops, reverses and several relations per pair,
+    some of them as lists."""
+    triples = draw(st.lists(st.tuples(st.sampled_from(["r", "s", "t"]), _tsv_ids, _tsv_ids), max_size=25))
+    if triples:
+        picks = st.lists(st.integers(0, len(triples) - 1), max_size=6)
+        triples += [triples[i] for i in draw(picks)]
+        triples += [(rel, tail, head) for rel, head, tail in (triples[i] for i in draw(picks))]
+        triples += [(rel, head, head) for rel, head, _ in (triples[i] for i in draw(picks))]
+        triples += [(rel, head, tail) for (_, head, tail), rel in zip(
+            (triples[i] for i in draw(picks)), draw(st.lists(st.sampled_from(["r", "s", "u"]))))]
+        triples = draw(st.permutations(triples))
+    as_list = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    return [list(t) if flip else t for t, flip in zip(triples, as_list)]
+
+
+def assert_graph_is(g, want):
+    assert g.nodes == want["nodes"]
+    assert g.relations == want["relations"]
+    assert g.num_edges == len(want["edges"])
+    csr = g.csr()
+    assert csr.ids == want["ids"] and csr.index == want["index"]
+    for got, ref in ((csr.indptr, want["indptr"]), (csr.indices, want["indices"])):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    for v in g.nodes:
+        assert g.neighbors(v) == want["neighbors"][v]
+        for u in g.nodes:
+            key = (u, v) if u <= v else (v, u)
+            assert g.relations_between(u, v) == want["relations_between"].get(key, ())
+    assert g.edges == want["edges"]
+
+
+class TestColumnBuildMatchesLexsortBuild:
+    """`Graph(edges)`, `Graph.from_columns` and `ingest` build, bit for bit, what the
+    dict-deduplicated, lexsort-ordered build of tuples did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edges=_edge_lists(), extra=st.lists(st.sampled_from(["a", "c", "日本", "x", "y"]), max_size=4))
+    def test_every_build_path_equals_the_oracle(self, tmp_path_factory, edges, extra):
+        want = lexsort_graph(edges, extra)
+        columns = [[e[i] for e in edges] for i in range(3)]
+        g = kg.Graph(edges, extra_nodes=extra)
+        for built in (g, kg.Graph.from_columns(*columns, extra_nodes=extra)):
+            assert_graph_is(built, want)
+        path = tmp_path_factory.mktemp("tsv") / "g.tsv"
+        kg.serialize(g, path)
+        # a TSV holds no isolated node, so ingest sees the edges alone
+        assert_graph_is(kg.ingest(path), lexsort_graph(edges))
+
+    def test_empty_graph_from_every_path(self, tmp_path):
+        kg.serialize(kg.Graph([]), tmp_path / "g.tsv")
+        for g in (kg.Graph([]), kg.Graph.from_columns([], [], []), kg.ingest(tmp_path / "g.tsv")):
+            assert_graph_is(g, lexsort_graph([]))
+
+    def test_columns_of_different_lengths_are_value_error(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            kg.Graph.from_columns(["r", "s"], ["a", "b"], ["b"])
+
+
+class TestLazyEdges:
+    """Nothing on the path of `kgzsl sample` builds an edge tuple."""
+
+    def test_sample_path_builds_no_edge_tuple(self, tmp_path, caplog):
+        p = write(tmp_path, "r\ta\tb\ns\tb\tc\nr\ta\tb\nr\tc\tc\n")
+        cfg = config.expand({"profile": "intent", "paths": {"graph": str(p)}})
+        caplog.set_level(logging.INFO, logger=pipeline.log.name)
+        g = pipeline.load_graph(cfg)
+        assert "graph: 3 nodes, 3 edges" in caplog.messages
+        source = HitSource(g, WalkConfig(steps=3, restarts=2))
+        tables = [source(v).to_jsonable() for v in sorted(g.nodes)]
+        assert [t["center"] for t in tables] == ["a", "b", "c"]
+        assert g._edges is None
+        assert g.edges is g.edges
+        assert g.edges == (("r", "a", "b"), ("s", "b", "c"), ("r", "c", "c"))
+
+    def test_a_synthetic_world_builds_no_edge_tuple(self):
+        data = generate_synthetic(SynthSpec(seed=0))
+        assert data.graph._edges is None and data.train_graph._edges is None
 
 
 class TestRoundTrip:

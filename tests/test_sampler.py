@@ -16,8 +16,8 @@ from kgzsl.seeding import derive_seed, derive_seeds, uniform_blocks
 from kgzsl.synth import SynthSpec, generate_synthetic
 
 from .helpers import (
-    entry_tuple_tables, markov_hit_table, reference_hit_entries, reference_walk_counts,
-    searchsorted_landing_counts, total_variation,
+    entry_tuple_tables, lexsort_rank_order, markov_hit_table, reference_hit_entries,
+    reference_walk_counts, searchsorted_landing_counts, total_variation,
 )
 
 
@@ -53,7 +53,8 @@ class TestWalkConfig:
 def landings(g, center, cfg):
     """{node id: landing count} of `center`'s walks, decoded from the kernel's keys."""
     csr = g.csr()
-    keys = np.concatenate([np.zeros(0, dtype=np.int64), *sampler._walk_steps(csr, [center], cfg)])
+    cidx = sampler._positions(csr, [center])
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *sampler._walk_steps(csr, [center], cidx, cfg)])
     nodes, counts = np.unique(keys, return_counts=True)
     return {csr.ids[v]: c for v, c in zip(nodes.tolist(), counts.tolist())}
 
@@ -335,10 +336,11 @@ class TestAgainstReferenceWalks:
         cfg = sampler.WalkConfig(steps=steps, restarts=restarts, seed=seed)
         csr = g.csr()
         centers = list(csr.ids)
-        slot, nbr = sampler._neighbor_rows(csr, centers)
+        cidx = sampler._positions(csr, centers)
+        slot, nbr = sampler._neighbor_rows(csr, cidx)
         pair_keys = slot * len(csr.ids) + nbr
-        counts = sampler._landing_counts(csr, centers, cfg, pair_keys)
-        old = searchsorted_landing_counts(pair_keys, sampler._walk_steps(csr, centers, cfg))
+        counts = sampler._landing_counts(csr, centers, cidx, cfg, pair_keys)
+        old = searchsorted_landing_counts(pair_keys, sampler._walk_steps(csr, centers, cidx, cfg))
         assert counts.tolist() == old.tolist()
         tables = sampler._sample(g, centers, cfg)
         want = entry_tuple_tables(csr, centers, slot, nbr, old)
@@ -357,6 +359,30 @@ class TestAgainstReferenceWalks:
         g = Graph([("r", "hub", n) for n in "pqrst"] + [("r", "p", "q"), ("r", "t", "deep")])
         cfg = sampler.WalkConfig(steps=6, restarts=sampler.CHUNK_STREAMS + 300, seed=4)
         assert sampler.HitSource(g, cfg)("hub").entries == reference_table(g, "hub", cfg)
+
+
+class TestRankOrder:
+    """One stable sort of slot * top + (top - smoothed) orders rows as the lexsort did."""
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_lexsort_on_tie_heavy_counts(self, slots, top, data):
+        rows = data.draw(st.lists(st.tuples(st.integers(0, slots - 1), st.integers(1, top)), max_size=40))
+        slot = np.array([r for r, _ in rows], dtype=np.int64)
+        smoothed = np.array([c for _, c in rows], dtype=np.int64)
+        got = sampler._rank_order(slot, smoothed, slots, top)
+        assert got.tolist() == lexsort_rank_order(slot, smoothed).tolist()
+
+    def test_equals_lexsort_up_to_the_largest_key(self):
+        # 2 slots * top 2 ** 62 is the bound; slot 1's count 1 keys 2 ** 63 - 1
+        slot, smoothed = np.array([1, 1, 0, 1, 0]), np.array([1, 2 ** 62, 7, 2 ** 62, 2 ** 62])
+        got = sampler._rank_order(slot, smoothed, 2, 2 ** 62)
+        assert got.tolist() == lexsort_rank_order(slot, smoothed).tolist() == [4, 2, 1, 3, 0]
+
+    def test_keys_past_int64_are_a_contract_error(self):
+        slot, smoothed = np.array([0, 1]), np.array([1, 1])
+        with pytest.raises(ContractError, match="int64"):
+            sampler._rank_order(slot, smoothed, 2, 2 ** 62 + 1)
 
 
 class TestUniformStreams:
