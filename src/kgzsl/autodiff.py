@@ -4,9 +4,11 @@ A Tensor wraps an ndarray plus the closure that pushes gradients to its
 parents.  backward() builds a Tape (the topologically ordered record of
 the operations reachable from the loss) and traverses it exactly once,
 accumulating gradients with +=, so reuse of a tensor sums contributions.
-One op, transformer_block, fuses a whole transformer aggregator group
-(gathers, attention block and combine) into a single node whose values
-and gradients are bitwise those of its elementary ops.
+Two ops fuse a chain of elementary ops into a single tape node whose
+values and gradients are bitwise those of the chain: transformer_block
+(a transformer aggregator group's gathers, attention block and combine)
+and bilinear_scores (one example's bilinear scores against every
+candidate class).
 
 Shapes are checked strictly: the only implicit broadcasts anywhere are
 adding a (n,) bias to every row of a (..., n) tensor, a 2-D right
@@ -20,6 +22,7 @@ stacked item, with the shapes a single item would use), so a stacked
 result is bitwise the result of running the items one at a time.
 """
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -76,10 +79,13 @@ class Tensor:
 def _make(data, parents, backward_fn):
     """Wire up an op result; skips recording when grads are off."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward_fn
+                break
     return out
 
 
@@ -101,7 +107,7 @@ def _weight_grad(w, g, x):
 def _bias_grad(b, g):
     """add's gradient for a bias b broadcast over the rows of g."""
     if b.requires_grad:
-        b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
+        b._accumulate(np.add.reduce(g.reshape(-1, b.shape[0]), axis=0))
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -352,7 +358,8 @@ def gather(a, index):
 
 
 def _check_index(op, a, index):
-    if index.size and (index.min() < 0 or index.max() >= a.shape[0]):
+    if index.size and (np.minimum.reduce(index, axis=None) < 0
+                       or np.maximum.reduce(index, axis=None) >= a.shape[0]):
         raise ContractError(f"{op}: index out of range for {a.shape}")
 
 
@@ -510,30 +517,45 @@ def _layer_norm_forward(x, gain, bias, eps=1e-5):
     """Layer norm of the array x over its last axis: (out, xhat, inv)."""
     d = gain.shape[0]
     # the sums and divisions of np.mean and np.var, so bitwise equal to
-    # them, without their Python wrappers
-    c = x - x.sum(axis=-1, keepdims=True) / d
-    var = (c * c).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = c * inv
-    return xhat * gain.data + bias.data, xhat, inv
+    # them, without their Python wrappers; temporaries are reused in place
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= d
+    c = x - mu
+    sq = c * c
+    var = np.add.reduce(sq, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat = np.multiply(c, inv, out=c)
+    out = np.multiply(xhat, gain.data, out=sq)
+    out += bias.data
+    return out, xhat, inv
 
 
 def _layer_norm_param_grads(g, gain, bias, xhat):
     """Push the output gradient g into the gain and bias tensors."""
     d = gain.shape[0]
     if gain.requires_grad:
-        gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        gain._accumulate(np.add.reduce((g * xhat).reshape(-1, d), axis=0))
     if bias.requires_grad:
-        bias._accumulate(g.reshape(-1, d).sum(axis=0))
+        bias._accumulate(np.add.reduce(g.reshape(-1, d), axis=0))
 
 
 def _layer_norm_input_grad(g, gain, xhat, inv):
-    """The input's gradient for the output gradient g."""
+    """The input's gradient for the output gradient g:
+    inv * (dxhat - m1 - xhat * m2), computed in place."""
     d = gain.shape[0]
     dxhat = g * gain.data
-    m1 = dxhat.sum(axis=-1, keepdims=True) / d
-    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-    return inv * (dxhat - m1 - xhat * m2)
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    m1 /= d
+    t = dxhat * xhat
+    m2 = np.add.reduce(t, axis=-1, keepdims=True)
+    m2 /= d
+    dxhat -= m1
+    dxhat -= np.multiply(xhat, m2, out=t)
+    dxhat *= inv
+    return dxhat
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -566,13 +588,15 @@ def transformer_block(prev, rows, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2
     members into a_v; the result is w [h_v ; a_v], (B, o) for a w of
     shape (o, 2n), with h_v = prev[rows[:, 0]].
 
-    The forward is the composition of gather, matmul_t, layer_norm,
-    matmul_t, scale, softmax, matmul, add, relu, mean, concat and
-    matvec, expression for expression, and the backward is their
-    backwards, in the order the tape would run them, so values and
-    gradients keep every bit.  Intermediate gradients skip the +0.0 of
-    a first _accumulate: a zero's sign cannot reach a leaf, whose own
-    first write adds it, nor prev, whose gather buffers start at +0.0.
+    The whole group is one tape node.  Its forward is the composition
+    of gather, matmul_t, layer_norm, matmul_t, scale, softmax, matmul,
+    add, relu, mean, concat and matvec, expression for expression, and
+    the backward is their backwards, in the order the tape would run
+    them, so values and gradients keep every bit.  Intermediate
+    gradients skip the +0.0 of a first _accumulate: a zero's sign
+    cannot reach a leaf, whose own first write adds it, nor prev, whose
+    gather buffers start at +0.0.  Reductions call the ufuncs'
+    `reduce` directly, which is what the ndarray methods run.
     """
     rows = np.asarray(rows)
     if prev.data.ndim != 2 or p_in.data.ndim != 2 or p_in.shape[1] != prev.shape[1]:
@@ -585,32 +609,42 @@ def transformer_block(prev, rows, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2
     _check_index("transformer_block", prev, rows)
     proj = p_in.shape[0]
     count = rows.shape[1]
-    c = float(1.0 / np.sqrt(proj))
+    c = 1.0 / math.sqrt(proj)
 
+    # each step's temporary is updated in place; a sum that swaps the
+    # composed form's operands rounds the same, as + commutes bitwise
     members = prev.data[rows]
     x0 = members @ p_in.data.T
     n1, xhat1, inv1 = _layer_norm_forward(x0, ln1_g, ln1_b)
     q = n1 @ wq.data.T
     k = n1 @ wk.data.T
     v = n1 @ wv.data.T
-    scores = (q @ k.transpose(0, 2, 1)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = q @ k.transpose(0, 2, 1)
+    attn *= c
+    attn -= np.maximum.reduce(attn, axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     mixed = attn @ v
-    x1 = x0 + mixed @ wo.data.T
+    x1 = mixed @ wo.data.T
+    x1 += x0
     n2, xhat2, inv2 = _layer_norm_forward(x1, ln2_g, ln2_b)
-    hidden = n2 @ ff1.data.T + ff1_b.data
+    hidden = n2 @ ff1.data.T
+    hidden += ff1_b.data
     act = np.maximum(hidden, 0.0)
-    x2 = x1 + (act @ ff2.data.T + ff2_b.data)
+    x2 = act @ ff2.data.T
+    x2 += ff2_b.data
+    x2 += x1
     back = x2 @ p_out.data.T
-    combined = np.concatenate([prev.data[rows[:, 0]], back.sum(axis=1) / count], axis=1)
+    a_v = np.add.reduce(back, axis=1)
+    a_v /= count
+    combined = np.concatenate([prev.data[rows[:, 0]], a_v], axis=1)
 
     def backward(g):
         # matvec, then concat: h_v's gather, then the block
         _weight_grad(w, g, combined)
         d_combined = g @ w.data
         _gather_grad(prev, rows[:, 0], d_combined[:, :width])
-        d_back = np.broadcast_to(np.expand_dims(d_combined[:, width:], 1), back.shape) / count
+        d_back = np.divide(d_combined[:, None, width:], count, out=np.empty(back.shape))
         _weight_grad(p_out, d_back, x2)
         d_x2 = d_back @ p_out.data
         _bias_grad(ff2_b, d_x2)
@@ -626,7 +660,9 @@ def transformer_block(prev, rows, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2
         d_mixed = d_x1 @ wo.data
         d_attn = d_mixed @ v.transpose(0, 2, 1)
         d_v = attn.transpose(0, 2, 1) @ d_mixed
-        d_scores = (attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))) * c
+        d_scores = d_attn - np.add.reduce(d_attn * attn, axis=-1, keepdims=True)
+        d_scores *= attn
+        d_scores *= c
         d_q = d_scores @ k
         d_k = d_scores.transpose(0, 2, 1) @ q
         _weight_grad(wq, d_q, n1)
@@ -646,6 +682,67 @@ def transformer_block(prev, rows, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2
     return _make((w.data @ combined[..., None])[..., 0], parents, backward)
 
 
+def bilinear_scores(theta, b, a, phis):
+    """theta' B A phi_c for every candidate c, as one (C,) node.
+
+    theta is (t,), b is B (t, r), a is A (r, e), and phis is a (C, e)
+    tensor or a list of C (e,) tensors, stacked in order.  The forward
+    is matmul(matmul_t(stack(phis), a), matmul(theta, b)), expression for
+    expression, and the backward is that chain's backwards: into a and
+    the phis (the phis first when they come as one tensor), then theta
+    and b.  Values and gradients keep every bit whenever no phi is
+    computed from theta or b, whose contributions the chain's tape would
+    push only after the phis' own backwards.  Intermediate gradients
+    skip the +0.0 of a first _accumulate: their values reach a tensor
+    only through products and sums, where a zero's sign can change no
+    nonzero result, and every tensor's first write adds +0.0 itself.
+    """
+    listed = isinstance(phis, list)
+    if listed:
+        if not phis:
+            raise ContractError("bilinear_scores of zero candidates")
+        shape = phis[0].shape
+        for t in phis:
+            if t.shape != shape:
+                raise _shape_err("bilinear_scores", *phis)
+        stacked = np.stack([t.data for t in phis])
+    else:
+        stacked = phis.data
+    if (theta.data.ndim != 1 or b.data.ndim != 2 or a.data.ndim != 2 or stacked.ndim != 2
+            or theta.shape[0] != b.shape[0] or b.shape[1] != a.shape[0]
+            or stacked.shape[1] != a.shape[1]):
+        raise ShapeError(f"bilinear_scores: incompatible shapes theta {theta.shape}, "
+                         f"B {b.shape}, A {a.shape}, phis {stacked.shape}")
+    phis_grad = any(t.requires_grad for t in phis) if listed else phis.requires_grad
+    left = theta.data @ b.data
+    projected = stacked @ a.data.T
+
+    def backward(g):
+        if phis_grad or a.requires_grad:
+            # np.outer's products, without its Python wrapper
+            d_projected = g[:, None] * left
+            if phis_grad:
+                d_stacked = d_projected @ a.data
+                if not listed:
+                    phis._accumulate(d_stacked)
+            _weight_grad(a, d_projected, stacked)
+            if listed and phis_grad:
+                for t, d in zip(phis, d_stacked):
+                    if t.requires_grad:
+                        t._accumulate(d)
+        if theta.requires_grad or b.requires_grad:
+            d_left = projected.T @ g
+            if theta.requires_grad:
+                theta._accumulate(b.data @ d_left)
+            if b.requires_grad:
+                b._accumulate(theta.data[:, None] * d_left)
+
+    # the tape walk visits parents last to first: b, theta, a, then the
+    # phis, the order in which it visits the chain's inputs
+    parents = (*phis, a, theta, b) if listed else (phis, a, theta, b)
+    return _make(projected @ left, parents, backward)
+
+
 # -------------------------------------------------------------------- losses
 
 
@@ -656,10 +753,11 @@ def cross_entropy(logits, target):
     target = int(target)
     if not 0 <= target < logits.shape[0]:
         raise ContractError(f"cross_entropy: target {target} out of range for {logits.shape}")
-    z = logits.data - logits.data.max()
+    z = logits.data - np.maximum.reduce(logits.data)
     e = np.exp(z)
-    probs = e / e.sum()
-    value = np.log(e.sum()) - z[target]
+    total = np.add.reduce(e)
+    probs = e / total
+    value = np.log(total) - z[target]
 
     def backward(g):
         if logits.requires_grad:
@@ -714,7 +812,8 @@ class Tape:
     @classmethod
     def from_output(cls, out):
         # iterative postorder so deep chains (long sequences) cannot
-        # blow the recursion limit
+        # blow the recursion limit; a Tensor hashes by identity, so the
+        # visited set holds the tensors themselves
         ordered = []
         visited = set()
         stack = [(out, False)]
@@ -723,12 +822,12 @@ class Tape:
             if expanded:
                 ordered.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p not in visited:
                     stack.append((p, False))
         return cls(ordered)
 
@@ -780,10 +879,11 @@ class Adam:
 
     Both moments live in one flat buffer each, in `params` order.  A step
     concatenates the live gradients once and runs the elementwise update
-    over them in one pass, so each weight rounds exactly as a step over
-    that tensor alone would.  The parameters stay arrays of their own:
-    callers may assign `p.data` (as `zeroshot._fit` restores its best
-    epoch), which would cut views into a shared buffer.
+    over them in one pass, in place with one temporary, so each weight
+    rounds exactly as a step over that tensor alone would.  The
+    parameters stay arrays of their own: callers may assign `p.data`
+    (as `zeroshot._fit` restores its best epoch), which would cut views
+    into a shared buffer.
     """
 
     BETAS = (0.9, 0.999)
@@ -811,20 +911,35 @@ class Adam:
             return
         g = np.concatenate([p.grad.ravel() for _, p in live])
         # the live parameters' span of the moment buffers
-        if len(live) == len(self.params):
-            span = slice(None)
+        whole = len(live) == len(self.params)
+        if whole:
+            m, v = self._m, self._v
         else:
             span = np.concatenate([np.arange(self._bounds[i], self._bounds[i + 1]) for i, _ in live])
-        m = self._m[span] * b1 + (1 - b1) * g
-        v = self._v[span] * b2 + (1 - b2) * g * g
-        self._m[span] = m
-        self._v[span] = v
-        mhat = m / (1 - b1 ** self._t)
-        vhat = v / (1 - b2 ** self._t)
-        update = mhat / (np.sqrt(vhat) + self.EPS)
+            m, v = self._m[span], self._v[span]
+        # m * b1 + (1 - b1) g and v * b2 + (1 - b2) g g, in place with one
+        # temporary; a product with swapped operands rounds the same
+        tmp = np.multiply(g, 1 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, 1 - b2, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        if not whole:
+            self._m[span] = m
+            self._v[span] = v
+        # update = mhat / (sqrt(vhat) + eps), into g's buffer
+        np.divide(v, 1 - b2 ** self._t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.EPS
+        update = np.divide(m, 1 - b1 ** self._t, out=g)
+        update /= tmp
         if self.weight_decay:
             # decoupled: decay the pre-step weight, outside the moments
-            update = update + self.weight_decay * np.concatenate([p.data.ravel() for _, p in live])
+            np.concatenate([p.data.ravel() for _, p in live], out=tmp)
+            tmp *= self.weight_decay
+            update += tmp
         update *= self.lr
         start = 0
         for _, p in live:

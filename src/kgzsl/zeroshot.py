@@ -57,7 +57,8 @@ class BilinearHead:
 
     B is (theta_dim, rank), A is (rank, phi_dim); rank bounds the rank
     of the full bilinear form, which is what keeps the head small when
-    the two sides are wide.
+    the two sides are wide.  `scores` is one tape node per example
+    (`ad.bilinear_scores`), whatever the number of candidates.
     """
 
     def __init__(self, theta_dim, phi_dim, rank, *, rng, name="head"):
@@ -78,10 +79,8 @@ class BilinearHead:
         return ad.matmul(ad.matmul(theta, self.b), ad.matmul(self.a, phi))
 
     def scores(self, theta, phis):
-        """Score theta against the (C, phi_dim) phi matrix (a list is stacked), as one (C,) tensor."""
-        left = ad.matmul(theta, self.b)
-        projected = ad.matmul_t(ad.stack(phis) if isinstance(phis, list) else phis, self.a)
-        return ad.matmul(projected, left)
+        """Score theta against the (C, phi_dim) phi matrix (a list is stacked), as one (C,) node."""
+        return ad.bilinear_scores(theta, self.b, self.a, phis)
 
     def score_matrix(self):
         """The full (theta_dim, phi_dim) form B A, as a plain array."""
@@ -402,8 +401,15 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
     for "l2") by one `ad._dot_rows` call, a row-wise `np.vecdot`, which
     rounds exactly like scoring each candidate on its own.  Arguments
     are as for `predict`; theta must be a vector in every mode.  Scores
-    are not checked for being finite here; `predict` does that.
+    are not checked for being finite here; `predict` does that.  The
+    ids come as a fresh list.
     """
+    class_reps, scores = _scored(theta, head, class_reps, mode)
+    return list(class_reps.ids), scores
+
+
+def _scored(theta, head, class_reps, mode):
+    """`candidate_scores` with the candidates as a ClassReps, whose ids are not copied."""
     if not class_reps:
         raise ContractError("no candidate classes")
     if mode not in ("multiclass", "multilabel", "l2"):
@@ -427,7 +433,7 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
                 f"({head.theta_dim}, {head.phi_dim}) head"
             )
         vec = theta @ head.score_matrix()
-    return list(class_reps.ids), ad._dot_rows(class_reps.matrix, vec)
+    return class_reps, ad._dot_rows(class_reps.matrix, vec)
 
 
 def predict(theta, head, class_reps, mode="multiclass"):
@@ -447,11 +453,12 @@ def predict(theta, head, class_reps, mode="multiclass"):
     A NaN or infinite score raises DataError naming the first such
     candidate in id order.
     """
-    ids, scores = candidate_scores(theta, head, class_reps, mode)
+    class_reps, scores = _scored(theta, head, class_reps, mode)
+    ids = class_reps.ids
     # argmax stops at the first NaN or finds +inf, and min gives NaN or -inf
     # if there is one; only then is the first non-finite candidate looked up
     best = int(scores.argmax())
-    if not (math.isfinite(scores[best]) and math.isfinite(scores.min())):
+    if not (math.isfinite(scores[best]) and math.isfinite(np.minimum.reduce(scores))):
         i = int(np.isfinite(scores).argmin())
         raise DataError(f"candidate {ids[i]!r} scores {float(scores[i])!r}")
     if mode == "multilabel":

@@ -334,6 +334,39 @@ class ComposedTransformerLayer(TransformerPoolLayer):
         return self.act(ad.matvec(self.weight, combined))
 
 
+def composed_bilinear_scores(theta, b, a, phis):
+    """The bilinear head's scores from the engine's elementary ops.
+
+    `BilinearHead.scores` before it became `ad.bilinear_scores`: a stack
+    of a list of phis, then matmul_t, matmul and matmul, one tape node
+    each, so the fused op's values, gradients and gradient accumulation
+    order can be compared with it byte for byte.
+    """
+    stacked = ad.stack(phis) if isinstance(phis, list) else phis
+    return ad.matmul(ad.matmul_t(stacked, a), ad.matmul(theta, b))
+
+
+def id_keyed_tape_order(out):
+    """`Tape.from_output`'s node order from the walk that keyed its
+    visited set by `id()`: the oracle for the walk keyed by the tensors."""
+    ordered = []
+    visited = set()
+    stack = [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            ordered.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    return ordered
+
+
 def layer_norm_reference(x, gain, bias, eps=1e-5):
     """Layer norm over the last axis from np.mean and np.var."""
     mu = np.mean(x, axis=-1, keepdims=True)

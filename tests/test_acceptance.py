@@ -135,6 +135,19 @@ def _op_cases(rng):
             {"prev": prev, **{f"w{i}": t for i, t in enumerate(params)}},
         )
 
+    def bilinear_scores_case():
+        # a (4,) theta, B (4, 3), A (3, 5) and three candidates, the
+        # first listed twice
+        theta, b, a = leaf(4), leaf((4, 3)), leaf((3, 5))
+        phis = [leaf(5) for _ in range(3)]
+
+        def scores():
+            return ad.bilinear_scores(theta, b, a, [phis[0], phis[1], phis[0], phis[2]])
+        return (
+            lambda: ad.sum(ad.multiply(scores(), scores())),
+            {"theta": theta, "b": b, "a": a, **{f"phi{i}": t for i, t in enumerate(phis)}},
+        )
+
     return [
         ("add", pair(ad.add)),
         ("subtract", pair(ad.subtract)),
@@ -179,6 +192,7 @@ def _op_cases(rng):
         ("layer_norm_3d", layer_norm_3d_case()),
         ("sum_axis1_3d", stacked(lambda t: ad.sum(t, axis=1), (2, 3, 4))),
         ("transformer_block", transformer_block_case()),
+        ("bilinear_scores", bilinear_scores_case()),
     ]
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -10,9 +12,12 @@ from hypothesis.extra import numpy as hnp
 
 from kgzsl import autodiff as ad
 from kgzsl.aggregators import ACTIVATIONS, TransformerPoolLayer
+from kgzsl.encoders import SentenceEncoder
 from kgzsl.errors import ContractError, DataError, ShapeError
+from kgzsl.zeroshot import BilinearHead
 
-from .helpers import ComposedTransformerLayer, ReferenceAdam, layer_norm_reference
+from .helpers import (ComposedTransformerLayer, ReferenceAdam, composed_bilinear_scores,
+                      id_keyed_tape_order, layer_norm_reference)
 
 
 def rng():
@@ -513,6 +518,22 @@ def _(r):
     return lambda: weighted_sum(ad.transformer_block(prev, rows, *params), rng()), named
 
 
+@grad_case("bilinear_scores")
+def _(r):
+    theta, b, a, phis = p(r, 4), p(r, 4, 3), p(r, 3, 5), p(r, 6, 5)
+    named = {"theta": theta, "b": b, "a": a, "phis": phis}
+    return lambda: weighted_sum(ad.bilinear_scores(theta, b, a, phis), rng()), named
+
+
+@grad_case("bilinear_scores_list")
+def _(r):
+    theta, b, a = p(r, 3), p(r, 3, 2), p(r, 2, 4)
+    phi0, phi1 = p(r, 4), p(r, 4)
+    named = {"theta": theta, "b": b, "a": a, "phi0": phi0, "phi1": phi1}
+    # phi0 is a candidate twice
+    return lambda: weighted_sum(ad.bilinear_scores(theta, b, a, [phi0, phi1, phi0]), rng()), named
+
+
 @grad_case("cross_entropy")
 def _(r):
     a = p(r, 5)
@@ -555,6 +576,17 @@ class TestGradCheckAllOps:
         report = ad.grad_check(bad_square, {"t": t})
         assert not report.passed
         assert report.worst() > 1e-3
+
+    def test_every_recording_op_has_a_case(self):
+        # a public op that records a tape node must be named by some case
+        # (`scale` by add_const_scale), or its backward goes unchecked
+        tree = ast.parse(inspect.getsource(ad))
+        ops = [f.name for f in tree.body
+               if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+               and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "_make" for n in ast.walk(f))]
+        assert "bilinear_scores" in ops and "scale" in ops
+        assert [op for op in ops if not any(op in case for case in GRAD_CASES)] == []
 
 
 def transformer_layer(in_dim, out_dim, activation, seed):
@@ -676,7 +708,138 @@ class TestTransformerBlock:
         assert "transformer_block" in str(err.value)
 
 
+def signed_zeros(r, *shape):
+    """Normal draws with some entries +0.0 and some -0.0."""
+    x = r.normal(size=shape)
+    x[r.random(shape) < 0.2] = 0.0
+    x[r.random(shape) < 0.1] = -0.0
+    return x
+
+
+class TestBilinearScores:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        classes=st.integers(1, 5),
+        rank=st.integers(1, 4),
+        phi_dim=st.integers(1, 4),
+        form=st.sampled_from(["tensor", "rows", "leaves"]),
+        phis_grad=st.booleans(),
+        theta_kind=st.sampled_from(["leaf", "constant", "sentence"]),
+        examples=st.integers(1, 3),
+        loss=st.sampled_from(["cross_entropy", "weighted"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_composed_ops(self, seed, classes, rank, phi_dim, form, phis_grad,
+                                           theta_kind, examples, loss):
+        r = np.random.Generator(np.random.PCG64(seed))
+        sent = SentenceEncoder(input_dim=3, hidden_dim=2, attn_dim=2, rng=r)
+        theta_dim = sent.output_dim if theta_kind == "sentence" else int(r.integers(1, 5))
+        b = ad.Tensor(signed_zeros(r, theta_dim, rank), requires_grad=True)
+        a = ad.Tensor(signed_zeros(r, rank, phi_dim), requires_grad=True)
+        base = ad.Tensor(signed_zeros(r, classes, phi_dim), requires_grad=phis_grad)
+        leaf_phis = [ad.Tensor(signed_zeros(r, phi_dim), requires_grad=phis_grad)
+                     for _ in range(classes)]
+        # candidates repeat, so one tensor can be listed twice
+        picks = r.integers(0, classes, size=int(r.integers(1, classes + 2)))
+        thetas = [signed_zeros(r, theta_dim) for _ in range(examples)]
+        tokens = [r.normal(size=(int(r.integers(1, 4)), 3)) for _ in range(examples)]
+        theta_leaves = [ad.Tensor(t, requires_grad=theta_kind == "leaf") for t in thetas]
+        leaves = [b, a, base, *leaf_phis, *theta_leaves, *sent.parameters().values()]
+
+        def run(scores_fn):
+            for t in leaves:
+                t.zero_grad()
+            # phis computed from a shared tensor push into it in tape order
+            src = ad.tanh(base)
+            if form == "tensor":
+                phis, count = src, classes
+            else:
+                pool = leaf_phis if form == "leaves" else [ad.row(src, i) for i in range(classes)]
+                phis, count = [pool[i] for i in picks], len(picks)
+            values, losses = [], []
+            for i in range(examples):
+                theta = sent.encode(tokens[i]) if theta_kind == "sentence" else theta_leaves[i]
+                scores = scores_fn(theta, b, a, phis)
+                values.append(scores.data.tobytes())
+                if loss == "cross_entropy":
+                    losses.append(ad.cross_entropy(scores, i % count))
+                else:
+                    weights = ad.constant(signed_zeros(np.random.default_rng(i), count))
+                    losses.append(ad.sum(ad.multiply(scores, weights)))
+            ad.backward(ad.mean(ad.stack(losses)))
+            return values, [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+        assert run(ad.bilinear_scores) == run(composed_bilinear_scores)
+
+    def test_head_scores_are_one_tape_node(self):
+        r = rng()
+        head = BilinearHead(3, 4, 2, rng=r)
+        phis = [p(r, 4) for _ in range(5)]
+        theta = p(r, 3)
+        # the op, B, A, theta and the five phis
+        assert len(ad.Tape.from_output(head.scores(theta, phis))) == 9
+        assert len(ad.Tape.from_output(head.scores(theta, ad.stack(phis)))) == 10
+        # the chain's stack, matmul_t and two matmuls
+        assert len(ad.Tape.from_output(composed_bilinear_scores(theta, head.b, head.a, phis))) == 12
+
+    def test_no_grad_records_nothing(self):
+        r = rng()
+        with ad.no_grad():
+            out = ad.bilinear_scores(p(r, 3), p(r, 3, 2), p(r, 2, 4), p(r, 5, 4))
+        assert not out.requires_grad and out._parents == ()
+
+    def test_zero_candidates_is_a_contract_error(self):
+        r = rng()
+        with pytest.raises(ContractError):
+            ad.bilinear_scores(p(r, 3), p(r, 3, 2), p(r, 2, 4), [])
+
+    @pytest.mark.parametrize("theta, b, a, phis", [
+        # ragged phis
+        ((3,), (3, 2), (2, 4), [(4,), (5,)]),
+        # phis of the wrong width, as a list and as a matrix
+        ((3,), (3, 2), (2, 4), [(5,), (5,)]),
+        ((3,), (3, 2), (2, 4), (6, 5)),
+        # a matrix where the phis are vectors, and a 1-D phi matrix
+        ((3,), (3, 2), (2, 4), [(1, 4)]),
+        ((3,), (3, 2), (2, 4), (4,)),
+        # theta not a vector, or not B's height
+        ((1, 3), (3, 2), (2, 4), (6, 4)),
+        ((2,), (3, 2), (2, 4), (6, 4)),
+        # B and A that do not chain
+        ((3,), (3, 2), (3, 4), (6, 4)),
+        ((3,), (3,), (2, 4), (6, 4)),
+    ])
+    def test_wrong_shapes_are_shape_errors(self, theta, b, a, phis):
+        r = rng()
+        phis = [p(r, *s) for s in phis] if isinstance(phis, list) else p(r, *phis)
+        with pytest.raises(ShapeError) as err:
+            ad.bilinear_scores(p(r, *theta), p(r, *b), p(r, *a), phis)
+        assert "bilinear_scores" in str(err.value)
+
+
+@st.composite
+def tape_dags(draw):
+    """The output of a random DAG of recorded nodes over a few leaves,
+    each node with one to four parents drawn with repeats, so parents
+    are shared between nodes and repeated within one."""
+    leaves = [ad.Tensor(np.zeros(1), requires_grad=draw(st.booleans()) or i == 0)
+              for i in range(draw(st.integers(1, 4)))]
+    nodes = list(leaves)
+    for _ in range(draw(st.integers(1, 12))):
+        picks = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=4))
+        nodes.append(ad._make(np.zeros(1), [nodes[i] for i in picks], None))
+    return nodes[-1]
+
+
 class TestBackward:
+    @given(tape_dags())
+    @settings(max_examples=150, deadline=None)
+    def test_tape_order_equals_id_keyed_walk(self, out):
+        ordered = ad.Tape.from_output(out)._ordered
+        oracle = id_keyed_tape_order(out)
+        assert len(ordered) == len(oracle)
+        assert all(x is y for x, y in zip(ordered, oracle))
+
     def test_reuse_accumulates(self):
         w = ad.Tensor([3.0], requires_grad=True)
         # loss = w*w + 2w, d/dw = 2w + 2 = 8
@@ -794,6 +957,29 @@ class TestAdam:
             ref.step()
         for k in shapes:
             assert params[k].data.tobytes() == ref_params[k].data.tobytes()
+        assert opt._m.tobytes() == np.concatenate([ref._m[k].ravel() for k in shapes]).tobytes()
+        assert opt._v.tobytes() == np.concatenate([ref._v[k].ravel() for k in shapes]).tobytes()
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_in_place_step_matches_reference_with_signed_zero_grads(self, weight_decay):
+        # a few steps: all live, one parameter without a gradient (the
+        # span path), then all live again; gradients hold zeros of both
+        # signs
+        r = np.random.default_rng(11)
+        shapes = {"w": (2, 3), "b": (3,), "s": ()}
+        init = {k: signed_zeros(r, *shape) for k, shape in shapes.items()}
+        params = {k: ad.Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
+        ref_params = {k: ad.Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
+        opt = ad.Adam(params, lr=0.02, weight_decay=weight_decay)
+        ref = ReferenceAdam(ref_params, lr=0.02, weight_decay=weight_decay)
+        for missing in (None, "b", None, "w", None):
+            for k, shape in shapes.items():
+                g = None if k == missing else signed_zeros(r, *shape)
+                params[k].grad = ref_params[k].grad = g
+            opt.step()
+            ref.step()
+            for k in shapes:
+                assert params[k].data.tobytes() == ref_params[k].data.tobytes(), (missing, k)
         assert opt._m.tobytes() == np.concatenate([ref._m[k].ravel() for k in shapes]).tobytes()
         assert opt._v.tobytes() == np.concatenate([ref._v[k].ravel() for k in shapes]).tobytes()
 

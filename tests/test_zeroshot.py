@@ -528,6 +528,16 @@ class TestPredict:
         with pytest.raises(DataError, match=f"candidate '{first}' scores {scores[first]!r}"):
             zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode)
 
+    def test_candidate_ids_come_as_a_fresh_list(self):
+        head = self.make_head()
+        reps = zs.ClassReps({"b": np.array([0.0, 1.0]), "a": np.array([1.0, 0.0])})
+        ids, _ = zs.candidate_scores(np.array([1.0, 0.0]), head, reps)
+        assert type(ids) is list and ids == ["a", "b"]
+        ids.append("c")
+        assert reps.ids == ("a", "b")
+        assert zs.candidate_scores(np.array([1.0, 0.0]), head, reps)[0] == ["a", "b"]
+        assert zs.predict(np.array([1.0, 0.0]), head, reps) == ["a"]
+
     @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
     @pytest.mark.parametrize("shape", [(), (2, 2)], ids=["0-D", "2-D"])
     def test_theta_must_be_a_vector(self, mode, shape):
