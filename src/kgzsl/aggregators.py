@@ -3,13 +3,17 @@
 Every layer follows the same AGGREGATE / COMBINE shape: pool the
 neighbor representations into a single vector, then combine with the
 node's own representation and apply a nonlinearity.  Four of the five
-kinds are order-free over the neighbor multiset; to make that exact at
-the bit level, neighbors are put into a canonical order (sorted by
-their raw bytes) before any float reduction, because float addition
-is not associative.  A group is ordered by one stable argsort of its
-members' rows viewed as void items, which compare like Python's
-`bytes`.  The sequence aggregator is order-sensitive by design and
-takes an explicit permutation instead.
+kinds are order-free over the neighbor multiset (`order_free`); to make
+that exact at the bit level, neighbors are put into a canonical order
+(sorted by their raw bytes) before any float reduction, because float
+addition is not associative.  A group is ordered by one stable argsort
+of its members' rows viewed as void items, which compare like Python's
+`bytes`.  One helper, `canonical_rows`, decides that order, and the
+layers never sort: a plan orders level 1 once, since its rows are
+features the binding fixes; a run orders each level above it, whose
+rows the parameters change; and the per-node `forward` orders its one
+node.  The sequence aggregator is order-sensitive by design and takes
+an explicit permutation instead.
 
 Every layer has one implementation, the level interface
 ``forward_group(prev, rows, node_args)``, which embeds a group of B
@@ -18,10 +22,11 @@ nodes with the same member count M at once:
 - ``prev`` is the (N, in_dim) tensor of the level below, one row per
   node;
 - ``rows`` is a (B, M) integer array of rows of ``prev``: each node
-  itself first, then its sampled neighbors in rank order;
+  itself first, then its sampled neighbors, in canonical order for the
+  order-free kinds and in rank order for ``lstm``;
 - ``node_args`` holds one extra per node, for the kinds that need it:
-  the relations to each neighbor (``rgcn``) or the member permutation
-  (``lstm``).
+  the relations to each neighbor, in the order of ``rows`` (``rgcn``),
+  or the member permutation (``lstm``).
 
 It returns a (B, out_dim) tensor.  All five kinds stack the group into
 (B, M, in_dim) tensors and make one call of each op (per relation and
@@ -31,21 +36,22 @@ the same code.
 
 ``gnn_forward`` embeds one root, or a sequence of roots as one forward
 over the union of their sampled DAGs, in two parts.  ``plan_forward``
-fixes everything the parameters cannot change, as a ``ForwardPlan`` of
-ids and integer arrays: the walk, the keys, the leaves, each level's
-calls and their fixed node_args.  ``run_forward`` reads the leaves'
-features and makes the layer calls, drawing train-mode permutations as
-it goes; a binding that keeps its plans (``zeroshot.GnnClassEncoder``)
-runs a plan again without walking.  A root's walk expands only the
-nodes it first reaches above depth k; those first reached at depth k
-are leaves and are not walked per root.  A node's level-1 key depends
-only on the node and its cut neighbor list, so it is interned once per
-(node, hop limit) per plan, and level 0 is read off level 1: its rows
-are the distinct members of level 1's keys.  The plan splits the nodes
-of a level that share a member count into slices of at most
-``GROUP_ROWS`` and the run makes one call per slice, so a wide eval
-level never holds the intermediates of its whole group at once, and
-the slices round like one call.
+fixes everything the parameters cannot change, as a ``ForwardPlan``:
+the walk, the keys, each level's calls and their fixed node_args, and
+the read-only leaf matrix, each leaf's feature row read once, on which
+level 1's rows are already in canonical order.  ``run_forward`` makes
+the layer calls from the plan alone, drawing train-mode permutations
+as it goes; a binding that keeps its plans (``zeroshot.GnnClassEncoder``)
+runs a plan again without walking and without reading a feature.  A
+root's walk expands only the nodes it first reaches above depth k;
+those first reached at depth k are leaves and are not walked per root.
+A node's level-1 key depends only on the node and its cut neighbor
+list, so it is interned once per (node, hop limit) per plan, and level
+0 is read off level 1: its rows are the distinct members of level 1's
+keys.  The plan splits the nodes of a level that share a member count
+into slices of at most ``GROUP_ROWS`` and the run makes one call per
+slice, so a wide eval level never holds the intermediates of its whole
+group at once, and the slices round like one call.
 """
 
 import numbers
@@ -89,32 +95,42 @@ def _member_order(data, rows):
     return keys.argsort(axis=1, kind="stable")
 
 
-def canonical_rows(prev, rows):
-    """`rows` with each node's neighbors (every column but the first) in canonical order.
+def canonical_rows(data, rows, node_args=None):
+    """`rows` of `data` with each node's neighbors (every column but the
+    first) in canonical order, and `node_args` to match.
 
-    One stable argsort orders a whole group; with one neighbor or none
-    there is nothing to sort and `rows` comes back as it is.
+    `node_args` is None or, for rgcn, per node its relations to each
+    neighbor, which are permuted with the neighbors.  One stable argsort
+    orders a whole group; with one neighbor or none there is nothing to
+    sort and both come back as they are.
     """
     size = rows.shape[1]
     if size <= 2:
-        return rows
+        return rows, node_args
+    ranked = _member_order(data, rows)
     neighbors = rows[:, 1:].ravel()
-    order = _member_order(prev.data, rows) + np.arange(0, neighbors.size, size - 1)[:, None]
     out = rows.copy()
-    out[:, 1:] = neighbors[order]
-    return out
+    out[:, 1:] = neighbors[ranked + np.arange(0, neighbors.size, size - 1)[:, None]]
+    if node_args is not None:
+        node_args = tuple([relations[j] for j in order]
+                          for order, relations in zip(ranked.tolist(), node_args))
+    return out, node_args
 
 
 def _forward_one(layer, members, node_args=None):
     """A per-node forward: the layer's group forward with B = 1."""
+    prev = ad.stack(members)
     rows = np.arange(len(members))[None]
-    return ad.row(layer.forward_group(ad.stack(members), rows, node_args), 0)
+    if layer.order_free:
+        rows, node_args = canonical_rows(prev.data, rows, node_args)
+    return ad.row(layer.forward_group(prev, rows, node_args), 0)
 
 
 class MeanPoolLayer:
     """h_v = act(W * mean(N(v) union {v}))."""
 
     kind = "gcn"
+    order_free = True
 
     def __init__(self, in_dim, out_dim, activation="relu", *, rng, name="gcn"):
         self.in_dim = in_dim
@@ -129,7 +145,7 @@ class MeanPoolLayer:
         return _forward_one(self, [self_feat, *neighbors])
 
     def forward_group(self, prev, rows, node_args=None):
-        members = ad.gather(prev, canonical_rows(prev, rows))
+        members = ad.gather(prev, rows)
         return self.act(ad.matvec(self.weight, ad.mean(members, axis=1)))
 
 
@@ -141,6 +157,7 @@ class AttentionPoolLayer:
     """
 
     kind = "gat"
+    order_free = True
 
     def __init__(self, in_dim, out_dim, activation="relu", *, rng, name="gat"):
         self.in_dim = in_dim
@@ -156,7 +173,6 @@ class AttentionPoolLayer:
         return _forward_one(self, [self_feat, *neighbors])
 
     def forward_group(self, prev, rows, node_args=None):
-        rows = canonical_rows(prev, rows)
         count, size = rows.shape
         projected = ad.matvec(self.weight, ad.gather(prev, rows))
         # the self row next to every member, for the [h'_u ; h'_v] scorer
@@ -177,6 +193,7 @@ class RelationalMeanLayer:
     """
 
     kind = "rgcn"
+    order_free = True
 
     def __init__(self, in_dim, out_dim, relations, num_bases=1, activation="relu", *, rng, name="rgcn"):
         if num_bases < 1:
@@ -216,26 +233,22 @@ class RelationalMeanLayer:
         members = [self_feat] + [feat for feat, _ in relations.values()]
         return _forward_one(self, members, [[tuple(rels) for _, rels in relations.values()]])
 
-    def _canonical_members(self, data, rows, node_args):
-        """Each node's neighbors in canonical order, as in canonical_rows, as
-        a (B, M - 1) index into `data`, and per relation a {0, 1} mask over
-        them, (R, B, M - 1, 1)."""
+    def _relation_masks(self, rows, node_args):
+        """Per relation a {0, 1} mask over each node's neighbors, (R, B, M - 1, 1)."""
         count, size = rows.shape
-        order = _member_order(data, rows)
-        index = np.take_along_axis(rows[:, 1:], order, axis=1)
         masks = np.zeros((len(self.relations), count, size - 1, 1))
-        for node, (ranked, relations) in enumerate(zip(order.tolist(), node_args)):
-            for k, j in enumerate(ranked):
-                for rel in relations[j]:
+        for node, relations in enumerate(node_args):
+            for k, rels in enumerate(relations):
+                for rel in rels:
                     if rel not in self._rel_index:
                         raise UnknownRelationError(rel)
                     masks[self._rel_index[rel], node, k] = 1.0
-        return index, masks
+        return masks
 
     def forward_group(self, prev, rows, node_args):
-        """node_args: per node, the relations from it to each neighbor."""
-        index, masks = self._canonical_members(prev.data, rows, node_args)
-        neighbors = ad.gather(prev, index)
+        """node_args: per node, the relations from it to each neighbor, in the order of `rows`."""
+        masks = self._relation_masks(rows, node_args)
+        neighbors = ad.gather(prev, rows[:, 1:])
         agg = None
         for rel, mask in zip(self.relations, masks):
             counts = mask.sum(axis=1)
@@ -306,6 +319,7 @@ class SequencePoolLayer:
     """
 
     kind = "lstm"
+    order_free = False
 
     def __init__(self, in_dim, out_dim, activation="relu", *, rng, name="lstm"):
         self.in_dim = in_dim
@@ -359,6 +373,7 @@ class TransformerPoolLayer:
     """
 
     kind = "transformer"
+    order_free = True
 
     def __init__(self, in_dim, out_dim, activation="relu", *, rng, name="transformer"):
         self.in_dim = in_dim
@@ -395,7 +410,7 @@ class TransformerPoolLayer:
 
     def forward_group(self, prev, rows, node_args=None):
         return self.act(ad.transformer_block(
-            prev, canonical_rows(prev, rows), self.p_in, self.wq, self.wk, self.wv, self.wo,
+            prev, rows, self.p_in, self.wq, self.wk, self.wv, self.wo,
             self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b,
             self.ff1, self.ff1_b, self.ff2, self.ff2_b, self.p_out, self.weight,
         ))
@@ -480,8 +495,11 @@ class GroupSlice:
 
     `rows` is the (B, M) intp array of rows of the level below,
     `positions` the (B,) intp positions of the nodes in their level's
-    DAG order, and `args` the call's fixed node_args, one per node:
-    rgcn's relations, lstm's eval-mode permutation, or None.
+    DAG order, and `args` the call's fixed node_args, one per node
+    (rgcn's relations or lstm's eval-mode permutation), or None for the
+    kinds that take none.  At level 1 of an order-free kind, `rows` and
+    rgcn's relations are already in canonical order; above it they are
+    in rank order.
     """
 
     rows: np.ndarray
@@ -500,15 +518,18 @@ class LevelPlan:
 
 @dataclass(frozen=True)
 class ForwardPlan:
-    """What `gnn_forward` fixes before its first layer call: structure only.
+    """What `gnn_forward` fixes before its first layer call.
 
-    `leaves` are level 0's node ids, each read from `features` per run;
-    `levels` holds one LevelPlan per layer, input side first; `index`
-    holds the top level's row of each root, in the roots' order.  It
-    holds ids and integer arrays, and no float.
+    `leaves` are level 0's node ids and `leaf_matrix` their feature
+    rows, read once when planning and read-only; `levels` holds one
+    LevelPlan per layer, input side first; `index` holds the top level's
+    row of each root, in the roots' order.  Beyond the leaf matrix it
+    holds ids and integer arrays, and no float, so a run reads no
+    feature.
     """
 
     leaves: tuple
+    leaf_matrix: np.ndarray
     levels: tuple
     index: np.ndarray
 
@@ -528,7 +549,7 @@ def forward_roots(graph, node, mode, rng):
     return roots
 
 
-def plan_forward(stack, graph, hits, roots, seed=0):
+def plan_forward(stack, graph, features, hits, roots, seed=0):
     """The ForwardPlan of the union of the roots' sampled DAGs.
 
     Each root's DAG is sampled on its own, reading each node's hit table
@@ -548,7 +569,9 @@ def plan_forward(stack, graph, hits, roots, seed=0):
     table keeps the roots' order, each root's nodes in walk order, which
     is the DAG order of train-mode draws.  Level 0 holds the distinct
     members of level 1's keys, in first-seen order: the nodes within k
-    hops of some root.
+    hops of some root.  Each of them is read from `features` once, into
+    the plan's leaf matrix, and an order-free first layer's rows are put
+    into canonical order on it here, since the binding fixes them.
 
     Args:
         hits: callable node -> HitTable (see sampler.HitSource).
@@ -603,10 +626,13 @@ def plan_forward(stack, graph, hits, roots, seed=0):
 
     # level 0 holds every member of a level-1 key, each once, in first-seen order
     leaves = tuple(dict.fromkeys(chain.from_iterable(level1)))
+    leaf_matrix = np.array([features[v] for v in leaves], dtype=np.float64)
+    leaf_matrix.flags.writeable = False
     row_of = {v: i for i, v in enumerate(leaves)}
     levels = []
     for level, nodes in todo.items():
-        kind = stack.layers[level - 1].kind
+        layer = stack.layers[level - 1]
+        kind = layer.kind
         if kind == "rgcn":
             node_args = [[graph.relations_between(v, u) for u in nbrs] for _, v, nbrs in nodes.values()]
         elif kind == "lstm":
@@ -624,35 +650,47 @@ def plan_forward(stack, graph, hits, roots, seed=0):
                 part = group[start:start + GROUP_ROWS]
                 rows = np.fromiter(map(row_of.__getitem__, chain.from_iterable(m for _, m, _ in part)),
                                    dtype=np.intp, count=len(part) * size).reshape(len(part), size)
+                args = tuple(arg for _, _, arg in part) if kind in ("rgcn", "lstm") else None
+                if level == 1 and layer.order_free:
+                    rows, args = canonical_rows(leaf_matrix, rows, args)
                 keys = [key for key, _, _ in part]
                 positions = np.array(keys, dtype=np.intp)
-                slices.append(GroupSlice(rows, positions, tuple(arg for _, _, arg in part)))
+                slices.append(GroupSlice(rows, positions, args))
                 order += keys
         sizes = np.fromiter(map(len, nodes), dtype=np.intp, count=len(nodes))
         levels.append(LevelPlan(sizes, tuple(slices)))
         row_of = {key: i for i, key in enumerate(order)}
     index = np.array([row_of[tops[r]] for r in roots], dtype=np.intp)
-    return ForwardPlan(leaves, tuple(levels), index)
+    return ForwardPlan(leaves, leaf_matrix, tuple(levels), index)
 
 
-def run_forward(stack, features, plan, node, mode="eval", rng=None):
-    """The forward pass a ForwardPlan fixes, from `features` and the live parameters.
+def run_forward(stack, plan, node, mode="eval", rng=None):
+    """The forward pass a ForwardPlan fixes, from the plan and the live parameters.
 
-    Level 0 reads each of the plan's leaves from `features`; each level
-    is then one `forward_group` call per slice, in the plan's order.  In
-    train mode an lstm level draws one permutation per DAG node from
-    `rng`, in DAG order, before its calls.  `node` is what was passed
-    to `gnn_forward`: one id gives an (out_dim,) row, a sequence a
-    (len, out_dim) tensor.
+    Level 0 is the plan's leaf matrix, so a run reads no feature; each
+    level is then one `forward_group` call per slice, in the plan's
+    order.  Level 1's rows come in canonical order from the plan, and an
+    order-free level above it puts each slice's rows into canonical
+    order on the level below, which the parameters change, before its
+    call.  In train mode an lstm level draws one permutation per DAG
+    node from `rng`, in DAG order, before its calls.  `node` is what was
+    passed to `gnn_forward`: one id gives an (out_dim,) row, a sequence
+    a (len, out_dim) tensor.
     """
-    prev = ad.constant(np.array([features[v] for v in plan.leaves], dtype=np.float64))
-    for layer, level in zip(stack.layers, plan.levels):
+    prev = ad.constant(plan.leaf_matrix)
+    for depth, (layer, level) in enumerate(zip(stack.layers, plan.levels)):
         if mode == "train" and layer.kind == "lstm":
             perms = [rng.permutation(n) for n in level.sizes.tolist()]
             node_args = [[perms[p] for p in part.positions.tolist()] for part in level.slices]
         else:
             node_args = [part.args for part in level.slices]
-        outs = [layer.forward_group(prev, part.rows, args) for part, args in zip(level.slices, node_args)]
+        reorder = depth > 0 and layer.order_free
+        outs = []
+        for part, args in zip(level.slices, node_args):
+            rows = part.rows
+            if reorder:
+                rows, args = canonical_rows(prev.data, rows, args)
+            outs.append(layer.forward_group(prev, rows, args))
         prev = outs[0] if len(outs) == 1 else ad.concat(outs)
     if isinstance(node, str):
         return ad.row(prev, plan.index[0])
@@ -686,4 +724,4 @@ def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=Non
         rng: the train-mode permutation stream.
     """
     roots = forward_roots(graph, node, mode, rng)
-    return run_forward(stack, features, plan_forward(stack, graph, hits, roots, seed), node, mode, rng)
+    return run_forward(stack, plan_forward(stack, graph, features, hits, roots, seed), node, mode, rng)

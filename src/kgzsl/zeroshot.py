@@ -93,8 +93,8 @@ class GnnClassEncoder:
     The same stack can be re-bound to a different graph for inductive
     evaluation; parameters live on the stack, not the binding.  A
     binding keeps the ForwardPlan of each root sequence it encodes: the
-    graph, hit tables and seed it binds fix a plan, and the parameters
-    never change it.
+    graph, features, hit tables and seed it binds fix a plan, and the
+    parameters never change it.
     """
 
     def __init__(self, stack, graph, features, hits, seed=0):
@@ -122,20 +122,22 @@ class GnnClassEncoder:
         forward over the union of their neighborhoods (see `gnn_forward`).
 
         The first call for a root sequence under the stack's hop limits
-        plans that forward; later calls run the kept plan, which reads
-        the features again but no hit table, and give the bits a fresh
-        `gnn_forward` call gives.  Only repeated encodes of one root
-        sequence gain: `_fit` re-encodes `seen` every step and `dev`
-        every epoch, while `kgzsl eval` encodes each fold's classes once,
-        so each of its plans is built, run once and kept until the
-        binding goes.
+        plans that forward, reading each hit table it needs once and each
+        leaf's feature once, into the plan's leaf matrix; later calls run
+        the kept plan, which reads no feature and no hit table, and give
+        the bits a fresh `gnn_forward` call gives.  Only repeated
+        encodes of one root sequence gain: `_fit` re-encodes `seen` every
+        step and `dev` every epoch, while `kgzsl eval` encodes each
+        fold's classes once, so each of its plans is built, run once and
+        kept until the binding goes.
         """
         roots = forward_roots(self.graph, class_node, mode, rng)
         key = (tuple(roots), tuple(self.stack.hop_limits))
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = plan_forward(self.stack, self.graph, self.hits, roots, self.seed)
-        return run_forward(self.stack, self.features, plan, class_node, mode, rng)
+            plan = self._plans[key] = plan_forward(self.stack, self.graph, self.features, self.hits,
+                                                   roots, self.seed)
+        return run_forward(self.stack, plan, class_node, mode, rng)
 
 
 @dataclass
@@ -362,15 +364,15 @@ class ClassReps(Mapping):
     `ids` holds the class ids in sorted order and row i of `matrix` is
     phi of ids[i]; `reps[c]` is a view of that row.  Built from any
     {class id: phi} mapping whose values are arrays or Tensors of one
-    width.
+    width, or by `of_rows` on a matrix whose rows already follow sorted
+    distinct ids.
     """
 
     def __init__(self, class_reps):
         if not class_reps:
             raise ContractError("no candidate classes")
-        self.ids = tuple(sorted(class_reps))
-        self._row = {c: i for i, c in enumerate(self.ids)}
-        rows = [class_reps[c] for c in self.ids]
+        ids = sorted(class_reps)
+        rows = [class_reps[c] for c in ids]
         try:
             matrix = np.array([r.data if isinstance(r, ad.Tensor) else r for r in rows],
                               dtype=np.float64)
@@ -378,6 +380,19 @@ class ClassReps(Mapping):
             raise ContractError("class representations differ in width") from None
         if matrix.ndim != 2:
             raise ContractError(f"class representations must be vectors, got shape {matrix.shape[1:]}")
+        self._hold(ids, matrix)
+
+    @classmethod
+    def of_rows(cls, ids, matrix):
+        """The ClassReps whose matrix is `matrix` itself, made read-only:
+        row i is phi of ids[i], and `ids` are sorted and distinct."""
+        reps = cls.__new__(cls)
+        reps._hold(ids, matrix)
+        return reps
+
+    def _hold(self, ids, matrix):
+        self.ids = tuple(ids)
+        self._row = {c: i for i, c in enumerate(self.ids)}
         matrix.flags.writeable = False
         self.matrix = matrix
 
@@ -398,11 +413,11 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
     """The sorted candidate ids and their scores, as `predict` reads them.
 
     Every candidate is scored against the one vector theta B A (theta
-    for "l2") by one `ad._dot_rows` call, a row-wise `np.vecdot`, which
-    rounds exactly like scoring each candidate on its own.  Arguments
-    are as for `predict`; theta must be a vector in every mode.  Scores
-    are not checked for being finite here; `predict` does that.  The
-    ids come as a fresh list.
+    for "l2") by one row-wise `np.vecdot`, which rounds exactly like
+    scoring each candidate on its own.  Arguments are as for `predict`;
+    theta must be a vector in every mode.  Scores are not checked for
+    being finite here; `predict` does that.  The ids come as a fresh
+    list.
     """
     class_reps, scores = _scored(theta, head, class_reps, mode)
     return list(class_reps.ids), scores
@@ -410,11 +425,12 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
 
 def _scored(theta, head, class_reps, mode):
     """`candidate_scores` with the candidates as a ClassReps, whose ids are not copied."""
-    if not class_reps:
+    convert = not isinstance(class_reps, ClassReps)
+    if convert and not class_reps:
         raise ContractError("no candidate classes")
     if mode not in ("multiclass", "multilabel", "l2"):
         raise ConfigError(f"unknown predict mode {mode!r}")
-    if not isinstance(class_reps, ClassReps):
+    if convert:
         class_reps = ClassReps(class_reps)
     theta = theta.data if isinstance(theta, ad.Tensor) else np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1:
@@ -433,7 +449,7 @@ def _scored(theta, head, class_reps, mode):
                 f"({head.theta_dim}, {head.phi_dim}) head"
             )
         vec = theta @ head.score_matrix()
-    return class_reps, ad._dot_rows(class_reps.matrix, vec)
+    return class_reps, np.vecdot(class_reps.matrix, vec)
 
 
 def predict(theta, head, class_reps, mode="multiclass"):
@@ -456,7 +472,9 @@ def predict(theta, head, class_reps, mode="multiclass"):
     class_reps, scores = _scored(theta, head, class_reps, mode)
     ids = class_reps.ids
     # argmax stops at the first NaN or finds +inf, and min gives NaN or -inf
-    # if there is one; only then is the first non-finite candidate looked up
+    # if there is one; only then is the first non-finite candidate looked up.
+    # Neither can overflow, as a sum of finite scores near the float64 limit
+    # does, with a RuntimeWarning
     best = int(scores.argmax())
     if not (math.isfinite(scores[best]) and math.isfinite(np.minimum.reduce(scores))):
         i = int(np.isfinite(scores).argmin())
@@ -473,9 +491,10 @@ def class_representations(class_encoder, class_ids, mode="eval"):
     The ids go to one `encode(ids)` call under no_grad, so every class's
     phi comes from one forward, in which a neighborhood that several
     classes sample is built once; in eval mode each phi is bitwise what
-    encoding its class alone gives.
+    encoding its class alone gives.  The (len, d) matrix that call
+    returns, one row per id, becomes the ClassReps' own matrix.
     """
     ids = sorted(set(class_ids))
     with ad.no_grad():
         phis = class_encoder.encode(ids, mode=mode)
-    return ClassReps(dict(zip(ids, phis.data)))
+    return ClassReps.of_rows(ids, phis.data)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from kgzsl import autodiff as ad
-from kgzsl.aggregators import GROUP_ROWS, TransformerPoolLayer, canonical_rows
+from kgzsl.aggregators import GROUP_ROWS, TransformerPoolLayer
 from kgzsl.errors import ContractError, UnknownNodeError
 from kgzsl.sampler import top_n
 from kgzsl.seeding import make_rng
@@ -194,14 +194,43 @@ def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rn
     return reps[(k, node)]
 
 
+def reference_canonical_rows(data, rows, node_args=None):
+    """Each node's neighbors sorted by the bytes of their rows of `data`,
+    and `node_args` (rgcn's relations) permuted to match.
+
+    Python's stable `sorted` over `bytes` keys: the order the layers'
+    canonical member order must equal.  Rows come back as lists.
+    """
+    out, args = [], []
+    for b, r in enumerate(np.asarray(rows).tolist()):
+        ranked = sorted(range(len(r) - 1), key=lambda j: data[r[1 + j]].tobytes())
+        out.append([r[0]] + [r[1 + j] for j in ranked])
+        if node_args is not None:
+            args.append([node_args[b][j] for j in ranked])
+    return out, None if node_args is None else args
+
+
+def sorting_forward_group(layer, prev, rows, node_args):
+    """`layer.forward_group` as it was before plans fixed member order:
+    an order-free layer sorts its own group on the rows of `prev`, at
+    every level and on every run."""
+    if layer.order_free:
+        relations = node_args if layer.kind == "rgcn" else None
+        ordered, node_args = reference_canonical_rows(prev.data, rows, relations)
+        rows = np.array(ordered, dtype=np.intp).reshape(rows.shape)
+    return layer.forward_group(prev, rows, node_args)
+
+
 def reference_union_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
     """The union forward before level 0 was read off level 1's keys.
 
     `gnn_forward` as it was when every root's walk still visited the
     nodes first reached at depth k, recorded their depths for the leaf
-    matrix and keyed level 1 per root.  It is the oracle for the build
-    that replaced it: same outputs, gradients and train-mode draw order
-    for any sequence of roots.
+    matrix and keyed level 1 per root, read every leaf's features on
+    every call, and sorted each order-free group's members inside its
+    group call (`sorting_forward_group`).  It is the oracle for the
+    build and the member order that replaced it: same outputs, gradients
+    and train-mode draw order for any sequence of roots.
     """
     roots = [node] if isinstance(node, str) else list(node)
     if not roots:
@@ -282,7 +311,7 @@ def reference_union_forward(stack, graph, features, hits, node, mode="eval", see
             for start in range(0, len(group), GROUP_ROWS):
                 part = group[start:start + GROUP_ROWS]
                 rows = np.array([[row_of[m] for m in members] for _, members, _ in part])
-                outs.append(layer.forward_group(prev, rows, [arg for _, _, arg in part]))
+                outs.append(sorting_forward_group(layer, prev, rows, [arg for _, _, arg in part]))
                 order += [key for key, _, _ in part]
         prev = outs[0] if len(outs) == 1 else ad.concat(outs)
         row_of = {key: i for i, key in enumerate(order)}
@@ -324,7 +353,6 @@ class ComposedTransformerLayer(TransformerPoolLayer):
     """
 
     def forward_group(self, prev, rows, node_args=None):
-        rows = canonical_rows(prev, rows)
         a_v = composed_transformer_block(
             ad.gather(prev, rows), self.p_in, self.wq, self.wk, self.wv, self.wo,
             self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b,

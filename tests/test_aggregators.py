@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import re
 from collections import Counter
 
@@ -19,7 +21,10 @@ from kgzsl.sampler import HitSource, HitTable, WalkConfig
 from kgzsl.seeding import make_rng
 from kgzsl.zeroshot import GnnClassEncoder
 
-from .helpers import ComposedTransformerLayer, per_node_forward, reference_union_forward, union_dag_size
+from .helpers import (
+    ComposedTransformerLayer, per_node_forward, reference_canonical_rows, reference_union_forward,
+    union_dag_size,
+)
 
 
 def rng(seed=0):
@@ -120,6 +125,8 @@ class TestRelationalMean:
             [("b",), ("b",), ("b",)],
             [("a",), ("c",), ("a",)],
         ]
+        # forward_group takes each node's neighbors in canonical order
+        rows, node_args = agg.canonical_rows(prev.data, rows, node_args)
         group = layer.forward_group(prev, rows, node_args)
         for b, (r, relations) in enumerate(zip(rows, node_args)):
             tagged = [(rel, ad.constant(prev.data[u])) for u, rels in zip(r[1:], relations) for rel in rels]
@@ -456,6 +463,27 @@ def random_world(seed, num_nodes, dim):
             edges.add((RELATIONS[int(r.integers(0, 2))], f"n{a}", f"n{b}"))
     g = Graph(sorted(edges))
     feats = FeatureTable(dim, {v: r.normal(size=dim) for v in g.nodes})
+    return g, feats, HitSource(g, WalkConfig(steps=8, restarts=4, seed=seed))
+
+
+def tied_world(seed, num_nodes, dim):
+    """A random world like `random_world` whose features tie.
+
+    Each node's feature row is one of three rows drawn from 0.0, -0.0,
+    1.0 and -1.0, so members often tie in bytes, or in value only, at
+    level 1 and above; and about a third of the extra edges join their
+    pair through both relations.
+    """
+    r = rng(seed)
+    edges = {("r0", f"n{i}", f"n{i + 1}") for i in range(num_nodes - 1)}
+    for _ in range(2 * num_nodes):
+        a, b = (int(i) for i in r.integers(0, num_nodes, 2))
+        if a != b:
+            relations = RELATIONS if r.integers(0, 3) == 0 else [RELATIONS[int(r.integers(0, 2))]]
+            edges.update((rel, f"n{a}", f"n{b}") for rel in relations)
+    g = Graph(sorted(edges))
+    palette = np.array([0.0, -0.0, 1.0, -1.0])[r.integers(0, 4, size=(3, dim))]
+    feats = FeatureTable(dim, {v: palette[int(r.integers(0, 3))] for v in g.nodes})
     return g, feats, HitSource(g, WalkConfig(steps=8, restarts=4, seed=seed))
 
 
@@ -850,13 +878,20 @@ class TestPlanReuse:
     @pytest.mark.parametrize("kind", KINDS)
     @given(others=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2),
            mode=st.sampled_from(["eval", "train"]), single=st.booleans(), calls=st.integers(2, 3),
-           **TRAIN_WORLDS)
-    @example(others=["lstm", "rgcn"], mode="train", single=False, calls=3, seed=4, num_nodes=10, dim=2,
-             limits=[2, 0, 1], picks=[1, 2, 3, 1])
+           tied=st.booleans(), **TRAIN_WORLDS)
+    @example(others=["lstm", "rgcn"], mode="train", single=False, calls=3, tied=False, seed=4, num_nodes=10,
+             dim=2, limits=[2, 0, 1], picks=[1, 2, 3, 1])
+    @example(others=["rgcn", "gcn"], mode="train", single=False, calls=3, tied=True, seed=5, num_nodes=8,
+             dim=2, limits=[3, 3, 2], picks=[0, 3, 5])
+    @example(others=["transformer", "gat"], mode="eval", single=True, calls=2, tied=True, seed=6,
+             num_nodes=9, dim=1, limits=[4, 3], picks=[2])
     @settings(max_examples=10, deadline=None)
-    def test_kept_plans_match_fresh_reference_bitwise(self, kind, others, mode, single, calls, seed,
+    def test_kept_plans_match_fresh_reference_bitwise(self, kind, others, mode, single, calls, tied, seed,
                                                      num_nodes, dim, limits, picks):
-        g, feats, hits = random_world(seed, num_nodes, dim)
+        # the reference sorts each order-free group inside its call, at
+        # every level and on every run; a kept plan and a fresh forward
+        # must order members as it does, on rows that tie too
+        g, feats, hits = (tied_world if tied else random_world)(seed, num_nodes, dim)
         stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
         roots = g.nodes[picks[0] % len(g.nodes)] if single else train_roots(g, hits, limits, picks)
         enc = GnnClassEncoder(stack, g, feats, hits, seed=seed)
@@ -874,13 +909,22 @@ class TestPlanReuse:
             return out.data.shape, out.data.tobytes(), grads, perm_rng.bit_generator.state
 
         def fresh(roots, mode, rng):
+            return agg.gnn_forward(stack, g, feats, hits, roots, mode=mode, seed=seed, rng=rng)
+
+        def reference(roots, mode, rng):
             return reference_union_forward(stack, g, feats, hits, roots, mode=mode, seed=seed, rng=rng)
 
-        kept_rng, fresh_rng = make_rng("plan-perm", seed), make_rng("plan-perm", seed)
+        streams = {f: make_rng("plan-perm", seed) for f in (reference, enc.encode, fresh)}
         for _ in range(calls):
-            assert run(enc.encode, kept_rng) == run(fresh, fresh_rng)
+            want = run(reference, streams[reference])
+            assert run(enc.encode, streams[enc.encode]) == want
+            assert run(fresh, streams[fresh]) == want
+            # an in-place step, as Adam takes, changes the order above level 1
+            for t in params.values():
+                if t.grad is not None:
+                    t.data -= 0.5 * t.grad
 
-    def test_second_encode_reads_features_but_no_hit_table(self, monkeypatch):
+    def test_second_encode_reads_no_feature_and_no_hit_table(self, monkeypatch):
         g, feats, source = random_world(17, 9, 3)
         hit_calls, reads, plans = Counter(), Counter(), []
 
@@ -896,8 +940,8 @@ class TestPlanReuse:
                 return feats[v]
 
         def counting_plan(*args):
-            plans.append(args)
-            return agg.plan_forward(*args)
+            plans.append(agg.plan_forward(*args))
+            return plans[-1]
 
         monkeypatch.setattr(zeroshot, "plan_forward", counting_plan)
         stack = make_stack(["lstm", "rgcn"], [3, 2], 3, seed=18)
@@ -910,9 +954,9 @@ class TestPlanReuse:
             reads.clear()
             assert enc.encode(roots).data.tobytes() == first
         assert len(plans) == 1
-        assert not hit_calls
-        # each leaf is read again, and once
-        assert reads == first_reads and set(reads.values()) == {1}
+        # planning read each leaf's features once; the kept plan reads none, and no hit table
+        assert set(first_reads.values()) == {1} and set(first_reads) == set(plans[0].leaves)
+        assert not hit_calls and not reads
 
         def planned_afresh(encode, roots):
             hit_calls.clear()
@@ -952,8 +996,12 @@ class TestPlanReuse:
     def test_a_plan_holds_integer_arrays_only(self, kind):
         g, feats, hits = random_world(23, 10, 3)
         stack = make_stack([kind, kind], [3, 2], 3, seed=24)
-        plan = agg.plan_forward(stack, g, hits, list(g.nodes), seed=5)
-        arrays = list(plan_arrays(plan))
+        plan = agg.plan_forward(stack, g, feats, hits, list(g.nodes), seed=5)
+        # but for the leaf matrix: the leaves' feature rows, read-only
+        leaf_matrix = plan.leaf_matrix
+        assert not leaf_matrix.flags.writeable
+        assert leaf_matrix.tobytes() == np.array([feats[v] for v in plan.leaves]).tobytes()
+        arrays = [a for a in plan_arrays(plan) if a is not leaf_matrix]
         # the leaf index, and per slice its rows and positions at least
         assert len(arrays) >= 1 + 2 * 2
         assert all(a.dtype.kind == "i" for a in arrays), [a.dtype for a in arrays]
@@ -971,10 +1019,6 @@ CANONICAL_GROUPS = dict(data=st.data(), num_rows=st.integers(1, 6), dim=st.integ
                         batch=st.integers(1, 70), size=st.integers(1, 24))
 
 
-def reference_canonical_rows(data, rows):
-    return [[r[0]] + sorted(r[1:], key=lambda i: data[i].tobytes()) for r in rows]
-
-
 def draw_level(data, num_rows, dim):
     """A (num_rows, dim) level below, now and then a column slice of a
     wider array, which is not contiguous."""
@@ -986,11 +1030,11 @@ class TestCanonicalOrder:
     @given(**CANONICAL_GROUPS)
     @settings(max_examples=100, deadline=None)
     def test_canonical_rows_sorts_by_row_bytes(self, data, num_rows, dim, batch, size):
-        prev = ad.constant(draw_level(data, num_rows, dim))
+        values = draw_level(data, num_rows, dim)
         rows = data.draw(hnp.arrays(np.intp, (batch, size), elements=st.integers(0, num_rows - 1)))
-        got = agg.canonical_rows(prev, rows)
-        assert got.dtype.kind == "i" and got.shape == rows.shape
-        assert got.tolist() == reference_canonical_rows(prev.data, rows)
+        got, args = agg.canonical_rows(values, rows)
+        assert got.dtype.kind == "i" and got.shape == rows.shape and args is None
+        assert got.tolist() == reference_canonical_rows(values, rows)[0]
 
     @given(**CANONICAL_GROUPS)
     @settings(max_examples=100, deadline=None)
@@ -1002,22 +1046,64 @@ class TestCanonicalOrder:
         subsets = [("r0",), ("r1",), ("r0", "r1"), ("r1", "r0")]
         picks = data.draw(hnp.arrays(np.intp, (batch, size - 1), elements=st.integers(0, len(subsets) - 1)))
         node_args = [[subsets[i] for i in row] for row in picks.tolist()]
-        index, masks = layer._canonical_members(values, rows, node_args)
+        ordered, relations = agg.canonical_rows(values, rows, node_args)
+        want_rows, want_relations = reference_canonical_rows(values, rows, node_args)
+        assert ordered.tolist() == want_rows
+        assert [list(r) for r in relations] == want_relations
+        masks = layer._relation_masks(ordered, relations)
         want_masks = np.zeros_like(masks)
-        for b, (r, relations) in enumerate(zip(rows, node_args)):
-            ranked = sorted(zip(r[1:], relations), key=lambda pair: values[pair[0]].tobytes())
-            assert index[b].tolist() == [u for u, _ in ranked]
-            for k, (_, rels) in enumerate(ranked):
+        for b, node_relations in enumerate(want_relations):
+            for k, rels in enumerate(node_relations):
                 for rel in rels:
                     want_masks[RELATIONS.index(rel), b, k] = 1.0
-        assert index.shape == (batch, size - 1)
+        assert masks.shape == (len(RELATIONS), batch, size - 1, 1)
         assert masks.tobytes() == want_masks.tobytes()
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_one_neighbor_or_none_is_already_canonical(self, size):
-        prev = ad.constant(np.array([[2.0], [-0.0], [0.0]]))
+        values = np.array([[2.0], [-0.0], [0.0]])
         rows = np.array([[0, 2, 1][:size], [1, 0, 2][:size]], dtype=np.intp)
-        assert agg.canonical_rows(prev, rows).tolist() == reference_canonical_rows(prev.data, rows)
+        node_args = [[("r0",)][:size - 1]] * 2
+        got, args = agg.canonical_rows(values, rows, node_args)
+        assert got is rows and args is node_args
+        assert got.tolist() == reference_canonical_rows(values, rows)[0]
+
+
+class TestMemberOrder:
+    """Member order is decided outside the layers; `TestPlanReuse` checks
+    it against the reference's sort inside each call, on `tied_world`s too."""
+
+    def test_tied_worlds_tie_rows_and_repeat_relations(self):
+        g, feats, _ = tied_world(5, 8, 2)
+        assert any(len(g.relations_between(v, u)) > 1 for v in g.nodes for u in g.neighbors(v))
+        rows = [feats[v].tobytes() for v in g.nodes]
+        assert len(set(rows)) < len(rows)
+
+    def test_no_forward_group_orders_its_members(self):
+        # member order is decided by canonical_rows, called from the plan,
+        # the run and the per-node forward, never from inside a layer's call
+        tree = ast.parse(inspect.getsource(agg))
+        checked = []
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+            todo, seen = ["forward_group"] if "forward_group" in methods else [], set()
+            while todo:
+                name = todo.pop()
+                if name in seen:
+                    continue
+                seen.add(name)
+                for node in ast.walk(methods[name]):
+                    ordering = isinstance(node, ast.Name) and node.id in ("canonical_rows", "_member_order")
+                    assert not ordering, (cls.name, name)
+                    # the layer's own methods that the call reaches
+                    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                            and node.value.id == "self" and node.attr in methods):
+                        todo.append(node.attr)
+            if seen:
+                checked.append(cls.name)
+        assert len(checked) == len(agg.LAYER_KINDS), checked
 
 
 class TestMakeLayer:

@@ -528,6 +528,17 @@ class TestPredict:
         with pytest.raises(DataError, match=f"candidate '{first}' scores {scores[first]!r}"):
             zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode)
 
+    @pytest.mark.parametrize("mode, want", [("multiclass", ["b"]), ("multilabel", {"a", "b"}), ("l2", ["b"])])
+    def test_finite_scores_whose_sum_overflows_still_predict(self, mode, want):
+        # every score is finite, but their sum is not; no warning either,
+        # since the test run makes a RuntimeWarning an error
+        head = self.make_head()
+        reps = {c: np.array([s, 0.0]) for c, s in {"a": 1e308, "b": 1.5e308, "c": -1.0}.items()}
+        assert zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode) == want
+        low = {c: -phi for c, phi in reps.items()}
+        want_low = {"c"} if mode == "multilabel" else ["c"]
+        assert zs.predict(np.array([1.0, 0.0]), head, low, mode=mode) == want_low
+
     def test_candidate_ids_come_as_a_fresh_list(self):
         head = self.make_head()
         reps = zs.ClassReps({"b": np.array([0.0, 1.0]), "a": np.array([1.0, 0.0])})
@@ -619,6 +630,18 @@ class TestClassReps:
         assert reps.matrix.shape == (4, 3)
         for c in ids:
             assert reps[c].tobytes() == enc.encode(c, mode="eval").data.tobytes()
+
+    def test_class_representations_hand_over_the_encoder_matrix(self):
+        enc, ids, reps = self.encoded()
+        with ad.no_grad():
+            out = enc.encode(sorted(ids))
+        # bitwise what the dict round trip gave, and read-only
+        assert reps.matrix.tobytes() == zs.ClassReps(dict(zip(sorted(ids), out.data))).matrix.tobytes()
+        assert reps.matrix.tobytes() == out.data.tobytes()
+        assert not reps.matrix.flags.writeable
+        # the matrix is the one the encoder returned, not a copy of it
+        got = zs.class_representations(SimpleNamespace(encode=lambda c, mode: out), ids)
+        assert got.matrix is out.data and got.ids == tuple(sorted(ids))
 
     def test_empty_and_non_vector_rows_rejected(self):
         with pytest.raises(ContractError):
@@ -762,15 +785,20 @@ class TestSharedPass:
             before = Counter(counting.counts)
             out = encode(c, mode=mode, rng=rng)
             if mode == "eval":
+                # what a binding with no plan gives under the same parameters
+                fresh = enc.rebind(enc.graph, counting.table, enc.hits).encode(c, mode=mode)
+                assert out.data.tobytes() == fresh.data.tobytes()
                 eval_calls.append((c, counting.counts - before))
             return out
 
         enc.encode = spy
-        zs.train_l2(enc, classes, epochs=2, seed=0)
-        # one eval-mode call per epoch, for every dev class, each feature looked up once
-        assert [list(c) for c, _ in eval_calls] == [list(classes.dev)] * 2
-        for _, lookups in eval_calls:
-            assert set(lookups.values()) == {1}
+        zs.train_l2(enc, classes, epochs=3, seed=0)
+        # one eval-mode call per epoch, for every dev class; the first plans
+        # the dev DAG, looking each needed feature up once, and the kept plan
+        # looks up none
+        assert [list(c) for c, _ in eval_calls] == [list(classes.dev)] * 3
+        assert set(eval_calls[0][1].values()) == {1}
+        assert [lookups for _, lookups in eval_calls[1:]] == [Counter()] * 2
 
     @pytest.mark.parametrize("head", ["bilinear", "l2"])
     def test_fit_train_step_is_one_union_encode(self, head):
