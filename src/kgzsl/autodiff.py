@@ -592,11 +592,17 @@ def transformer_block(prev, rows, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2
     of gather, matmul_t, layer_norm, matmul_t, scale, softmax, matmul,
     add, relu, mean, concat and matvec, expression for expression, and
     the backward is their backwards, in the order the tape would run
-    them, so values and gradients keep every bit.  Intermediate
-    gradients skip the +0.0 of a first _accumulate: a zero's sign
-    cannot reach a leaf, whose own first write adds it, nor prev, whose
-    gather buffers start at +0.0.  Reductions call the ufuncs'
-    `reduce` directly, which is what the ndarray methods run.
+    them, so values and gradients keep every bit, NaNs aside: with
+    infinite attention scores a gradient's NaN can carry the other
+    sign.  Intermediate gradients skip the +0.0 of a first _accumulate:
+    a zero's sign cannot reach a leaf, whose own first write adds it,
+    nor prev, whose gather buffers start at +0.0.  Reductions call the
+    ufuncs' `reduce` directly, which is what the ndarray methods run.  The
+    softmax max is taken over the leading axis of a contiguous
+    (M, B, M) copy of the scores, numpy's fast reduction, rather than
+    over their short last axis: a max is the same value in any order
+    but for the sign of a zero maximum, and exp(x - (+0.0)) and
+    exp(x - (-0.0)) are the same bits for every x.
     """
     rows = np.asarray(rows)
     if prev.data.ndim != 2 or p_in.data.ndim != 2 or p_in.shape[1] != prev.shape[1]:
@@ -621,7 +627,7 @@ def transformer_block(prev, rows, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2
     v = n1 @ wv.data.T
     attn = q @ k.transpose(0, 2, 1)
     attn *= c
-    attn -= np.maximum.reduce(attn, axis=-1, keepdims=True)
+    attn -= np.maximum.reduce(np.ascontiguousarray(attn.transpose(2, 0, 1)), axis=0)[..., None]
     np.exp(attn, out=attn)
     attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     mixed = attn @ v

@@ -59,6 +59,8 @@ class BilinearHead:
     of the full bilinear form, which is what keeps the head small when
     the two sides are wide.  `scores` is one tape node per example
     (`ad.bilinear_scores`), whatever the number of candidates.
+    `score_matrix` keeps the B A it last formed, so an eval pass forms
+    it once, not once per example.
     """
 
     def __init__(self, theta_dim, phi_dim, rank, *, rng, name="head"):
@@ -71,6 +73,8 @@ class BilinearHead:
         self.rank = rank
         self.b = ad.param((theta_dim, rank), rng, name=f"{name}/B")
         self.a = ad.param((rank, phi_dim), rng, name=f"{name}/A")
+        # (key, B A) from the last score_matrix call
+        self._kept = None
 
     def parameters(self):
         return {self.b.name: self.b, self.a.name: self.a}
@@ -83,8 +87,25 @@ class BilinearHead:
         return ad.bilinear_scores(theta, self.b, self.a, phis)
 
     def score_matrix(self):
-        """The full (theta_dim, phi_dim) form B A, as a plain array."""
-        return self.b.data @ self.a.data
+        """The full (theta_dim, phi_dim) form B A, as a read-only array.
+
+        B A is formed once per parameter state and kept with a key: the
+        shape, strides, dtype and bytes of the `b.data` and `a.data` it
+        came from.  Every way a parameter changes changes that key, be it
+        Adam's in-place step, a write into the array or a new array
+        assigned to `data` (a checkpoint restore or load), so the kept
+        matrix is bitwise `b.data @ a.data` whenever it is returned.  The
+        strides are in the key because numpy's matmul picks its kernel
+        by layout, and two layouts of one matrix can round differently.
+        """
+        b, a = self.b.data, self.a.data
+        key = (b.shape, b.strides, b.dtype, b.tobytes(), a.shape, a.strides, a.dtype, a.tobytes())
+        kept = self._kept
+        if kept is None or kept[0] != key:
+            matrix = b @ a
+            matrix.flags.writeable = False
+            self._kept = kept = (key, matrix)
+        return kept[1]
 
 
 class GnnClassEncoder:
@@ -413,11 +434,11 @@ def candidate_scores(theta, head, class_reps, mode="multiclass"):
     """The sorted candidate ids and their scores, as `predict` reads them.
 
     Every candidate is scored against the one vector theta B A (theta
-    for "l2") by one row-wise `np.vecdot`, which rounds exactly like
-    scoring each candidate on its own.  Arguments are as for `predict`;
-    theta must be a vector in every mode.  Scores are not checked for
-    being finite here; `predict` does that.  The ids come as a fresh
-    list.
+    for "l2"; B A is the head's kept `score_matrix()`) by one row-wise
+    `np.vecdot`, which rounds exactly like scoring each candidate on
+    its own.  Arguments are as for `predict`; theta must be a vector in
+    every mode.  Scores are not checked for being finite here; `predict`
+    does that.  The ids come as a fresh list.
     """
     class_reps, scores = _scored(theta, head, class_reps, mode)
     return list(class_reps.ids), scores
@@ -443,7 +464,7 @@ def _scored(theta, head, class_reps, mode):
         elif width != theta.shape[0]:
             raise ContractError(f"phi dim {width} incompatible with theta dim {theta.shape[0]}")
     else:
-        if theta.shape != (head.theta_dim,) or width != head.phi_dim:
+        if theta.shape[0] != head.theta_dim or width != head.phi_dim:
             raise ContractError(
                 f"theta {theta.shape} and phi width {width} do not fit a "
                 f"({head.theta_dim}, {head.phi_dim}) head"
@@ -467,16 +488,18 @@ def predict(theta, head, class_reps, mode="multiclass"):
             when phi carries one extra dimension.
 
     A NaN or infinite score raises DataError naming the first such
-    candidate in id order.
+    candidate in id order.  An example pays only for its own products,
+    theta (B A) and one row-wise product with the candidates: B A is
+    the head's `score_matrix()`, formed once per parameter state.
     """
     class_reps, scores = _scored(theta, head, class_reps, mode)
     ids = class_reps.ids
-    # argmax stops at the first NaN or finds +inf, and min gives NaN or -inf
-    # if there is one; only then is the first non-finite candidate looked up.
-    # Neither can overflow, as a sum of finite scores near the float64 limit
-    # does, with a RuntimeWarning
-    best = int(scores.argmax())
-    if not (math.isfinite(scores[best]) and math.isfinite(np.minimum.reduce(scores))):
+    # argmax stops at the first NaN or finds +inf, and argmin at the first
+    # NaN or finds -inf; only then is the first non-finite candidate looked
+    # up.  Neither can overflow, as a sum of finite scores near the float64
+    # limit does, with a RuntimeWarning
+    best = scores.argmax()
+    if not (math.isfinite(scores[best]) and math.isfinite(scores[scores.argmin()])):
         i = int(np.isfinite(scores).argmin())
         raise DataError(f"candidate {ids[i]!r} scores {float(scores[i])!r}")
     if mode == "multilabel":
@@ -493,8 +516,13 @@ def class_representations(class_encoder, class_ids, mode="eval"):
     classes sample is built once; in eval mode each phi is bitwise what
     encoding its class alone gives.  The (len, d) matrix that call
     returns, one row per id, becomes the ClassReps' own matrix.
+
+    Class representations are encoded in eval mode only: any other
+    `mode` is a ContractError.
     """
+    if mode != "eval":
+        raise ContractError(f"class representations are encoded in eval mode only, got mode {mode!r}")
     ids = sorted(set(class_ids))
     with ad.no_grad():
-        phis = class_encoder.encode(ids, mode=mode)
+        phis = class_encoder.encode(ids, mode="eval")
     return ClassReps.of_rows(ids, phis.data)

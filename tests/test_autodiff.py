@@ -708,6 +708,101 @@ class TestTransformerBlock:
         assert "transformer_block" in str(err.value)
 
 
+def attention_scores(layer, prev, rows):
+    """The block's (B, M, M) attention scores before their softmax."""
+    x0 = prev[rows] @ layer.p_in.data.T
+    n1 = layer_norm_reference(x0, layer.ln1_g.data, layer.ln1_b.data)
+    q, k = n1 @ layer.wq.data.T, n1 @ layer.wk.data.T
+    return (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(layer.proj_dim))
+
+
+class TestTransformerSoftmaxMax:
+    """The fused block takes its softmax max over the leading axis of a
+    contiguous copy; the composed oracle's `ad.softmax` over the last."""
+
+    # each case sets the query and key weights so some row's maximum is
+    # a zero, is tied, or is infinite (overflow in q k', so some rows are NaN)
+    CASES = {
+        "zero-max": lambda wq, wk: (np.zeros_like(wq), wk),
+        "tied": lambda wq, wk: (wq, wk),
+        "infinite": lambda wq, wk: (wq * 1e200, wk * 1e200),
+        "some-infinite": lambda wq, wk: (wq * 1.4e154, wk * 1.4e154),
+    }
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_composed_ops(self, case, mode):
+        r = np.random.Generator(np.random.PCG64(77))
+        prev = ad.Tensor(r.normal(size=(5, 6)), requires_grad=True)
+        # repeated members have equal keys: tied scores in every query row
+        rows = np.array([[0, 1, 1, 2], [3, 3, 3, 3], [4, 2, 0, 2]])
+        layer = transformer_layer(6, 3, "tanh", 78)
+        layer.wq.data, layer.wk.data = self.CASES[case](layer.wq.data, layer.wk.data)
+        weights = ad.constant(r.normal(size=(3, 3)))
+        with np.errstate(all="ignore"):
+            scores = attention_scores(layer, prev.data, rows)
+            top = scores.max(axis=-1, keepdims=True)
+            if case == "zero-max":
+                assert (scores == 0.0).all()
+            elif case == "tied":
+                assert ((scores == top).sum(axis=-1) > 1).any()
+            elif case == "infinite":
+                assert np.isposinf(scores).any() and np.isneginf(scores).any()
+            else:
+                assert np.isinf(scores).any() and np.isinf(top).any() and np.isfinite(top).any()
+
+            def bits(a):
+                # every number keeps its bits; a NaN's sign is outside the
+                # block's contract (its docstring says so)
+                return np.where(np.isnan(a), np.nan, a).tobytes()
+
+            def run(forward_group):
+                leaves = [prev, *layer.parameters().values()]
+                for t in leaves:
+                    t.zero_grad()
+                out = forward_group(layer, prev, rows)
+                if mode == "eval":
+                    return bits(out.data), []
+                ad.backward(ad.sum(ad.multiply(out, weights)))
+                return bits(out.data), [bits(t.grad) for t in leaves]
+
+            assert run(FUSED) == run(COMPOSED)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exp_after_either_zero_sign_is_the_same_bits(self, seed):
+        r = np.random.Generator(np.random.PCG64(seed))
+        x = r.normal(size=200) * r.choice([1e-310, 1.0, 300.0], size=200)
+        x[r.random(200) < 0.2] = 0.0
+        x[r.random(200) < 0.2] = -0.0
+        x[:4] = [np.inf, -np.inf, np.nan, -0.0]
+        assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()
+        with np.errstate(over="ignore"):
+            assert np.exp(x - 0.0).tobytes() == np.exp(x - (-0.0)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leading_axis_max_gives_the_softmax_the_same_bits(self, seed):
+        # whole rows of mixed-sign zeros, whose maximum's sign may depend on order
+        r = np.random.Generator(np.random.PCG64(seed))
+        scores = r.normal(size=(6, 5, 5))
+        scores[r.random((6, 5, 5)) < 0.5] = -0.0
+        scores[r.random((6, 5, 5)) < 0.5] = 0.0
+        scores[0, 1] = [-0.0, 0.0, -0.0, 0.0, -1.0]
+        scores[1, 2] = [0.0, -0.0, -1.0, 0.0, -0.0]
+        scores[2, 3] = [np.inf, 1.0, np.inf, -np.inf, 0.0]
+        scores[3, 4] = [-np.inf] * 5
+
+        def softmax(top):
+            e = np.exp(scores - top)
+            return (e / np.add.reduce(e, axis=-1, keepdims=True)).tobytes()
+
+        with np.errstate(invalid="ignore"):
+            last = np.maximum.reduce(scores, axis=-1, keepdims=True)
+            leading = np.maximum.reduce(np.ascontiguousarray(scores.transpose(2, 0, 1)), axis=0)[..., None]
+            assert last.shape == leading.shape
+            np.testing.assert_array_equal(last, leading)
+            assert softmax(last) == softmax(leading)
+
+
 def signed_zeros(r, *shape):
     """Normal draws with some entries +0.0 and some -0.0."""
     x = r.normal(size=shape)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import re
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,6 +61,148 @@ class TestBilinearHead:
         s = head.scores(ad.constant(rng(7).normal(size=7)),
                         [ad.constant(rng(8).normal(size=3))])
         assert s.data.shape == (1,)
+
+
+class TestKeptScoreMatrix:
+    """`score_matrix` keeps B A per parameter state; every way a parameter
+    changes must reach `predict` and `candidate_scores` bitwise."""
+
+    def check(self, head, seed=0):
+        r = rng(seed)
+        theta = r.normal(size=head.theta_dim)
+        reps = {f"c{i:02d}": r.normal(size=head.phi_dim) for i in range(12)}
+        for mode in ("multiclass", "multilabel"):
+            want = reference_scores(theta, head, reps, mode)
+            ids, scores = zs.candidate_scores(theta, head, reps, mode)
+            assert scores.tobytes() == np.array([want[c] for c in ids]).tobytes(), mode
+            got = zs.predict(theta, head, reps, mode)
+            if mode == "multilabel":
+                assert got == {c for c, s in want.items() if s > 0.0}
+            else:
+                assert got == ranking_reference(theta, head, reps, mode)[:1]
+        assert head.score_matrix().tobytes() == (head.b.data @ head.a.data).tobytes()
+
+    def test_formed_once_per_parameter_state(self):
+        head = zs.BilinearHead(5, 4, rank=2, rng=rng(60))
+        first = head.score_matrix()
+        assert head.score_matrix() is first
+        head.a.data[0, 0] += 1.0
+        assert head.score_matrix() is not first
+
+    def test_read_only(self):
+        head = zs.BilinearHead(5, 4, rank=2, rng=rng(61))
+        matrix = head.score_matrix()
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        self.check(head)
+
+    def test_adam_step(self):
+        head = zs.BilinearHead(6, 5, rank=3, rng=rng(62))
+        self.check(head)
+        before = head.b.data.tobytes(), head.a.data.tobytes()
+        r = rng(63)
+        for p in head.parameters().values():
+            p.grad = r.normal(size=p.data.shape)
+        ad.Adam(head.parameters(), lr=0.01).step()
+        assert (head.b.data.tobytes(), head.a.data.tobytes()) != before
+        self.check(head)
+
+    def test_data_assignment(self):
+        # as `_fit` restores its best epoch: new arrays, other values, then equal bytes
+        head = zs.BilinearHead(6, 5, rank=3, rng=rng(64))
+        other = zs.BilinearHead(6, 5, rank=3, rng=rng(65))
+        self.check(head)
+        head.b.data = other.b.data.copy()
+        self.check(head)
+        head.a.data = other.a.data.copy()
+        self.check(head)
+        head.b.data = head.b.data.copy()
+        self.check(head)
+
+    def test_load_into(self, tmp_path):
+        head = zs.BilinearHead(6, 5, rank=3, rng=rng(66))
+        other = zs.BilinearHead(6, 5, rank=3, rng=rng(67))
+        self.check(head)
+        ad.save_checkpoint(other.parameters(), tmp_path / "ckpt.json")
+        ad.load_into(head.parameters(), tmp_path / "ckpt.json")
+        assert head.b.data.tobytes() == other.b.data.tobytes()
+        self.check(head)
+
+    def test_in_place_write_to_one_entry(self):
+        head = zs.BilinearHead(6, 5, rank=3, rng=rng(68))
+        self.check(head)
+        head.b.data[2, 1] = 3.5
+        self.check(head)
+        head.a.data[0, 4] *= -1.0
+        self.check(head)
+
+    def test_signed_zero_flip(self):
+        # equal values, other bytes: the key sees the flip, so B A is formed again
+        head = zs.BilinearHead(4, 3, rank=2, rng=rng(69))
+        head.b.data[1] = 0.0
+        head.a.data[:, 2] = -0.0
+        self.check(head)
+        for zero in (-0.0, 0.0):
+            kept = head.score_matrix()
+            head.b.data[1, 0] = zero
+            head.a.data[0, 2] = -zero
+            assert head.score_matrix() is not kept
+            self.check(head)
+
+    def test_same_bytes_other_shapes(self):
+        # views of one layout: equal bytes and strides, only the shapes differ
+        head = zs.BilinearHead(3, 3, rank=2, rng=rng(70))
+        values = rng(71).normal(size=6)
+        wide_b, wide_a = np.zeros((3, 4)), np.zeros((3, 4))
+        head.b.data, head.a.data = wide_b[:, :2], wide_a[:2, :3]
+        head.b.data[...] = values.reshape(3, 2)
+        head.a.data[...] = values[::-1].reshape(2, 3)
+        self.check(head)
+        wide_b, wide_a = np.zeros((2, 4)), np.zeros((3, 4))
+        head.b.data, head.a.data = wide_b[:, :3], wide_a[:, :2]
+        head.b.data[...] = values.reshape(2, 3)
+        head.a.data[...] = values[::-1].reshape(3, 2)
+        head.theta_dim, head.rank, head.phi_dim = 2, 3, 2
+        self.check(head)
+
+    def test_other_layout_same_values(self):
+        # numpy's matmul picks its kernel by layout, so a Fortran-ordered
+        # copy of B is a new parameter state (with OpenBLAS, this head's
+        # two layouts round differently)
+        head = zs.BilinearHead(24, 20, rank=18, rng=rng(72))
+        self.check(head)
+        head.b.data = np.asfortranarray(head.b.data)
+        self.check(head)
+
+    def test_only_score_matrix_forms_b_a(self):
+        # a function that reads some head's b.data and a.data and multiplies
+        # matrices forms B A; only score_matrix may, so nothing forms it per example
+        def reads(node, name):
+            return (isinstance(node, ast.Attribute) and node.attr == "data"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == name)
+
+        def multiplies(node):
+            return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Call) and getattr(node.func, "attr", None)
+                    in {"matmul", "dot", "einsum", "vecdot", "multi_dot", "tensordot", "inner"})
+
+        def functions(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from functions(child, f"{prefix}{child.name}.")
+                    if isinstance(child, ast.FunctionDef):
+                        yield f"{prefix}{child.name}", child
+
+        forming = set()
+        for path in sorted(Path(zs.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for name, fn in functions(tree, f"{path.stem}."):
+                body = list(ast.walk(fn))
+                if (any(reads(n, "b") for n in body) and any(reads(n, "a") for n in body)
+                        and any(multiplies(n) for n in body)):
+                    forming.add(name)
+        assert forming == {"zeroshot.BilinearHead.score_matrix"}
 
 
 class TestClassSet:
@@ -700,6 +844,18 @@ class CountingFeatures:
 class TestSharedPass:
     def classes(self, enc):
         return [v for v in enc.graph.nodes if v.startswith("class_")]
+
+    @pytest.mark.parametrize("mode", ["train", "no_grad", None])
+    def test_only_eval_mode_is_accepted(self, mode):
+        # refused before any encode, with the reason, not the rng the train path lacks
+        enc = shared_world()
+        calls = []
+        spy = SimpleNamespace(encode=lambda *args, **kw: calls.append(args))
+        with pytest.raises(ContractError, match=f"eval mode only, got mode {mode!r}"):
+            zs.class_representations(spy, self.classes(enc), mode=mode)
+        assert calls == []
+        reps = zs.class_representations(enc, self.classes(enc), mode="eval")
+        assert reps.ids == tuple(sorted(self.classes(enc)))
 
     def test_one_pass_looks_up_each_needed_feature_once(self):
         enc = shared_world()
