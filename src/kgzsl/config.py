@@ -176,23 +176,14 @@ def expand(raw):
     base = copy.deepcopy(_COMMON)
     base.update(copy.deepcopy(PROFILES[profile]))
     base["profile"] = profile
-    # encoder blocks differ per profile, so replace wholesale when given
-    override = {k: v for k, v in raw.items()}
-    enc = None
-    if isinstance(override.get("model"), dict) and isinstance(
-        override["model"].get("encoder"), dict
-    ):
-        override = copy.deepcopy(override)
-        enc = override["model"].pop("encoder")
-    cfg = _merge(base, override)
-    if enc is not None:
-        if enc.get("kind", cfg["model"]["encoder"]["kind"]) == cfg["model"]["encoder"]["kind"]:
-            merged = dict(cfg["model"]["encoder"])
-            for k, v in enc.items():
-                merged[k] = v
-            cfg["model"]["encoder"] = merged
-        else:
-            cfg["model"]["encoder"] = enc
+    model = raw.get("model")
+    enc = model.get("encoder") if isinstance(model, dict) else None
+    if isinstance(enc, dict):
+        # an encoder of the profile's kind merges into its block; another kind replaces it
+        block = base["model"]["encoder"]
+        same = enc.get("kind", block["kind"]) == block["kind"]
+        base["model"]["encoder"] = {**block, **enc} if same else dict(enc)
+    cfg = _merge(base, raw)
     validate(cfg)
     return cfg
 
@@ -232,8 +223,23 @@ def _check_leaf_types(cfg):
         _check_leaf(value is None or isinstance(value, str), f"paths.{key}", "a string or null", value)
 
 
+def generates_world(cfg):
+    """Whether a run generates its world from the `synth` block: the synthetic profile with no graph."""
+    return cfg["profile"] == "synthetic" and not cfg["paths"]["graph"]
+
+
+def _judge(make, block, cfg):
+    """Build `make(**cfg[block], seed=cfg["seed"])`, whose own checks judge the block; an error
+    that opens with one of the block's keys gets the block's name put before that key."""
+    try:
+        make(**cfg[block], seed=cfg["seed"])
+    except ConfigError as e:
+        key = str(e).split(" ", 1)[0]
+        raise ConfigError(f"{block}.{e}" if key in cfg[block] else str(e)) from None
+
+
 def validate(cfg):
-    """Structural checks that need no input data."""
+    """Every rule the expanded config alone decides, checked before any command reads an input."""
     model = cfg["model"]
     dims = model["dims"]
     if not isinstance(dims, list) or not dims or any(
@@ -251,8 +257,10 @@ def validate(cfg):
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {model['head']!r}")
     if model["loss_mode"] not in LOSS_MODES:
         raise ConfigError(f"model.loss_mode must be one of {LOSS_MODES}, got {model['loss_mode']!r}")
-    # imported here: aggregators imports sampler, which imports this module
+    # imported here: aggregators, sampler and synth each import this module
     from .aggregators import ACTIVATIONS, LAYER_KINDS
+    from .sampler import WalkConfig
+    from .synth import SynthSpec
     for key, names in (("aggregator", tuple(LAYER_KINDS)), ("activation", tuple(ACTIVATIONS))):
         if model[key] not in names:
             raise ConfigError(f"model.{key} must be one of {names}, got {model[key]!r}")
@@ -274,15 +282,31 @@ def validate(cfg):
         if key not in enc:
             raise ConfigError(f"a {enc['kind']} encoder needs config key 'model.encoder.{key}'")
     _check_leaf_types(cfg)
+    _judge(WalkConfig, "sampler", cfg)
+    if cfg["profile"] == "synthetic":
+        _judge(SynthSpec, "synth", cfg)
+    if generates_world(cfg):
+        if model["loss_mode"] == "multilabel":
+            raise ConfigError("model.loss_mode 'multilabel' needs a file-backed run: "
+                              "a generated world gives each example one label")
+        want = {"kind": "vector", "input_dim": cfg["synth"]["feature_dim"]}
+        if enc != want:
+            raise ConfigError(f"model.encoder must be {want} in a generated world, whose examples "
+                              f"are synth.feature_dim vectors, got {enc}")
+    theta = encoder_output_dim(enc)
+    phi = dims[-1]
     if model["head"] == "bilinear":
-        theta = encoder_output_dim(enc)
-        phi = dims[-1]
         rank = model["rank"]
         if not is_int(rank) or rank < 1 or rank > min(theta, phi):
             raise ConfigError(
                 f"rank must be in [1, {min(theta, phi)}] for encoder dim "
                 f"{theta} and stack output {phi}, got {rank!r}"
             )
+    elif phi not in (theta, theta + 1):
+        # an l2 head scores phi against theta, with a bias 1 appended when phi is one wider
+        raise ConfigError(
+            f"model.dims must end in {theta} or {theta + 1} for an l2 head over encoder dim {theta}, got {phi}"
+        )
     opt = cfg["optimizer"]
     for key in ("lr", "weight_decay"):
         if not (is_int(opt[key]) or isinstance(opt[key], float)):
@@ -298,13 +322,6 @@ def validate(cfg):
         raise ConfigError(f"epochs must be a positive integer, got {opt['epochs']!r}")
     if not is_int(opt["batch_size"]) or opt["batch_size"] < 1:
         raise ConfigError(f"batch_size must be a positive integer, got {opt['batch_size']!r}")
-    samp = cfg["sampler"]
-    if not is_int(samp["steps"]) or samp["steps"] < 1:
-        raise ConfigError(f"sampler.steps must be a positive integer, got {samp['steps']!r}")
-    if not is_int(samp["restarts"]) or samp["restarts"] < 1:
-        raise ConfigError(f"sampler.restarts must be a positive integer, got {samp['restarts']!r}")
-    if not is_int(cfg["seed"]):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
 
 
 def encoder_output_dim(enc):

@@ -63,28 +63,17 @@ def _build_example_encoder(cfg):
     return make(**enc, rng=make_rng("enc-init", cfg["seed"]))
 
 
-def _check_feature_dim(cfg, features):
-    want = cfg["model"]["encoder"]["input_dim"]
-    if features.dimension != want:
-        raise ConfigError(
-            f"node features are {features.dimension}-dimensional but the "
-            f"config expects {want}"
-        )
-
-
 def walk_config(cfg):
-    return WalkConfig(
-        steps=cfg["sampler"]["steps"], restarts=cfg["sampler"]["restarts"], seed=cfg["seed"],
-    )
+    return WalkConfig(**cfg["sampler"], seed=cfg["seed"])
 
 
 def assemble(cfg, graph, features):
     """Build class encoder, example encoder and head for one run.
 
-    Dimension consistency is checked here, before any training or
-    evaluation arithmetic happens.
+    The stack takes the node features' width, which a file-backed vector
+    run need not share with its examples; `config.validate` has already
+    checked every width the config alone fixes.
     """
-    _check_feature_dim(cfg, features)
     stack = _build_stack(cfg, graph, features.dimension)
     hits = HitSource(graph, walk_config(cfg))
     class_enc = GnnClassEncoder(stack, graph, features, hits, seed=cfg["seed"])
@@ -247,22 +236,8 @@ def _check_fold_classes(graph, index, classes):
             raise DataError(f"fold {index} class {cls!r} is not a node of the graph")
 
 
-def _generates_world(cfg):
-    """Whether a train or eval run regenerates its synthetic world from the config."""
-    if cfg["profile"] != "synthetic" or cfg["paths"]["graph"]:
-        return False
-    if cfg["model"]["loss_mode"] == "multilabel":
-        raise ConfigError(
-            "model.loss_mode 'multilabel' needs a file-backed run: "
-            "a generated world gives each example one label"
-        )
-    return True
-
-
 def synth_world(cfg):
-    s = dict(cfg["synth"])
-    s["seed"] = cfg["seed"]
-    return generate_synthetic(SynthSpec(**s))
+    return generate_synthetic(SynthSpec(**cfg["synth"], seed=cfg["seed"]))
 
 
 def _synth_l2_targets(cfg, data, classes):
@@ -270,18 +245,12 @@ def _synth_l2_targets(cfg, data, classes):
 
     The class representation regresses onto the mean training example,
     with a trailing bias slot when the stack output carries one extra
-    dimension.
+    dimension (`config.validate` allows no other width).
     """
-    out_dim = cfg["model"]["dims"][-1]
-    fdim = data.spec.feature_dim
-    if out_dim not in (fdim, fdim + 1):
-        raise ConfigError(
-            f"l2 head needs stack output {fdim} or {fdim + 1}, got {out_dim}"
-        )
     targets = {}
     for cls in classes.seen + classes.dev:
         mean = np.mean(data.examples[cls], axis=0)
-        if out_dim == fdim + 1:
+        if cfg["model"]["dims"][-1] == data.spec.feature_dim + 1:
             mean = np.concatenate([mean, [1.0]])
         targets[cls] = mean
     return targets
@@ -293,7 +262,7 @@ def _train_world(cfg):
     A generated world binds training to the pruned train graph so
     unseen ids are unreachable.
     """
-    if _generates_world(cfg):
+    if cfgmod.generates_world(cfg):
         data = synth_world(cfg)
         classes = data.classes
         if cfg["model"]["head"] == "l2":
@@ -310,7 +279,7 @@ def _train_world(cfg):
 def eval_world(cfg):
     """Resolve config into (graph, features, fold spec, test rows); a
     generated world is the full graph, unseen classes included."""
-    if _generates_world(cfg):
+    if cfgmod.generates_world(cfg):
         data = synth_world(cfg)
         graph, features = data.graph, data.features
         fold_spec = data.fold_spec
@@ -368,15 +337,16 @@ def _fold_test_pairs(rows, fold, multilabel):
 
 def evaluate(cfg, model, world):
     """Score a model on every fold of an `eval_world`, its class encoder
-    rebound to the world's graph with a fresh HitSource; an EvalResult."""
+    rebound to the world's graph once per fold, every binding over one
+    fresh HitSource, so a fold's plan goes with its binding; an EvalResult."""
     class_enc, encoder, head = model
     graph, features, fold_spec, rows = world
-    bound = class_enc.rebind(graph, features, HitSource(graph, walk_config(cfg)))
+    hits = HitSource(graph, walk_config(cfg))
     mode = "l2" if cfg["model"]["head"] == "l2" else cfg["model"]["loss_mode"]
     multilabel = cfg["model"]["loss_mode"] == "multilabel"
     fold_predictions = []
     for i, fold in enumerate(fold_spec.folds):
-        reps = class_representations(bound, fold.unseen, mode="eval")
+        reps = class_representations(class_enc.rebind(graph, features, hits), fold.unseen)
         pairs = []
         # the example encoders' weights are parameters: no tape to record
         with ad.no_grad():

@@ -149,8 +149,8 @@ class GnnClassEncoder:
         the bits a fresh `gnn_forward` call gives.  Only repeated
         encodes of one root sequence gain: `_fit` re-encodes `seen` every
         step and `dev` every epoch, while `kgzsl eval` encodes each
-        fold's classes once, so each of its plans is built, run once and
-        kept until the binding goes.
+        fold's classes once, through a binding of that fold's own over
+        one shared HitSource, so each fold's plan goes with its binding.
         """
         roots = forward_roots(self.graph, class_node, mode, rng)
         key = (tuple(roots), tuple(self.stack.hop_limits))

@@ -210,6 +210,36 @@ class TestTrainEval:
         })
         assert run("eval", "--config", cfg, "--out", str(tmp_path / "x")) == 1
 
+    def test_each_fold_binding_holds_only_its_own_plan(self, tmp_path, monkeypatch):
+        base = {"profile": "synthetic", "seed": 3, "optimizer": {"epochs": 1},
+                "synth": {"examples_per_class": 10}}
+        cfg = cfgmod.expand(base)
+        model, _ = pipeline.train(cfg)
+        classes = pipeline.synth_world(cfg).classes
+        unseen = sorted(classes.unseen)
+        folds = write(tmp_path / "folds.json", {"folds": [
+            {"train": list(classes.seen), "dev": [], "test": part} for part in (unseen[:2], unseen[2:])
+        ]})
+        world = pipeline.eval_world(cfgmod.expand({**base, "paths": {"fold_spec": folds}}))
+        bindings = []
+
+        def recording(bound, ids, **kwargs):
+            bindings.append((bound, sorted(ids)))
+            return class_representations(bound, ids, **kwargs)
+
+        class_representations = pipeline.class_representations
+        monkeypatch.setattr(pipeline, "class_representations", recording)
+        per_fold = pipeline.evaluate(cfg, model, world).to_jsonable()
+        (first, _), (second, _) = bindings
+        assert first is not second and first.hits is second.hits
+        for bound, ids in bindings:
+            assert [list(roots) for roots, _ in bound._plans] == [ids]
+        # one binding for every fold, as before, scores the same
+        shared = model[0].rebind(world[0], world[1], first.hits)
+        monkeypatch.setattr(type(model[0]), "rebind", lambda self, graph, features, hits: shared)
+        assert pipeline.evaluate(cfg, model, world).to_jsonable() == per_fold
+        assert len(shared._plans) == 2
+
 
 class TestGoldenDigests:
     """`train` + `eval`, and `synth`, `ingest` + `sample`, write the same bytes as they did
@@ -396,6 +426,19 @@ class TestErrors:
         assert run("synth", "--config", str(cfg), "--out", str(out)) == 1
         assert "noise" in capsys.readouterr().err
         assert not (out / "examples.json").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "sample", "synth", "train", "eval", "gradcheck"])
+    def test_every_command_refuses_what_train_refuses(self, tmp_path, capsys, command):
+        # an l2 head over a 16-d encoder cannot end its stack in 20 dimensions, whatever runs
+        (tmp_path / "g.tsv").write_text("r\ta\tb\n")
+        cfg = write(tmp_path / "cfg.json", {
+            "profile": "synthetic", "model": {"head": "l2", "dims": [16, 20]},
+            "paths": {"graph": str(tmp_path / "g.tsv")},
+        })
+        out = tmp_path / "x"
+        assert run(command, "--config", cfg, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: model.dims must end in 16 or 17")
+        assert not out.exists()
 
     def test_bad_log_level(self, synth_cfg, monkeypatch, tmp_path):
         monkeypatch.setenv("KGZSL_LOG", "loud")
@@ -863,3 +906,67 @@ class TestArtifacts:
         }
         assert sorted(on_disk) == self.WRITES[command]
         assert json.loads((out / "manifest.json").read_text())["artifacts"] == on_disk
+
+
+class TestExitCodeMatrix:
+    """`train` then `eval` of every encoder kind under every head, on a generated world and on
+    a file-backed one whose 6-d example vectors are wider than its 4-d embeddings, exit 0 or 1
+    and never with an internal error; a config that cannot run is refused at load."""
+
+    ENCODERS = {
+        "vector": {"kind": "vector", "input_dim": 6},
+        "sentence": SENTENCE["encoder"],
+        "mention": MENTION["encoder"],
+    }
+    # head overrides for an encoder of output width theta; an l2 head fits theta or theta + 1
+    HEADS = {
+        "bilinear": lambda theta: {"head": "bilinear", "dims": [4, 4], "rank": 2},
+        "l2": lambda theta: {"head": "l2", "dims": [4, theta + 1]},
+        "l2-misfit": lambda theta: {"head": "l2", "dims": [4, theta + 3]},
+    }
+
+    @staticmethod
+    def file_world(d, width):
+        """A three-class world: cls/gamma is the zero-shot class, l2 targets are `width` wide."""
+        (d / "g.tsv").write_text("has\tcls/alpha\tattr/red\nhas\tcls/beta\tattr/blue\nhas\tcls/gamma\tattr/red\n")
+        (d / "emb.txt").write_text("alpha 1 0 0 0\nbeta 0 1 0 0\ngamma 0 0 1 0\nred 0 0 0 1\nblue 1 1 0 0\n")
+        write(d / "folds.json", {"folds": [{"train": ["cls/alpha", "cls/beta"], "dev": [], "test": ["cls/gamma"]}]})
+
+        def record(i, label):
+            word = label.split("/")[1]
+            return {"vector": [float(i == j) for j in range(6)], "tokens": [word, "red"],
+                    "mention": [word], "left": ["blue"], "right": ["red"], "label": label}
+
+        write(d / "ex.json", {
+            "train": [record(0, "cls/alpha"), record(1, "cls/beta")], "dev": [],
+            "test": [record(2, "cls/gamma"), record(3, "cls/gamma")],
+            "targets": {"cls/alpha": [1.0] * width, "cls/beta": [-1.0] * width},
+        })
+        return {role: str(d / name) for role, name in (
+            ("graph", "g.tsv"), ("embeddings", "emb.txt"), ("examples", "ex.json"), ("fold_spec", "folds.json"))}
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    @pytest.mark.parametrize("world", ["generated", "file"])
+    def test_train_then_eval_exits_cleanly(self, tmp_path, capsys, world, kind, head):
+        encoder = self.ENCODERS[kind]
+        if world == "generated" and kind == "vector":
+            encoder = {"kind": "vector", "input_dim": 4}
+        model = {"encoder": encoder, **self.HEADS[head](cfgmod.encoder_output_dim(encoder))}
+        cfg = {"profile": "synthetic", "model": model, "optimizer": {"epochs": 1},
+               "synth": {"feature_dim": 4, "examples_per_class": 5}}
+        if world == "file":
+            cfg["paths"] = self.file_world(tmp_path, model["dims"][-1])
+        run_dir = tmp_path / "run"
+        # the key a refusal at load names, or None for a run that goes through
+        refusal = ("model.encoder" if world == "generated" and kind != "vector"
+                   else "model.dims" if head == "l2-misfit" else None)
+        want = 1 if refusal else 0
+        codes = [run("train", "--config", write(tmp_path / "train.json", cfg), "--out", str(run_dir))]
+        cfg["paths"] = {**cfg.get("paths", {}), "checkpoint": str(run_dir / "checkpoint.json")}
+        codes.append(run("eval", "--config", write(tmp_path / "eval.json", cfg), "--out", str(tmp_path / "ev")))
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert codes == [want, want], err
+        if refusal:
+            assert err.count(f"error: {refusal} must ") == 2, err

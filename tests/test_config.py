@@ -140,6 +140,69 @@ class TestValidate:
         with pytest.raises(ConfigError, match="model.encoder.hidden_dim"):
             expand({"profile": "synthetic", "model": {"encoder": {"kind": "sentence", "input_dim": 16}}})
 
+    @pytest.mark.parametrize("value", [3, "vector", ["vector"], None])
+    def test_encoder_that_is_not_an_object_names_the_key(self, value):
+        with pytest.raises(ConfigError, match="config key 'model.encoder' must be an object"):
+            expand({"profile": "intent", "model": {"encoder": value}})
+
+
+SENTENCE = {"kind": "sentence", "input_dim": 4, "hidden_dim": 3, "attn_dim": 2}
+MENTION = {"kind": "mention", "input_dim": 4, "hidden_dim": 2, "attn_dim": 2, "window": 0}
+
+
+class TestRulesOfTheConfigAlone:
+    """Rules that an expanded config decides by itself are judged when it loads."""
+
+    @pytest.mark.parametrize("encoder", [SENTENCE, MENTION, {"kind": "vector", "input_dim": 8}],
+                             ids=["sentence", "mention", "vector-8"])
+    def test_generated_world_needs_a_vector_encoder_of_the_feature_width(self, encoder):
+        raw = {"profile": "synthetic", "model": {"rank": 2, "encoder": encoder}}
+        with pytest.raises(ConfigError, match="model.encoder must be"):
+            expand(raw)
+        # a file-backed run reads its examples, so any encoder fits it
+        expand({**raw, "paths": {"graph": "g.tsv"}})
+
+    def test_generated_world_encoder_follows_synth_feature_dim(self):
+        cfg = expand({"profile": "synthetic", "model": {"rank": 2, "encoder": {"input_dim": 6}},
+                      "synth": {"feature_dim": 6}})
+        assert cfg["model"]["encoder"] == {"kind": "vector", "input_dim": 6}
+
+    @pytest.mark.parametrize("encoder, theta", [
+        ({"kind": "vector", "input_dim": 4}, 4), (SENTENCE, 6), (MENTION, 8),
+    ], ids=["vector", "sentence", "mention"])
+    def test_l2_head_needs_the_encoder_width_or_one_more(self, encoder, theta):
+        def l2(end):
+            return {"profile": "vision", "model": {"dims": [4, end], "encoder": encoder}}
+        for end in (theta, theta + 1):
+            assert expand(l2(end))["model"]["dims"] == [4, end]
+        for end in (theta - 1, theta + 2, theta + 5):
+            with pytest.raises(ConfigError, match=rf"model\.dims must end in {theta} or {theta + 1}"):
+                expand(l2(end))
+
+    @pytest.mark.parametrize("value", [0, -3, "3"])
+    @pytest.mark.parametrize("key", ["steps", "restarts"])
+    def test_sampler_errors_name_their_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^sampler\.{key} must be"):
+            expand({"profile": "intent", "sampler": {key: value}})
+
+    @pytest.mark.parametrize("value", ["x", True, 1.5])
+    def test_seed_error_names_the_top_level_key(self, value):
+        with pytest.raises(ConfigError, match=rf"^seed must be an integer, got {re.escape(repr(value))}$"):
+            expand({"profile": "intent", "seed": value})
+
+    @pytest.mark.parametrize("synth, match", [
+        ({"num_classes": 1}, r"^synth\.num_classes must be at least 2$"),
+        ({"noise": -0.5}, r"^synth\.noise must be non-negative and finite"),
+        ({"examples_per_class": 0}, r"^synth\.examples_per_class must be at least 1$"),
+        ({"attrs_per_class": 21}, "exceeds attribute pool 20"),
+        ({"num_unseen": 6, "num_dev": 4}, "leave no training classes"),
+        ({"relation_structure": True, "attrs_per_class": 3}, "must be even"),
+    ])
+    @pytest.mark.parametrize("paths", [{}, {"graph": "g.tsv"}], ids=["generated", "file-backed"])
+    def test_synth_block_is_judged_by_its_spec(self, synth, match, paths):
+        with pytest.raises(ConfigError, match=match):
+            expand({"profile": "synthetic", "synth": synth, "paths": paths})
+
 
 def _override(path, value, profile="synthetic"):
     """A config override setting the dotted `path` to `value`."""
