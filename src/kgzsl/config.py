@@ -302,6 +302,12 @@ def validate(cfg):
                 f"rank must be in [1, {min(theta, phi)}] for encoder dim "
                 f"{theta} and stack output {phi}, got {rank!r}"
             )
+    elif enc["kind"] != "vector":
+        # train_l2 fits the class encoder alone, so a text encoder would keep its initial weights
+        raise ConfigError(
+            f"model.encoder.kind must be 'vector' for an l2 head, which trains no example encoder, "
+            f"got {enc['kind']!r}"
+        )
     elif phi not in (theta, theta + 1):
         # an l2 head scores phi against theta, with a bias 1 appended when phi is one wider
         raise ConfigError(

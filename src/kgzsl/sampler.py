@@ -12,11 +12,14 @@ One kernel runs every walk.  The streams of a run of centers, at most
 CHUNK_STREAMS at a time, draw together through
 `seeding.uniform_blocks`, which equals numpy's PCG64 bit for bit, and
 step in lockstep over the graph's CSR arrays: a walk at node v takes
-draw t to neighbor floor(draw_t * deg(v)) of v in sorted-id order, and
-stops at its first dead end.  A chunk's landings are sorted once and
-counted per center-neighbor pair by binary search; the run's tables
-are ranked, checked and cut from flat arrays, and each `HitTable`
-holds its neighbor ids and probabilities as two parallel tuples.
+draw t to neighbor floor(draw_t * deg(v)) of v in sorted-id order.
+The CSR is symmetric and has no self-loops, so a walk can always step
+back the way it came, and only a center can be a dead end: a degree-0
+center's walks take no step and derive no stream, and every other walk
+takes all its steps.  A chunk's landings are sorted once and counted
+per center-neighbor pair by binary search; the run's tables are ranked,
+checked and cut from flat arrays, and each `HitTable` holds its
+neighbor ids and probabilities as two parallel tuples.
 """
 
 from dataclasses import dataclass
@@ -63,37 +66,30 @@ def _walk_steps(csr, centers, cidx, cfg):
     `cidx` holds the sorted-order positions of `centers`, `slot` is the
     position of the walk's center in `centers` and N the node count, so
     the keys of one center sort together.  The starting occupation of a
-    center is not a step.  Streams walk in chunks of at most
-    CHUNK_STREAMS, one step of all of a chunk's walks at a time, and
-    each yield holds the landings of one chunk, so memory stays a few
-    arrays of CHUNK_STREAMS * steps keys.
+    center is not a step.  The CSR is symmetric and has no self-loops,
+    so every node a step lands on has a neighbor to go back to: only a
+    center can be a dead end.  A degree-0 center's streams are dropped
+    before any seed is derived, and every other walk takes all its
+    steps.  Streams walk in chunks of at most CHUNK_STREAMS, one step of
+    all of a chunk's walks at a time, and each yield holds the landings
+    of one chunk, so memory stays a few arrays of CHUNK_STREAMS * steps
+    keys.
     """
     indptr, indices = csr.indptr, csr.indices
     degree = np.diff(indptr)
+    live = (degree[cidx] > 0).nonzero()[0]
     restarts = cfg.restarts
-    start = np.repeat(cidx, restarts)
-    base = np.repeat(np.arange(len(centers), dtype=np.int64) * len(csr.ids), restarts)
-    seeds = derive_seeds([("walk", cfg.seed, c) for c in centers], range(restarts))
+    start = np.repeat(cidx[live], restarts)
+    base = np.repeat(live * len(csr.ids), restarts)
+    seeds = derive_seeds(("walk", cfg.seed), [centers[i] for i in live.tolist()], range(restarts))
     for lo in range(0, len(seeds), CHUNK_STREAMS):
         cur = start[lo:lo + CHUNK_STREAMS]
         key_base = base[lo:lo + CHUNK_STREAMS]
-        rows = None  # the chunk rows of the live walks, once one has stopped
-        landed = [key_base[:0]]
+        landed = []
         for block in uniform_blocks(seeds[lo:lo + CHUNK_STREAMS], cfg.steps):
             for draw in block.T:
-                deg = degree[cur]
-                alive = deg > 0
-                if not alive.all():
-                    rows = alive.nonzero()[0] if rows is None else rows[alive]
-                    cur, deg, key_base = cur[alive], deg[alive], key_base[alive]
-                    if not rows.size:
-                        break
-                if rows is not None:
-                    draw = draw[rows]
-                cur = indices[indptr[cur] + (draw * deg).astype(np.int64)]
+                cur = indices[indptr[cur] + (draw * degree[cur]).astype(np.int64)]
                 landed.append(key_base + cur)
-            if rows is not None and not rows.size:
-                break
         yield np.concatenate(landed)
 
 
@@ -137,16 +133,6 @@ class HitTable:
         ids = tuple(n for n, _ in entries)
         probs = tuple(p for _, p in entries)
         _check_probs(np.array(probs, dtype=np.float64), [0] if probs else [])
-        self._fill(center, ids, probs)
-
-    @classmethod
-    def _checked(cls, center, ids, probs):
-        """A table from parallel tuples that `_check_probs` has passed."""
-        table = object.__new__(cls)
-        table._fill(center, ids, probs)
-        return table
-
-    def _fill(self, center, ids, probs):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "probs", probs)
@@ -210,11 +196,18 @@ def _ranked(csr, centers, slot, nbr, counts, top):
     ends = np.cumsum(lens)
     _check_probs(probs, (ends - lens)[lens > 0])
     probs = tuple(probs.tolist())
-    ids = tuple(map(csr.ids.__getitem__, nbr[order].tolist()))
+    ids = tuple(np.array(csr.ids, dtype=object)[nbr[order]].tolist())
+    # the slots' own setters fill a checked table past the frozen __setattr__
+    new = object.__new__
+    put_center, put_ids, put_probs = HitTable.center.__set__, HitTable.ids.__set__, HitTable.probs.__set__
     tables = []
     begin = 0
     for center, end in zip(centers, ends.tolist()):
-        tables.append(HitTable._checked(center, ids[begin:end], probs[begin:end]))
+        table = new(HitTable)
+        put_center(table, center)
+        put_ids(table, ids[begin:end])
+        put_probs(table, probs[begin:end])
+        tables.append(table)
         begin = end
     return tables
 

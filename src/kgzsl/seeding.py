@@ -22,25 +22,26 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def derive_seeds(prefixes, lasts):
-    """derive_seed(*p, x) for each p in `prefixes`, then each x in `lasts`.
+def derive_seeds(head, keys, lasts):
+    """derive_seed(*head, k, x) for each k in `keys`, then each x in `lasts`.
 
-    Prefixes must be non-empty tuples.  Each prefix label is hashed
-    once, and each of its streams copies that sha256 state and feeds it
-    the tail, so a run of related streams costs one hash object apiece
-    and no int parsing.  The UTF-8 encoding of a joined label is the
-    concatenation of its parts' encodings.
+    The head's parts are joined once, each key's label is that string
+    plus the key, and each of the key's streams copies the key's sha256
+    state and feeds it the tail, so a run of related streams costs one
+    hash object apiece and no int parsing.  The UTF-8 encoding of a
+    joined label is the concatenation of its parts' encodings.
 
     Returns:
-        (len(prefixes) * len(lasts),) uint64 array, prefix-major.
+        (len(keys) * len(lasts),) uint64 array, key-major.
     """
+    lead = "".join(f"{part}\x1f" for part in head)
     tails = [("\x1f" + str(x)).encode("utf-8") for x in lasts]
     sha256 = hashlib.sha256
     digests = []
-    for prefix in prefixes:
-        head = sha256(_label(prefix).encode("utf-8"))
+    for key in keys:
+        stem = sha256((lead + str(key)).encode("utf-8"))
         for tail in tails:
-            stream = head.copy()
+            stream = stem.copy()
             stream.update(tail)
             digests.append(stream.digest())
     # a seed is the first big-endian 8 bytes of its 32-byte digest

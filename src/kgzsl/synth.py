@@ -69,15 +69,15 @@ class SynthSpec:
             raise ConfigError("num_dev must not be negative")
         if self.num_unseen + self.num_dev >= self.num_classes:
             raise ConfigError(
-                f"{self.num_unseen} unseen + {self.num_dev} dev classes leave no "
-                f"training classes out of {self.num_classes}"
+                f"num_unseen {self.num_unseen} + num_dev {self.num_dev} leave no "
+                f"training classes out of num_classes {self.num_classes}"
             )
         if self.attrs_per_class < 1:
             raise ConfigError("attrs_per_class must be at least 1")
         if self.attrs_per_class > self.attribute_pool:
             raise ConfigError(
-                f"spec error: attrs_per_class {self.attrs_per_class} exceeds "
-                f"attribute pool {self.attribute_pool}"
+                f"attrs_per_class {self.attrs_per_class} exceeds "
+                f"attribute_pool {self.attribute_pool}"
             )
         if self.feature_dim < 2:
             raise ConfigError("feature_dim must be at least 2")
@@ -89,7 +89,7 @@ class SynthSpec:
             self.attribute_pool % 2 or self.attrs_per_class % 2
         ):
             raise ConfigError(
-                "relation structure splits the pool and each class's links "
+                "relation_structure splits the pool and each class's links "
                 "in half, so attribute_pool and attrs_per_class must be even"
             )
 

@@ -7,8 +7,8 @@ import numpy as np
 from kgzsl import autodiff as ad
 from kgzsl.aggregators import GROUP_ROWS, TransformerPoolLayer
 from kgzsl.errors import ContractError, UnknownNodeError
-from kgzsl.sampler import top_n
-from kgzsl.seeding import make_rng
+from kgzsl.sampler import CHUNK_STREAMS, HitTable, _neighbor_rows, _positions, top_n
+from kgzsl.seeding import derive_seed, make_rng, uniform_blocks
 
 
 def markov_hit_table(g, center, steps, restarts):
@@ -108,6 +108,74 @@ def entry_tuple_tables(csr, centers, slot, nbr, counts):
         tables.append((center, tuple(entries[begin:end])))
         begin = end
     return tables
+
+
+def stepwise_walk_steps(csr, centers, cidx, cfg):
+    """The landing keys of `centers`' walks, with a liveness test on every step.
+
+    The walk loop that settling dead ends before the first step
+    replaced: every center's streams are seeded and drawn, each step
+    drops the walks standing on a degree-0 node and keeps the rows of
+    the rest, and a chunk whose walks have all stopped ends early.
+    Seeds come from `derive_seed`, one stream at a time.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    degree = np.diff(indptr)
+    restarts = cfg.restarts
+    start = np.repeat(cidx, restarts)
+    base = np.repeat(np.arange(len(centers), dtype=np.int64) * len(csr.ids), restarts)
+    seeds = [derive_seed("walk", cfg.seed, c, r) for c in centers for r in range(restarts)]
+    for lo in range(0, len(seeds), CHUNK_STREAMS):
+        cur = start[lo:lo + CHUNK_STREAMS]
+        key_base = base[lo:lo + CHUNK_STREAMS]
+        rows = None  # the chunk rows of the live walks, once one has stopped
+        landed = [key_base[:0]]
+        for block in uniform_blocks(seeds[lo:lo + CHUNK_STREAMS], cfg.steps):
+            for draw in block.T:
+                deg = degree[cur]
+                alive = deg > 0
+                if not alive.all():
+                    rows = alive.nonzero()[0] if rows is None else rows[alive]
+                    cur, deg, key_base = cur[alive], deg[alive], key_base[alive]
+                    if not rows.size:
+                        break
+                if rows is not None:
+                    draw = draw[rows]
+                cur = indices[indptr[cur] + (draw * deg).astype(np.int64)]
+                landed.append(key_base + cur)
+            if rows is not None and not rows.size:
+                break
+        yield np.concatenate(landed)
+
+
+def per_table_ranked(csr, centers, slot, nbr, counts):
+    """HitTables from walk counts, each built by `HitTable(center, entries)`.
+
+    The assembly that one object-array id gather and slot setters
+    replaced: ids are looked up one neighbor at a time, and each table
+    is checked by its own constructor.
+    """
+    smoothed = counts + 1
+    order = lexsort_rank_order(slot, smoothed)
+    denom = np.bincount(slot, weights=smoothed, minlength=len(centers))
+    probs = (smoothed / denom[slot])[order].tolist()
+    ids = list(map(csr.ids.__getitem__, nbr[order].tolist()))
+    tables = []
+    begin = 0
+    for center, end in zip(centers, np.cumsum(np.bincount(slot, minlength=len(centers))).tolist()):
+        tables.append(HitTable(center, tuple(zip(ids[begin:end], probs[begin:end]))))
+        begin = end
+    return tables
+
+
+def stepwise_sample(g, centers, cfg):
+    """`sampler._sample` through `stepwise_walk_steps` and `per_table_ranked`."""
+    csr = g.csr()
+    cidx = _positions(csr, centers)
+    slot, nbr = _neighbor_rows(csr, cidx)
+    pair_keys = slot * len(csr.ids) + nbr
+    counts = searchsorted_landing_counts(pair_keys, stepwise_walk_steps(csr, centers, cidx, cfg))
+    return per_table_ranked(csr, centers, slot, nbr, counts)
 
 
 def total_variation(table, exact):

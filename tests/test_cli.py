@@ -960,6 +960,7 @@ class TestExitCodeMatrix:
         run_dir = tmp_path / "run"
         # the key a refusal at load names, or None for a run that goes through
         refusal = ("model.encoder" if world == "generated" and kind != "vector"
+                   else "model.encoder.kind" if head != "bilinear" and kind != "vector"
                    else "model.dims" if head == "l2-misfit" else None)
         want = 1 if refusal else 0
         codes = [run("train", "--config", write(tmp_path / "train.json", cfg), "--out", str(run_dir))]

@@ -167,17 +167,27 @@ class TestRulesOfTheConfigAlone:
                       "synth": {"feature_dim": 6}})
         assert cfg["model"]["encoder"] == {"kind": "vector", "input_dim": 6}
 
-    @pytest.mark.parametrize("encoder, theta", [
-        ({"kind": "vector", "input_dim": 4}, 4), (SENTENCE, 6), (MENTION, 8),
-    ], ids=["vector", "sentence", "mention"])
-    def test_l2_head_needs_the_encoder_width_or_one_more(self, encoder, theta):
+    @pytest.mark.parametrize("theta", [4, 6, 8], ids=["vector", "vector-6", "vector-8"])
+    def test_l2_head_needs_the_encoder_width_or_one_more(self, theta):
         def l2(end):
+            encoder = {"kind": "vector", "input_dim": theta}
             return {"profile": "vision", "model": {"dims": [4, end], "encoder": encoder}}
         for end in (theta, theta + 1):
             assert expand(l2(end))["model"]["dims"] == [4, end]
         for end in (theta - 1, theta + 2, theta + 5):
             with pytest.raises(ConfigError, match=rf"model\.dims must end in {theta} or {theta + 1}"):
                 expand(l2(end))
+
+    @pytest.mark.parametrize("encoder, theta", [(SENTENCE, 6), (MENTION, 8)], ids=["sentence", "mention"])
+    def test_l2_head_refuses_a_text_encoder(self, encoder, theta):
+        # train_l2 fits only the class encoder, so a text encoder would be saved untrained;
+        # the refusal comes before the width rule, whatever the stack ends in
+        for end in (theta, theta + 1, theta + 3):
+            with pytest.raises(ConfigError, match=r"^model\.encoder\.kind must be 'vector' for an l2 head"):
+                expand({"profile": "vision", "model": {"dims": [4, end], "encoder": encoder}})
+        # the same encoder under a bilinear head is accepted
+        expand({"profile": "vision",
+                "model": {"head": "bilinear", "rank": 2, "dims": [4, 4], "encoder": encoder}})
 
     @pytest.mark.parametrize("value", [0, -3, "3"])
     @pytest.mark.parametrize("key", ["steps", "restarts"])
@@ -194,9 +204,9 @@ class TestRulesOfTheConfigAlone:
         ({"num_classes": 1}, r"^synth\.num_classes must be at least 2$"),
         ({"noise": -0.5}, r"^synth\.noise must be non-negative and finite"),
         ({"examples_per_class": 0}, r"^synth\.examples_per_class must be at least 1$"),
-        ({"attrs_per_class": 21}, "exceeds attribute pool 20"),
-        ({"num_unseen": 6, "num_dev": 4}, "leave no training classes"),
-        ({"relation_structure": True, "attrs_per_class": 3}, "must be even"),
+        ({"attrs_per_class": 21}, r"^synth\.attrs_per_class 21 exceeds attribute_pool 20$"),
+        ({"num_unseen": 6, "num_dev": 4}, r"^synth\.num_unseen 6 \+ num_dev 4 leave no training classes"),
+        ({"relation_structure": True, "attrs_per_class": 3}, r"^synth\.relation_structure .* must be even$"),
     ])
     @pytest.mark.parametrize("paths", [{}, {"graph": "g.tsv"}], ids=["generated", "file-backed"])
     def test_synth_block_is_judged_by_its_spec(self, synth, match, paths):

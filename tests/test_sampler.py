@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from kgzsl.synth import SynthSpec, generate_synthetic
 
 from .helpers import (
     entry_tuple_tables, lexsort_rank_order, markov_hit_table, reference_hit_entries,
-    reference_walk_counts, searchsorted_landing_counts, total_variation,
+    reference_walk_counts, searchsorted_landing_counts, stepwise_sample, total_variation,
 )
 
 
@@ -349,6 +351,58 @@ class TestAgainstReferenceWalks:
             {"center": c, "neighbors": [{"id": n, "p": p} for n, p in entries]} for c, entries in want
         ]
 
+    @given(
+        small_graphs(),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2 ** 64 - 1),
+    )
+    @example(Graph([("r", "a", "b"), ("r", "b", "c")], extra_nodes=["z"]), 5,
+             sampler.CHUNK_STREAMS // 2 + 1, 3)
+    @settings(max_examples=30, deadline=None)
+    def test_tables_equal_the_stepwise_oracle(self, g, steps, restarts, seed):
+        # the per-step liveness loop and per-table assembly this kernel replaced,
+        # over a sorted sweep and over each node's single-node miss
+        def bits(tables):
+            return [(t.center, t.ids, np.array(t.probs, dtype=np.float64).tobytes()) for t in tables]
+
+        cfg = sampler.WalkConfig(steps=steps, restarts=restarts, seed=seed)
+        nodes = sorted(g.nodes)
+        source = sampler.HitSource(g, cfg)
+        want = bits(stepwise_sample(g, nodes, cfg))
+        assert bits(source(node) for node in nodes) == want
+        assert [bits(sampler._sample(g, [node], cfg))[0] for node in nodes] == want
+
+    @given(
+        small_graphs(),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2 ** 64 - 1),
+        st.randoms(use_true_random=False),
+    )
+    @example(Graph([], extra_nodes=["a", "b"]), 3, 4, 0, random.Random(0))
+    @settings(max_examples=40, deadline=None)
+    def test_only_centers_with_neighbors_walk(self, g, steps, restarts, seed, rnd):
+        # every node a step lands on has a neighbor, so every live walk takes
+        # all its steps, and a degree-0 center derives no seed and draws nothing
+        cfg = sampler.WalkConfig(steps=steps, restarts=restarts, seed=seed)
+        csr = g.csr()
+        centers = list(csr.ids)
+        rnd.shuffle(centers)
+        live = [c for c in centers if g.neighbors(c)]
+        cidx = sampler._positions(csr, centers)
+        with mock.patch.object(sampler, "derive_seeds", wraps=derive_seeds) as seeding, \
+                mock.patch.object(sampler, "uniform_blocks", wraps=uniform_blocks) as drawing:
+            keys = np.concatenate([np.zeros(0, dtype=np.int64),
+                                   *sampler._walk_steps(csr, centers, cidx, cfg)])
+        assert len(keys) == steps * restarts * len(live)
+        assert set((keys // len(csr.ids)).tolist()) == {i for i, c in enumerate(centers) if c in live}
+        assert [list(call.args[1]) for call in seeding.call_args_list] == [live]
+        assert sum(len(call.args[0]) for call in drawing.call_args_list) == restarts * len(live)
+        for center, table in zip(centers, sampler._sample(g, centers, cfg)):
+            if center not in live:
+                assert table.ids == () and table.probs == ()
+
     def test_edge_free_graph(self):
         g = Graph([], extra_nodes=["a", "b"])
         source = sampler.HitSource(g, sampler.WalkConfig())
@@ -411,26 +465,25 @@ class TestUniformStreams:
         assert uniform_streams(seeds, n).tobytes() == self.numpy_draws(seeds, n).tobytes()
 
 
-class TestDeriveSeeds:
-    @pytest.mark.parametrize("prefixes, lasts", [
-        ([("walk", 0, "/c/fr/fête"), ("walk", 0, "/c/ja/日本語"), ("walk", 0, "plain")], range(4)),
-        ([("walk", -7, "a"), ("walk", 2 ** 64, "b"), ("walk", 2 ** 70 + 3, "ü")], [0, -1, 2 ** 64, "é"]),
-    ])
-    def test_equal_to_derive_seed(self, prefixes, lasts):
-        got = derive_seeds(prefixes, lasts)
-        assert got.dtype == np.uint64
-        assert got.tolist() == [derive_seed(*p, x) for p in prefixes for x in lasts]
+# stream label parts: any integer, or text without lone surrogates (which UTF-8 cannot encode)
+LABELS = st.one_of(st.integers(), st.text(st.characters(blacklist_categories=("Cs",))))
 
-    @given(
-        st.lists(st.tuples(st.text(st.characters(blacklist_categories=("Cs",))), st.integers()),
-                 min_size=1, max_size=4),
-        st.lists(st.one_of(st.integers(), st.text(st.characters(blacklist_categories=("Cs",)))),
-                 max_size=4),
-    )
+
+class TestDeriveSeeds:
+    @pytest.mark.parametrize("head, keys, lasts", [
+        (("walk", 0), ["/c/fr/fête", "/c/ja/日本語", "plain"], range(4)),
+        (("walk", 2 ** 64), [-7, "b", 2 ** 70 + 3, "ü"], [0, -1, 2 ** 64, "é"]),
+    ])
+    def test_equal_to_derive_seed(self, head, keys, lasts):
+        got = derive_seeds(head, keys, lasts)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(*head, k, x) for k in keys for x in lasts]
+
+    @given(st.lists(LABELS, max_size=3), st.lists(LABELS, max_size=4), st.lists(LABELS, max_size=4))
     @settings(max_examples=60, deadline=None)
-    def test_random_labels(self, prefixes, lasts):
-        got = derive_seeds(prefixes, lasts)
-        assert got.tolist() == [derive_seed(*p, x) for p in prefixes for x in lasts]
+    def test_random_labels(self, head, keys, lasts):
+        got = derive_seeds(head, keys, lasts)
+        assert got.tolist() == [derive_seed(*head, k, x) for k in keys for x in lasts]
 
 
 class TestHitSourceChunks:
