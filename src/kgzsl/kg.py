@@ -19,13 +19,16 @@ class Csr(NamedTuple):
     """Adjacency in compressed sparse rows, nodes numbered in sorted-id order.
 
     Row i holds the distinct undirected neighbors of ids[i], self-loops
-    excluded, so its column indices ascend.
+    excluded, so its column indices ascend.  `id_array` holds `ids` as a
+    read-only object array, built once per graph, so a run of positions
+    gathers its ids in one step.
     """
 
     ids: tuple
     index: dict
     indptr: np.ndarray
     indices: np.ndarray
+    id_array: np.ndarray
 
 
 class Graph:
@@ -107,7 +110,9 @@ class Graph:
         fresh[1:] = keys[1:] > keys[:-1]
         keys = keys[fresh]
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int64)
-        self._csr = Csr(ids, index, indptr, keys % n)
+        id_array = np.array(ids, dtype=object)
+        id_array.flags.writeable = False
+        self._csr = Csr(ids, index, indptr, keys % n, id_array)
         return keep
 
     @property
@@ -194,9 +199,6 @@ class Graph:
             and self._relations == other._relations
             and np.array_equal(self._codes, other._codes)
         )
-
-    def __hash__(self):
-        return hash((self._nodes, self._codes.tobytes()))
 
     def __repr__(self):
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges}, relations={len(self._relations)})"

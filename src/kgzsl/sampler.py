@@ -185,8 +185,8 @@ def _ranked(csr, centers, slot, nbr, counts, top):
     of (count + 1), and no count + 1 exceeds `top`.  The order sorts on
     the integer counts, not the float probabilities, so ties are exact
     and keep the rows' id order.  The run's tables are checked
-    together, then cut from one run-wide tuple of ids and one of
-    probabilities.
+    together, then cut from one run-wide tuple of ids, gathered from
+    the graph's own id array, and one of probabilities.
     """
     smoothed = counts + 1
     order = _rank_order(slot, smoothed, len(centers), top)
@@ -196,7 +196,7 @@ def _ranked(csr, centers, slot, nbr, counts, top):
     ends = np.cumsum(lens)
     _check_probs(probs, (ends - lens)[lens > 0])
     probs = tuple(probs.tolist())
-    ids = tuple(np.array(csr.ids, dtype=object)[nbr[order]].tolist())
+    ids = tuple(csr.id_array[nbr[order]].tolist())
     # the slots' own setters fill a checked table past the frozen __setattr__
     new = object.__new__
     put_center, put_ids, put_probs = HitTable.center.__set__, HitTable.ids.__set__, HitTable.probs.__set__

@@ -382,36 +382,13 @@ def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=
 class ClassReps(Mapping):
     """Candidate class representations as one read-only (C, d) matrix.
 
-    `ids` holds the class ids in sorted order and row i of `matrix` is
-    phi of ids[i]; `reps[c]` is a view of that row.  Built from any
-    {class id: phi} mapping whose values are arrays or Tensors of one
-    width, or by `of_rows` on a matrix whose rows already follow sorted
-    distinct ids.
+    `ClassReps(ids, matrix)` holds `matrix` itself, made read-only: row
+    i is phi of ids[i], and `ids` are sorted and distinct, as
+    `class_representations`, the one producer, makes them.  `reps[c]`
+    is a view of c's row.
     """
 
-    def __init__(self, class_reps):
-        if not class_reps:
-            raise ContractError("no candidate classes")
-        ids = sorted(class_reps)
-        rows = [class_reps[c] for c in ids]
-        try:
-            matrix = np.array([r.data if isinstance(r, ad.Tensor) else r for r in rows],
-                              dtype=np.float64)
-        except ValueError:
-            raise ContractError("class representations differ in width") from None
-        if matrix.ndim != 2:
-            raise ContractError(f"class representations must be vectors, got shape {matrix.shape[1:]}")
-        self._hold(ids, matrix)
-
-    @classmethod
-    def of_rows(cls, ids, matrix):
-        """The ClassReps whose matrix is `matrix` itself, made read-only:
-        row i is phi of ids[i], and `ids` are sorted and distinct."""
-        reps = cls.__new__(cls)
-        reps._hold(ids, matrix)
-        return reps
-
-    def _hold(self, ids, matrix):
+    def __init__(self, ids, matrix):
         self.ids = tuple(ids)
         self._row = {c: i for i, c in enumerate(self.ids)}
         matrix.flags.writeable = False
@@ -426,33 +403,21 @@ class ClassReps(Mapping):
     def __len__(self):
         return len(self.ids)
 
-    def __contains__(self, c):
-        return c in self._row
-
 
 def candidate_scores(theta, head, class_reps, mode="multiclass"):
-    """The sorted candidate ids and their scores, as `predict` reads them.
+    """The candidate ids and their scores, as `predict` reads them.
 
     Every candidate is scored against the one vector theta B A (theta
     for "l2"; B A is the head's kept `score_matrix()`) by one row-wise
     `np.vecdot`, which rounds exactly like scoring each candidate on
     its own.  Arguments are as for `predict`; theta must be a vector in
     every mode.  Scores are not checked for being finite here; `predict`
-    does that.  The ids come as a fresh list.
+    does that.  The ids are the ClassReps' own `ids` tuple.
     """
-    class_reps, scores = _scored(theta, head, class_reps, mode)
-    return list(class_reps.ids), scores
-
-
-def _scored(theta, head, class_reps, mode):
-    """`candidate_scores` with the candidates as a ClassReps, whose ids are not copied."""
-    convert = not isinstance(class_reps, ClassReps)
-    if convert and not class_reps:
-        raise ContractError("no candidate classes")
+    if not isinstance(class_reps, ClassReps):
+        raise ContractError(f"candidates must be a ClassReps, got {type(class_reps).__name__}")
     if mode not in ("multiclass", "multilabel", "l2"):
         raise ConfigError(f"unknown predict mode {mode!r}")
-    if convert:
-        class_reps = ClassReps(class_reps)
     theta = theta.data if isinstance(theta, ad.Tensor) else np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1:
         raise ContractError(f"theta must be a vector, got shape {theta.shape}")
@@ -470,7 +435,7 @@ def _scored(theta, head, class_reps, mode):
                 f"({head.theta_dim}, {head.phi_dim}) head"
             )
         vec = theta @ head.score_matrix()
-    return class_reps, np.vecdot(class_reps.matrix, vec)
+    return class_reps.ids, np.vecdot(class_reps.matrix, vec)
 
 
 def predict(theta, head, class_reps, mode="multiclass"):
@@ -479,8 +444,8 @@ def predict(theta, head, class_reps, mode="multiclass"):
     Args:
         theta: example encoding as a plain array (or Tensor).
         head: BilinearHead for the bilinear modes; ignored for "l2".
-        class_reps: {class id: phi} over the candidate set, as arrays
-            or Tensors of one width; a ClassReps is scored as it is.
+        class_reps: the candidates' ClassReps, as `class_representations`
+            makes it; anything else is a ContractError.
         mode: "multiclass" returns [best], the one candidate with the
             highest score, the smaller id winning an exact tie;
             "multilabel" returns the set with positive score; "l2"
@@ -492,8 +457,7 @@ def predict(theta, head, class_reps, mode="multiclass"):
     theta (B A) and one row-wise product with the candidates: B A is
     the head's `score_matrix()`, formed once per parameter state.
     """
-    class_reps, scores = _scored(theta, head, class_reps, mode)
-    ids = class_reps.ids
+    ids, scores = candidate_scores(theta, head, class_reps, mode)
     # argmax stops at the first NaN or finds +inf, and argmin at the first
     # NaN or finds -inf; only then is the first non-finite candidate looked
     # up.  Neither can overflow, as a sum of finite scores near the float64
@@ -525,4 +489,4 @@ def class_representations(class_encoder, class_ids, mode="eval"):
     ids = sorted(set(class_ids))
     with ad.no_grad():
         phis = class_encoder.encode(ids, mode="eval")
-    return ClassReps.of_rows(ids, phis.data)
+    return ClassReps(ids, phis.data)

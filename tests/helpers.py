@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from kgzsl import autodiff as ad
@@ -9,6 +11,7 @@ from kgzsl.aggregators import GROUP_ROWS, TransformerPoolLayer
 from kgzsl.errors import ContractError, UnknownNodeError
 from kgzsl.sampler import CHUNK_STREAMS, HitTable, _neighbor_rows, _positions, top_n
 from kgzsl.seeding import derive_seed, make_rng, uniform_blocks
+from kgzsl.zeroshot import class_representations
 
 
 def markov_hit_table(g, center, steps, restarts):
@@ -580,6 +583,16 @@ def lexsort_rank_order(slot, smoothed):
     """Rows by slot, then by `smoothed` descending, ties in row order:
     the `np.lexsort` that one stable sort of composite keys replaced."""
     return np.lexsort((-smoothed, slot))
+
+
+def candidates(phis):
+    """The ClassReps of {class id: phi}, made as `class_representations`
+    makes it from an encoder whose (C, d) matrix stacks the rows in
+    sorted id order."""
+    def encode(ids, mode):
+        return SimpleNamespace(data=np.array([phis[c] for c in ids], dtype=np.float64))
+
+    return class_representations(SimpleNamespace(encode=encode), phis)
 
 
 def reference_scores(theta, head, reps, mode):

@@ -152,6 +152,26 @@ class TestTrainEval:
         for name in ("checkpoint.json", "train_log.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("aggregator", ["gcn", "gat", "rgcn", "lstm"])
+    def test_every_aggregator_trains_and_evaluates_reproducibly(self, tmp_path, aggregator):
+        # one dev class, so each epoch also runs the dev encode; relation
+        # structure gives the rgcn layers more than one relation
+        base = {"profile": "synthetic", "seed": 3, "model": {"aggregator": aggregator},
+                "optimizer": {"epochs": 2},
+                "synth": {"examples_per_class": 10, "num_dev": 1, "relation_structure": True}}
+        metrics = []
+        for name in ("a", "b"):
+            run_dir = tmp_path / name
+            assert run("train", "--config", write(tmp_path / "train.json", base), "--out", str(run_dir)) == 0
+            eval_cfg = {**base, "paths": {"checkpoint": str(run_dir / "checkpoint.json")}}
+            assert run("eval", "--config", write(tmp_path / "eval.json", eval_cfg), "--out", str(run_dir)) == 0
+            metrics.append((run_dir / "metrics.json").read_bytes())
+        for name in ("checkpoint.json", "train_log.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        log = json.loads((tmp_path / "a" / "train_log.json").read_text())["log"]
+        assert len(log) == 2 and all(isinstance(e["dev_loss"], float) for e in log)
+        assert metrics[0] == metrics[1]
+
     def test_eval_needs_checkpoint_path(self, synth_cfg, tmp_path):
         assert run("eval", "--config", synth_cfg, "--out", str(tmp_path / "x")) == 1
 
@@ -597,6 +617,23 @@ class TestExamplesFile:
         cfg = self.config(world, {"train": [good], "test": [good]})
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
         assert "malformed fold spec" in capsys.readouterr().err
+
+    def test_multilabel_model_trains_and_evaluates(self, world, tmp_path):
+        examples = {
+            "train": [{"vector": VEC, "labels": ["cls/alpha"]},
+                      {"vector": [0.0, 1.0, 0.0, 0.0], "labels": ["cls/alpha", "cls/beta"]}],
+            "dev": [],
+            "test": [{"vector": VEC, "labels": ["cls/gamma"]},
+                     {"vector": [0.0, 0.0, 1.0, 0.0], "labels": ["cls/alpha", "cls/gamma"]},
+                     {"vector": [0.0, 1.0, 0.0, 0.0], "labels": ["cls/beta"]}],
+        }
+        cfg = self.config(world, examples, **MULTILABEL)
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "run")) == 0
+        (world / "ckpt.json").write_bytes((tmp_path / "run" / "checkpoint.json").read_bytes())
+        assert run("eval", "--config", cfg, "--out", str(tmp_path / "ev")) == 0
+        metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+        # the two test records labeled with the fold's test class cls/gamma
+        assert [fold["n"] for fold in metrics["per_fold"]] == [2]
 
     @pytest.mark.parametrize("bad", [[0.0, 1.0, 2.0], ["a", "b", "c", "d"], [0.0, float("nan"), 0.0, 0.0]])
     def test_unusable_l2_target_names_class(self, world, tmp_path, capsys, bad):

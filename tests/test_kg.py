@@ -151,6 +151,7 @@ class TestGraph:
         g = kg.Graph([("r", "d", "b"), ("r", "b", "a"), ("r", "c", "c")], extra_nodes=["z"])
         csr = g.csr()
         assert csr.ids == ("a", "b", "c", "d", "z")
+        assert csr.id_array.tolist() == list(csr.ids) and not csr.id_array.flags.writeable
         assert csr.index == {v: i for i, v in enumerate(csr.ids)}
         for i, v in enumerate(csr.ids):
             row = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]

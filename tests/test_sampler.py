@@ -528,6 +528,26 @@ class TestHitSourceChunks:
         assert source("c") is c_table
         assert sorted(source._cache) == ["a", "b", "c"]
 
+    def test_kernel_runs_gather_from_the_graph_id_array(self):
+        # the id array is built once, with the graph: a one-node miss gathers
+        # its neighbors' ids from it and builds nothing per graph node
+        gathers = []
+
+        class Spy(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray):
+                    gathers.append(self)
+                return super().__getitem__(key)
+
+        g, cfg = self.two_chunk_graph()
+        g._csr = g.csr()._replace(id_array=g.csr().id_array.view(Spy))
+        source = sampler.HitSource(g, cfg)
+        tables = [source(node) for node in ("d", "a")]
+        assert source.kernel_runs == 2
+        assert len(gathers) == 2 and all(ids is g.csr().id_array for ids in gathers)
+        plain = self.two_chunk_graph()[0]
+        assert tables == [sampler.sample_neighborhood(plain, node, cfg) for node in ("d", "a")]
+
     def test_fill_order_does_not_change_tables(self):
         g, cfg = self.two_chunk_graph()
         swept, single = sampler.HitSource(g, cfg), sampler.HitSource(g, cfg)

@@ -20,7 +20,7 @@ from kgzsl.errors import ConfigError, ContractError, DataError, DivergenceError
 from kgzsl.kg import FeatureTable, Graph
 from kgzsl.sampler import HitSource, WalkConfig
 
-from .helpers import ranking_reference, reference_scores
+from .helpers import candidates, ranking_reference, reference_scores
 
 
 def rng(seed=0):
@@ -70,7 +70,7 @@ class TestKeptScoreMatrix:
     def check(self, head, seed=0):
         r = rng(seed)
         theta = r.normal(size=head.theta_dim)
-        reps = {f"c{i:02d}": r.normal(size=head.phi_dim) for i in range(12)}
+        reps = candidates({f"c{i:02d}": r.normal(size=head.phi_dim) for i in range(12)})
         for mode in ("multiclass", "multilabel"):
             want = reference_scores(theta, head, reps, mode)
             ids, scores = zs.candidate_scores(theta, head, reps, mode)
@@ -587,55 +587,44 @@ class TestPredict:
     def test_multiclass_picks_the_top_score_with_id_tiebreak(self):
         head = self.make_head()
         reps = {"b": np.array([1.0, 0.0]), "a": np.array([1.0, 0.0]), "c": np.array([5.0, 0.0])}
-        assert zs.predict(np.array([1.0, 0.0]), head, reps) == ["c"]
+        assert zs.predict(np.array([1.0, 0.0]), head, candidates(reps)) == ["c"]
         # "a" and "b" tie for the top: the smaller id wins
-        assert zs.predict(np.array([1.0, 0.0]), head, {**reps, "c": np.array([-5.0, 0.0])}) == ["a"]
+        assert zs.predict(np.array([1.0, 0.0]), head, candidates({**reps, "c": np.array([-5.0, 0.0])})) == ["a"]
 
     def test_multilabel_positive_scores(self):
         head = self.make_head()
-        reps = {"pos": np.array([1.0, 0.0]), "neg": np.array([-1.0, 0.0]),
-                "zero": np.array([0.0, 1.0])}
+        reps = candidates({"pos": np.array([1.0, 0.0]), "neg": np.array([-1.0, 0.0]),
+                           "zero": np.array([0.0, 1.0])})
         chosen = zs.predict(np.array([1.0, 0.0]), head, reps, mode="multilabel")
         assert chosen == {"pos"}
 
     def test_l2_mode_dot_product(self):
-        reps = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        reps = candidates({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
         assert zs.predict(np.array([0.2, 0.9]), None, reps, mode="l2") == ["b"]
         assert zs.predict(np.array([0.9, 0.2]), None, reps, mode="l2") == ["a"]
 
     def test_l2_mode_bias_append(self):
         # phi one dim wider: last entry acts as a bias with theta
         # extended by 1
-        reps = {"a": np.array([0.0, 0.0, 10.0]), "b": np.array([1.0, 1.0, 0.0])}
+        reps = candidates({"a": np.array([0.0, 0.0, 10.0]), "b": np.array([1.0, 1.0, 0.0])})
         assert zs.predict(np.array([1.0, 1.0]), None, reps, mode="l2") == ["a"]
         # "a" wins on its bias alone, 10 > 1 + 1, until theta outgrows it
         assert zs.predict(np.array([6.0, 6.0]), None, reps, mode="l2") == ["b"]
 
     def test_l2_dim_mismatch(self):
-        reps = {"a": np.array([1.0, 2.0, 3.0, 4.0])}
+        reps = candidates({"a": np.array([1.0, 2.0, 3.0, 4.0])})
         with pytest.raises(ContractError):
             zs.predict(np.array([1.0, 1.0]), None, reps, mode="l2")
-
-    def test_empty_candidates(self):
-        with pytest.raises(ContractError):
-            zs.predict(np.array([1.0]), None, {}, mode="l2")
 
     def test_unknown_mode(self):
         head = self.make_head()
         with pytest.raises(ConfigError):
-            zs.predict(np.array([1.0, 0.0]), head, {"a": np.array([1.0, 0.0])}, mode="wat")
-
-    def test_mixed_widths_raise_contract_error(self):
-        head = self.make_head()
-        reps = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0, 2.0])}
-        for mode in ("multiclass", "multilabel", "l2"):
-            with pytest.raises(ContractError):
-                zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode)
+            zs.predict(np.array([1.0, 0.0]), head, candidates({"a": np.array([1.0, 0.0])}), mode="wat")
 
     def test_head_width_mismatch_raises_contract_error(self):
         head = self.make_head()
         with pytest.raises(ContractError):
-            zs.predict(np.array([1.0, 0.0]), head, {"a": np.array([1.0, 0.0, 2.0])})
+            zs.predict(np.array([1.0, 0.0]), head, candidates({"a": np.array([1.0, 0.0, 2.0])}))
 
     @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
     def test_scores_and_ranking_equal_per_candidate_reference_bitwise(self, mode):
@@ -648,8 +637,9 @@ class TestPredict:
         reps["b999"] = reps[top].copy()  # ties the top score with a smaller id
         want = reference_scores(theta, head, reps, mode)
 
+        reps = candidates(reps)
         ids, scores = zs.candidate_scores(theta, head, reps, mode)
-        assert ids == sorted(reps)
+        assert ids == tuple(sorted(reps))
         assert scores.tobytes() == np.array([want[c] for c in ids]).tobytes()
         got = zs.predict(theta, head, reps, mode)
         if mode == "multilabel":
@@ -668,7 +658,7 @@ class TestPredict:
     def test_non_finite_score_raises_data_error_naming_the_candidate(self, mode, scores, first):
         # theta [1, 0] through identity B and A scores each phi by its first entry
         head = self.make_head()
-        reps = {c: np.array([s, 0.0]) for c, s in scores.items()}
+        reps = candidates({c: np.array([s, 0.0]) for c, s in scores.items()})
         with pytest.raises(DataError, match=f"candidate '{first}' scores {scores[first]!r}"):
             zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode)
 
@@ -678,26 +668,32 @@ class TestPredict:
         # since the test run makes a RuntimeWarning an error
         head = self.make_head()
         reps = {c: np.array([s, 0.0]) for c, s in {"a": 1e308, "b": 1.5e308, "c": -1.0}.items()}
-        assert zs.predict(np.array([1.0, 0.0]), head, reps, mode=mode) == want
-        low = {c: -phi for c, phi in reps.items()}
+        assert zs.predict(np.array([1.0, 0.0]), head, candidates(reps), mode=mode) == want
+        low = candidates({c: -phi for c, phi in reps.items()})
         want_low = {"c"} if mode == "multilabel" else ["c"]
         assert zs.predict(np.array([1.0, 0.0]), head, low, mode=mode) == want_low
 
-    def test_candidate_ids_come_as_a_fresh_list(self):
+    def test_candidate_ids_are_the_class_reps_own(self):
         head = self.make_head()
-        reps = zs.ClassReps({"b": np.array([0.0, 1.0]), "a": np.array([1.0, 0.0])})
+        reps = candidates({"b": np.array([0.0, 1.0]), "a": np.array([1.0, 0.0])})
         ids, _ = zs.candidate_scores(np.array([1.0, 0.0]), head, reps)
-        assert type(ids) is list and ids == ["a", "b"]
-        ids.append("c")
-        assert reps.ids == ("a", "b")
-        assert zs.candidate_scores(np.array([1.0, 0.0]), head, reps)[0] == ["a", "b"]
+        assert ids is reps.ids and ids == ("a", "b")
         assert zs.predict(np.array([1.0, 0.0]), head, reps) == ["a"]
+
+    @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
+    @pytest.mark.parametrize("given", [{"a": np.array([1.0, 0.0])}, {}, [np.array([1.0, 0.0])], None],
+                             ids=["dict", "empty-dict", "list", "None"])
+    def test_only_a_class_reps_is_scored(self, mode, given):
+        head = self.make_head()
+        for call in (zs.candidate_scores, zs.predict):
+            with pytest.raises(ContractError, match=f"got {type(given).__name__}$"):
+                call(np.array([1.0, 0.0]), head, given, mode)
 
     @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
     @pytest.mark.parametrize("shape", [(), (2, 2)], ids=["0-D", "2-D"])
     def test_theta_must_be_a_vector(self, mode, shape):
         head = self.make_head()
-        reps = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        reps = candidates({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
         for call in (zs.candidate_scores, zs.predict):
             with pytest.raises(ContractError, match=re.escape(f"got shape {shape}")):
                 call(np.ones(shape), head, reps, mode)
@@ -727,7 +723,7 @@ def predict_inputs(draw):
     if n > 1 and draw(st.booleans()):
         src, dst = draw(st.permutations(range(n)))[:2]
         rows[dst] = rows[src]
-    return theta, head, {f"c{i:02d}": row for i, row in enumerate(rows)}, mode
+    return theta, head, candidates({f"c{i:02d}": row for i, row in enumerate(rows)}), mode
 
 
 class TestPredictMatchesTheRanking:
@@ -769,6 +765,26 @@ class TestClassReps:
             reps["class_9"]
         assert dict(reps).keys() == set(ids)
 
+    def test_only_class_representations_builds_one(self):
+        # candidates reach predict one way: the encoder's own matrix, which
+        # class_representations wraps, so no call site stacks rows of its own
+        def dotted(node):
+            if isinstance(node, ast.Attribute):
+                return dotted(node.value) + [node.attr]
+            return [node.id] if isinstance(node, ast.Name) else []
+
+        builders = set()
+        for path in sorted(Path(zs.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and "ClassReps" in dotted(node.func):
+                    scope = node
+                    while scope in parents and not isinstance(scope, ast.FunctionDef):
+                        scope = parents[scope]
+                    builders.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+        assert builders == {"zeroshot.class_representations"}
+
     def test_rows_equal_single_encodes_bitwise(self):
         enc, ids, reps = self.encoded()
         assert reps.matrix.shape == (4, 3)
@@ -779,40 +795,12 @@ class TestClassReps:
         enc, ids, reps = self.encoded()
         with ad.no_grad():
             out = enc.encode(sorted(ids))
-        # bitwise what the dict round trip gave, and read-only
-        assert reps.matrix.tobytes() == zs.ClassReps(dict(zip(sorted(ids), out.data))).matrix.tobytes()
+        # bitwise the encoder's matrix, and read-only
         assert reps.matrix.tobytes() == out.data.tobytes()
         assert not reps.matrix.flags.writeable
         # the matrix is the one the encoder returned, not a copy of it
         got = zs.class_representations(SimpleNamespace(encode=lambda c, mode: out), ids)
         assert got.matrix is out.data and got.ids == tuple(sorted(ids))
-
-    def test_empty_and_non_vector_rows_rejected(self):
-        with pytest.raises(ContractError):
-            zs.ClassReps({})
-        with pytest.raises(ContractError):
-            zs.ClassReps({"a": np.ones((2, 2))})
-        with pytest.raises(ContractError):
-            zs.ClassReps({"a": np.ones(2), "b": np.ones(3)})
-
-    @pytest.mark.parametrize("mode", ["multiclass", "multilabel", "l2"])
-    def test_every_mapping_form_scores_the_same_bits(self, mode):
-        _, _, reps = self.encoded()
-        head = zs.BilinearHead(3, 3, rank=2, rng=rng(53))
-        forms = [
-            reps,
-            dict(reps),
-            {c: np.array(phi) for c, phi in reps.items()},
-            {c: ad.Tensor(phi) for c, phi in reps.items()},
-        ]
-        for theta in rng(54).normal(size=(5, 3)):
-            want_ids, want = zs.candidate_scores(theta, head, reps, mode)
-            predicted = zs.predict(theta, head, reps, mode)
-            for form in forms[1:]:
-                ids, scores = zs.candidate_scores(theta, head, form, mode)
-                assert ids == want_ids
-                assert scores.tobytes() == want.tobytes()
-                assert zs.predict(theta, head, form, mode) == predicted
 
 
 def shared_world(num_classes=6, dim=4, seed=0):
