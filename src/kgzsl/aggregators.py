@@ -34,17 +34,18 @@ basis for ``rgcn``, per time step for ``lstm``), which rounds exactly
 like B separate calls.  The per-node ``forward`` is the B = 1 case of
 the same code.
 
-``gnn_forward`` embeds one root, or a sequence of roots as one forward
+``zeroshot.GnnClassEncoder.encode`` is the one way in to the stacked
+forward.  It embeds one root, or a sequence of roots as one forward
 over the union of their sampled DAGs, in two parts.  ``plan_forward``
 fixes everything the parameters cannot change, as a ``ForwardPlan``:
 the walk, the keys, each level's calls and their fixed node_args, and
 the read-only leaf matrix, each leaf's feature row read once, on which
 level 1's rows are already in canonical order.  ``run_forward`` makes
 the layer calls from the plan alone, drawing train-mode permutations
-as it goes; a binding that keeps its plans (``zeroshot.GnnClassEncoder``)
-runs a plan again without walking and without reading a feature.  A
-root's walk expands only the nodes it first reaches above depth k;
-those first reached at depth k are leaves and are not walked per root.
+as it goes.  The binding keeps its plans, so it runs a plan again
+without walking and without reading a feature.  A root's walk expands
+only the nodes it first reaches above depth k; those first reached at
+depth k are leaves and are not walked per root.
 A node's level-1 key depends only on the node and its cut neighbor
 list, so it is interned once per (node, hop limit) per plan, and level
 0 is read off level 1: its rows are the distinct members of level 1's
@@ -518,7 +519,7 @@ class LevelPlan:
 
 @dataclass(frozen=True)
 class ForwardPlan:
-    """What `gnn_forward` fixes before its first layer call.
+    """What `GnnClassEncoder.encode` fixes before its first layer call.
 
     `leaves` are level 0's node ids and `leaf_matrix` their feature
     rows, read once when planning and read-only; `levels` holds one
@@ -674,8 +675,8 @@ def run_forward(stack, plan, node, mode="eval", rng=None):
     order on the level below, which the parameters change, before its
     call.  In train mode an lstm level draws one permutation per DAG
     node from `rng`, in DAG order, before its calls.  `node` is what was
-    passed to `gnn_forward`: one id gives an (out_dim,) row, a sequence
-    a (len, out_dim) tensor.
+    passed to `GnnClassEncoder.encode`: one id gives an (out_dim,) row,
+    a sequence a (len, out_dim) tensor.
     """
     prev = ad.constant(plan.leaf_matrix)
     for depth, (layer, level) in enumerate(zip(stack.layers, plan.levels)):
@@ -695,33 +696,3 @@ def run_forward(stack, plan, node, mode="eval", rng=None):
     if isinstance(node, str):
         return ad.row(prev, plan.index[0])
     return ad.gather(prev, plan.index)
-
-
-def gnn_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
-    """Embed `node`, or each node of a sequence of them, from its truncated k-hop neighborhood.
-
-    The sampled neighborhood is fixed per root at the shallowest depth
-    where the root reaches each node: top hop_limits[d] neighbors by hit
-    probability.  Representation levels are then evaluated bottom-up
-    over that DAG, so the output depends only on the truncated k-hop
-    neighborhood.  Each level is one `forward_group` call per slice of
-    at most GROUP_ROWS nodes with the same member count.
-
-    `node` is one node id, which gives its (out_dim,) row, or a sequence
-    of ids, which gives a (len, out_dim) tensor whose rows follow that
-    order, repeats included.  The roots of a sequence are encoded as one
-    forward over the union of their DAGs.
-
-    A call checks its arguments, builds the union's ForwardPlan
-    (`plan_forward`) and runs it (`run_forward`); `GnnClassEncoder`
-    keeps its plans and only runs them again.
-
-    Args:
-        hits: callable node -> HitTable (see sampler.HitSource).
-        mode: "train" draws a fresh sequence permutation per DAG node
-            from `rng`, which it requires; "eval" derives it from (seed,
-            node id) so repeated evaluation is bitwise stable.
-        rng: the train-mode permutation stream.
-    """
-    roots = forward_roots(graph, node, mode, rng)
-    return run_forward(stack, plan_forward(stack, graph, features, hits, roots, seed), node, mode, rng)

@@ -282,13 +282,7 @@ def dot_rows(x, v):
             x._accumulate(g[..., None] * v.data)
         if v.requires_grad:
             v._accumulate((g[..., None] * x.data).reshape(-1, v.shape[0]).sum(axis=0))
-    return _make(_dot_rows(x.data, v.data), (x, v), backward)
-
-
-def _dot_rows(x, v):
-    """dot_rows' forward on arrays: x_i . v for every trailing vector x_i of x,
-    each rounded like the 1-D product x_i @ v."""
-    return np.vecdot(x, v)
+    return _make(np.vecdot(x.data, v.data), (x, v), backward)
 
 
 # ------------------------------------------------------------ restructuring

@@ -94,10 +94,6 @@ class MentionEncoder:
         out[self.attn_out.name] = self.attn_out
         return out
 
-    def _context_states(self, tokens):
-        xs = [ad.constant(np.asarray(v)) for v in tokens]
-        return _bilstm_states(self.context, self.context_back, xs)
-
     def encode(self, x):
         if not x.mention:
             raise ContractError("mention must have at least one token")
@@ -114,7 +110,8 @@ class MentionEncoder:
         for side in (left, right):
             if not side:
                 continue
-            side_states = self._context_states(side)
+            side_states = _bilstm_states(self.context, self.context_back,
+                                         [ad.constant(np.asarray(v)) for v in side])
             states.extend(side_states)
             for h in side_states:
                 e = ad.tanh(ad.matmul(self.attn_hidden, h))

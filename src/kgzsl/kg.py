@@ -38,10 +38,9 @@ class Graph:
     iteration over them is reproducible across processes.  Each distinct
     triple is held as one int64 code, (relation * N + head) * N + tail,
     over relation positions and sorted-id node positions, and the
-    adjacency as the `Csr` built at construction.  The edge tuples of a
-    graph built from columns wait for the first read of `edges`; a graph
-    built from tuples keeps the ones it was given.  The map of relations
-    per node pair waits for the first `relations_between`.
+    adjacency as the `Csr` built at construction.  The edge tuples wait
+    for the first read of `edges`, and the map of relations per node
+    pair for the first `relations_between`.
     """
 
     __slots__ = ("_nodes", "_edges", "_relations", "_codes", "_rels_between", "_csr")
@@ -55,35 +54,33 @@ class Graph:
             extra_nodes: node ids to intern before the edge endpoints,
                 letting isolated nodes exist.
         """
-        # tuple() hands a tuple edge back as it is, so the kept edges are the given ones
         edges = list(map(tuple, edges))
         if any(len(edge) != 3 for edge in edges):
             raise ValueError("an edge must be a (relation, head, tail) triple")
-        keep = self._build(*(tuple(zip(*edges)) or ((), (), ())), extra_nodes)
-        self._edges = tuple(map(edges.__getitem__, keep.tolist()))
+        self._build(*(tuple(zip(*edges)) or ((), (), ())), extra_nodes)
 
     @classmethod
     def from_columns(cls, rels, heads, tails, extra_nodes=()):
         """A graph from the parallel id sequences of its triples' three fields.
 
-        Equal to `Graph(zip(rels, heads, tails), extra_nodes)`, but no edge
-        tuple is built until `edges` is read.
+        Equal to `Graph(zip(rels, heads, tails), extra_nodes)`, without a
+        tuple per edge.
         """
         if not len(rels) == len(heads) == len(tails):
             raise ValueError(f"edge columns differ in length: {len(rels)}, {len(heads)}, {len(tails)}")
         g = object.__new__(cls)
         g._build(rels, heads, tails, extra_nodes)
-        g._edges = None
         return g
 
     def _build(self, rels, heads, tails, extra_nodes):
-        """Set every field but `_edges`; return the positions of the kept triples, ascending."""
+        """Set every field; `_edges` waits for the first read of `edges`."""
         m = len(rels)
         ends = [None] * (2 * m)
         ends[0::2] = heads
         ends[1::2] = tails
         self._nodes = tuple(dict.fromkeys(chain(extra_nodes, ends)))
         self._relations = tuple(dict.fromkeys(rels))
+        self._edges = None
         self._rels_between = None  # built by the first relations_between call
         n = len(self._nodes)
         if len(self._relations) * n * n > 2 ** 63:
@@ -113,7 +110,6 @@ class Graph:
         id_array = np.array(ids, dtype=object)
         id_array.flags.writeable = False
         self._csr = Csr(ids, index, indptr, keys % n, id_array)
-        return keep
 
     @property
     def nodes(self):
@@ -121,7 +117,7 @@ class Graph:
 
     @property
     def edges(self):
-        """(relation, head, tail) tuples, built on the first read of a graph from columns."""
+        """(relation, head, tail) tuples in first-seen order, built on the first read."""
         if self._edges is None:
             n = len(self._nodes)
             rel_head, tail = np.divmod(self._codes, n)
@@ -260,8 +256,9 @@ class EmbeddingTable:
     """Token to vector lookup with deterministic out-of-vocabulary fill.
 
     Lookup first tries the token verbatim, then lowercased.  A miss gets
-    a vector drawn uniformly from [-0.5/d, 0.5/d), seeded by the token
-    itself, so the same miss yields the same vector in every process.
+    a vector drawn uniformly from [-0.5/d, 0.5/d), seeded by the
+    lowercased token, so the same miss yields the same vector in every
+    process, and misses that differ only in case share one vector.
     """
 
     def __init__(self, entries, dimension=None):

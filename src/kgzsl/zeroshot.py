@@ -139,18 +139,23 @@ class GnnClassEncoder:
 
     def encode(self, class_node, mode="eval", rng=None):
         """phi of one class id as an (out_dim,) tensor, or of a sequence of
-        ids as one (len, out_dim) tensor in that order, built by one
-        forward over the union of their neighborhoods (see `gnn_forward`).
+        ids as one (len, out_dim) tensor in that order, repeats included,
+        built by one forward over the union of their truncated k-hop
+        neighborhoods: a root keeps a node's top hop_limits[d] neighbors
+        by hit probability at the shallowest depth d where it reaches it.
+        "train" mode draws each lstm permutation from `rng`, which it
+        requires; "eval" derives it from (seed, node id).
 
-        The first call for a root sequence under the stack's hop limits
-        plans that forward, reading each hit table it needs once and each
-        leaf's feature once, into the plan's leaf matrix; later calls run
-        the kept plan, which reads no feature and no hit table, and give
-        the bits a fresh `gnn_forward` call gives.  Only repeated
-        encodes of one root sequence gain: `_fit` re-encodes `seen` every
-        step and `dev` every epoch, while `kgzsl eval` encodes each
-        fold's classes once, through a binding of that fold's own over
-        one shared HitSource, so each fold's plan goes with its binding.
+        Every call checks its arguments.  The first call for a root
+        sequence under the stack's hop limits plans that forward
+        (`plan_forward`), reading each hit table it needs and each leaf's
+        feature once; every call runs the kept plan (`run_forward`),
+        which reads neither and gives a fresh binding's bits.  Only
+        repeated encodes of one root sequence gain: `_fit` re-encodes
+        `seen` every step and `dev` every epoch, while `kgzsl eval`
+        encodes each fold's classes once, through a binding of that
+        fold's own over one shared HitSource, so each fold's plan goes
+        with its binding.
         """
         roots = forward_roots(self.graph, class_node, mode, rng)
         key = (tuple(roots), tuple(self.stack.hop_limits))

@@ -11,7 +11,7 @@ from kgzsl.aggregators import GROUP_ROWS, TransformerPoolLayer
 from kgzsl.errors import ContractError, UnknownNodeError
 from kgzsl.sampler import CHUNK_STREAMS, HitTable, _neighbor_rows, _positions, top_n
 from kgzsl.seeding import derive_seed, make_rng, uniform_blocks
-from kgzsl.zeroshot import class_representations
+from kgzsl.zeroshot import GnnClassEncoder, class_representations
 
 
 def markov_hit_table(g, center, steps, restarts):
@@ -231,10 +231,16 @@ def union_dag_size(stack, hits, roots):
     return len(distinct)
 
 
+def fresh_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
+    """`node`'s class forward as the program runs it: the first encode
+    of a fresh binding, which checks, plans and runs."""
+    return GnnClassEncoder(stack, graph, features, hits, seed=seed).encode(node, mode=mode, rng=rng)
+
+
 def per_node_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
     """Reference class encoder: one `layer.forward` call per DAG node.
 
-    The same truncated neighborhood DAG as `gnn_forward`, walked one
+    The same truncated neighborhood DAG as `fresh_forward`, walked one
     node at a time in DAG order with per-node tensors, so the batched
     level forward can be compared with it byte for byte.  Train-mode
     sequence permutations are drawn from `rng` in that same order.
@@ -295,7 +301,7 @@ def sorting_forward_group(layer, prev, rows, node_args):
 def reference_union_forward(stack, graph, features, hits, node, mode="eval", seed=0, rng=None):
     """The union forward before level 0 was read off level 1's keys.
 
-    `gnn_forward` as it was when every root's walk still visited the
+    The class forward as it was when every root's walk still visited the
     nodes first reached at depth k, recorded their depths for the leaf
     matrix and keyed level 1 per root, read every leaf's features on
     every call, and sorted each order-free group's members inside its

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from kgzsl.seeding import make_rng
 from kgzsl.zeroshot import GnnClassEncoder
 
 from .helpers import (
-    ComposedTransformerLayer, per_node_forward, reference_canonical_rows, reference_union_forward,
-    union_dag_size,
+    ComposedTransformerLayer, fresh_forward, per_node_forward, reference_canonical_rows,
+    reference_union_forward, union_dag_size,
 )
 
 
@@ -340,7 +341,7 @@ class TestGnnForward:
         g, feats, hits = two_hop_fixture()
         layer = agg.MeanPoolLayer(3, 2, rng=rng(40))
         stack = agg.GnnStack([layer], [10])
-        out = agg.gnn_forward(stack, g, feats, hits, "c")
+        out = fresh_forward(stack, g, feats, hits, "c")
         direct = layer.forward(
             ad.constant(feats["c"]), [ad.constant(feats[u]) for u in g.neighbors("c")]
         )
@@ -352,7 +353,7 @@ class TestGnnForward:
         g, feats, hits = two_hop_fixture()
         layer = agg.MeanPoolLayer(3, 2, rng=rng(41))
         stack = agg.GnnStack([layer], [2])
-        out = agg.gnn_forward(stack, g, feats, hits, "c")
+        out = fresh_forward(stack, g, feats, hits, "c")
         kept = top_n(hits("c"), 2)
         direct = layer.forward(ad.constant(feats["c"]), [ad.constant(feats[u]) for u in kept])
         assert out_bytes(out) == out_bytes(direct)
@@ -364,8 +365,8 @@ class TestGnnForward:
             agg.TransformerPoolLayer(3, 2, rng=rng(43), name="t1"),
         ]
         stack = agg.GnnStack(layers, [2, 2])
-        a = agg.gnn_forward(stack, g, feats, hits, "c", mode="eval", seed=9)
-        b = agg.gnn_forward(stack, g, feats, hits, "c", mode="eval", seed=9)
+        a = fresh_forward(stack, g, feats, hits, "c", mode="eval", seed=9)
+        b = fresh_forward(stack, g, feats, hits, "c", mode="eval", seed=9)
         assert out_bytes(a) == out_bytes(b)
 
     def test_train_mode_resamples_sequence_order(self):
@@ -375,7 +376,7 @@ class TestGnnForward:
 
         shared = make_rng("test-train", 0)
         outs = {
-            out_bytes(agg.gnn_forward(stack, g, feats, hits, "c", mode="train", rng=shared))
+            out_bytes(fresh_forward(stack, g, feats, hits, "c", mode="train", rng=shared))
             for _ in range(6)
         }
         assert len(outs) > 1
@@ -392,12 +393,12 @@ class TestGnnForward:
         dropped = [n for n in ("n1", "n2", "n3") if n not in kept][0]
         outside = {dropped, {"n1": "m1", "n2": "m2", "n3": "m3"}[dropped]}
 
-        base = agg.gnn_forward(stack, g, feats, hits, "c", seed=1)
+        base = fresh_forward(stack, g, feats, hits, "c", seed=1)
         bumped = {
             v: (np.asarray(feats[v]) + (5.0 if v in outside else 0.0)) for v in g.nodes
         }
         feats2 = FeatureTable(3, bumped)
-        after = agg.gnn_forward(stack, g, feats2, hits, "c", seed=1)
+        after = fresh_forward(stack, g, feats2, hits, "c", seed=1)
         assert out_bytes(base) == out_bytes(after)
 
     def test_perturbing_inside_neighborhood_changes_output(self):
@@ -409,9 +410,9 @@ class TestGnnForward:
             [2, 2],
         )
         inside = top_n(hits("c"), 2)[0]
-        base = agg.gnn_forward(stack, g, feats, hits, "c", seed=1)
+        base = fresh_forward(stack, g, feats, hits, "c", seed=1)
         bumped = {v: (np.asarray(feats[v]) + (5.0 if v == inside else 0.0)) for v in g.nodes}
-        after = agg.gnn_forward(stack, g, FeatureTable(3, bumped), hits, "c", seed=1)
+        after = fresh_forward(stack, g, FeatureTable(3, bumped), hits, "c", seed=1)
         assert out_bytes(base) != out_bytes(after)
 
     def test_cycle_back_to_center_is_consistent(self):
@@ -420,20 +421,20 @@ class TestGnnForward:
             [agg.MeanPoolLayer(3, 3, rng=rng(47)), agg.MeanPoolLayer(3, 2, rng=rng(48))],
             [3, 3],
         )
-        out = agg.gnn_forward(stack, g, feats, hits, "c")
+        out = fresh_forward(stack, g, feats, hits, "c")
         assert out.data.shape == (2,)
 
     def test_unknown_node(self):
         g, feats, hits = two_hop_fixture()
         stack = agg.GnnStack([agg.MeanPoolLayer(3, 2, rng=rng(49))], [2])
         with pytest.raises(UnknownNodeError):
-            agg.gnn_forward(stack, g, feats, hits, "nope")
+            fresh_forward(stack, g, feats, hits, "nope")
 
     def test_train_mode_needs_an_rng(self):
         g, feats, hits = two_hop_fixture()
         stack = agg.GnnStack([agg.SequencePoolLayer(3, 2, rng=rng(52))], [3])
         with pytest.raises(ContractError, match="rng"):
-            agg.gnn_forward(stack, g, feats, hits, "c", mode="train")
+            fresh_forward(stack, g, feats, hits, "c", mode="train")
 
     def test_rgcn_sees_relation_tags(self):
         edges = [("likes", "c", "a"), ("hates", "c", "b")]
@@ -443,7 +444,7 @@ class TestGnnForward:
         hits = HitSource(g, WalkConfig(seed=3))
         layer = agg.RelationalMeanLayer(2, 2, relations=["likes", "hates"], num_bases=2, rng=rng(51))
         stack = agg.GnnStack([layer], [5])
-        out = agg.gnn_forward(stack, g, feats, hits, "c")
+        out = fresh_forward(stack, g, feats, hits, "c")
         tagged = [("likes", ad.constant(feats["a"])), ("hates", ad.constant(feats["b"]))]
         direct = layer.forward(ad.constant(feats["c"]), tagged)
         assert out_bytes(out) == out_bytes(direct)
@@ -516,7 +517,7 @@ class TestLevelBatchedForward:
         stack = make_stack([kind] + others[:len(limits) - 1], limits, dim, seed)
         batched_rng, reference_rng = make_rng("perm", seed), make_rng("perm", seed)
         for v in g.nodes:
-            got = agg.gnn_forward(stack, g, feats, hits, v, mode=mode, seed=seed, rng=batched_rng)
+            got = fresh_forward(stack, g, feats, hits, v, mode=mode, seed=seed, rng=batched_rng)
             want = per_node_forward(stack, g, feats, hits, v, mode=mode, seed=seed, rng=reference_rng)
             assert got.data.tobytes() == want.data.tobytes(), v
         # train-mode permutations came off the stream in the same order
@@ -531,7 +532,7 @@ class TestLevelBatchedForward:
         weights = ad.constant(rng(5).normal(size=4))
 
         def loss():
-            outs = [agg.gnn_forward(stack, g, feats, hits, v, seed=1) for v in ("n0", "n3")]
+            outs = [fresh_forward(stack, g, feats, hits, v, seed=1) for v in ("n0", "n3")]
             return ad.sum(ad.multiply(ad.add(outs[0], outs[1]), weights))
 
         report = ad.grad_check(loss, stack.parameters())
@@ -553,7 +554,7 @@ class TestLevelBatchedForward:
             ad.backward(ad.sum(ad.multiply(ad.sum(ad.stack(outs), axis=0), weights)))
             return {name: t.grad.copy() for name, t in params.items()}
 
-        batched, reference = grads(agg.gnn_forward), grads(per_node_forward)
+        batched, reference = grads(fresh_forward), grads(per_node_forward)
         for name, want in reference.items():
             err = np.linalg.norm(batched[name] - want) / max(np.linalg.norm(want), 1e-300)
             assert err <= 1e-12, (name, err)
@@ -582,7 +583,7 @@ class TestLevelBatchedForward:
         groups = {0: [], 1: []}
         for level, calls in groups.items():
             spy(stack.layers[level], calls)
-        agg.gnn_forward(stack, g, feats, hits, "n2", seed=2)
+        fresh_forward(stack, g, feats, hits, "n2", seed=2)
         for level, calls in groups.items():
             del stack.layers[level].forward_group
             assert len(calls) >= 2, level
@@ -590,7 +591,7 @@ class TestLevelBatchedForward:
 
         def run(s):
             perm_rng = make_rng("fused-perm", 2)
-            outs = [agg.gnn_forward(s, g, feats, hits, v, mode="train", rng=perm_rng) for v in g.nodes]
+            outs = [fresh_forward(s, g, feats, hits, v, mode="train", rng=perm_rng) for v in g.nodes]
             ad.backward(ad.sum(ad.multiply(ad.sum(ad.stack(outs), axis=0), weights)))
             grads = {name: t.grad.tobytes() for name, t in s.parameters().items()}
             return [o.data.tobytes() for o in outs], grads
@@ -606,15 +607,15 @@ class TestLevelBatchedForward:
             g = Graph([("r0", a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
             feats = FeatureTable(4, {v: rng(n).normal(size=4) for v in g.nodes})
             stack = make_stack([kind, kind], [n, n], 4, seed=0, activation="relu")
-            out = agg.gnn_forward(stack, g, feats, HitSource(g, WalkConfig(seed=0)), "v0",
-                                  mode="train", rng=rng(n))
+            out = fresh_forward(stack, g, feats, HitSource(g, WalkConfig(seed=0)), "v0",
+                                mode="train", rng=rng(n))
             return len(ad.Tape.from_output(out))
 
         assert tape_nodes(2) == tape_nodes(8)
 
 
 class TestSharedEval:
-    """One eval pass is one `gnn_forward` call over a sequence of roots."""
+    """One eval pass is one encode of a sequence of roots."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @given(
@@ -640,8 +641,8 @@ class TestSharedEval:
         # repeats, and roots that are the first root's own sampled neighbors
         roots += roots[:1] + top_n(hits(roots[0]), limits[0])
         with ad.no_grad():
-            want = [agg.gnn_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in roots]
-            got = agg.gnn_forward(stack, g, feats, hits, roots, seed=seed).data
+            want = [fresh_forward(stack, g, feats, hits, v, seed=seed).data.tobytes() for v in roots]
+            got = fresh_forward(stack, g, feats, hits, roots, seed=seed).data
         assert got.shape == (len(roots), stack.out_dim)
         assert [row.tobytes() for row in got] == want
 
@@ -656,14 +657,14 @@ class TestSharedEval:
         hits = HitSource(g, WalkConfig(steps=4, restarts=4, seed=2))
         stack = make_stack([kind, kind], [1, 1], 3, seed=22)
         with ad.no_grad():
-            want = [agg.gnn_forward(stack, g, feats, hits, v, seed=5).data.tobytes() for v in leaves]
+            want = [fresh_forward(stack, g, feats, hits, v, seed=5).data.tobytes() for v in leaves]
             sizes = []
             for layer in stack.layers:
                 def spy(prev, rows, node_args, forward=layer.forward_group):
                     sizes.append(len(rows))
                     return forward(prev, rows, node_args)
                 layer.forward_group = spy
-            got = agg.gnn_forward(stack, g, feats, hits, leaves, seed=5).data
+            got = fresh_forward(stack, g, feats, hits, leaves, seed=5).data
         assert [row.tobytes() for row in got] == want
         assert max(sizes) == agg.GROUP_ROWS
         assert sum(sizes) > 2 * len(leaves)
@@ -678,13 +679,13 @@ class TestSharedEval:
 
         stack = make_stack(["gcn"], [2], 2, seed=1)
         with ad.no_grad(), pytest.raises(UnknownNodeError, match="nowhere"):
-            agg.gnn_forward(stack, g, feats, hits, ["n0", "nowhere"])
+            fresh_forward(stack, g, feats, hits, ["n0", "nowhere"])
 
     def test_empty_sequence_is_contract_error(self):
         g, feats, hits = random_world(9, 5, 2)
         stack = make_stack(["gcn"], [2], 2, seed=1)
         with pytest.raises(ContractError, match="no nodes"):
-            agg.gnn_forward(stack, g, feats, hits, [])
+            fresh_forward(stack, g, feats, hits, [])
 
 
 class TestUnionBuild:
@@ -728,7 +729,7 @@ class TestUnionBuild:
             # train-mode permutations came off the stream in the same order
             return out.data.tobytes(), grads, perm_rng.random()
 
-        assert run(agg.gnn_forward) == run(reference_union_forward)
+        assert run(fresh_forward) == run(reference_union_forward)
 
     @pytest.mark.parametrize("roots, hit, read", [
         # a path: from p3, p0 and p6 are first reached at depth 3, so
@@ -754,13 +755,15 @@ class TestUnionBuild:
             return HitTable(v, tuple((u, 1 / len(nbrs)) for u in sorted(nbrs)))
 
         class CountingFeatures:
+            dimension = 2
+
             def __getitem__(self, v):
                 reads[v] += 1
                 return feats[v]
 
         stack = make_stack(["gcn"] * 3, [2, 2, 2], 2, seed=38)
         with ad.no_grad():
-            agg.gnn_forward(stack, g, CountingFeatures(), hits, roots)
+            fresh_forward(stack, g, CountingFeatures(), hits, roots)
         assert dict(hit_calls) == dict.fromkeys(hit, 1)
         assert dict(reads) == dict.fromkeys(read, 1)
 
@@ -822,9 +825,9 @@ class TestUnionTrain:
                      for name, t in params.items()}
             return float(loss.data), np.abs(out.data * weights).sum(), grads
 
-        union = run(lambda r: agg.gnn_forward(stack, g, feats, hits, roots, mode="train", seed=seed, rng=r))
-        apart = run(lambda r: ad.stack([agg.gnn_forward(stack, g, feats, hits, v, mode="train", seed=seed,
-                                                        rng=r) for v in roots]))
+        union = run(lambda r: fresh_forward(stack, g, feats, hits, roots, mode="train", seed=seed, rng=r))
+        apart = run(lambda r: ad.stack([fresh_forward(stack, g, feats, hits, v, mode="train", seed=seed,
+                                                      rng=r) for v in roots]))
         # the loss is compared with the size of its terms, which may cancel
         assert abs(union[0] - apart[0]) <= 1e-12 * apart[1]
         # and each gradient with the whole gradient's norm: attention over
@@ -850,7 +853,7 @@ class TestUnionTrain:
             for t in params.values():
                 t.zero_grad()
             perm_rng = CountingRng(seed)
-            out = agg.gnn_forward(stack, g, feats, hits, roots, mode="train", seed=seed, rng=perm_rng)
+            out = fresh_forward(stack, g, feats, hits, roots, mode="train", seed=seed, rng=perm_rng)
             ad.backward(ad.sum(ad.multiply(out, weights)))
             grads = {name: None if t.grad is None else t.grad.tobytes() for name, t in params.items()}
             return out.data.tobytes(), grads, perm_rng.draws
@@ -909,7 +912,7 @@ class TestPlanReuse:
             return out.data.shape, out.data.tobytes(), grads, perm_rng.bit_generator.state
 
         def fresh(roots, mode, rng):
-            return agg.gnn_forward(stack, g, feats, hits, roots, mode=mode, seed=seed, rng=rng)
+            return fresh_forward(stack, g, feats, hits, roots, mode=mode, seed=seed, rng=rng)
 
         def reference(roots, mode, rng):
             return reference_union_forward(stack, g, feats, hits, roots, mode=mode, seed=seed, rng=rng)
@@ -962,7 +965,10 @@ class TestPlanReuse:
             hit_calls.clear()
             with ad.no_grad():
                 got = encode(roots).data.tobytes()
-                want = agg.gnn_forward(stack, g, feats, source, roots, seed=4).data.tobytes()
+                planned = len(plans)
+                want = fresh_forward(stack, g, feats, source, roots, seed=4).data.tobytes()
+            # the reference's own plan is not one the binding under test made
+            del plans[planned:]
             assert got == want
             return Counter(hit_calls)
 
@@ -991,6 +997,24 @@ class TestPlanReuse:
             enc.encode(["n0", "n1"], mode="train")
         with pytest.raises(ContractError, match="no nodes"):
             enc.encode([])
+
+    def test_encode_is_the_package_s_one_way_into_a_forward(self):
+        # tests may plan or run a forward directly, to inspect it; in the
+        # package only `encode` names either part
+        users = set()
+        for path in sorted(Path(agg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if (getattr(node, "id", None) or getattr(node, "attr", None)) not in ("plan_forward", "run_forward"):
+                    continue
+                scope, up = [], node
+                while up in parents:
+                    up = parents[up]
+                    if isinstance(up, (ast.FunctionDef, ast.ClassDef)):
+                        scope.insert(0, up.name)
+                users.add(f"{path.name}:{'.'.join(scope)}")
+        assert users == {"zeroshot.py:GnnClassEncoder.encode"}
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_plan_holds_integer_arrays_only(self, kind):

@@ -80,8 +80,7 @@ class TestForwardValues:
         r = np.random.default_rng(seed)
         x, v = r.normal(size=lead + (width,)), r.normal(size=width)
         want = np.array([xi @ v for xi in x.reshape(-1, width)]).reshape(lead)
-        assert ad._dot_rows(x, v).tobytes() == want.tobytes()
-        assert ad.dot_rows(ad.Tensor(x), ad.Tensor(v)).data.tobytes() == want.tobytes()
+        assert ad.dot_rows(ad.constant(x), ad.constant(v)).data.tobytes() == want.tobytes()
 
     def test_stacked_shape_errors(self):
         r = rng()

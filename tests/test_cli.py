@@ -7,7 +7,9 @@ on the code plus the artifacts left in the output directory.
 import hashlib
 import json
 import logging
+import math
 
+import numpy as np
 import pytest
 
 from kgzsl import autodiff as ad
@@ -171,6 +173,23 @@ class TestTrainEval:
         log = json.loads((tmp_path / "a" / "train_log.json").read_text())["log"]
         assert len(log) == 2 and all(isinstance(e["dev_loss"], float) for e in log)
         assert metrics[0] == metrics[1]
+
+    def test_l2_head_with_dev_classes_trains_reproducibly_and_evaluates(self, tmp_path):
+        # one dev class, so each epoch of train_l2 scores the dev targets
+        base = {"profile": "synthetic", "seed": 0, "model": {"head": "l2", "dims": [16, 17]},
+                "optimizer": {"epochs": 2}, "synth": {"num_dev": 1, "examples_per_class": 10}}
+        for name in ("a", "b"):
+            assert run("train", "--config", write(tmp_path / "train.json", base),
+                       "--out", str(tmp_path / name)) == 0
+        for name in ("checkpoint.json", "train_log.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        log = json.loads((tmp_path / "a" / "train_log.json").read_text())["log"]
+        assert len(log) == 2
+        assert all(isinstance(e["dev_loss"], float) and math.isfinite(e["dev_loss"]) for e in log)
+        eval_cfg = {**base, "paths": {"checkpoint": str(tmp_path / "a" / "checkpoint.json")}}
+        assert run("eval", "--config", write(tmp_path / "eval.json", eval_cfg), "--out", str(tmp_path / "ev")) == 0
+        metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+        assert metrics["per_fold"][0]["n"] == 4 * 10
 
     def test_eval_needs_checkpoint_path(self, synth_cfg, tmp_path):
         assert run("eval", "--config", synth_cfg, "--out", str(tmp_path / "x")) == 1
@@ -891,6 +910,51 @@ class TestSentenceProfile:
         parsed.clear()
         assert run("eval", "--config", self.eval_config(world, run_dir), "--out", str(world / "ev")) == 0
         assert parsed == [str(world / "emb.txt")]
+
+
+class TestProfileWidths:
+    """The `intent` and `typing` profiles train and evaluate at their own widths: 300-d
+    tokens, [50, 10] hop limits, and the profile's dims and encoder, on a seeded file-backed
+    world of 30 classes with 4 `HasA` links each into 60 attributes."""
+
+    @staticmethod
+    def world(d, profile):
+        r = np.random.default_rng(21)
+        links = [r.choice(60, size=4, replace=False).tolist() for _ in range(30)]
+        (d / "g.tsv").write_text("".join(
+            f"HasA\t/c/en/class_{i}\t/c/en/w{j}\n" for i, attrs in enumerate(links) for j in attrs))
+        vocab = ["class", *map(str, range(30)), *(f"w{j}" for j in range(60))]
+        (d / "emb.txt").write_text("".join(
+            t + "".join(f" {x!r}" for x in r.normal(size=300).tolist()) + "\n" for t in vocab))
+
+        def record(i, k):
+            # one of the class's attributes, a capitalized in-vocabulary token
+            # read through its lowercase entry, and an out-of-vocabulary one
+            label, tokens = f"/c/en/class_{i}", [f"w{links[i][k]}", ("Class", f"W{links[i][2]}")[k], f"oov{i}x{k}"]
+            if profile == "intent":
+                return {"tokens": tokens, "label": label}
+            return {"mention": tokens[:1], "left": tokens[1:2], "right": tokens[2:], "labels": [label]}
+
+        splits = {"train": range(20), "dev": range(20, 24), "test": range(24, 30)}
+        write(d / "folds.json", {"folds": [{split: [f"/c/en/class_{i}" for i in ids]
+                                            for split, ids in splits.items()}]})
+        write(d / "ex.json", {split: [record(i, k) for i in ids for k in range(2)] for split, ids in splits.items()})
+        return {role: str(d / name) for role, name in (
+            ("graph", "g.tsv"), ("embeddings", "emb.txt"), ("examples", "ex.json"), ("fold_spec", "folds.json"))}
+
+    @pytest.mark.parametrize("profile", ["intent", "typing"])
+    def test_trains_reproducibly_and_evaluates(self, tmp_path, profile):
+        base = {"profile": profile, "optimizer": {"epochs": 1}, "paths": self.world(tmp_path, profile)}
+        for name in ("a", "b"):
+            assert run("train", "--config", write(tmp_path / "train.json", base),
+                       "--out", str(tmp_path / name)) == 0
+        for name in ("checkpoint.json", "train_log.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        log = json.loads((tmp_path / "a" / "train_log.json").read_text())["log"]
+        assert len(log) == 1 and all(isinstance(e["dev_loss"], float) for e in log)
+        eval_cfg = {**base, "paths": {**base["paths"], "checkpoint": str(tmp_path / "a" / "checkpoint.json")}}
+        assert run("eval", "--config", write(tmp_path / "eval.json", eval_cfg), "--out", str(tmp_path / "ev")) == 0
+        assert json.loads((tmp_path / "ev" / "metrics.json").read_text())["per_fold"][0]["n"] == 2 * 6
 
 
 class TestArtifacts:

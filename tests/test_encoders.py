@@ -76,7 +76,8 @@ class TestMentionEncoder:
         states = []
         scores = []
         for side in (x.left, x.right):
-            side_states = enc._context_states(side)
+            side_states = encoders._bilstm_states(enc.context, enc.context_back,
+                                                  [ad.constant(t) for t in side])
             states.extend(side_states)
             for h in side_states:
                 e = ad.tanh(ad.matmul(enc.attn_hidden, h))

@@ -179,12 +179,6 @@ class TestEdgeForms:
         for got, want in zip(from_lists.csr(), from_tuples.csr()):
             np.testing.assert_array_equal(got, want)
 
-    def test_tuple_edges_are_kept_as_given(self):
-        triples = [("r", "a", "b"), ("s", "b", "c"), ("r", "a", "b")]
-        g = kg.Graph(triples)
-        assert len(g.edges) == 2
-        assert g.edges[0] is triples[0] and g.edges[1] is triples[1]
-
     def test_relations_between_unknown_node_on_a_fresh_graph(self):
         with pytest.raises(UnknownNodeError):
             kg.Graph([("r", "a", "b")]).relations_between("a", "zzz")
