@@ -22,6 +22,7 @@ stacked item, with the shapes a single item would use), so a stacked
 result is bitwise the result of running the items one at a time.
 """
 
+import base64
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -1010,55 +1011,65 @@ def grad_check(fn, params, step=1e-4, tol=1e-3):
 MODEL_HASH = "model_sha256"
 
 
-def save_checkpoint(params, path, model_hash=None):
-    """Write parameters as deterministic JSON: name -> shape + flat data.
-
-    A `model_hash` string is stored beside them under MODEL_HASH.  Returns
-    the file's sha256.
-    """
+def save_checkpoint(params, path, model_hash):
+    """Write parameters as canonical JSON, `model_hash` beside them under
+    MODEL_HASH; returns the file's sha256.  Each parameter is {"shape": [...],
+    "data": padded standard base64 of its little-endian float64 bytes in C
+    order}, so every bit round-trips."""
     obj = {
-        name: {"shape": list(p.data.shape), "data": [float(x) for x in p.data.reshape(-1)]}
+        name: {"shape": list(p.data.shape),
+               "data": base64.b64encode(np.ascontiguousarray(p.data, dtype="<f8").tobytes()).decode("ascii")}
         for name, p in params.items()
     }
-    if model_hash is not None:
-        obj[MODEL_HASH] = model_hash
+    obj[MODEL_HASH] = model_hash
     return write_output(path, canonical_json(obj))
 
 
-def _read_checkpoint(path):
-    """({name: ndarray}, the stored model hash or None) of a checkpoint file.
+def load_into(params, path, model_hash):
+    """Load a checkpoint trained under `model_hash` into live parameter tensors.
 
-    A file that is not a checkpoint, or a NaN or infinite value, is a DataError naming it.
+    The one judge of a checkpoint: it must be a JSON object holding
+    `model_hash` and exactly the names of `params`, each with the live
+    shape and finite float64 data as `save_checkpoint` writes them.  Each
+    refusal is a DataError naming the path and the parameter at fault, and
+    assigns nothing.  Loaded arrays are fresh, writeable and C-contiguous.
     """
     obj = read_json(path, DataError, "checkpoint")
-    try:
-        model_hash = obj.pop(MODEL_HASH, None)
-        out = {name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-               for name, rec in obj.items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"malformed checkpoint {path}: {type(e).__name__}: {e}")
-    for name, arr in out.items():
-        if not np.isfinite(arr).all():
-            raise DataError(f"checkpoint {path} parameter {name!r} holds a non-finite value")
-    return out, model_hash
-
-
-def load_into(params, path):
-    """Load a checkpoint into live parameter tensors; returns its model hash, or None.
-
-    The checkpoint must hold exactly the model's parameter names, each
-    with the live tensor's shape.
-    """
-    stored, model_hash = _read_checkpoint(path)
-    extra = sorted(set(stored) - set(params))
+    if not isinstance(obj, dict):
+        raise DataError(f"checkpoint {path} is not a JSON object")
+    if MODEL_HASH not in obj:
+        raise DataError(f"checkpoint {path} stores no model config hash")
+    # parameters that fit in name and shape can still come from another
+    # model block, say another activation
+    if obj.pop(MODEL_HASH) != model_hash:
+        raise DataError(f"checkpoint {path} was trained under another model config than this run's")
+    extra = sorted(set(obj) - set(params))
     if extra:
-        raise ContractError(f"checkpoint has parameters the model lacks: {extra}")
+        raise DataError(f"checkpoint {path} has parameters the model lacks: {extra}")
+    missing = sorted(set(params) - set(obj))
+    if missing:
+        raise DataError(f"checkpoint {path} is missing parameters {missing}")
+    loaded = {}
     for name, p in params.items():
-        if name not in stored:
-            raise ContractError(f"checkpoint missing parameter {name!r}")
-        if stored[name].shape != p.data.shape:
-            raise ShapeError(
-                f"checkpoint parameter {name!r} has shape {stored[name].shape}, want {p.data.shape}"
-            )
-        p.data = stored[name]
-    return model_hash
+        where = f"checkpoint {path} parameter {name!r}"
+        rec = obj[name]
+        if not isinstance(rec, dict):
+            raise DataError(f"{where} is not a JSON object")
+        shape = rec.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise DataError(f"{where} has shape {shape!r}, not a list of non-negative ints")
+        if tuple(shape) != p.data.shape:
+            raise DataError(f"{where} has shape {tuple(shape)}, want {p.data.shape}")
+        try:
+            raw = base64.b64decode(rec.get("data"), validate=True)
+        except (TypeError, ValueError):  # not a string; not base64 (binascii.Error)
+            raise DataError(f"{where} values are not base64 float64 bytes") from None
+        if len(raw) != 8 * p.data.size:
+            raise DataError(f"{where} values are {len(raw)} bytes, want {8 * p.data.size} (float64)")
+        # a copy: a view of `raw` is read-only, and Adam.step updates p.data in place
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(p.data.shape)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{where} holds a non-finite value")
+        loaded[name] = arr
+    for name, p in params.items():
+        p.data = loaded[name]

@@ -5,11 +5,11 @@ eval, gradcheck.  Every run reads one JSON config (see config.py),
 expands it against its profile and echoes the expanded form into
 out/manifest.json next to sha256 hashes of every artifact written.
 How the config becomes a world, a model, a trained model and its
-scores is pipeline.py's; this module parses arguments, loads the
-config, checks a checkpoint against the model block and writes.
-Rerunning with the same config must reproduce the hashes exactly, so
-nothing here may depend on wall time, filesystem order or process
-state.
+scores is pipeline.py's, and whether a checkpoint fits the model is
+`autodiff.load_into`'s; this module parses arguments, loads the config
+and writes.  Rerunning with the same config must reproduce the hashes
+exactly, so nothing here may depend on wall time, filesystem order or
+process state.
 
 Exit codes: 0 success, 1 config or data problem, 2 violated internal
 invariant (a bug, not a user error).
@@ -28,7 +28,6 @@ from .aggregators import LAYER_KINDS
 from .autodiff import grad_check, load_into, save_checkpoint
 from .errors import (
     ConfigError, ContractError, DataError, DivergenceError, EmptyNameError, KgzslError, ParseError,
-    ShapeError,
 )
 from .kg import serialize
 from .sampler import HitSource
@@ -159,18 +158,7 @@ def _cmd_eval(args, cfg):
     ckpt = pipeline.require_file(cfg, "checkpoint")
     world = pipeline.eval_world(cfg)
     model = pipeline.assemble(cfg, world[0], world[1])
-    try:
-        trained_under = load_into(model_params(*model), ckpt)
-    except (ContractError, ShapeError) as e:
-        # a checkpoint from another model config is bad input; an unreadable
-        # or corrupted one is already a DataError naming it
-        raise DataError(f"checkpoint {ckpt} cannot be loaded: {e}")
-    # parameters that fit in name and shape can still come from another
-    # model block, say another activation
-    if trained_under is None:
-        raise DataError(f"checkpoint {ckpt} stores no model config hash")
-    if trained_under != _json_hash(cfg["model"]):
-        raise DataError(f"checkpoint {ckpt} was trained under another model config than this run's")
+    load_into(model_params(*model), ckpt, _json_hash(cfg["model"]))
     result = pipeline.evaluate(cfg, model, world)
     digest = cfgmod.write_output(os.path.join(out, "metrics.json"), cfgmod.canonical_json(result.to_jsonable()))
     _write_manifest(out, cfg, {"metrics.json": digest})

@@ -10,7 +10,6 @@ reads its inputs from `paths`.  The CLI adds argument parsing, the
 checkpoint file and the artifacts.
 """
 
-import dataclasses
 import logging
 
 import numpy as np
@@ -126,12 +125,14 @@ def load_graph(cfg):
 
 
 def _numbers(raw, where):
-    """A JSON list of numbers as a float64 array; anything else is a DataError."""
+    """A JSON list of numbers as a float64 array; anything else is a DataError,
+    a boolean item too, which numpy would read as 0 or 1."""
     try:
         arr = np.asarray(raw)
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    if (arr is None or arr.dtype.kind not in "iuf"
+            or isinstance(raw, list) and any(isinstance(v, bool) for v in raw)):
         raise DataError(f"{where}: not a list of numbers")
     return arr.astype(np.float64)
 
@@ -257,7 +258,7 @@ def _synth_l2_targets(cfg, data, classes):
 
 
 def _train_world(cfg):
-    """Resolve config into (graph, features, classes, train/dev pairs).
+    """Resolve config into (graph, features, classes, l2 targets, train/dev pairs).
 
     A generated world binds training to the pruned train graph so
     unseen ids are unreachable.
@@ -265,15 +266,14 @@ def _train_world(cfg):
     if cfgmod.generates_world(cfg):
         data = synth_world(cfg)
         classes = data.classes
-        if cfg["model"]["head"] == "l2":
-            classes = dataclasses.replace(classes, targets=_synth_l2_targets(cfg, data, classes))
-        return data.train_graph, data.features, classes, data.train_pairs(), data.dev_pairs()
+        targets = _synth_l2_targets(cfg, data, classes) if cfg["model"]["head"] == "l2" else {}
+        return data.train_graph, data.features, classes, targets, data.train_pairs(), data.dev_pairs()
     graph, features, fold_spec, examples = _load_inputs(cfg, ("train", "dev"))
-    classes = dataclasses.replace(fold_spec.folds[0], targets=examples["targets"] or None)
+    classes = fold_spec.folds[0]
     _check_fold_classes(graph, 0, [*classes.seen, *classes.dev])
     if not examples["train"] and cfg["model"]["head"] == "bilinear":
         raise DataError(f"examples file {cfg['paths']['examples']} has no training records")
-    return graph, features, classes, examples["train"], examples["dev"]
+    return graph, features, classes, examples["targets"], examples["train"], examples["dev"]
 
 
 def eval_world(cfg):
@@ -308,7 +308,7 @@ def eval_world(cfg):
 def train(cfg):
     """Train the config's model on its train world; returns
     ((class encoder, example encoder, head or None), TrainResult)."""
-    graph, features, classes, train_pairs, dev_pairs = _train_world(cfg)
+    graph, features, classes, targets, train_pairs, dev_pairs = _train_world(cfg)
     class_enc, encoder, head = assemble(cfg, graph, features)
     opt = cfg["optimizer"]
     if cfg["model"]["head"] == "bilinear":
@@ -320,7 +320,7 @@ def train(cfg):
         )
     else:
         result = train_l2(
-            class_enc, classes,
+            class_enc, classes, targets,
             epochs=opt["epochs"], seed=cfg["seed"], lr=opt["lr"],
             weight_decay=opt["weight_decay"],
         )

@@ -30,15 +30,13 @@ def repeated(names):
 class ClassSet:
     """Seen / unseen split, plus the dev classes used for checkpointing.
 
-    An evaluation fold is a ClassSet whose unseen classes are tested.
-    `targets` carries per-class regression targets for the L2 head;
-    bilinear training ignores it.
+    An evaluation fold is a ClassSet whose unseen classes are tested.  It
+    holds class ids only; `train_l2` takes the regression targets apart.
     """
 
     seen: tuple
     unseen: tuple
     dev: tuple = ()
-    targets: dict | None = None
 
     def __post_init__(self):
         for split in ("seen", "unseen", "dev"):
@@ -345,22 +343,21 @@ def _example_loss(scores, label, index, loss_mode, label_smoothing=0.0):
     return ad.mean(ad.binary_cross_entropy(scores, target))
 
 
-def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=0.0):
+def train_l2(class_encoder, classes, targets, epochs=500, seed=0, lr=0.001, weight_decay=0.0):
     """Fit the aggregator stack so phi(y) regresses onto target vectors.
 
+    `targets` maps each seen and dev class of `classes` to its target.
     One epoch is one full-batch step over the seen classes, minimizing
-    the summed squared error.  Dev classes (with targets) drive
-    checkpoint selection the same way dev examples do for the bilinear
-    head.
+    the summed squared error.  Dev classes drive checkpoint selection
+    the same way dev examples do for the bilinear head.
     """
-    given = classes.targets or {}
     out_dim = class_encoder.stack.out_dim
-    targets = {}
+    rows = {}
     for c in list(classes.seen) + list(classes.dev):
-        if c not in given:
+        if c not in targets:
             raise DataError(f"no regression target for class {c!r}")
         try:
-            target = np.asarray(given[c], dtype=np.float64)
+            target = np.asarray(targets[c], dtype=np.float64)
         except (TypeError, ValueError):
             raise DataError(f"regression target for class {c!r} is not numeric") from None
         if target.shape != (out_dim,):
@@ -370,13 +367,15 @@ def train_l2(class_encoder, classes, epochs=500, seed=0, lr=0.001, weight_decay=
             )
         if not np.isfinite(target).all():
             raise DataError(f"regression target for class {c!r} has a non-finite value")
-        targets[c] = target
+        rows[c] = target
+    seen_targets = np.array([rows[c] for c in classes.seen])
+    dev_targets = np.array([rows[c] for c in classes.dev])
 
     def batch_loss(reps, _):
-        return ad.l2_loss(reps, ad.constant(np.array([targets[c] for c in classes.seen])))
+        return ad.l2_loss(reps, ad.constant(seen_targets))
 
     def dev_loss(reps):
-        return float(ad.l2_loss(reps, ad.constant(np.array([targets[c] for c in classes.dev]))).data)
+        return float(ad.l2_loss(reps, ad.constant(dev_targets)).data)
 
     return _fit(
         model_params(class_encoder), class_encoder, classes.seen, classes.dev,

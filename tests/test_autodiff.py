@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import ast
+import base64
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1087,91 +1089,126 @@ class TestAdam:
         np.testing.assert_array_equal(untouched.data, [9.0])
 
 
+def _b64(values):
+    """The checkpoint form of a list of floats: base64 of their little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+# each way a stored checkpoint is refused, as an edit of a good one holding
+# "a" (2,) and "b" (2, 3) under MODEL_HASH "ab12", and the words its error says
+REFUSALS = {
+    "hash-missing": (lambda obj: obj.pop(ad.MODEL_HASH), "stores no model config hash"),
+    "hash-other": (lambda obj: obj.update({ad.MODEL_HASH: "cd34"}), "trained under another model config"),
+    "extra-name": (lambda obj: obj.update(stale={"shape": [1], "data": _b64([1.0])}),
+                   r"parameters the model lacks: \['stale'\]"),
+    "missing-name": (lambda obj: obj.pop("b"), r"is missing parameters \['b'\]"),
+    "record-list": (lambda obj: obj.update(b=[1.0] * 6), "'b' is not a JSON object"),
+    "shape-negative": (lambda obj: obj["b"].update(shape=[-1]), r"'b' has shape \[-1\], not a list"),
+    "shape-int": (lambda obj: obj["b"].update(shape=2), "'b' has shape 2, not a list"),
+    "shape-bool": (lambda obj: obj["b"].update(shape=[True]), r"'b' has shape \[True\], not a list"),
+    "shape-missing": (lambda obj: obj["b"].pop("shape"), "'b' has shape None, not a list"),
+    "shape-other": (lambda obj: obj["b"].update(shape=[3, 2]), r"'b' has shape \(3, 2\), want \(2, 3\)"),
+    "data-old-format": (lambda obj: obj["b"].update(data=[1.0] * 6), "'b' values are not base64 float64 bytes"),
+    "data-strings": (lambda obj: obj["b"].update(data=["1.5", "2"] * 3), "'b' values are not base64"),
+    "data-bools": (lambda obj: obj["b"].update(data=[True, False] * 3), "'b' values are not base64"),
+    "data-bool": (lambda obj: obj["b"].update(data=True), "'b' values are not base64"),
+    "data-nested": (lambda obj: obj["b"].update(data=[[1.0] * 3] * 2), "'b' values are not base64"),
+    "data-missing": (lambda obj: obj["b"].pop("data"), "'b' values are not base64"),
+    "data-bad-base64": (lambda obj: obj["b"].update(data="not base64!"), "'b' values are not base64"),
+    "data-non-ascii": (lambda obj: obj["b"].update(data="é" * 4), "'b' values are not base64"),
+    "data-cut": (lambda obj: obj["b"].update(data=obj["b"]["data"][:-1]), "'b' values are not base64"),
+    "data-short": (lambda obj: obj["b"].update(data=_b64([1.0] * 5)), "'b' values are 40 bytes, want 48"),
+    "data-long": (lambda obj: obj["b"].update(data=_b64([1.0] * 7)), "'b' values are 56 bytes, want 48"),
+    "data-nan": (lambda obj: obj["b"].update(data=_b64([1.0] * 5 + [float("nan")])), "'b' holds a non-finite"),
+    "data-inf": (lambda obj: obj["b"].update(data=_b64([float("-inf")] + [1.0] * 5)), "'b' holds a non-finite"),
+}
+
+
 class TestCheckpoint:
+    @staticmethod
+    def live(seed):
+        r = np.random.Generator(np.random.PCG64(seed))
+        return {"a": p(r, 2), "b": p(r, 2, 3)}
+
     def test_round_trip_exact(self, tmp_path):
         r = rng()
         params = {"w": p(r, 3, 2, name="w"), "b": p(r, 2, name="b")}
         path = tmp_path / "ckpt.json"
-        ad.save_checkpoint(params, path)
+        ad.save_checkpoint(params, path, "ab12")
         loaded = {k: ad.Tensor(np.zeros_like(v.data), requires_grad=True) for k, v in params.items()}
-        ad.load_into(loaded, path)
+        ad.load_into(loaded, path, "ab12")
         for k in params:
             np.testing.assert_array_equal(loaded[k].data, params[k].data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array(-0.0))
+    @example(np.zeros((0, 3)))
+    @example(np.array([[0.0, -0.0, 5e-324, -5e-324],
+                       [1.1125369292536007e-308, -2.2250738585072014e-308,
+                        1.7976931348623157e308, -1.7976931348623157e308]]))
+    def test_round_trip_is_bitwise(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "round_trip.json"
+        ad.save_checkpoint({"w": ad.Tensor(values, requires_grad=True)}, path, "ab12")
+        loaded = {"w": ad.Tensor(np.full(values.shape, 7.0), requires_grad=True)}
+        ad.load_into(loaded, path, "ab12")
+        got = loaded["w"].data
+        assert got.dtype == np.float64 and got.shape == values.shape
+        assert got.tobytes() == values.tobytes()
+        # Adam.step updates p.data in place, and score_matrix's key reads strides
+        assert got.flags.writeable and got.flags.c_contiguous
 
     def test_serialization_is_byte_stable(self, tmp_path):
         r = rng()
         params = {"w": p(r, 4, 4)}
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        ad.save_checkpoint(params, p1)
-        ad.save_checkpoint(params, p2)
+        ad.save_checkpoint(params, p1, "ab12")
+        ad.save_checkpoint(params, p2, "ab12")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_schema(self, tmp_path):
         params = {"w": ad.Tensor([[1.0, 2.0]], requires_grad=True)}
         path = tmp_path / "c.json"
-        ad.save_checkpoint(params, path)
-        obj = json.loads(path.read_text())
-        assert obj == {"w": {"shape": [1, 2], "data": [1.0, 2.0]}}
-
-    def test_model_hash_is_stored_beside_the_parameters(self, tmp_path):
-        params = {"w": ad.Tensor([[1.0, 2.0]], requires_grad=True)}
-        path = tmp_path / "c.json"
         ad.save_checkpoint(params, path, "ab12")
-        assert json.loads(path.read_text()) == {"w": {"shape": [1, 2], "data": [1.0, 2.0]},
-                                                ad.MODEL_HASH: "ab12"}
+        # canonical JSON; the data is base64 of 1.0 and 2.0 as little-endian float64
+        assert path.read_text() == '{"model_sha256":"ab12","w":{"data":"AAAAAAAA8D8AAAAAAAAAQA==","shape":[1,2]}}'
         # the hash is no parameter: exactly {"w"} loads, with no extra name
-        ad.load_into({"w": ad.Tensor([[0.0, 0.0]], requires_grad=True)}, path)
         target = {"w": ad.Tensor([[0.0, 0.0]], requires_grad=True)}
-        assert ad.load_into(target, path) == "ab12"
+        ad.load_into(target, path, "ab12")
         np.testing.assert_array_equal(target["w"].data, [[1.0, 2.0]])
-        ad.save_checkpoint(params, path)
-        assert ad.load_into(target, path) is None
 
-    def test_load_into_checks_shapes(self, tmp_path):
-        path = tmp_path / "c.json"
-        ad.save_checkpoint({"w": ad.Tensor([1.0, 2.0], requires_grad=True)}, path)
-        target = {"w": ad.Tensor([[1.0], [2.0]], requires_grad=True)}
-        with pytest.raises(ShapeError):
-            ad.load_into(target, path)
-
-    def test_load_into_missing_param(self, tmp_path):
-        path = tmp_path / "c.json"
-        ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True)}, path)
-        with pytest.raises(ContractError):
-            ad.load_into({"other": ad.Tensor([1.0], requires_grad=True)}, path)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_value_names_parameter(self, tmp_path, value):
-        path = tmp_path / "c.json"
-        ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True),
-                            "b": ad.Tensor([1.0, value], requires_grad=True)}, path)
-        target = {"w": ad.Tensor([0.0], requires_grad=True), "b": ad.Tensor([0.0, 0.0], requires_grad=True)}
-        with pytest.raises(DataError, match="'b'.*non-finite"):
-            ad.load_into(target, path)
-        fresh = {"w": ad.Tensor([0.0], requires_grad=True), "b": ad.Tensor([0.0, 0.0], requires_grad=True)}
-        with pytest.raises(DataError, match="'b'.*non-finite"):
-            ad.load_into(fresh, path)
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_each_refusal_names_the_path_and_loads_nothing(self, tmp_path, case):
+        good, path = tmp_path / "good.json", tmp_path / "bad.json"
+        ad.save_checkpoint(self.live(1), good, "ab12")
+        obj = json.loads(good.read_text())
+        edit, words = REFUSALS[case]
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        live = self.live(2)
+        before = {name: t.data.tobytes() for name, t in live.items()}
+        with pytest.raises(DataError, match=f"^checkpoint {re.escape(str(path))} .*{words}"):
+            ad.load_into(live, path, "ab12")
+        # "a" passes every check before "b" is refused, and still is not assigned
+        assert {name: t.data.tobytes() for name, t in live.items()} == before
 
     # each case keeps its text as its id
     @pytest.mark.parametrize("text,match", [pytest.param(text, match, id=text) for text, match in [
-        ('{"w": {"shape": [1], "data": [1.0]', "is not valid JSON"),  # truncated
-        ('[]', "malformed checkpoint"),
-        ('{"w": [1.0]}', "malformed checkpoint"),
-        ('{"w": {"shape": [1]}}', "malformed checkpoint"),
-        ('{"w": {"shape": [1], "data": ["x"]}}', "malformed checkpoint"),
-        ('{"w": {"shape": [2], "data": [1.0]}}', "malformed checkpoint"),
+        ('{"w": {"shape": [1], "data": "AAAAAAAA8D8="', "is not valid JSON"),  # truncated
+        ('[]', "is not a JSON object"),
+        ('"ab12"', "is not a JSON object"),
     ]])
-    def test_malformed_file_is_data_error(self, tmp_path, text, match):
+    def test_file_that_is_no_checkpoint_is_data_error(self, tmp_path, text, match):
         path = tmp_path / "c.json"
         path.write_text(text)
-        with pytest.raises(DataError, match=match):
-            ad.load_into({"w": ad.Tensor([0.0], requires_grad=True)}, path)
+        with pytest.raises(DataError, match=f"^checkpoint {re.escape(str(path))} {match}"):
+            ad.load_into({"w": ad.Tensor([0.0], requires_grad=True)}, path, "ab12")
 
-    def test_load_into_extra_param(self, tmp_path):
+    def test_non_finite_parameter_is_written_and_refused_on_load(self, tmp_path):
         path = tmp_path / "c.json"
         ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True),
-                            "stale": ad.Tensor([2.0], requires_grad=True)}, path)
-        target = {"w": ad.Tensor([0.0], requires_grad=True)}
-        with pytest.raises(ContractError) as err:
-            ad.load_into(target, path)
-        assert "stale" in str(err.value)
+                            "b": ad.Tensor([1.0, float("nan")], requires_grad=True)}, path, "ab12")
+        target = {"w": ad.Tensor([0.0], requires_grad=True), "b": ad.Tensor([0.0, 0.0], requires_grad=True)}
+        with pytest.raises(DataError, match="'b' holds a non-finite"):
+            ad.load_into(target, path, "ab12")

@@ -330,10 +330,10 @@ class TestLoadConfig:
 
 
 def _load_checkpoint(path):
-    """The stored hash and parameters of a one-parameter checkpoint, read by `load_into`."""
+    """The values of a one-parameter checkpoint stored under model hash "ab", read by `load_into`."""
     params = {"w": ad.Tensor([0.0], requires_grad=True)}
-    model_hash = ad.load_into(params, path)
-    return model_hash, params["w"].data.tolist()
+    ad.load_into(params, path, "ab")
+    return params["w"].data.tolist()
 
 
 def _embeddings(path):
@@ -352,7 +352,7 @@ READERS = {
     "fold_spec": (FoldSpec.load, ParseError, "fold spec",
                   '{"folds": [{"train": ["cls/alpha"], "test": ["cls/gamma"]}]}'),
     "checkpoint": (_load_checkpoint, DataError, "checkpoint",
-                   '{"model_sha256": "ab", "w": {"data": [2.0], "shape": [1]}}'),
+                   '{"model_sha256": "ab", "w": {"data": "AAAAAAAAAEA=", "shape": [1]}}'),
 }
 
 
@@ -454,7 +454,7 @@ class TestOpenInput:
 WRITERS = {
     "write_output": lambda path: write_output(path, "x\n"),
     "serialize": lambda path: kg.serialize(kg.Graph([("r", "a", "b")]), path),
-    "save_checkpoint": lambda path: ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True)}, path),
+    "save_checkpoint": lambda path: ad.save_checkpoint({"w": ad.Tensor([1.0], requires_grad=True)}, path, "ab"),
 }
 
 

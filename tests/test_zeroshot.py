@@ -124,8 +124,8 @@ class TestKeptScoreMatrix:
         head = zs.BilinearHead(6, 5, rank=3, rng=rng(66))
         other = zs.BilinearHead(6, 5, rank=3, rng=rng(67))
         self.check(head)
-        ad.save_checkpoint(other.parameters(), tmp_path / "ckpt.json")
-        ad.load_into(head.parameters(), tmp_path / "ckpt.json")
+        ad.save_checkpoint(other.parameters(), tmp_path / "ckpt.json", "ab12")
+        ad.load_into(head.parameters(), tmp_path / "ckpt.json", "ab12")
         assert head.b.data.tobytes() == other.b.data.tobytes()
         self.check(head)
 
@@ -486,8 +486,8 @@ class TestTrainL2:
         g, features, hits, stack = toy_world(num_classes=1, dim=3)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
         target = np.array([0.3, -0.7, 1.1])
-        classes = zs.ClassSet(seen=("class_0",), unseen=(), targets={"class_0": target})
-        result = zs.train_l2(class_encoder, classes, epochs=500, lr=0.05, seed=0)
+        classes = zs.ClassSet(seen=("class_0",), unseen=())
+        result = zs.train_l2(class_encoder, classes, {"class_0": target}, epochs=500, lr=0.05, seed=0)
         phi = class_encoder.encode("class_0").data
         assert np.abs(phi - target).max() <= 1e-3
         assert result.log[-1]["train_loss"] <= 1e-5
@@ -497,11 +497,9 @@ class TestTrainL2:
             g, features, hits, stack = toy_world(num_classes=3, dim=3, seed=5)
             class_encoder = zs.GnnClassEncoder(stack, g, features, hits, seed=5)
             r = rng(7)
-            classes = zs.ClassSet(
-                seen=("class_0", "class_1"), unseen=(), dev=("class_2",),
-                targets={f"class_{i}": r.normal(size=3) for i in range(3)},
-            )
-            return zs.train_l2(class_encoder, classes, epochs=4, seed=9, lr=0.05)
+            classes = zs.ClassSet(seen=("class_0", "class_1"), unseen=(), dev=("class_2",))
+            targets = {f"class_{i}": r.normal(size=3) for i in range(3)}
+            return zs.train_l2(class_encoder, classes, targets, epochs=4, seed=9, lr=0.05)
 
         r1, r2 = run(), run()
         assert r1.log == r2.log
@@ -513,26 +511,24 @@ class TestTrainL2:
     def test_missing_target_rejected(self):
         g, features, hits, stack = toy_world(num_classes=2)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
-        classes = zs.ClassSet(seen=("class_0", "class_1"), unseen=(),
-                              targets={"class_0": np.zeros(3)})
+        classes = zs.ClassSet(seen=("class_0", "class_1"), unseen=())
         with pytest.raises(DataError):
-            zs.train_l2(class_encoder, classes, epochs=1)
+            zs.train_l2(class_encoder, classes, {"class_0": np.zeros(3)}, epochs=1)
 
     def test_target_dim_checked(self):
         g, features, hits, stack = toy_world(num_classes=1)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
-        classes = zs.ClassSet(seen=("class_0",), unseen=(), targets={"class_0": np.zeros(5)})
+        classes = zs.ClassSet(seen=("class_0",), unseen=())
         with pytest.raises(ConfigError):
-            zs.train_l2(class_encoder, classes, epochs=1)
+            zs.train_l2(class_encoder, classes, {"class_0": np.zeros(5)}, epochs=1)
 
     def test_every_target_width_checked_naming_class(self):
         g, features, hits, stack = toy_world(num_classes=3, dim=3)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
         for seen, dev in ((("class_0", "class_1"), ()), (("class_0",), ("class_1",))):
-            classes = zs.ClassSet(seen=seen, unseen=(), dev=dev,
-                                  targets={"class_0": np.zeros(3), "class_1": np.zeros(2)})
+            classes = zs.ClassSet(seen=seen, unseen=(), dev=dev)
             with pytest.raises(ConfigError, match="'class_1'"):
-                zs.train_l2(class_encoder, classes, epochs=1)
+                zs.train_l2(class_encoder, classes, {"class_0": np.zeros(3), "class_1": np.zeros(2)}, epochs=1)
 
     @pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [np.inf, 0.0, 0.0], ["a", "b", "c"]])
     @pytest.mark.parametrize("split", ["seen", "dev"])
@@ -541,38 +537,36 @@ class TestTrainL2:
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
         targets = {"class_0": np.ones(3), "class_1": bad}
         if split == "seen":
-            classes = zs.ClassSet(seen=("class_0", "class_1"), unseen=(), targets=targets)
+            classes = zs.ClassSet(seen=("class_0", "class_1"), unseen=())
         else:
-            classes = zs.ClassSet(seen=("class_0",), unseen=(), dev=("class_1",), targets=targets)
+            classes = zs.ClassSet(seen=("class_0",), unseen=(), dev=("class_1",))
         with pytest.raises(DataError, match="'class_1'"):
-            zs.train_l2(class_encoder, classes, epochs=1)
+            zs.train_l2(class_encoder, classes, targets, epochs=1)
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
         g, features, hits, stack = toy_world(num_classes=1, dim=3)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
-        classes = zs.ClassSet(seen=("class_0",), unseen=(), targets={"class_0": np.ones(3)})
+        classes = zs.ClassSet(seen=("class_0",), unseen=())
         with pytest.raises(ConfigError, match="epochs"):
-            zs.train_l2(class_encoder, classes, epochs=epochs)
+            zs.train_l2(class_encoder, classes, {"class_0": np.ones(3)}, epochs=epochs)
 
     def test_diverging_train_loss_raises(self):
         # Adam moves each weight by about lr on its first step, so a huge
         # lr leaves epoch 0 finite and overflows the loss in epoch 1
         g, features, hits, stack = toy_world(num_classes=1, dim=3)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
-        classes = zs.ClassSet(seen=("class_0",), unseen=(), targets={"class_0": np.ones(3)})
+        classes = zs.ClassSet(seen=("class_0",), unseen=())
         with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
-            zs.train_l2(class_encoder, classes, epochs=5, lr=1e300)
+            zs.train_l2(class_encoder, classes, {"class_0": np.ones(3)}, epochs=5, lr=1e300)
         assert "train loss" in str(err.value) and "epoch 1" in str(err.value)
 
     def test_dev_class_drives_selection(self):
         g, features, hits, stack = toy_world(num_classes=2, dim=3)
         class_encoder = zs.GnnClassEncoder(stack, g, features, hits)
-        classes = zs.ClassSet(
-            seen=("class_0",), unseen=(), dev=("class_1",),
-            targets={"class_0": np.array([1.0, 0.0, 0.0]), "class_1": np.array([0.0, 1.0, 0.0])},
-        )
-        result = zs.train_l2(class_encoder, classes, epochs=30, lr=0.05)
+        classes = zs.ClassSet(seen=("class_0",), unseen=(), dev=("class_1",))
+        targets = {"class_0": np.array([1.0, 0.0, 0.0]), "class_1": np.array([0.0, 1.0, 0.0])}
+        result = zs.train_l2(class_encoder, classes, targets, epochs=30, lr=0.05)
         dev_losses = [e["dev_loss"] for e in result.log]
         assert result.best_epoch == int(np.argmin(dev_losses))
 
@@ -921,7 +915,7 @@ class TestSharedPass:
         enc = enc.rebind(enc.graph, counting, enc.hits)
         ids = self.classes(enc)
         targets = {c: rng(i).normal(size=4) for i, c in enumerate(ids)}
-        classes = zs.ClassSet(seen=tuple(ids[:2]), unseen=(), dev=tuple(ids[2:]), targets=targets)
+        classes = zs.ClassSet(seen=tuple(ids[:2]), unseen=(), dev=tuple(ids[2:]))
         eval_calls = []
         encode = enc.encode
 
@@ -936,7 +930,7 @@ class TestSharedPass:
             return out
 
         enc.encode = spy
-        zs.train_l2(enc, classes, epochs=3, seed=0)
+        zs.train_l2(enc, classes, targets, epochs=3, seed=0)
         # one eval-mode call per epoch, for every dev class; the first plans
         # the dev DAG, looking each needed feature up once, and the kept plan
         # looks up none
@@ -949,8 +943,7 @@ class TestSharedPass:
         enc = shared_world()
         ids = self.classes(enc)
         # seen out of sorted order, so the call must keep the given order
-        classes = zs.ClassSet(seen=(ids[5], ids[0], ids[3]), unseen=(), dev=(ids[4], ids[1]),
-                              targets={c: rng(i).normal(size=4) for i, c in enumerate(ids)})
+        classes = zs.ClassSet(seen=(ids[5], ids[0], ids[3]), unseen=(), dev=(ids[4], ids[1]))
         calls = []
         encode = enc.encode
 
@@ -961,7 +954,7 @@ class TestSharedPass:
         enc.encode = spy
         epochs = 3
         if head == "l2":
-            zs.train_l2(enc, classes, epochs=epochs, seed=0)
+            zs.train_l2(enc, classes, {c: rng(i).normal(size=4) for i, c in enumerate(ids)}, epochs=epochs, seed=0)
             steps = 1
         else:
             r = rng(7)
@@ -978,8 +971,8 @@ class TestSharedPass:
         enc = shared_world()
         ids = self.classes(enc)
         targets = {c: rng(i).normal(size=4) for i, c in enumerate(ids)}
-        classes = zs.ClassSet(seen=tuple(ids[:3]), unseen=(), dev=tuple(ids[3:]), targets=targets)
-        result = zs.train_l2(enc, classes, epochs=2, seed=0, lr=0.0)
+        classes = zs.ClassSet(seen=tuple(ids[:3]), unseen=(), dev=tuple(ids[3:]))
+        result = zs.train_l2(enc, classes, targets, epochs=2, seed=0, lr=0.0)
         # lr 0 leaves the parameters as built, so each epoch's losses are
         # the summed squared error of that one encoding
         with ad.no_grad():
