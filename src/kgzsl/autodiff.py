@@ -1056,10 +1056,10 @@ def load_into(params, path, model_hash):
         if not isinstance(rec, dict):
             raise DataError(f"{where} is not a JSON object")
         shape = rec.get("shape")
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise DataError(f"{where} has shape {shape!r}, not a list of non-negative ints")
-        if tuple(shape) != p.data.shape:
-            raise DataError(f"{where} has shape {tuple(shape)}, want {p.data.shape}")
+        # a bool would pass the shape compare, since True == 1
+        if (not isinstance(shape, list) or any(type(n) is not int for n in shape)
+                or tuple(shape) != p.data.shape):
+            raise DataError(f"{where} has shape {shape!r}, want {list(p.data.shape)}")
         try:
             raw = base64.b64decode(rec.get("data"), validate=True)
         except (TypeError, ValueError):  # not a string; not base64 (binascii.Error)

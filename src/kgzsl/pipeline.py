@@ -132,7 +132,7 @@ def _numbers(raw, where):
     except ValueError:  # ragged nesting
         arr = None
     if (arr is None or arr.dtype.kind not in "iuf"
-            or isinstance(raw, list) and any(isinstance(v, bool) for v in raw)):
+            or isinstance(raw, list) and bool in map(type, raw)):
         raise DataError(f"{where}: not a list of numbers")
     return arr.astype(np.float64)
 

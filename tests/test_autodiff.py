@@ -1103,11 +1103,11 @@ REFUSALS = {
                    r"parameters the model lacks: \['stale'\]"),
     "missing-name": (lambda obj: obj.pop("b"), r"is missing parameters \['b'\]"),
     "record-list": (lambda obj: obj.update(b=[1.0] * 6), "'b' is not a JSON object"),
-    "shape-negative": (lambda obj: obj["b"].update(shape=[-1]), r"'b' has shape \[-1\], not a list"),
-    "shape-int": (lambda obj: obj["b"].update(shape=2), "'b' has shape 2, not a list"),
-    "shape-bool": (lambda obj: obj["b"].update(shape=[True]), r"'b' has shape \[True\], not a list"),
-    "shape-missing": (lambda obj: obj["b"].pop("shape"), "'b' has shape None, not a list"),
-    "shape-other": (lambda obj: obj["b"].update(shape=[3, 2]), r"'b' has shape \(3, 2\), want \(2, 3\)"),
+    "shape-negative": (lambda obj: obj["b"].update(shape=[-1]), r"'b' has shape \[-1\], want \[2, 3\]"),
+    "shape-int": (lambda obj: obj["b"].update(shape=2), r"'b' has shape 2, want \[2, 3\]"),
+    "shape-bool": (lambda obj: obj["b"].update(shape=[True]), r"'b' has shape \[True\], want \[2, 3\]"),
+    "shape-missing": (lambda obj: obj["b"].pop("shape"), r"'b' has shape None, want \[2, 3\]"),
+    "shape-other": (lambda obj: obj["b"].update(shape=[3, 2]), r"'b' has shape \[3, 2\], want \[2, 3\]"),
     "data-old-format": (lambda obj: obj["b"].update(data=[1.0] * 6), "'b' values are not base64 float64 bytes"),
     "data-strings": (lambda obj: obj["b"].update(data=["1.5", "2"] * 3), "'b' values are not base64"),
     "data-bools": (lambda obj: obj["b"].update(data=[True, False] * 3), "'b' values are not base64"),
@@ -1120,7 +1120,8 @@ REFUSALS = {
     "data-short": (lambda obj: obj["b"].update(data=_b64([1.0] * 5)), "'b' values are 40 bytes, want 48"),
     "data-long": (lambda obj: obj["b"].update(data=_b64([1.0] * 7)), "'b' values are 56 bytes, want 48"),
     "data-nan": (lambda obj: obj["b"].update(data=_b64([1.0] * 5 + [float("nan")])), "'b' holds a non-finite"),
-    "data-inf": (lambda obj: obj["b"].update(data=_b64([float("-inf")] + [1.0] * 5)), "'b' holds a non-finite"),
+    "data-neginf": (lambda obj: obj["b"].update(data=_b64([float("-inf")] + [1.0] * 5)), "'b' holds a non-finite"),
+    "data-posinf": (lambda obj: obj["b"].update(data=_b64([1.0] * 5 + [float("inf")])), "'b' holds a non-finite"),
 }
 
 
