@@ -2,8 +2,13 @@
 
 A Tensor wraps an ndarray plus the closure that pushes gradients to its
 parents.  backward() builds a Tape (the topologically ordered record of
-the operations reachable from the loss) and traverses it exactly once,
-accumulating gradients with +=, so reuse of a tensor sums contributions.
+the operations reachable from the loss) and traverses it exactly once.
+A tensor's first gradient write stores g + 0.0 as a fresh C-order
+float64 array of its shape (the bits of zeros += g: -0.0 becomes +0.0);
+later writes add in place, so reuse of a tensor sums contributions.
+Beyond its numpy arithmetic, a tape node costs a few Python calls: the
+op, a Tensor that keeps the op's float64 array as it is, the backward
+closure, and one such write per gradient it pushes.
 Two ops fuse a chain of elementary ops into a single tape node whose
 values and gradients are bitwise those of the chain: transformer_block
 (a transformer aggregator group's gathers, attention block and combine)
@@ -33,6 +38,7 @@ from .config import canonical_json, read_json, write_output
 from .errors import ContractError, DataError, ShapeError
 
 _grad_enabled = True
+_F64 = np.dtype(np.float64)
 
 
 @contextmanager
@@ -51,7 +57,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, name=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # an op's float64 array is kept as it is, as np.asarray would keep it
+        self.data = (data if type(data) is np.ndarray and data.dtype is _F64
+                     else np.asarray(data, dtype=np.float64))
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -66,11 +74,16 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
-        if self.grad is None:
-            # the bits of zeros_like(data) += g (-0.0 becomes +0.0) in one call
-            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
-        else:
+        # g has this tensor's shape.  A first write is the bits of
+        # np.zeros(shape) += g (-0.0 becomes +0.0) in C order, which later
+        # reductions' summation order rests on; a ufunc hands a 0-d result
+        # back as a scalar, so a 0-d tensor names its output array
+        if self.grad is not None:
             self.grad += g
+        elif self.data.ndim:
+            self.grad = np.add(g, 0.0, order="C")
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty(()))
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -91,7 +104,7 @@ def _make(data, parents, backward_fn):
 
 
 def _shape_err(op, *tensors):
-    shapes = ", ".join(str(t.shape) for t in tensors)
+    shapes = ", ".join(str(t.data.shape) for t in tensors)
     return ShapeError(f"{op}: incompatible shapes {shapes}")
 
 
@@ -102,27 +115,28 @@ def constant(data, name=None):
 def _weight_grad(w, g, x):
     """matmul_t's gradient for a 2-D right operand w shared by the rows of x."""
     if w.requires_grad:
-        w._accumulate(g.reshape(-1, w.shape[0]).T @ x.reshape(-1, w.shape[1]))
+        rows, cols = w.data.shape
+        w._accumulate(g.reshape(-1, rows).T @ x.reshape(-1, cols))
 
 
 def _bias_grad(b, g):
     """add's gradient for a bias b broadcast over the rows of g."""
     if b.requires_grad:
-        b._accumulate(np.add.reduce(g.reshape(-1, b.shape[0]), axis=0))
+        b._accumulate(np.add.reduce(g.reshape(-1, b.data.shape[0]), axis=0))
 
 
 # ---------------------------------------------------------------- arithmetic
 
 
 def add(a, b):
-    if a.shape == b.shape:
+    if a.data.shape == b.data.shape:
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g)
             if b.requires_grad:
                 b._accumulate(g)
         return _make(a.data + b.data, (a, b), backward)
-    if a.data.ndim >= 2 and b.data.ndim == 1 and a.shape[-1] == b.shape[0]:
+    if a.data.ndim >= 2 and b.data.ndim == 1 and a.data.shape[-1] == b.data.shape[0]:
         # rows plus a broadcast bias
         def backward(g):
             if a.requires_grad:
@@ -133,7 +147,7 @@ def add(a, b):
 
 
 def subtract(a, b):
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise _shape_err("subtract", a, b)
 
     def backward(g):
@@ -146,27 +160,27 @@ def subtract(a, b):
 
 def multiply(a, b):
     """Elementwise product; one operand may be a scalar ()."""
-    if a.shape == b.shape or a.shape == () or b.shape == ():
+    if a.data.shape == b.data.shape or not a.data.ndim or not b.data.ndim:
         def backward(g):
             if a.requires_grad:
                 ga = g * b.data
-                a._accumulate(np.sum(ga) if a.shape == () else ga)
+                a._accumulate(ga if a.data.ndim else np.sum(ga))
             if b.requires_grad:
                 gb = g * a.data
-                b._accumulate(np.sum(gb) if b.shape == () else gb)
+                b._accumulate(gb if b.data.ndim else np.sum(gb))
         return _make(a.data * b.data, (a, b), backward)
     raise _shape_err("multiply", a, b)
 
 
 def divide(a, b):
     """Elementwise quotient; the divisor may be a scalar ()."""
-    if a.shape == b.shape or b.shape == ():
+    if a.data.shape == b.data.shape or not b.data.ndim:
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g / b.data)
             if b.requires_grad:
                 gb = -g * a.data / (b.data * b.data)
-                b._accumulate(np.sum(gb) if b.shape == () else gb)
+                b._accumulate(gb if b.data.ndim else np.sum(gb))
         return _make(a.data / b.data, (a, b), backward)
     raise _shape_err("divide", a, b)
 
@@ -189,31 +203,32 @@ def scale(a, c):
 
 def matmul(a, b):
     an, bn = a.data.ndim, b.data.ndim
-    if an == 2 and bn == 2 and a.shape[1] == b.shape[0]:
+    ash, bsh = a.data.shape, b.data.shape
+    if an == 2 and bn == 2 and ash[1] == bsh[0]:
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g @ b.data.T)
             if b.requires_grad:
                 b._accumulate(a.data.T @ g)
-    elif an == 2 and bn == 1 and a.shape[1] == b.shape[0]:
+    elif an == 2 and bn == 1 and ash[1] == bsh[0]:
         def backward(g):
             if a.requires_grad:
                 a._accumulate(np.outer(g, b.data))
             if b.requires_grad:
                 b._accumulate(a.data.T @ g)
-    elif an == 1 and bn == 2 and a.shape[0] == b.shape[0]:
+    elif an == 1 and bn == 2 and ash[0] == bsh[0]:
         def backward(g):
             if a.requires_grad:
                 a._accumulate(b.data @ g)
             if b.requires_grad:
                 b._accumulate(np.outer(a.data, g))
-    elif an == 1 and bn == 1 and a.shape == b.shape:
+    elif an == 1 and bn == 1 and ash == bsh:
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g * b.data)
             if b.requires_grad:
                 b._accumulate(g * a.data)
-    elif an == 3 and bn == 3 and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]:
+    elif an == 3 and bn == 3 and ash[0] == bsh[0] and ash[2] == bsh[1]:
         # one product per stacked item
         def backward(g):
             if a.requires_grad:
@@ -235,8 +250,8 @@ def matmul_t(a, b):
     (B, m, p) either way.
     """
     an, bn = a.data.ndim, b.data.ndim
-    if an not in (2, 3) or bn not in (2, an) or a.shape[-1] != b.shape[-1] or (
-            bn == 3 and a.shape[0] != b.shape[0]):
+    if an not in (2, 3) or bn not in (2, an) or a.data.shape[-1] != b.data.shape[-1] or (
+            bn == 3 and a.data.shape[0] != b.data.shape[0]):
         raise _shape_err("matmul_t", a, b)
     b_t = b.data.T if bn == 2 else b.data.transpose(0, 2, 1)
 
@@ -256,9 +271,9 @@ def matvec(w, x):
     Computed as a stack of matrix-vector products rather than x @ w^T,
     which rounds differently, so each row equals matmul(w, row).
     """
-    if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[1]:
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[1]:
         raise _shape_err("matvec", w, x)
-    out_dim, in_dim = w.shape
+    out_dim, in_dim = w.data.shape
 
     def backward(g):
         if w.requires_grad:
@@ -275,14 +290,14 @@ def dot_rows(x, v):
     1-D tensors: one `np.vecdot` runs that 1-D x 1-D product's kernel
     per row.  x @ v or an elementwise product and sum round differently.
     """
-    if v.data.ndim != 1 or x.data.ndim < 1 or x.shape[-1] != v.shape[0]:
+    if v.data.ndim != 1 or x.data.ndim < 1 or x.data.shape[-1] != v.data.shape[0]:
         raise _shape_err("dot_rows", x, v)
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(g[..., None] * v.data)
         if v.requires_grad:
-            v._accumulate((g[..., None] * x.data).reshape(-1, v.shape[0]).sum(axis=0))
+            v._accumulate((g[..., None] * x.data).reshape(-1, v.data.shape[0]).sum(axis=0))
     return _make(np.vecdot(x.data, v.data), (x, v), backward)
 
 
@@ -296,8 +311,9 @@ def concat(tensors, axis=0):
     ndim = tensors[0].data.ndim
     if any(t.data.ndim != ndim for t in tensors) or axis >= ndim:
         raise _shape_err("concat", *tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0]
+    for t in tensors:
+        offsets.append(offsets[-1] + t.data.shape[axis])
 
     def backward(g):
         for t, start, stop in zip(tensors, offsets, offsets[1:]):
@@ -313,26 +329,29 @@ def stack(tensors):
     tensors = list(tensors)
     if not tensors:
         raise ContractError("stack of zero tensors")
-    shape = tensors[0].shape
-    if any(t.shape != shape for t in tensors):
-        raise _shape_err("stack", *tensors)
+    arrays = [t.data for t in tensors]
+    shape = arrays[0].shape
+    for x in arrays:
+        if x.shape != shape:
+            raise _shape_err("stack", *tensors)
 
     def backward(g):
         for i, t in enumerate(tensors):
             if t.requires_grad:
                 t._accumulate(g[i])
-    return _make(np.stack([t.data for t in tensors]), tensors, backward)
+    # np.stack's copy without its Python wrapper
+    return _make(np.array(arrays), tensors, backward)
 
 
 def reshape(a, shape):
     """The same values in a new shape of the same size."""
     shape = tuple(shape)
     if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
+        raise ShapeError(f"reshape: cannot view {a.data.shape} as {shape}")
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
+            a._accumulate(g.reshape(a.data.shape))
     return _make(a.data.reshape(shape), (a,), backward)
 
 
@@ -354,14 +373,14 @@ def gather(a, index):
 
 def _check_index(op, a, index):
     if index.size and (np.minimum.reduce(index, axis=None) < 0
-                       or np.maximum.reduce(index, axis=None) >= a.shape[0]):
-        raise ContractError(f"{op}: index out of range for {a.shape}")
+                       or np.maximum.reduce(index, axis=None) >= a.data.shape[0]):
+        raise ContractError(f"{op}: index out of range for {a.data.shape}")
 
 
 def _gather_grad(a, index, g):
     """gather's gradient: g summed into the rows of a that `index` took."""
     if a.requires_grad:
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(a.data.shape)
         np.add.at(buf, index, g)
         a._accumulate(buf)
 
@@ -384,7 +403,7 @@ def element(a, index):
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
+            buf = np.zeros(a.data.shape)
             buf[index] = g
             a._accumulate(buf)
     return _make(a.data[index].copy(), (a,), backward)
@@ -401,7 +420,7 @@ def row(a, index):
             # straight into the row: only that row of the gradient is
             # non-zero, so a full-size g would be a buffer and an add of zeros
             if a.grad is None:
-                a.grad = np.zeros_like(a.data)
+                a.grad = np.zeros(a.data.shape)
             a.grad[index] += g
     return _make(a.data[index].copy(), (a,), backward)
 
@@ -419,7 +438,7 @@ def sum(a, axis=None):  # noqa: A001 - mirrors np.sum, always used qualified
             return
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape))
+        a._accumulate(np.broadcast_to(g, a.data.shape))
     return _make(a.data.sum(axis=axis), (a,), backward)
 
 
@@ -427,14 +446,14 @@ def mean(a, axis=None):
     """Mean of all entries, or over axis 0 or 1 of a 2-D or 3-D tensor."""
     if axis is not None and (a.data.ndim not in (2, 3) or axis not in (0, 1)):
         raise _shape_err("mean(axis)", a)
-    count = a.data.size if axis is None else a.shape[axis]
+    count = a.data.size if axis is None else a.data.shape[axis]
 
     def backward(g):
         if not a.requires_grad:
             return
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape) / count)
+        a._accumulate(np.broadcast_to(g, a.data.shape) / count)
     # sum then divide is what np.mean computes, without its Python wrapper
     return _make(a.data.sum(axis=axis) / count, (a,), backward)
 
@@ -510,7 +529,7 @@ def softmax(a, axis=-1):
 
 def _layer_norm_forward(x, gain, bias, eps=1e-5):
     """Layer norm of the array x over its last axis: (out, xhat, inv)."""
-    d = gain.shape[0]
+    d = gain.data.shape[0]
     # the sums and divisions of np.mean and np.var, so bitwise equal to
     # them, without their Python wrappers; temporaries are reused in place
     mu = np.add.reduce(x, axis=-1, keepdims=True)
@@ -530,7 +549,7 @@ def _layer_norm_forward(x, gain, bias, eps=1e-5):
 
 def _layer_norm_param_grads(g, gain, bias, xhat):
     """Push the output gradient g into the gain and bias tensors."""
-    d = gain.shape[0]
+    d = gain.data.shape[0]
     if gain.requires_grad:
         gain._accumulate(np.add.reduce((g * xhat).reshape(-1, d), axis=0))
     if bias.requires_grad:
@@ -540,7 +559,7 @@ def _layer_norm_param_grads(g, gain, bias, xhat):
 def _layer_norm_input_grad(g, gain, xhat, inv):
     """The input's gradient for the output gradient g:
     inv * (dxhat - m1 - xhat * m2), computed in place."""
-    d = gain.shape[0]
+    d = gain.data.shape[0]
     dxhat = g * gain.data
     m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
     m1 /= d
@@ -558,9 +577,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
     Accepts (d,), (k, d) or (B, k, d) inputs; gain and bias are (d,).
     """
-    if gain.shape != bias.shape or gain.data.ndim != 1:
+    if gain.data.shape != bias.data.shape or gain.data.ndim != 1:
         raise _shape_err("layer_norm", gain, bias)
-    if x.shape[-1] != gain.shape[0] or x.data.ndim not in (1, 2, 3):
+    if x.data.shape[-1] != gain.data.shape[0] or x.data.ndim not in (1, 2, 3):
         raise _shape_err("layer_norm", x, gain)
     out, xhat, inv = _layer_norm_forward(x.data, gain, bias, eps)
 
@@ -600,15 +619,15 @@ def transformer_block(prev, rows, p_in, wq, wk, wv, wo, ln1_g, ln1_b, ln2_g, ln2
     exp(x - (-0.0)) are the same bits for every x.
     """
     rows = np.asarray(rows)
-    if prev.data.ndim != 2 or p_in.data.ndim != 2 or p_in.shape[1] != prev.shape[1]:
+    if prev.data.ndim != 2 or p_in.data.ndim != 2 or p_in.data.shape[1] != prev.data.shape[1]:
         raise _shape_err("transformer_block", prev, p_in)
-    width = prev.shape[1]
-    if w.data.ndim != 2 or w.shape[1] != 2 * width:
+    width = prev.data.shape[1]
+    if w.data.ndim != 2 or w.data.shape[1] != 2 * width:
         raise _shape_err("transformer_block", prev, w)
     if rows.ndim != 2 or not rows.shape[1] or rows.dtype.kind not in "iu":
         raise ShapeError(f"transformer_block: rows must be a (B, M) integer array, got {rows.shape}")
     _check_index("transformer_block", prev, rows)
-    proj = p_in.shape[0]
+    proj = p_in.data.shape[0]
     count = rows.shape[1]
     c = 1.0 / math.sqrt(proj)
 
@@ -702,19 +721,23 @@ def bilinear_scores(theta, b, a, phis):
     if listed:
         if not phis:
             raise ContractError("bilinear_scores of zero candidates")
-        shape = phis[0].shape
+        arrays = [t.data for t in phis]
+        shape = arrays[0].shape
+        phis_grad = False
         for t in phis:
-            if t.shape != shape:
+            if t.data.shape != shape:
                 raise _shape_err("bilinear_scores", *phis)
-        stacked = np.stack([t.data for t in phis])
+            if t.requires_grad:
+                phis_grad = True
+        stacked = np.array(arrays)
     else:
         stacked = phis.data
+        phis_grad = phis.requires_grad
     if (theta.data.ndim != 1 or b.data.ndim != 2 or a.data.ndim != 2 or stacked.ndim != 2
-            or theta.shape[0] != b.shape[0] or b.shape[1] != a.shape[0]
-            or stacked.shape[1] != a.shape[1]):
-        raise ShapeError(f"bilinear_scores: incompatible shapes theta {theta.shape}, "
-                         f"B {b.shape}, A {a.shape}, phis {stacked.shape}")
-    phis_grad = any(t.requires_grad for t in phis) if listed else phis.requires_grad
+            or theta.data.shape[0] != b.data.shape[0] or b.data.shape[1] != a.data.shape[0]
+            or stacked.shape[1] != a.data.shape[1]):
+        raise ShapeError(f"bilinear_scores: incompatible shapes theta {theta.data.shape}, "
+                         f"B {b.data.shape}, A {a.data.shape}, phis {stacked.shape}")
     left = theta.data @ b.data
     projected = stacked @ a.data.T
 
@@ -752,8 +775,8 @@ def cross_entropy(logits, target):
     if logits.data.ndim != 1:
         raise _shape_err("cross_entropy", logits)
     target = int(target)
-    if not 0 <= target < logits.shape[0]:
-        raise ContractError(f"cross_entropy: target {target} out of range for {logits.shape}")
+    if not 0 <= target < logits.data.shape[0]:
+        raise ContractError(f"cross_entropy: target {target} out of range for {logits.data.shape}")
     z = logits.data - np.maximum.reduce(logits.data)
     e = np.exp(z)
     total = np.add.reduce(e)
@@ -775,21 +798,23 @@ def binary_cross_entropy(logits, labels):
     stable form max(x,0) - x*y + log(1+exp(-|x|)) is used.
     """
     y = labels.data if isinstance(labels, Tensor) else np.asarray(labels, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ShapeError(f"binary_cross_entropy: labels {y.shape} vs logits {logits.shape}")
+    if y.shape != logits.data.shape:
+        raise ShapeError(f"binary_cross_entropy: labels {y.shape} vs logits {logits.data.shape}")
     x = logits.data
     value = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
 
     def backward(g):
         if logits.requires_grad:
-            sig = 1.0 / (1.0 + np.exp(-x))
+            # exp(-x) is inf below about -709.8, where 1 / (1 + inf) = 0.0 is exact
+            with np.errstate(over="ignore"):
+                sig = 1.0 / (1.0 + np.exp(-x))
             logits._accumulate(g * (sig - y))
     return _make(value, (logits,), backward)
 
 
 def l2_loss(a, b):
     """Sum of squared differences, as a scalar."""
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise _shape_err("l2_loss", a, b)
     diff = a.data - b.data
 
@@ -818,25 +843,26 @@ class Tape:
         ordered = []
         visited = set()
         stack = [(out, False)]
+        push, pop, visit, done = stack.append, stack.pop, visited.add, ordered.append
         while stack:
-            node, expanded = stack.pop()
+            node, expanded = pop()
             if expanded:
-                ordered.append(node)
+                done(node)
                 continue
             if node in visited:
                 continue
-            visited.add(node)
-            stack.append((node, True))
+            visit(node)
+            push((node, True))
             for p in node._parents:
                 if p not in visited:
-                    stack.append((p, False))
+                    push((p, False))
         return cls(ordered)
 
     def __len__(self):
         return len(self._ordered)
 
     def run_backward(self, out):
-        out._accumulate(np.ones_like(out.data))
+        out._accumulate(np.ones(out.data.shape))
         for node in reversed(self._ordered):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -844,8 +870,8 @@ class Tape:
 
 def backward(loss):
     """Propagate d(loss)/d(param) into every reachable parameter's .grad."""
-    if loss.shape != ():
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.data.ndim:
+        raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     Tape.from_output(loss).run_backward(loss)
 
 

@@ -561,6 +561,20 @@ class TestGradCheckAllOps:
         report = ad.grad_check(fn, params)
         assert report.passed, f"{name}: {report.max_rel_err}"
 
+    @pytest.mark.parametrize("name", sorted(GRAD_CASES))
+    def test_every_gradient_is_an_array_of_its_tensors_shape(self, name):
+        # a first write must leave a fresh float64 array, not a numpy
+        # scalar, for 0-d tensors too (the loss; a () factor of multiply
+        # or divide), in C order, as every later += and reduction expects
+        fn, _ = GRAD_CASES[name](rng())
+        loss = fn()
+        ad.backward(loss)
+        written = [t for t in ad.Tape.from_output(loss)._ordered if t.grad is not None]
+        assert loss in written
+        for t in written:
+            assert type(t.grad) is np.ndarray and t.grad.dtype == np.float64, (name, t)
+            assert t.grad.shape == t.data.shape and t.grad.flags.c_contiguous, (name, t)
+
     def test_negative_control_fails(self):
         # a deliberately wrong backward must be caught, or the whole
         # gradient suite proves nothing
@@ -942,6 +956,27 @@ class TestBackward:
         loss = ad.sum(ad.add(ad.multiply(w, w), ad.scale(w, 2.0)))
         ad.backward(loss)
         np.testing.assert_allclose(w.grad, [8.0])
+
+    def test_negative_zero_contributions_leave_positive_zero(self):
+        # the bits of zeros_like(data) += g, which checkpoint digests rest
+        # on: a leaf whose every contribution is -0.0 holds +0.0
+        minus = ad.constant([-0.0, -0.0, -0.0])
+        w = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        ad.backward(ad.sum(ad.add(ad.multiply(w, minus), ad.multiply(w, minus))))
+        # row writes straight into a zero buffer rather than through _accumulate
+        m = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        ad.backward(ad.sum(ad.multiply(ad.row(m, 1), minus)))
+        for grad in (w.grad, m.grad):
+            assert grad.tobytes() == np.zeros(grad.shape).tobytes()
+
+    def test_binary_cross_entropy_gradient_at_extreme_logits(self):
+        # exp(-x) overflows for x below about -709.8; the sigmoid there is 0.0
+        x = ad.Tensor([-1000.0, 1000.0, 0.5], requires_grad=True)
+        y = np.array([1.0, 0.0, 1.0])
+        loss = ad.sum(ad.binary_cross_entropy(x, y))
+        ad.backward(loss)
+        assert loss.data == 2000.0 + np.log1p(np.exp(-0.5))
+        np.testing.assert_array_equal(x.grad, [-1.0, 1.0, 1.0 / (1.0 + np.exp(-0.5)) - 1.0])
 
     def test_non_scalar_loss_rejected(self):
         w = ad.Tensor([1.0, 2.0], requires_grad=True)
